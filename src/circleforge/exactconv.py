@@ -2,34 +2,38 @@
 
 Two tools live here:
 
-* ``exact_convolve`` — linear convolution of nonnegative int64 arrays, exact by
-  construction: small problems go through direct ``np.convolve``; large ones use
-  number-theoretic transforms modulo two coprime primes with reconstruction by
-  remainder combination.  The modulus product must certify an a-priori bound on
-  the largest output value, otherwise the call is refused.
+* ``exact_convolve`` — linear convolution of nonnegative int64 arrays: small
+  problems go through direct ``np.convolve``; large ones through a float64 FFT
+  rounded to integers, run only when a-priori bounds keep every value below 2^53
+  and the rounding error below 1/2, and returned only when a random-point
+  certificate modulo a prime holds.  Otherwise the call is refused.
 * ``cyclic_histogram_convolution`` — cyclic convolution of several residue
   histograms mod q in arbitrary-precision integers via Kronecker substitution
   (values packed into slots of one big integer, folded back every round).
 """
 
+import math
+
 import numpy as np
 
 from .errors import BudgetError
 
-# NTT-friendly primes p = c * 2**e + 1 with e >= 26, with primitive roots.
-NTT_PRIMES = ((2013265921, 31), (1811939329, 13))
-NTT_MAX_LENGTH = 1 << 26
+MAX_TRANSFORM_LENGTH = 1 << 26
+FLOAT_EXACT_LIMIT = 2**53  # every integer below this is a float64
 
 _DIRECT_OPS_LIMIT = 10**7
 
-
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.int64)
-    rev = np.zeros(n, dtype=np.int64)
-    for i in range(bits):
-        rev = (rev << 1) | ((idx >> i) & 1)
-    return rev
+# Percival, Math. Comp. 72 (2003), Thm. 5.1, with the sqrt(5)*eps complex
+# product bound of Brent-Percival-Zimmermann, Math. Comp. 76 (2007): an FFT
+# convolution at length 2^n with unit roundoff eps = 2^-53 errs by at most
+#   |a|_2 |b|_2 ((1+eps)^(3n) (1+sqrt(5) eps)^(3n+1) (1+beta)^(3n) - 1),
+# about |a|_2 |b|_2 eps (3n + sqrt(5)(3n+1) + 3n beta/eps).  With twiddle
+# errors beta <= 2 eps that is below 18 n eps |a|_2 |b|_2; the constant 32
+# leaves room for the real-input packing of rfft/irfft and for rounding in the
+# float evaluation of the norms.
+_ROUNDING_CONSTANT = 32
+_CERT_PRIME = 2**31 - 1
+_CERT_POINTS = 2
 
 
 def _power_table(w: int, count: int, p: int) -> np.ndarray:
@@ -41,37 +45,10 @@ def _power_table(w: int, count: int, p: int) -> np.ndarray:
     return table[:count]
 
 
-def _ntt(a: np.ndarray, p: int, g: int, invert: bool) -> np.ndarray:
-    """In-place iterative radix-2 transform of ``a`` (length a power of two)."""
-    n = len(a)
-    a = a[_bit_reverse_indices(n)]
-    root = pow(g, p - 2, p) if invert else g
-    length = 2
-    while length <= n:
-        half = length // 2
-        w = pow(root, (p - 1) // length, p)
-        wp = _power_table(w, half, p)
-        view = a.reshape(-1, length)
-        t = (view[:, half:] * wp) % p
-        left = view[:, :half].copy()
-        view[:, :half] = (left + t) % p
-        view[:, half:] = (left - t) % p
-        length *= 2
-    if invert:
-        n_inv = pow(n, p - 2, p)
-        a = (a * n_inv) % p
-    return a
-
-
-def _ntt_convolve_mod(a: np.ndarray, b: np.ndarray, n: int, p: int, g: int) -> np.ndarray:
-    fa = np.zeros(n, dtype=np.int64)
-    fb = np.zeros(n, dtype=np.int64)
-    fa[: len(a)] = a % p
-    fb[: len(b)] = b % p
-    fa = _ntt(fa, p, g, invert=False)
-    fb = _ntt(fb, p, g, invert=False)
-    fa = (fa * fb) % p
-    return _ntt(fa, p, g, invert=True)
+def _eval_mod(coeffs: np.ndarray, powers: np.ndarray, p: int) -> int:
+    """sum_i coeffs[i] * r**i mod p, given powers[i] = r**i mod p (p < 2^31)."""
+    terms = (coeffs % p) * powers[: len(coeffs)] % p
+    return int(terms.sum()) % p  # at most 2^26 terms below 2^31: no overflow
 
 
 def convolution_value_bound(a: np.ndarray, b: np.ndarray) -> int:
@@ -86,8 +63,17 @@ def convolution_value_bound(a: np.ndarray, b: np.ndarray) -> int:
 def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact linear convolution of nonnegative integer arrays, int64 output.
 
-    Raises BudgetError when the certified value bound overflows the modulus
-    product (or int64), or when the transform length exceeds NTT_MAX_LENGTH.
+    Raises BudgetError, rather than return a possibly wrong result, when the
+    value bound reaches 2^53, when the transform length exceeds
+    MAX_TRANSFORM_LENGTH, when the a-priori rounding bound of the float FFT
+    reaches 1/2, or when the rounded result fails its certificate.
+
+    The certificate evaluates a, b and the result c at _CERT_POINTS points r
+    drawn uniformly from [1, p) with p = 2^31 - 1 and fresh entropy, and checks
+    a(r) b(r) = c(r) mod p.  If c differs from a * b by an error whose reduction
+    mod p is nonzero (every error smaller than p in size is), the difference is
+    a nonzero polynomial of degree below N = len(c), with fewer than N roots
+    mod p, so a wrong c passes with probability at most (N/p)^_CERT_POINTS.
     """
     a = np.ascontiguousarray(a, dtype=np.int64)
     b = np.ascontiguousarray(b, dtype=np.int64)
@@ -98,28 +84,36 @@ def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
 
     bound = convolution_value_bound(a, b)
-    (p1, g1), (p2, g2) = NTT_PRIMES
-    if bound >= p1 * p2:
-        raise BudgetError(
-            f"convolution values may reach {bound}, beyond the certified "
-            f"modulus product {p1 * p2}"
-        )
+    if bound >= FLOAT_EXACT_LIMIT:
+        raise BudgetError(f"convolution values may reach {bound}, not below 2^53")
 
     if len(a) * len(b) <= _DIRECT_OPS_LIMIT:
         # direct path is exact in int64 whenever the certified bound is
         return np.convolve(a, b)
 
     n = 1 << (n_out - 1).bit_length()
-    if n > NTT_MAX_LENGTH:
+    if n > MAX_TRANSFORM_LENGTH:
         raise BudgetError(
-            f"transform length {n} exceeds supported maximum {NTT_MAX_LENGTH}"
+            f"transform length {n} exceeds supported maximum {MAX_TRANSFORM_LENGTH}"
         )
-    r1 = _ntt_convolve_mod(a, b, n, p1, g1)[:n_out]
-    r2 = _ntt_convolve_mod(a, b, n, p2, g2)[:n_out]
-    # remainder combination: x = r1 + p1 * ((r2 - r1) * inv(p1) mod p2)
-    inv_p1 = pow(p1, p2 - 2, p2)
-    t = ((r2 - r1) % p2) * inv_p1 % p2
-    return r1 + p1 * t
+    fa, fb = a.astype(np.float64), b.astype(np.float64)
+    norms = float(np.linalg.norm(fa)) * float(np.linalg.norm(fb))
+    rounding = norms * 2.0**-53 * _ROUNDING_CONSTANT * math.log2(n)
+    if rounding >= 0.5:
+        raise BudgetError(f"FFT rounding error may reach {rounding:.3g}, not below 1/2")
+    spectrum = np.fft.rfft(fa, n)
+    spectrum *= np.fft.rfft(fb, n)
+    c = np.rint(np.fft.irfft(spectrum, n)[:n_out]).astype(np.int64)
+
+    p = _CERT_PRIME
+    for r in np.random.default_rng().integers(1, p, _CERT_POINTS):
+        powers = _power_table(int(r), n_out, p)
+        lhs = _eval_mod(a, powers, p) * _eval_mod(b, powers, p) % p
+        if lhs != _eval_mod(c, powers, p):
+            raise BudgetError(
+                f"float transform result failed its certificate mod {p} at r={r}"
+            )
+    return c
 
 
 def _pack(values, slot_bytes: int) -> int:

@@ -7,21 +7,25 @@ the exact transform backend.  Tuples are ordered and every variable starts at
 1, so the least representable value is 6.
 """
 
+import hashlib
 import os
 import struct
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .exactconv import exact_convolve
+from .exactconv import FLOAT_EXACT_LIMIT, exact_convolve
 from .intmath import iroot
 
 PAIR_INDEX_BUDGET = 2 * 10**8  # entries in a pair spectrum
 SINGLE_TARGET_BUDGET = 2 * 10**8  # practical memory ceiling for one target
-RANGE_BUDGET = 3 * 10**7  # transform length cap (2**26)
+RANGE_BUDGET = 3 * 10**7  # keeps the float FFT within its 2**26 length cap
 
-SPECTRUM_MAGIC = b"WSPC1"
+SPECTRUM_MAGIC = b"WSPC2"
+_HEADER = struct.Struct("<5sQQQ")
+_DIGEST_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -65,48 +69,62 @@ def pair_spectrum(k: int, P: int) -> PairSpectrum:
 
 
 def write_spectrum(spectrum: PairSpectrum, path: str) -> None:
-    """Serialise in the WSPC1 layout: magic, k/P/length as little-endian u64,
-    u32 counts, and a trailing u64 checksum equal to the count sum mod 2^64."""
+    """Serialise in the WSPC2 layout: magic, k/P/length as little-endian u64,
+    u32 counts, and a trailing 32-byte blake2b digest of everything before it."""
     counts = spectrum.counts
     if counts.max(initial=0) >= 2**32:
         raise ValueError("spectrum counts overflow the 32-bit cache format")
+    header = _HEADER.pack(SPECTRUM_MAGIC, spectrum.k, spectrum.P, len(counts))
     payload = counts.astype("<u4").tobytes()
-    checksum = int(counts.sum()) % 2**64
+    digest = hashlib.blake2b(header, digest_size=_DIGEST_SIZE)
+    digest.update(payload)
     with open(path, "wb") as fh:
-        fh.write(SPECTRUM_MAGIC)
-        fh.write(struct.pack("<QQQ", spectrum.k, spectrum.P, len(counts)))
+        fh.write(header)
         fh.write(payload)
-        fh.write(struct.pack("<Q", checksum))
+        fh.write(digest.digest())
 
 
 def read_spectrum(path: str) -> PairSpectrum:
+    """Parse a WSPC2 file; any short, malformed or corrupt file raises ValueError."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:5] != SPECTRUM_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a WSPC1 spectrum")
-    k, P, length = struct.unpack_from("<QQQ", raw, 5)
-    offset = 5 + 24
-    end = offset + 4 * length
-    if len(raw) != end + 8:
+    if len(raw) < _HEADER.size + _DIGEST_SIZE:
         raise ValueError(f"{path}: truncated spectrum file")
-    counts = np.frombuffer(raw[offset:end], dtype="<u4").astype(np.int64)
-    (checksum,) = struct.unpack_from("<Q", raw, end)
-    if int(counts.sum()) % 2**64 != checksum:
-        raise ValueError(f"{path}: checksum mismatch, refusing corrupt spectrum")
-    return PairSpectrum(k=int(k), P=int(P), counts=counts)
+    magic, k, P, length = _HEADER.unpack_from(raw)
+    if magic != SPECTRUM_MAGIC:
+        raise ValueError(f"{path}: bad magic, not a WSPC2 spectrum")
+    end = _HEADER.size + 4 * length
+    if len(raw) != end + _DIGEST_SIZE:
+        raise ValueError(f"{path}: truncated spectrum file")
+    if hashlib.blake2b(memoryview(raw)[:end], digest_size=_DIGEST_SIZE).digest() != raw[end:]:
+        raise ValueError(f"{path}: digest mismatch, refusing corrupt spectrum")
+    counts = np.frombuffer(raw, dtype="<u4", count=length, offset=_HEADER.size)
+    return PairSpectrum(k=int(k), P=int(P), counts=counts.astype(np.int64))
 
 
 def _cached_pair_spectrum(k: int, P: int, cache_dir: str | None) -> PairSpectrum:
+    """Read the spectrum from cache_dir; a missing, rejected or mismatched file
+    is a miss: recompute and replace it atomically, so concurrent readers only
+    ever see a complete file."""
     if cache_dir is None:
         return pair_spectrum(k, P)
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"wspc_k{k}_P{P}.bin")
-    if os.path.exists(path):
+    try:
         spectrum = read_spectrum(path)
         if spectrum.k == k and spectrum.P == P:
             return spectrum
+    except (FileNotFoundError, ValueError):
+        pass
     spectrum = pair_spectrum(k, P)
-    write_spectrum(spectrum, path)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".wspc_", suffix=".tmp")
+    os.close(fd)
+    try:
+        write_spectrum(spectrum, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return spectrum
 
 
@@ -120,6 +138,10 @@ def _value_counts(k: int, P: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _cube_sixth_spectrum(P3: int, P6: int, limit: int | None = None) -> np.ndarray:
     """g[m] = #{(x3,x4,x5,x6): x3^3+x4^3+x5^6+x6^6 = m}, truncated to limit."""
+    # the float64 bincount below is exact while every partial sum, at most the
+    # P3^2 * P6^2 quadruples in all, stays below 2^53
+    if (P3 * P6) ** 2 >= FLOAT_EXACT_LIMIT:
+        raise BudgetError(f"cube/sixth spectrum of {(P3 * P6) ** 2} tuples, not below 2^53")
     full_top = 2 * P3**3 + 2 * P6**6
     top = full_top if limit is None else min(limit, full_top)
     v3, c3 = _value_counts(3, P3, top)
@@ -172,11 +194,8 @@ def rep_count_range(
     sq = _cached_pair_spectrum(2, P2, cache_dir)
     sq_trunc = sq.counts[: X + 1]
     g = _cube_sixth_spectrum(P3, P6, limit=X)
-    values = exact_convolve(g, sq_trunc)[: X + 1]
+    # a copy, so the unused upper half of the linear convolution is freed
+    values = exact_convolve(g, sq_trunc)[: X + 1].copy()
     if X >= 6 and values[:6].any():
         raise AssertionError("convolution produced counts below the minimum value 6")
-    if X <= 10**7:
-        if values.max(initial=0) >= 2**32:
-            raise AssertionError("32-bit storage would saturate; counts kept wide")
-        values = values.astype(np.uint32)
     return RangeCounts(X=X, values=values)

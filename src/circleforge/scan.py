@@ -8,6 +8,7 @@ X, dyadic aggregates, and error quantiles; records below n = 1000 are kept in
 reports but marked pre-asymptotic and excluded from trend statistics.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ class PsiSpec:
 
     def __post_init__(self):
         if self.kind == "log_power":
-            if self.param <= 0:
-                raise PreconditionError("log exponent must be positive")
+            if not 0 < self.param < math.inf:
+                raise PreconditionError("log exponent must be positive and finite")
         elif self.kind == "power":
             if not 0 < self.param <= 0.1:
                 raise PreconditionError("power exponent must be in (0, 0.1]")
@@ -54,11 +55,14 @@ class PsiSpec:
         text = text.strip()
         if text == "log":
             return PsiSpec("log_power", 1.0)
-        if text.startswith("log^"):
-            return PsiSpec("log_power", float(text[4:]))
-        if text.startswith("pow:"):
-            return PsiSpec("power", float(text[4:]))
-        raise PreconditionError(f"cannot parse psi descriptor {text!r}")
+        kind = {"log^": "log_power", "pow:": "power"}.get(text[:4])
+        try:
+            param = float(text[4:])
+        except ValueError:
+            kind = None
+        if kind is None:
+            raise PreconditionError(f"cannot parse psi descriptor {text!r}")
+        return PsiSpec(kind, param)
 
     def describe(self) -> str:
         if self.kind == "log_power":
@@ -155,7 +159,7 @@ def scan(X: int, psi: PsiSpec, W: int = DEFAULT_TRUNCATION, cache_dir=None) -> S
     """Full exceptional-set scan over 1 <= n <= X."""
     if X < 8:
         raise PreconditionError("scan range must reach at least 8")
-    counts = rep_count_range(X, cache_dir=cache_dir).values.astype(np.int64)
+    counts = rep_count_range(X, cache_dir=cache_dir).values
     series_w, series_2w = series_batch(X, W)
     n = np.arange(X + 1, dtype=np.float64)
     mains = leading_constant().value * series_w * n

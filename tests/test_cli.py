@@ -58,6 +58,11 @@ def test_precondition_exit_code(capsys):
     assert json.loads(err)["error"] == "precondition"
     code, _, err = run_cli(capsys, "gauss", "--k", "2", "--q", "6", "--a", "2")
     assert code == 2
+    for psi in ("log^abc", "pow:", "log^nan"):
+        code, out, err = run_cli(capsys, "scan", "--limit", "100", "--psi", psi)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "precondition"
 
 
 def test_budget_exit_code(capsys):

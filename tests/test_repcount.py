@@ -2,9 +2,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from circleforge import exactconv
 from circleforge.errors import BudgetError, PreconditionError
-from circleforge.exactconv import exact_convolve
+from circleforge.exactconv import FLOAT_EXACT_LIMIT, convolution_value_bound, exact_convolve
 from circleforge.repcount import (
     _cube_sixth_spectrum,
     pair_spectrum,
@@ -62,13 +64,69 @@ def test_exact_convolve_transform_path():
     rng = np.random.default_rng(78)
     a = rng.integers(0, 100, 60000)
     b = rng.integers(0, 100, 50000)
-    via_ntt = exact_convolve(a, b)
+    via_transform = exact_convolve(a, b)
     # spot-check against direct dot products
     for idx in (0, 777, 44444, 109998):
         lo = max(0, idx - len(b) + 1)
         hi = min(idx, len(a) - 1)
         js = np.arange(lo, hi + 1)
-        assert via_ntt[idx] == np.dot(a[js], b[idx - js])
+        assert via_transform[idx] == np.dot(a[js], b[idx - js])
+
+
+@settings(max_examples=40, deadline=None)
+@example(len_a=2000, len_b=5000, bits=12, density=1.0, seed=0)  # last direct size
+@example(len_a=2001, len_b=5000, bits=12, density=1.0, seed=0)  # first transform size
+@given(
+    len_a=st.integers(1, 6000),
+    len_b=st.integers(1500, 6000),
+    bits=st.integers(0, 12),
+    density=st.sampled_from([1.0, 0.1, 0.001]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_convolve_property(len_a, len_b, bits, density, seed):
+    # lengths straddle the direct/transform threshold len_a * len_b = 10^7
+    rng = np.random.default_rng(seed)
+    a, b = (
+        rng.integers(0, 2**bits + 1, n) * (rng.random(n) < density)
+        for n in (len_a, len_b)
+    )
+    out = exact_convolve(a, b)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, np.convolve(a, b))
+
+
+def test_exact_convolve_certificate_rejects_corruption(monkeypatch):
+    irfft = np.fft.irfft
+
+    def corrupt_irfft(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        out[12345] += 1.0
+        return out
+
+    monkeypatch.setattr(exactconv.np.fft, "irfft", corrupt_irfft)
+    rng = np.random.default_rng(79)
+    a = rng.integers(0, 100, 20000)
+    b = rng.integers(0, 100, 20000)
+    with pytest.raises(BudgetError, match="certificate"):
+        exact_convolve(a, b)
+
+
+def test_exact_convolve_refuses_by_rounding_bound():
+    # values near 2^40 keep every output below 2^53, yet rint(irfft(...)) of
+    # these inputs was observed wrong in thousands of coefficients
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, 2, 2**16)
+    a[::17] = 2**40 - 1
+    b = rng.integers(0, 2, 2**16)
+    assert convolution_value_bound(a, b) < FLOAT_EXACT_LIMIT
+    with pytest.raises(BudgetError, match="rounding"):
+        exact_convolve(a, b)
+
+
+def test_exact_convolve_refuses_by_value_bound():
+    a = np.full(10, 2**50)
+    with pytest.raises(BudgetError, match="2\\^53"):
+        exact_convolve(a, a)
 
 
 def test_rep_count_single_examples():
@@ -121,6 +179,12 @@ def test_cube_sixth_spectrum_conservation():
         assert int(g.sum()) == P3 * P3 * P6 * P6
 
 
+def test_cube_sixth_spectrum_refuses_inexact_float_sums():
+    # 2^54 quadruples: float64 bincount sums would no longer be exact
+    with pytest.raises(BudgetError, match="2\\^53"):
+        _cube_sixth_spectrum(2**20, 2**7)
+
+
 def test_determinism():
     a = rep_count_range(800).values
     b = rep_count_range(800).values
@@ -134,12 +198,27 @@ def test_spectrum_cache_roundtrip(tmp_path):
     back = read_spectrum(str(path))
     assert back.k == 3 and back.P == 30
     assert np.array_equal(back.counts, ps.counts)
-    # flip one byte: checksum must catch it
-    raw = bytearray(path.read_bytes())
+    good = path.read_bytes()
+    header = 5 + 3 * 8
+    # flip one byte
+    raw = bytearray(good)
     raw[40] ^= 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
         read_spectrum(str(path))
+    # swap two different counts: the multiset, hence any sum checksum, is kept
+    raw = bytearray(good)
+    i, j = header + 4 * 2, header + 4 * 9
+    assert raw[i : i + 4] != raw[j : j + 4]
+    raw[i : i + 4], raw[j : j + 4] = raw[j : j + 4], raw[i : i + 4]
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError):
+        read_spectrum(str(path))
+    # truncation, down to shorter than the header
+    for size in (len(good) - 1, 20, 0):
+        path.write_bytes(good[:size])
+        with pytest.raises(ValueError):
+            read_spectrum(str(path))
 
 
 def test_range_uses_cache(tmp_path):
@@ -148,6 +227,18 @@ def test_range_uses_cache(tmp_path):
     assert len(files) == 1
     rc2 = rep_count_range(400, cache_dir=str(tmp_path))
     assert np.array_equal(rc1.values, rc2.values)
+
+
+def test_range_recovers_from_corrupt_cache(tmp_path):
+    expected = rep_count_range(400, cache_dir=str(tmp_path)).values
+    (path,) = tmp_path.iterdir()
+    good = path.read_bytes()
+    for bad in (good[:20], good[:-1] + bytes([good[-1] ^ 1]), b""):
+        path.write_bytes(bad)
+        rc = rep_count_range(400, cache_dir=str(tmp_path))
+        assert np.array_equal(rc.values, expected)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert path.read_bytes() == good  # rewritten whole
 
 
 def test_scaling_guard():
