@@ -6,7 +6,8 @@ with 12 significant digits; counts are printed exactly.  Random sampling uses
 numpy's PCG64 generator seeded from --seed, so samples reproduce across
 platforms.
 
-Exit codes: 0 success, 2 precondition violation, 3 budget violation.
+Exit codes: 0 success, 2 precondition violation or unusable file path,
+3 budget refusal or failed convergence contract.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import arcints, arcs, moments, powersums, repcount, sseries
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, ConvergenceError, PreconditionError
 from .scan import PsiSpec, predict as predict_target, record_rows, scan as run_scan
 
 CACHE_ENV = "CIRCLEFORGE_CACHE"
@@ -429,6 +430,12 @@ def run(config: CommandConfig) -> int:
     except BudgetError as exc:
         _emit_error(config, "budget", str(exc))
         return 3
+    except ConvergenceError as exc:
+        _emit_error(config, "convergence", str(exc))
+        return 3
+    except OSError as exc:  # an unusable --out or --cache-dir path
+        _emit_error(config, "io", str(exc))
+        return 2
 
 
 def main(argv=None) -> int:

@@ -8,8 +8,8 @@ Two tools live here:
   and the rounding error below 1/2, and returned only when a random-point
   certificate modulo a prime holds.  Otherwise the call is refused.
 * ``cyclic_histogram_convolution`` — cyclic convolution of several residue
-  histograms mod q in arbitrary-precision integers via Kronecker substitution
-  (values packed into slots of one big integer, folded back every round).
+  histograms mod q, exact or refused: the running product is split into
+  20-bit int64 limbs, each convolved by ``exact_convolve`` and folded mod q.
 """
 
 import math
@@ -21,7 +21,11 @@ from .errors import BudgetError
 MAX_TRANSFORM_LENGTH = 1 << 26
 FLOAT_EXACT_LIMIT = 2**53  # every integer below this is a float64
 
-_DIRECT_OPS_LIMIT = 10**7
+# Measured on one core of a 2-core Intel Xeon VM, numpy 2.4: direct np.convolve
+# and the certified transform cost the same near 700 x 700 (0.45 ms each); at
+# 100 x 100 direct takes 0.03 ms against 0.22 ms, at 2003 x 2003 3.4 ms
+# against 0.6 ms.
+_DIRECT_OPS_LIMIT = 5 * 10**5
 
 # Percival, Math. Comp. 72 (2003), Thm. 5.1, with the sqrt(5)*eps complex
 # product bound of Brent-Percival-Zimmermann, Math. Comp. 76 (2007): an FFT
@@ -34,6 +38,10 @@ _DIRECT_OPS_LIMIT = 10**7
 _ROUNDING_CONSTANT = 32
 _CERT_PRIME = 2**31 - 1
 _CERT_POINTS = 2
+# cyclic_histogram_convolution: for residue histograms of r^2, r^3 and r^6
+# mod q, q <= 10^4, limbs of this width keep the a-priori rounding bound of
+# exact_convolve at most 0.014 (q = 9576), far below its 1/2 limit
+_LIMB_BITS = 20
 
 
 def _power_table(w: int, count: int, p: int) -> np.ndarray:
@@ -116,46 +124,37 @@ def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
-def _pack(values, slot_bytes: int) -> int:
-    chunks = b"".join(int(v).to_bytes(slot_bytes, "little") for v in values)
-    return int.from_bytes(chunks, "little")
-
-
-def _unpack(packed: int, count: int, slot_bytes: int) -> list[int]:
-    raw = packed.to_bytes(count * slot_bytes, "little")
-    return [
-        int.from_bytes(raw[i * slot_bytes : (i + 1) * slot_bytes], "little")
-        for i in range(count)
-    ]
-
-
 def cyclic_histogram_convolution(histograms, q: int) -> list[int]:
-    """Cyclic convolution mod q of integer histograms, exact at any size.
+    """Cyclic convolution mod q of nonnegative integer histograms, exact.
 
-    Every intermediate entry is bounded by the product of the histogram masses,
-    which fixes the Kronecker slot width up front.
+    The running product is held as int64 limbs of _LIMB_BITS bits.  Each limb
+    is convolved with the next histogram by ``exact_convolve``, folded mod q
+    and carry-normalised, so every product passes that engine's bounds and
+    certificate; a product it cannot certify raises BudgetError.  Every entry
+    is at most the product of the histogram masses, which fixes the number of
+    limbs.
     """
     if q < 1:
         raise ValueError("modulus must be positive")
-    mass = 1
-    for h in histograms:
-        mass *= max(1, int(sum(h)))
-    slot_bytes = (mass.bit_length() + 1 + 7) // 8
-    slot_bits = slot_bytes * 8
-    fold_shift = q * slot_bits
-    fold_mask = (1 << fold_shift) - 1
-
-    acc = None
-    for h in histograms:
-        if len(h) != q:
-            raise ValueError("histogram length must equal the modulus")
-        packed = _pack(h, slot_bytes)
-        if acc is None:
-            acc = packed
-        else:
-            acc *= packed
-            while acc >> fold_shift:
-                acc = (acc & fold_mask) + (acc >> fold_shift)
-    if acc is None:
+    hists = [np.asarray(h, dtype=np.int64) for h in histograms]
+    if not hists:
         raise ValueError("need at least one histogram")
-    return _unpack(acc, q, slot_bytes)
+    if any(len(h) != q for h in hists):
+        raise ValueError("histogram length must equal the modulus")
+    limbs = hists[0][None, :]
+    mass = max(1, int(hists[0].sum()))
+    for h in hists[1:]:
+        mass *= max(1, int(h.sum()))
+        folded = np.zeros((mass.bit_length() // _LIMB_BITS + 1, q), dtype=np.int64)
+        for j, limb in enumerate(limbs):
+            c = exact_convolve(limb, h)
+            folded[j] += c[:q]
+            folded[j, : len(c) - q] += c[q:]
+        for j in range(len(folded) - 1):
+            folded[j + 1] += folded[j] >> _LIMB_BITS
+            folded[j] &= (1 << _LIMB_BITS) - 1
+        limbs = folded
+    out = np.zeros(q, dtype=object)
+    for limb in limbs[::-1]:
+        out = (out << _LIMB_BITS) + limb.astype(object)
+    return out.tolist()

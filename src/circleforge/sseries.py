@@ -101,9 +101,7 @@ def series_term_direct(q: int, n: int) -> float:
 @lru_cache(maxsize=512)
 def _congruence_spectrum(q: int) -> tuple:
     """M_n(q) for every residue n, as exact integers."""
-    hists = []
-    for k in (2, 2, 3, 3, 6, 6):
-        hists.append([int(v) for v in residue_histogram(k, q)])
+    hists = [residue_histogram(k, q) for k in (2, 2, 3, 3, 6, 6)]
     return tuple(cyclic_histogram_convolution(hists, q))
 
 
@@ -130,6 +128,28 @@ def local_density(p: int, n: int, h: int) -> float:
     return float(congruence_count(q, n).count) / float(p) ** (5 * h)
 
 
+def _split_prime_power(spf: np.ndarray, q: int) -> tuple[int, int]:
+    """(p^h, q / p^h) for the smallest prime p | q, where p^h || q."""
+    p = int(spf[q])
+    ppow = p
+    while (q // ppow) % p == 0:
+        ppow *= p
+    return ppow, q // ppow
+
+
+def _vanishes(q: int, p: int) -> bool:
+    """Whether A(q; .) = 0 identically, decided exactly for q = p^h.
+
+    S_k(q, a) is the image of S_k(q, 1) under zeta -> zeta^a, so the term
+    vanishes exactly when some S_k(q, 1) = 0.  That sum is the histogram
+    polynomial of r^k mod q evaluated at a primitive q-th root of unity; its
+    degree is below q, so it is zero exactly when Phi_q(x) = sum_j x^(j q / p)
+    divides it, that is when the histogram has period q / p.
+    """
+    rows = (residue_histogram(k, q).reshape(p, q // p) for k in (2, 3, 6))
+    return any((r == r[0]).all() for r in rows)
+
+
 def _prime_power_values(n: int, bound: int) -> dict[int, float]:
     return {q: float(_term_table(q)[n % q]) for _, _, q in prime_powers_up_to(bound)}
 
@@ -152,12 +172,7 @@ def truncated_singular_series(n: int, W: int) -> SingularSeriesValue:
     terms[0] = 0.0
     terms[1] = 1.0
     for q in range(2, 2 * W + 1):
-        p = int(spf[q])
-        rest = q
-        ppow = 1
-        while rest % p == 0:
-            rest //= p
-            ppow *= p
+        ppow, rest = _split_prime_power(spf, q)
         terms[q] = pp[ppow] * terms[rest]
     value = float(terms[1 : W + 1].sum())
     value2 = float(terms[1 : 2 * W + 1].sum())
@@ -177,8 +192,9 @@ def series_batch(X: int, W: int) -> tuple[np.ndarray, np.ndarray]:
     """(S_W, S_2W) arrays over n = 0..X, S_W[n] = sum_{q<=W} A(q; n).
 
     Per-q residue tables are built multiplicatively from prime-power tables and
-    tiled across the n-range.  Moduli with 2 || q are skipped: S_2(2, 1) = 0
-    makes every such term vanish identically.
+    tiled across the n-range.  A modulus with a prime-power factor whose term
+    vanishes identically (``_vanishes``; every q with 2 || q, for one) adds
+    nothing and is skipped.
     """
     if X < 0:
         raise PreconditionError("range bound X must be >= 0")
@@ -187,24 +203,22 @@ def series_batch(X: int, W: int) -> tuple[np.ndarray, np.ndarray]:
     if W > TRUNCATION_BUDGET:
         raise BudgetError(f"truncation W={W} beyond budget {TRUNCATION_BUDGET}")
     spf = smallest_prime_factors(2 * W)
-    tables: dict[int, np.ndarray] = {1: np.ones(1)}
+    tables: dict[int, np.ndarray] = {1: np.ones(1)}  # live moduli only
     acc = np.ones(X + 1)  # q = 1 contributes A(1; n) = 1
     snapshot = None
     for q in range(2, 2 * W + 1):
-        p = int(spf[q])
-        rest = q
-        ppow = 1
-        while rest % p == 0:
-            rest //= p
-            ppow *= p
+        ppow, rest = _split_prime_power(spf, q)
         if ppow == q:
-            table = np.asarray(_term_table(q))
-        else:
+            if not _vanishes(q, int(spf[q])):
+                tables[q] = np.asarray(_term_table(q))
+        elif ppow in tables and rest in tables:
             idx = np.arange(q)
-            table = tables[ppow][idx % ppow] * tables[rest][idx % rest]
-        tables[q] = table
-        if q % 4 != 2:
-            acc += np.resize(table, X + 1)
+            tables[q] = tables[ppow][idx % ppow] * tables[rest][idx % rest]
+        if q in tables:
+            full = (X + 1) // q * q
+            tiles = acc[:full].reshape(-1, q)  # a view: adds in place
+            tiles += tables[q]
+            acc[full:] += tables[q][: X + 1 - full]
         if q == W:
             snapshot = acc.copy()
     if snapshot is None:  # W == 1

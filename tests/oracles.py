@@ -45,6 +45,38 @@ def congruence_brute(q, n):
     return count
 
 
+def cyclic_convolution_kronecker(histograms, q):
+    """Cyclic convolution mod q of integer histograms by Kronecker substitution.
+
+    Each histogram becomes one big integer with a slot per residue, wide
+    enough for the product of the masses; the running product is folded back
+    to q slots after every multiplication.  Plain Python integers throughout,
+    no floats and no transform.
+    """
+    mass = 1
+    for h in histograms:
+        mass *= max(1, int(sum(h)))
+    slot_bytes = (mass.bit_length() + 1 + 7) // 8
+    fold_shift = q * slot_bytes * 8
+    fold_mask = (1 << fold_shift) - 1
+    acc = None
+    for h in histograms:
+        packed = int.from_bytes(
+            b"".join(int(v).to_bytes(slot_bytes, "little") for v in h), "little"
+        )
+        if acc is None:
+            acc = packed
+        else:
+            acc *= packed
+            while acc >> fold_shift:
+                acc = (acc & fold_mask) + (acc >> fold_shift)
+    raw = acc.to_bytes(q * slot_bytes, "little")
+    return [
+        int.from_bytes(raw[i * slot_bytes : (i + 1) * slot_bytes], "little")
+        for i in range(q)
+    ]
+
+
 def rep_single_brute(n):
     """R(n) by full enumeration; fine up to n of a few hundred."""
     count = 0

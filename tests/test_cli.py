@@ -146,3 +146,31 @@ def test_scan_records_to_file(tmp_path, capsys):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0].startswith("n,R,S_W")
     assert len(lines) == 65
+
+
+def test_unusable_paths_exit_code(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in (
+        ("scan", "--limit", "64", "--trunc", "64", "--out", str(tmp_path / "no" / "x.csv")),
+        ("count", "--limit", "50", "--cache-dir", str(blocker / "cache")),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "io"
+
+
+def test_convergence_exit_code(capsys, monkeypatch):
+    from circleforge import arcints
+    from circleforge.errors import ConvergenceError
+
+    def fail(*args, **kwargs):
+        raise ConvergenceError("no convergence", achieved=0.1, tolerance=1e-9)
+
+    monkeypatch.setattr(arcints, "singular_integral", fail)
+    code, out, err = run_cli(capsys, "arcs", "--op", "singular-integral",
+                             "--n", "100", "--limit", "100", "--trunc", "5")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "convergence", "message": "no convergence"}

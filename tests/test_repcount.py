@@ -73,9 +73,12 @@ def test_exact_convolve_transform_path():
         assert via_transform[idx] == np.dot(a[js], b[idx - js])
 
 
+_LAST_DIRECT_LEN_A = exactconv._DIRECT_OPS_LIMIT // 2000
+
+
 @settings(max_examples=40, deadline=None)
-@example(len_a=2000, len_b=5000, bits=12, density=1.0, seed=0)  # last direct size
-@example(len_a=2001, len_b=5000, bits=12, density=1.0, seed=0)  # first transform size
+@example(len_a=_LAST_DIRECT_LEN_A, len_b=2000, bits=12, density=1.0, seed=0)
+@example(len_a=_LAST_DIRECT_LEN_A + 1, len_b=2000, bits=12, density=1.0, seed=0)
 @given(
     len_a=st.integers(1, 6000),
     len_b=st.integers(1500, 6000),
@@ -84,7 +87,9 @@ def test_exact_convolve_transform_path():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_exact_convolve_property(len_a, len_b, bits, density, seed):
-    # lengths straddle the direct/transform threshold len_a * len_b = 10^7
+    # lengths straddle the direct/transform threshold len_a * len_b =
+    # _DIRECT_OPS_LIMIT; the two examples are its last direct and first
+    # transform sizes
     rng = np.random.default_rng(seed)
     a, b = (
         rng.integers(0, 2**bits + 1, n) * (rng.random(n) < density)

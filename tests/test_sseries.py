@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from circleforge.errors import BudgetError, PreconditionError
-from circleforge.powersums import gauss_sum_majorant
+from circleforge.exactconv import cyclic_histogram_convolution
+from circleforge.intmath import prime_powers_up_to
+from circleforge.powersums import gauss_sum_majorant, residue_histogram
 from circleforge.sseries import (
+    _term_table,
     _term_table_complex,
+    _vanishes,
     congruence_count,
     local_density,
     series_batch,
@@ -16,7 +22,7 @@ from circleforge.sseries import (
     truncated_singular_series,
 )
 
-from oracles import congruence_brute
+from oracles import congruence_brute, cyclic_convolution_kronecker
 
 
 def test_series_term_examples():
@@ -89,10 +95,39 @@ def test_congruence_count_tiny_brute():
 
 
 def test_congruence_counts_are_conserved():
-    # the spectrum over all residues must sum to q^6
-    for q in (7, 12, 16, 81):
+    # the spectrum over all residues must sum to q^6; the largest moduli carry
+    # the most limbs below CONGRUENCE_BUDGET
+    for q in (7, 12, 16, 81, 6561, 8192, 9973):
         total = sum(congruence_count(q, n).count for n in range(q))
         assert total == q**6
+
+
+def test_congruence_spectrum_matches_kronecker_oracle():
+    for q in (1, 2, 9, 1024, 2187, 3125, 5003, 6561, 8192, 9973):
+        hists = [residue_histogram(k, q).tolist() for k in (2, 2, 3, 3, 6, 6)]
+        expected = cyclic_convolution_kronecker(hists, q)
+        assert [congruence_count(q, n).count for n in range(q)] == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q=st.integers(1, 1500),
+    count=st.integers(1, 6),
+    bits=st.integers(0, 12),
+    density=st.sampled_from([1.0, 0.1, 0.01]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cyclic_convolution_matches_kronecker_oracle(q, count, bits, density, seed):
+    # q up to 1500 puts the per-limb products on both sides of the
+    # direct/transform threshold of exact_convolve
+    rng = np.random.default_rng(seed)
+    hists = [
+        (rng.integers(0, 2**bits + 1, q) * (rng.random(q) < density)).tolist()
+        for _ in range(count)
+    ]
+    out = cyclic_histogram_convolution(hists, q)
+    assert all(type(v) is int for v in out)
+    assert out == cyclic_convolution_kronecker(hists, q)
 
 
 def test_divisor_sum_identity_sample():
@@ -167,6 +202,24 @@ def test_positivity_sampled():
     rng = np.random.default_rng(13)
     for n in [1, 2, 6, 9999] + [int(v) for v in rng.integers(1, 10**4, 40)]:
         assert truncated_singular_series(n, 1000).value > 0.05
+
+
+def test_vanishing_rule_matches_term_tables():
+    # the exact rule against the float tables, on every prime power <= 2000
+    for p, _, q in prime_powers_up_to(2000):
+        assert _vanishes(q, p) == (np.abs(_term_table(q)).max() <= 1e-12), q
+
+
+def test_vanishing_rule_matches_congruence_counts():
+    # A(p^h; .) = 0 exactly when M_n(p^h) = p^5 M_n(p^(h-1)) for every n,
+    # by the divisor-sum identity; integers only
+    for p, _, q in prime_powers_up_to(300):
+        lower = q // p
+        flat = all(
+            congruence_count(q, n).count == p**5 * congruence_count(lower, n).count
+            for n in range(q)
+        )
+        assert _vanishes(q, p) == flat, q
 
 
 def test_batch_matches_scalar():
