@@ -149,7 +149,12 @@ def _quad_nodes(segments, spacing: float):
 
 
 def weyl_sum_grid(k: int, P: int, alphas: np.ndarray) -> np.ndarray:
-    """f_k over a float grid; adequate while P^k * eps stays far below 1."""
+    """f_k over a float grid.  Each phase alpha x^k is rounded by at most
+    P^k 2^-53 cycles, so f_k is within pi P^k 2^-52 * P; refused with
+    BudgetError unless P^k 2^-52 <= 2^-26 (P^k <= 2^26), a relative error
+    below 5e-8."""
+    if float(P) ** k * 2.0**-52 > 2.0**-26:
+        raise BudgetError(f"P^k = {float(P) ** k:.3g} exceeds 2^26 for a float Weyl-sum grid")
     powers = np.arange(1, P + 1, dtype=np.float64) ** k
     out = np.empty(len(alphas), dtype=complex)
     step = max(1, 4 * 10**6 // max(1, P))

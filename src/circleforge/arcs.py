@@ -11,12 +11,11 @@ is exact.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import BudgetError, ConvergenceError, PreconditionError
-from .powersums import gauss_sum
+from .powersums import _unity_roots, gauss_sum
 
 KIND_MAJOR = "major"
 KIND_ANNULUS = "annulus"
@@ -89,13 +88,6 @@ def _alpha_as_rational(alpha) -> tuple[int, int]:
     return p, q
 
 
-@lru_cache(maxsize=8)
-def _unity_roots(q: int) -> np.ndarray:
-    table = np.exp(2j * np.pi * np.arange(q) / q)
-    table.setflags(write=False)
-    return table
-
-
 def _phase_sum(numerators: np.ndarray, q: int) -> complex:
     """sum of e(m / q) over an int array of numerators in [0, q)."""
     if q <= 2**20:
@@ -162,21 +154,26 @@ def _initial_panels(k: int, P: float, beta: float) -> int:
     return max(8, int(math.ceil(4.0 * cycles)))
 
 
-def _weyl_integral_positive(k: int, P: float, beta: float, rel_tol: float) -> complex:
-    """Adaptive panel quadrature of int_0^P e(beta g^k) dg for beta > 0."""
+def _adaptive_weyl(k: int, P, mags: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Panel quadrature of v_k at offsets mags >= 0 on one shared panel
+    structure, doubled until no value moves by more than rel_tol * P."""
     nodes, weights = _GL8
-    panels = _initial_panels(k, P, beta)
+    panels = _initial_panels(k, P, float(mags.max()))
     previous = None
     for _ in range(24):
         bounds = _phase_panel_bounds(k, P, panels)
         half = 0.5 * (bounds[1:] - bounds[:-1])
         mid = 0.5 * (bounds[1:] + bounds[:-1])
-        gamma = mid[:, None] + half[:, None] * nodes[None, :]
-        vals = np.exp(2j * np.pi * beta * gamma**k)
-        estimate = complex((vals @ weights * half).sum())
-        if previous is not None and abs(estimate - previous) <= rel_tol * P:
-            return estimate
-        previous = estimate
+        flat = ((mid[:, None] + half[:, None] * nodes[None, :]) ** k).ravel()
+        wts = (half[:, None] * weights[None, :]).ravel()
+        est = np.empty(len(mags), dtype=complex)
+        step = max(1, 4 * 10**6 // len(flat))
+        for lo in range(0, len(mags), step):
+            block = mags[lo : lo + step, None] * flat[None, :]
+            est[lo : lo + step] = np.exp(2j * np.pi * block) @ wts
+        if previous is not None and np.abs(est - previous).max() <= rel_tol * P:
+            return est
+        previous = est
         panels *= 2
     raise ConvergenceError(
         f"quadrature did not meet {rel_tol:g}*P after {panels // 2} panels",
@@ -185,61 +182,75 @@ def _weyl_integral_positive(k: int, P: float, beta: float, rel_tol: float) -> co
     )
 
 
+def _chebyshev_degree(cycles: float, rel_tol: float) -> int:
+    """Least n with 4 M rho^-n / (rho - 1) <= rel_tol * P / 2 over a grid of
+    rho > 1: the Chebyshev interpolation error on [0, B] of a function bounded
+    by M on the Bernstein ellipse E_rho (Trefethen, ATAP Thm 8.2).  For v_k,
+    M = P exp((pi/2) cycles (rho - 1/rho)) with cycles = B P^k."""
+    rho = 1.0 + np.geomspace(1e-3, 1e3, 601)
+    log_ratio = np.log(8.0 / (rel_tol * (rho - 1.0))) + 0.5 * np.pi * cycles * (rho - 1.0 / rho)
+    return max(1, int(np.ceil(log_ratio / np.log(rho)).min()))
+
+
+def _barycentric(nodes: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Interpolant through values at the Chebyshev-Lobatto nodes, at x."""
+    w = np.where(np.arange(len(nodes)) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    out = np.empty(len(x), dtype=complex)
+    step = max(1, 4 * 10**6 // len(nodes))
+    for lo in range(0, len(x), step):
+        diff = x[lo : lo + step, None] - nodes[None, :]
+        hit = diff == 0.0
+        c = w / np.where(hit, 1.0, diff)
+        block = (c @ values) / c.sum(axis=1)
+        rows, cols = np.nonzero(hit)
+        block[rows] = values[cols]
+        out[lo : lo + step] = block
+    return out
+
+
 def weyl_integral(k: int, P, beta: float) -> complex:
     """v_k(beta) = int_0^P e(beta g^k) dg, with v_k(-beta) = conj(v_k(beta))."""
-    if k not in (2, 3, 6):
-        raise PreconditionError(f"exponent k={k} not in (2, 3, 6)")
-    if P < 1:
-        raise PreconditionError("bound P must be >= 1")
-    beta = float(beta)
-    if beta == 0.0:
-        return complex(P)
-    if abs(beta) * float(P) ** k > OSCILLATION_BUDGET:
-        raise BudgetError(
-            f"|beta| * P^k = {abs(beta) * float(P)**k:.3g} exceeds the "
-            f"oscillation budget {OSCILLATION_BUDGET}"
-        )
-    value = _weyl_integral_positive(k, P, abs(beta), rel_tol=1e-8)
-    return value if beta > 0 else value.conjugate()
+    return complex(weyl_integral_batch(k, P, [beta])[0])
 
 
 def weyl_integral_batch(k: int, P, betas: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
-    """v_k over an array of offsets, sharing one panel structure."""
+    """v_k over an array of offsets, each within rel_tol * P.
+
+    Only the distinct |beta| are computed; v_k(-beta) = conj(v_k(beta)).  On
+    [0, B], B = max |beta|, v_k is entire with |v_k| <= P e^(2 pi |Im beta| P^k),
+    so its degree-n Chebyshev interpolant, n from `_chebyshev_degree`, is
+    within rel_tol * P / 2.  With more distinct offsets than n + 1, the panel
+    quadrature runs only at the n + 1 Chebyshev-Lobatto points of [0, B], at
+    rel_tol / (2 L_n), where L_n = (2/pi) log(n + 1) + 1 bounds the Lebesgue
+    constant; otherwise it runs at the distinct offsets themselves.
+    """
+    if k not in (2, 3, 6):
+        raise PreconditionError(f"exponent k={k} not in (2, 3, 6)")
+    if not P >= 1:
+        raise PreconditionError("bound P must be >= 1")
     betas = np.asarray(betas, dtype=np.float64)
-    out = np.full(betas.shape, complex(P), dtype=complex)
-    mags = np.abs(betas)
-    live = mags > 0
-    if not live.any():
-        return out
-    top = float(mags.max())
-    if top * float(P) ** k > OSCILLATION_BUDGET:
-        raise BudgetError("batch offset exceeds the oscillation budget")
-    nodes, weights = _GL8
-    panels = _initial_panels(k, P, top)
-    b = mags[live]
-    previous = None
-    for _ in range(24):
-        bounds = _phase_panel_bounds(k, P, panels)
-        half = 0.5 * (bounds[1:] - bounds[:-1])
-        mid = 0.5 * (bounds[1:] + bounds[:-1])
-        gamma_k = (mid[:, None] + half[:, None] * nodes[None, :]) ** k
-        flat = gamma_k.ravel()
-        wts = (half[:, None] * weights[None, :]).ravel()
-        est = np.empty(len(b), dtype=complex)
-        step = max(1, 4 * 10**6 // max(1, len(flat)))
-        for lo in range(0, len(b), step):
-            block = b[lo : lo + step, None] * flat[None, :]
-            est[lo : lo + step] = np.exp(2j * np.pi * block) @ wts
-        if previous is not None and np.abs(est - previous).max() <= rel_tol * P:
-            break
-        previous = est
-        panels *= 2
+    if not np.isfinite(betas).all():
+        raise PreconditionError("offsets must be finite")
+    mags, inverse = np.unique(np.abs(betas), return_inverse=True)
+    top = float(mags[-1]) if mags.size else 0.0
+    cycles = top * float(P) ** k
+    if cycles > OSCILLATION_BUDGET:
+        raise BudgetError(
+            f"|beta| * P^k = {cycles:.3g} exceeds the oscillation budget {OSCILLATION_BUDGET}"
+        )
+    if top == 0.0:
+        return np.full(betas.shape, complex(P))
+    n = _chebyshev_degree(cycles, rel_tol)
+    if len(mags) > n + 1:
+        nodes = 0.5 * top * (1.0 - np.cos(np.pi * np.arange(n + 1) / n))
+        lebesgue = 2.0 / np.pi * math.log(n + 1) + 1.0
+        vals = _barycentric(nodes, _adaptive_weyl(k, P, nodes, rel_tol / (2 * lebesgue)), mags)
     else:
-        raise ConvergenceError("batch quadrature failed to converge", achieved=previous)
-    vals = est
-    out_live = np.where(betas[live] > 0, vals, np.conj(vals))
-    out[live] = out_live
-    return out
+        vals = _adaptive_weyl(k, P, mags, rel_tol)
+    vals[mags == 0.0] = P
+    vals = vals[inverse].reshape(betas.shape)
+    return np.where(betas < 0, np.conj(vals), vals)
 
 
 def major_arc_approx(k: int, q: int, a: int, beta: float, P: int) -> complex:

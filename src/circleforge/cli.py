@@ -11,6 +11,8 @@ Exit codes: 0 success, 2 precondition violation or unusable file path,
 """
 
 import argparse
+import contextlib
+import csv
 import json
 import os
 import sys
@@ -62,9 +64,7 @@ def _emit(config: CommandConfig, payload: dict, rows=None, header=None) -> None:
             json.dump(payload, stream, sort_keys=True)
             stream.write("\n")
         else:
-            import csv as _csv
-
-            writer = _csv.writer(stream, lineterminator="\n")
+            writer = csv.writer(stream, lineterminator="\n")
             if rows is None:
                 keys = sorted(payload)
                 writer.writerow(keys)
@@ -334,32 +334,26 @@ def _run_predict(config: CommandConfig) -> None:
 def _run_scan(config: CommandConfig) -> None:
     _require(config, limit=config.limit)
     psi = PsiSpec.parse(config.psi)
-    report = run_scan(config.limit, psi, config.trunc, cache_dir=config.cache_dir)
-    summary = report.summary()
-    summary["rel_err_quantiles"] = {
-        k: _f(v) for k, v in summary["rel_err_quantiles"].items()
-    }
-    summary["rel_err_median_asymptotic"] = _f(summary["rel_err_median_asymptotic"])
-    summary["exceptional_proportion"] = _f(summary["exceptional_proportion"])
-
-    import csv as _csv
-
-    header = ["n", "R", "S_W", "tail_estimate", "main", "abs_err", "rel_err", "exceptional"]
-    if config.out:
-        # per-record CSV to the file, summary in the chosen format to stdout
-        with open(config.out, "w") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
+    # --out is opened before the scan, so an unusable path fails before the work
+    with open(config.out, "w") if config.out else contextlib.nullcontext(sys.stdout) as fh:
+        report = run_scan(config.limit, psi, config.trunc, cache_dir=config.cache_dir)
+        summary = report.summary()
+        summary["rel_err_quantiles"] = {
+            k: _f(v) for k, v in summary["rel_err_quantiles"].items()
+        }
+        summary["rel_err_median_asymptotic"] = _f(summary["rel_err_median_asymptotic"])
+        summary["exceptional_proportion"] = _f(summary["exceptional_proportion"])
+        if config.fmt == "json":
+            json.dump(summary, sys.stdout, sort_keys=True)
+            sys.stdout.write("\n")
+        # per-record CSV to --out, or to stdout when the format is csv
+        if config.out or config.fmt == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(
+                ["n", "R", "S_W", "tail_estimate", "main", "abs_err", "rel_err", "exceptional"]
+            )
             for row in record_rows(report):
                 writer.writerow(row)
-    if config.fmt == "json":
-        json.dump(summary, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
-    elif config.out is None:
-        writer = _csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        for row in record_rows(report):
-            writer.writerow(row)
 
 
 _DISPATCH = {

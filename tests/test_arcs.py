@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from circleforge.arcs import (
     ExceptionalSample,
+    _chebyshev_degree,
     classify_arc,
     exceptional_sum,
     exceptional_sum_grid,
@@ -21,6 +23,7 @@ from circleforge.arcints import (
     peak_majorant_survey,
     pruned_integral_diagnostic,
     singular_integral,
+    weyl_sum_grid,
 )
 from circleforge.errors import BudgetError, PreconditionError
 from circleforge.powersums import leading_constant
@@ -102,6 +105,85 @@ def test_weyl_integral_decay_guard():
             continue
         bound = 1.3 * P * (1 + abs(b) * P * P) ** -0.5
         assert abs(weyl_integral(2, P, float(b))) <= bound
+
+
+@settings(max_examples=20, deadline=None)
+@example(k=2, cycles=50.0, extra=0, seed=0)  # n + 1 offsets: quadrature at each
+@example(k=2, cycles=50.0, extra=1, seed=0)  # n + 2 offsets: interpolation
+@given(
+    k=st.sampled_from((2, 3, 6)),
+    cycles=st.floats(1e-3, 300.0),
+    extra=st.integers(-100, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weyl_integral_batch_matches_adaptive_loop(k, cycles, extra, seed):
+    # batch sizes on both sides of the n + 1 dispatch, against one-offset
+    # calls of the adaptive loop at a 1000 times tighter tolerance
+    rel_tol = 1e-8
+    P = 10 ** (4 / k)
+    top = cycles / P**k
+    n = _chebyshev_degree(cycles, rel_tol)
+    rng = np.random.default_rng(seed)
+    betas = top * rng.uniform(-1.0, 1.0, max(1, n + 1 + extra))
+    betas[0] = top
+    got = weyl_integral_batch(k, P, betas, rel_tol)
+    for i in rng.choice(len(betas), min(len(betas), 12), replace=False):
+        ref = weyl_integral_batch(k, P, betas[i : i + 1], rel_tol * 1e-3)[0]
+        assert abs(got[i] - ref) <= rel_tol * P
+
+
+def test_weyl_integral_batch_repeats_and_conjugates():
+    rng = np.random.default_rng(5)
+    for size in (5, 400):  # n + 1 = 201 at cycles 50: both sides of the dispatch
+        b = rng.uniform(0.0, 5e-3, size)
+        got = weyl_integral_batch(2, 100, np.concatenate([b, b, -b, [0.0]]))
+        assert np.array_equal(got[:size], got[size : 2 * size])
+        assert np.array_equal(got[2 * size : 3 * size], np.conj(got[:size]))
+        assert got[-1] == 100
+
+
+@pytest.mark.parametrize(
+    "cycles, degree",
+    # singular integral (B = 50/10^4, P^k = 10^4), major arcs (B = 6/10^4,
+    # P^k = 10^4) and pruned arcs (B = 16/10^4, P_3 = 21)
+    [(50.0, 200), (6.0, 40), (21**3 * 16e-4, 75)],
+)
+def test_chebyshev_degree_meets_bound(cycles, degree):
+    rel_tol = 1e-8
+    rho = 1.0 + np.geomspace(1e-4, 1e4, 20001)
+
+    def log_bound(m):  # log of 4 M rho^-m / (rho - 1) over P, minimised over rho
+        growth = 0.5 * np.pi * cycles * (rho - 1.0 / rho)
+        return (np.log(4.0 / (rho - 1.0)) + growth - m * np.log(rho)).min()
+
+    n = _chebyshev_degree(cycles, rel_tol)
+    assert n == degree
+    assert log_bound(n) <= math.log(rel_tol / 2)
+    assert log_bound(n - 1) > math.log(rel_tol / 2)
+
+
+def test_weyl_integral_preconditions():
+    for k, P, betas in (
+        (5, 10, [0.01]),
+        (2, 0, [0.01]),
+        (2, 0.5, [0.01]),
+        (2, float("nan"), [0.01]),
+        (2, 10, [np.nan]),
+        (2, 10, [0.0, -np.inf]),
+    ):
+        with pytest.raises(PreconditionError):
+            weyl_integral_batch(k, P, betas)
+    with pytest.raises(PreconditionError):
+        weyl_integral(2, 10, float("nan"))
+
+
+def test_weyl_sum_grid_float_guard():
+    # accepted up to P^k = 2^26, refused one step beyond
+    alphas = np.array([0.0, 0.25])
+    for k, P in ((2, 8192), (3, 406), (6, 20)):
+        assert weyl_sum_grid(k, P, alphas)[0] == P
+        with pytest.raises(BudgetError):
+            weyl_sum_grid(k, P + 1, alphas)
 
 
 def test_major_arc_approx():
@@ -291,7 +373,7 @@ def test_pruned_singleton_equals_unweighted_integral():
     single = ExceptionalSample(members=(987,))
     d = pruned_integral_diagnostic(X, Q, single, grid=12)
 
-    from circleforge.arcints import _dissect, _farey_pairs, _quad_nodes, weyl_sum_grid
+    from circleforge.arcints import _dissect, _farey_pairs, _quad_nodes
     from circleforge.intmath import iroot
 
     pairs = _farey_pairs(Q)

@@ -161,6 +161,19 @@ def test_unusable_paths_exit_code(tmp_path, capsys):
         assert json.loads(err)["error"] == "io"
 
 
+def test_scan_out_checked_before_scanning(tmp_path, capsys, monkeypatch):
+    from circleforge import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_scan", lambda *args, **kwargs: calls.append(args))
+    code, out, err = run_cli(capsys, "scan", "--limit", "300000",
+                             "--out", str(tmp_path / "no" / "x.csv"))
+    assert calls == []
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "io"
+
+
 def test_convergence_exit_code(capsys, monkeypatch):
     from circleforge import arcints
     from circleforge.errors import ConvergenceError
