@@ -8,8 +8,6 @@ at the requested grid and at twice the density, and the relative change is
 part of the result.
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -203,25 +201,6 @@ def _collect_rows(Q, pairs, arc_idx, weights, integrand) -> tuple:
     return tuple(rows)
 
 
-def arc_rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["q", "a", "Q", "integral_re", "integral_im", "abs", "grid_points"])
-    for r in rows:
-        writer.writerow(
-            [
-                r.q,
-                r.a,
-                r.Q,
-                f"{r.integral_re:.12g}",
-                f"{r.integral_im:.12g}",
-                f"{r.abs_value:.12g}",
-                r.grid_points,
-            ]
-        )
-    return buf.getvalue()
-
-
 def major_arc_integral(n: int, X: int, W: int, grid: int = 10) -> MajorArcIntegral:
     """Integral of f2^2 f3^2 f6^2 e(-n alpha) over the peak arcs, against its
     fully modelled counterpart, with a grid-halving stability report."""
@@ -229,6 +208,8 @@ def major_arc_integral(n: int, X: int, W: int, grid: int = 10) -> MajorArcIntegr
         raise BudgetError("major-arc quadrature budget is 16 <= X <= 10**5")
     if n < 1 or W < 1:
         raise PreconditionError("need n >= 1 and W >= 1")
+    if grid < 1:
+        raise PreconditionError("need grid >= 1")
     if W > 200:
         raise BudgetError("peak level budget is W <= 200")
     P_by_k = {2: iroot(X, 2), 3: iroot(X, 3), 6: iroot(X, 6)}
@@ -264,7 +245,7 @@ def major_arc_integral(n: int, X: int, W: int, grid: int = 10) -> MajorArcIntegr
     )
 
 
-def singular_integral(n: int, X: int, W: int, panels: int | None = None) -> SingularIntegral:
+def singular_integral(n: int, X: int, W: int) -> SingularIntegral:
     """int over |beta| <= W/X of v2^2 v3^2 v6^2 e(-beta n) d beta, compared to
     the closed-form leading constant times n.
 
@@ -279,8 +260,7 @@ def singular_integral(n: int, X: int, W: int, panels: int | None = None) -> Sing
         raise PreconditionError("need n >= 1 and W >= 1")
     P_by_k = {k: X ** (1.0 / k) for k in (2, 3, 6)}
     width = W / X
-    if panels is None:
-        panels = max(64, int(math.ceil(8 * W * max(1.0, n / X))))
+    panels = max(64, int(math.ceil(8 * W * max(1.0, n / X))))
     panels += panels % 2  # symmetric node layout keeps the result real
 
     def evaluate(m):
@@ -367,11 +347,9 @@ class ModelErrorSurvey:
     a: int
 
 
-def major_arc_error_survey(
-    k: int, X: int, q_max: int, W: int, offsets_per_arc: int = 5
-) -> ModelErrorSurvey:
+def major_arc_error_survey(k: int, X: int, q_max: int, W: int) -> ModelErrorSurvey:
     """Exhaustive sampled comparison of f_k against q^{-1} S_k v_k near every
-    rational with denominator up to q_max, offsets within W/X."""
+    rational with denominator up to q_max, at five offsets within W/X."""
     if X > 10**6:
         raise BudgetError("survey budget is X <= 10**6")
     if q_max > 50:
@@ -382,7 +360,7 @@ def major_arc_error_survey(
     width = W / X
     worst = (0.0, 1, 0)
     for q, a in _farey_pairs(q_max):
-        betas = np.linspace(-width, width, offsets_per_arc)
+        betas = np.linspace(-width, width, 5)
         centred = a / q + betas
         keep = (centred >= 0.0) & (centred < 1.0)
         if not keep.any():
@@ -408,6 +386,8 @@ def pruned_integral_diagnostic(
         raise BudgetError("pruned-diagnostic budget is 16 <= X <= 10**4")
     if Q < 1 or Q > math.isqrt(X):
         raise PreconditionError("need 1 <= Q <= sqrt(X)")
+    if grid < 1:
+        raise PreconditionError("need grid >= 1")
     P2, P3, P6 = iroot(X, 2), iroot(X, 3), iroot(X, 6)
     pairs = _farey_pairs(Q)
     half_pairs = _farey_pairs(Q // 2) if Q >= 2 else []

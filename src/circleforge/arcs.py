@@ -345,9 +345,7 @@ def peak_majorant(alpha, q: int, a: int, P2: int) -> float:
 
 def exceptional_sum(sample: ExceptionalSample, alpha) -> complex:
     """K(alpha) = sum over the sample of eta_n e(-n alpha)."""
-    members = np.asarray(sample.members, dtype=np.float64)
-    coeff = sample.coefficients()
-    return complex((coeff * np.exp(-2j * np.pi * members * float(alpha))).sum())
+    return complex(exceptional_sum_grid(sample, np.array([float(alpha)]))[0])
 
 
 def exceptional_sum_grid(sample: ExceptionalSample, alphas: np.ndarray) -> np.ndarray:

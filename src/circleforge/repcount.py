@@ -153,13 +153,13 @@ def _cube_sixth_spectrum(P3: int, P6: int, limit: int | None = None) -> np.ndarr
     return np.rint(g).astype(np.int64)
 
 
-def rep_count_single(n: int, max_n: int = SINGLE_TARGET_BUDGET) -> int:
+def rep_count_single(n: int) -> int:
     """Exact R(n) by meet-in-the-middle against the square-pair spectrum."""
     if n < 1:
         raise PreconditionError("target n must be >= 1")
-    if n > max_n:
+    if n > SINGLE_TARGET_BUDGET:
         raise BudgetError(
-            f"single target n={n} beyond budget {max_n} "
+            f"single target n={n} beyond budget {SINGLE_TARGET_BUDGET} "
             f"(needs a {4 * (n + 1) / 2**30:.1f} GiB square spectrum)"
         )
     if n < 6:
@@ -182,14 +182,12 @@ def rep_count_single(n: int, max_n: int = SINGLE_TARGET_BUDGET) -> int:
     return total
 
 
-def rep_count_range(
-    X: int, cache_dir: str | None = None, max_x: int = RANGE_BUDGET
-) -> RangeCounts:
+def rep_count_range(X: int, cache_dir: str | None = None) -> RangeCounts:
     """Exact R(n) for every n <= X via one exact convolution."""
     if X < 1:
         raise PreconditionError("range bound X must be >= 1")
-    if X > max_x:
-        raise BudgetError(f"range bound X={X} beyond budget {max_x}")
+    if X > RANGE_BUDGET:
+        raise BudgetError(f"range bound X={X} beyond budget {RANGE_BUDGET}")
     P2, P3, P6 = iroot(X, 2), iroot(X, 3), iroot(X, 6)
     sq = _cached_pair_spectrum(2, P2, cache_dir)
     sq_trunc = sq.counts[: X + 1]

@@ -299,7 +299,7 @@ def test_exceptional_sum():
     grid = np.array([0.0, 0.25, 0.333])
     for alpha, val in zip(grid, exceptional_sum_grid(sample, grid)):
         assert abs(val) <= len(members) + 1e-9
-        assert val == pytest.approx(exceptional_sum(sample, float(alpha)), abs=1e-9)
+        assert val == pytest.approx(exceptional_sum_direct(members, float(alpha)), abs=1e-9)
 
 
 def test_exceptional_sample_validation():

@@ -1,8 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from circleforge.cli import main
+from circleforge.cli import ARC_OPS, COMMANDS, MOMENTS, main
 
 
 def run_cli(capsys, *argv):
@@ -58,8 +61,22 @@ def test_precondition_exit_code(capsys):
     assert json.loads(err)["error"] == "precondition"
     code, _, err = run_cli(capsys, "gauss", "--k", "2", "--q", "6", "--a", "2")
     assert code == 2
-    for psi in ("log^abc", "pow:", "log^nan"):
-        code, out, err = run_cli(capsys, "scan", "--limit", "100", "--psi", psi)
+    major = ("arcs", "--op", "major-integral", "--n", "5", "--limit", "40", "--trunc", "2")
+    pruned = ("arcs", "--op", "pruned", "--limit", "40", "--Q", "3")
+    for argv in (
+        *(("scan", "--limit", "100", "--psi", psi) for psi in ("log^abc", "pow:", "log^nan")),
+        # --grid below 1 and a negative --sample or --seed are refused
+        major + ("--grid", "0"),
+        major + ("--grid", "-1"),
+        pruned + ("--grid", "0"),
+        pruned + ("--sample", "-2"),
+        pruned + ("--sample", "2", "--seed", "-1"),
+        # argparse errors keep the contract: one line, exit 2
+        ("count", "--limit", "x"),
+        ("arcs", "--op", "nope"),
+        (),
+    ):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "precondition"
@@ -174,6 +191,25 @@ def test_scan_out_checked_before_scanning(tmp_path, capsys, monkeypatch):
     assert json.loads(err)["error"] == "io"
 
 
+def test_out_checked_before_work(tmp_path, capsys, monkeypatch):
+    from circleforge import arcints, repcount
+
+    calls = []
+    monkeypatch.setattr(repcount, "rep_count_range", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(arcints, "major_arc_integral", lambda *a, **k: calls.append(a))
+    missing = str(tmp_path / "no" / "x")
+    for argv in (
+        ("count", "--limit", "300000", "--out", missing),
+        ("arcs", "--op", "major-integral", "--n", "5000", "--limit", "10000", "--trunc", "3",
+         "--out", missing),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "io"
+    assert calls == []
+
+
 def test_convergence_exit_code(capsys, monkeypatch):
     from circleforge import arcints
     from circleforge.errors import ConvergenceError
@@ -187,3 +223,35 @@ def test_convergence_exit_code(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err) == {"error": "convergence", "message": "no convergence"}
+
+
+_INT_FLAGS = ("--limit", "--n", "--k", "--q", "--a", "--P", "--Q", "--sample", "--seed", "--grid")
+_VALUES = st.one_of(st.integers(-3, 60).map(str), st.sampled_from(["x", "1.5", "", "nan"]))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    selector = {"arcs": ("--op", sorted(ARC_OPS)), "moments": ("--moment", sorted(MOMENTS))}
+    argv = [command, "--format", draw(st.sampled_from(["json", "csv"]))]
+    if command in selector:
+        flag, names = selector[command]
+        argv += [flag, draw(st.sampled_from(names + ["nope"]))]
+    # --trunc is always given: at its default W = 1000 a singular integral
+    # with X <= 60 runs for minutes, which is a cost, not an exit-contract case
+    argv += ["--trunc", draw(_VALUES)]
+    for flag, value in draw(st.dictionaries(st.sampled_from(_INT_FLAGS), _VALUES)).items():
+        argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv())
+def test_cli_fuzz_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+    if code != 0:
+        assert out.getvalue() == ""

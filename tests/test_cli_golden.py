@@ -1,0 +1,33 @@
+"""Byte-for-byte CLI output on a fixed command list.
+
+`golden_cli.json` holds, for each command, the argv and the stdout, stderr,
+exit code and `--out` file contents that the CLI produced before it was
+rebuilt around its command tables.  It is the invariant that makes deleting
+CLI code safe, so it is compared as captured and never regenerated.  In an
+argv, `{tmp}` stands for a fresh temporary directory, and it replaces that
+directory's path in the captured text.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from circleforge.cli import main
+
+GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_golden_output(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CIRCLEFORGE_CACHE", raising=False)
+    tmp = str(tmp_path)
+    code = main([arg.replace("{tmp}", tmp) for arg in case["argv"]])
+    captured = capsys.readouterr()
+    files = {
+        p.name: p.read_bytes().decode() for p in sorted(tmp_path.iterdir()) if p.is_file()
+    }
+    assert code == case["code"]
+    assert captured.out.replace(tmp, "{tmp}") == case["out"]
+    assert captured.err.replace(tmp, "{tmp}") == case["err"]
+    assert files == case["files"]
