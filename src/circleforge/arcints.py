@@ -17,12 +17,17 @@ import numpy as np
 from .arcs import (
     ExceptionalSample,
     _GL4,
+    _chebyshev_degree,
     exceptional_sum_grid,
     weyl_integral_batch,
 )
 from .errors import BudgetError, PreconditionError
 from .intmath import iroot
 from .powersums import gauss_sum, leading_constant
+
+# panels x Chebyshev degree of one singular integral; its cost grows with both
+# (about 4 s at 1.1e6 on one core of a 2-core Xeon VM)
+SINGULAR_WORK_BUDGET = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -262,6 +267,13 @@ def singular_integral(n: int, X: int, W: int) -> SingularIntegral:
     width = W / X
     panels = max(64, int(math.ceil(8 * W * max(1.0, n / X))))
     panels += panels % 2  # symmetric node layout keeps the result real
+    # P^k = X for every k, so each v_k runs through (W / X) X = W cycles
+    degree = _chebyshev_degree(W, 1e-8)
+    if panels * degree > SINGULAR_WORK_BUDGET:
+        raise BudgetError(
+            f"singular-integral budget is panels x Chebyshev degree <= {SINGULAR_WORK_BUDGET}, "
+            f"here {panels} x {degree}"
+        )
 
     def evaluate(m):
         offs, wts = _GL4

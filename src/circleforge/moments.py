@@ -8,17 +8,12 @@ value-indexed dense arrays are used only while ranges stay small, otherwise the
 counts go through sorted 64-bit value joins.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
 from .intmath import iroot
-
-# 2 * P6**6 must stay inside signed 64-bit for the vectorised paths
-_INT64_SAFE_P6 = 1200
-
 
 @dataclass(frozen=True)
 class MomentCount:
@@ -46,23 +41,36 @@ def _pair_sum_counts(P: int, k: int = 6) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(sums, return_counts=True)
 
 
+def _split_pair_sums(P6: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) = divmod(x^6 + y^6, 2^64) over [1, P6]^2, flattened with x
+    as the row; hi fits uint8 while 2 P6^6 < 2^72."""
+    powers = [x**6 for x in range(1, P6 + 1)]
+    lo = np.array([p & (2**64 - 1) for p in powers], dtype=np.uint64)
+    hi = np.array([p >> 64 for p in powers], dtype=np.uint8)
+    lo_sum = lo[:, None] + lo[None, :]  # wraps mod 2^64; a wrap is a carry
+    hi_sum = hi[:, None] + hi[None, :] + (lo_sum < lo[:, None])
+    return hi_sum.ravel(), lo_sum.ravel()
+
+
 def count_sixth_pair_collisions(P6: int) -> MomentCount:
-    """Solutions of y1^6 + y2^6 = y3^6 + y4^6 in [1, P6]^4 (ordered)."""
+    """Solutions of y1^6 + y2^6 = y3^6 + y4^6 in [1, P6]^4 (ordered).
+
+    Pair sums pass 2^64 from P6 = 1449 on, so each is held exactly as split
+    keys (hi, lo).  Sorting by hi, then by lo within each hi, puts equal sums
+    in runs; the count is the sum of the squared run lengths.
+    """
     if P6 < 1:
         raise PreconditionError("bound P6 must be >= 1")
     if P6 > 3000:
         raise BudgetError("pair-collision count budget is P6 <= 3000")
-    if P6 <= _INT64_SAFE_P6:
-        _, counts = _pair_sum_counts(P6)
-        total = int(np.dot(counts, counts))
-    else:
-        # sixth powers overflow int64 here; exact big-int path
-        powers = [x**6 for x in range(1, P6 + 1)]
-        tally = Counter()
-        for a in powers:
-            for b in powers:
-                tally[a + b] += 1
-        total = sum(c * c for c in tally.values())
+    hi, lo = _split_pair_sums(P6)
+    order = np.argsort(hi, kind="stable")
+    total = 0
+    for run in np.split(lo[order], np.flatnonzero(np.diff(hi[order])) + 1):
+        run.sort()
+        starts = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
+        counts = np.diff(np.r_[starts, len(run)])
+        total += int(np.dot(counts, counts))
     return MomentCount(
         label="sixth_pair_collision", parameters={"P6": P6}, count=total
     )

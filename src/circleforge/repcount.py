@@ -1,10 +1,11 @@
 """Exact representation counts R(n) for n = x1^2+x2^2+x3^3+x4^3+x5^6+x6^6
 with positive integers x_i.
 
-Single targets use meet-in-the-middle against a square-pair spectrum; full
-ranges convolve the cube+sixth spectrum with the square-pair spectrum through
-the exact transform backend.  Tuples are ordered and every variable starts at
-1, so the least representable value is 6.
+Both paths share one exact integer cube/sixth spectrum g.  A single target
+sums g[n - x^2 - y^2] over the square pairs, one gather per row x; a full
+range convolves g with the square-pair spectrum through the exact transform
+backend.  Tuples are ordered and every variable starts at 1, so the least
+representable value is 6.
 """
 
 import hashlib
@@ -137,48 +138,42 @@ def _value_counts(k: int, P: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cube_sixth_spectrum(P3: int, P6: int, limit: int | None = None) -> np.ndarray:
-    """g[m] = #{(x3,x4,x5,x6): x3^3+x4^3+x5^6+x6^6 = m}, truncated to limit."""
-    # the float64 bincount below is exact while every partial sum, at most the
-    # P3^2 * P6^2 quadruples in all, stays below 2^53
+    """g[m] = #{(x3,x4,x5,x6): x3^3+x4^3+x5^6+x6^6 = m} for m <= limit, as int64
+    of length limit + 1 (2 P3^3 + 2 P6^6 + 1 when limit is None)."""
+    # every count, and any sum of counts over distinct m, is at most the
+    # P3^2 * P6^2 quadruples in all, so int64 holds it exactly
     if (P3 * P6) ** 2 >= FLOAT_EXACT_LIMIT:
         raise BudgetError(f"cube/sixth spectrum of {(P3 * P6) ** 2} tuples, not below 2^53")
     full_top = 2 * P3**3 + 2 * P6**6
-    top = full_top if limit is None else min(limit, full_top)
+    top = full_top if limit is None else limit
     v3, c3 = _value_counts(3, P3, top)
     v6, c6 = _value_counts(6, P6, top)
-    sums = (v3[:, None] + v6[None, :]).ravel()
-    weights = (c3[:, None] * c6[None, :]).ravel().astype(np.float64)
-    keep = sums <= top
-    g = np.bincount(sums[keep], weights=weights[keep], minlength=top + 1)
-    return np.rint(g).astype(np.int64)
+    g = np.zeros(top + 1, dtype=np.int64)
+    # v3 is distinct, so no index repeats within one add
+    for s, w in zip(v6.tolist(), c6.tolist()):
+        m = int(np.searchsorted(v3, top - s, "right"))
+        g[s + v3[:m]] += w * c3[:m]
+    return g
 
 
 def rep_count_single(n: int) -> int:
-    """Exact R(n) by meet-in-the-middle against the square-pair spectrum."""
+    """Exact R(n): the cube/sixth spectrum g summed over the square pairs,
+    R(n) = sum_{x<=y} (2 - [x == y]) g[n - x^2 - y^2], one gather per row x."""
     if n < 1:
         raise PreconditionError("target n must be >= 1")
     if n > SINGLE_TARGET_BUDGET:
         raise BudgetError(
             f"single target n={n} beyond budget {SINGLE_TARGET_BUDGET} "
-            f"(needs a {4 * (n + 1) / 2**30:.1f} GiB square spectrum)"
+            f"(needs a {8 * (n - 1) / 2**30:.1f} GiB cube/sixth spectrum)"
         )
     if n < 6:
         return 0
-    P2 = iroot(n - 4, 2)
-    squares = _powers(2, P2)
-    r22 = np.zeros(n + 1, dtype=np.int64)
-    rows_per_chunk = max(1, 4 * 10**7 // P2)
-    for lo in range(0, P2, rows_per_chunk):
-        block = (squares[lo : lo + rows_per_chunk, None] + squares[None, :]).ravel()
-        block = block[block <= n]
-        r22 += np.bincount(block, minlength=n + 1)
-    v3, c3 = _value_counts(3, iroot(n - 4, 3), n - 4)
-    v6, c6 = _value_counts(6, iroot(n - 4, 6), n - 4)
+    g = _cube_sixth_spectrum(iroot(n - 4, 3), iroot(n - 4, 6), limit=n - 2)
+    squares = _powers(2, iroot(n - 4, 2))
     total = 0
-    for s, ws in zip(v6, c6):
-        idx = n - int(s) - v3
-        ok = idx >= 2
-        total += int(ws) * int(np.dot(c3[ok], r22[idx[ok]]))
+    for x in range(1, iroot((n - 4) // 2, 2) + 1):
+        row = g[n - x * x - squares[x - 1 : iroot(n - 4 - x * x, 2)]]
+        total += 2 * int(row.sum()) - int(row[0])
     return total
 
 

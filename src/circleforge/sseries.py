@@ -6,10 +6,9 @@ The q-th term is
     A(q; n) = sum_{a=1..q, gcd(a,q)=1} q^{-6} S_2(q,a)^2 S_3(q,a)^2 S_6(q,a)^2 e(-n a / q)
 
 and the truncation sums A(q; n) over q <= W.  A is multiplicative in q, so the
-truncation is assembled from prime-power values; a literal per-q summation is
-kept as a cross-check path.  Exact congruence counts M_n(q), obtained by cyclic
-convolution of power-residue histograms in exact integers, act as an
-independent oracle through the divisor-sum identity
+truncation is assembled from prime-power values.  Exact congruence counts
+M_n(q), obtained by cyclic convolution of power-residue histograms in exact
+integers, act as an independent oracle through the divisor-sum identity
 
     sum_{d | q} A(d; n) = q^{-5} M_n(q).
 """
@@ -77,25 +76,6 @@ def series_term(q: int, n: int) -> SeriesTerm:
     if q > TERM_BUDGET:
         raise BudgetError(f"series term modulus {q} beyond budget {TERM_BUDGET}")
     return SeriesTerm(q=q, n=n, value=float(_term_table(q)[n % q]))
-
-
-def series_term_direct(q: int, n: int) -> float:
-    """Literal evaluation of A(q; n) from per-a Gauss sums (cross-check path)."""
-    from .powersums import gauss_sum
-
-    if q < 1:
-        raise PreconditionError("modulus q must be a positive integer")
-    if q > 2000:
-        raise BudgetError("direct path is reserved for small moduli")
-    total = 0.0 + 0.0j
-    for a in range(1, q + 1):
-        if np.gcd(a, q) != 1:
-            continue
-        s2 = gauss_sum(2, q, a).value
-        s3 = gauss_sum(3, q, a).value
-        s6 = gauss_sum(6, q, a).value
-        total += s2**2 * s3**2 * s6**2 * np.exp(-2j * np.pi * n * a / q) / q**6
-    return total.real
 
 
 @lru_cache(maxsize=512)
@@ -177,15 +157,6 @@ def truncated_singular_series(n: int, W: int) -> SingularSeriesValue:
     value = float(terms[1 : W + 1].sum())
     value2 = float(terms[1 : 2 * W + 1].sum())
     return SingularSeriesValue(n=n, W=W, value=value, tail_estimate=abs(value2 - value))
-
-
-def series_sum_literal(n: int, W: int) -> float:
-    """sum_{q<=W} A(q; n) with each term evaluated per-q (cross-check path)."""
-    if W < 1:
-        raise PreconditionError("truncation W must be >= 1")
-    if W > 500:
-        raise BudgetError("literal summation is kept only for W <= 500")
-    return float(sum(series_term(q, n).value for q in range(1, W + 1)))
 
 
 def series_batch(X: int, W: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,9 @@ from collections import Counter
 
 import numpy as np
 
+from circleforge.errors import BudgetError, PreconditionError
+from circleforge.sseries import series_term
+
 
 def gauss_direct(k, q, a):
     """Direct summation of e(a r^k / q) with exact integer phase reduction."""
@@ -28,6 +31,31 @@ def weyl_direct(k, P, num, den):
         m = num * pow(x, k, den) % den
         total += cmath.exp(2j * cmath.pi * m / den)
     return total
+
+
+def series_term_direct(q, n):
+    """Literal evaluation of A(q; n) from per-a Gauss sums."""
+    if q < 1:
+        raise PreconditionError("modulus q must be a positive integer")
+    if q > 2000:
+        raise BudgetError("direct path is reserved for small moduli")
+    total = 0.0 + 0.0j
+    for a in range(1, q + 1):
+        if np.gcd(a, q) != 1:
+            continue
+        s2, s3, s6 = (gauss_direct(k, q, a) for k in (2, 3, 6))
+        total += s2**2 * s3**2 * s6**2 * np.exp(-2j * np.pi * n * a / q) / q**6
+    return total.real
+
+
+def series_sum_literal(n, W):
+    """sum_{q<=W} A(q; n) from the package's per-q term tables: a path apart
+    from the prime-power assembly of the truncation it checks."""
+    if W < 1:
+        raise PreconditionError("truncation W must be >= 1")
+    if W > 500:
+        raise BudgetError("literal summation is kept only for W <= 500")
+    return float(sum(series_term(q, n).value for q in range(1, W + 1)))
 
 
 def congruence_brute(q, n):

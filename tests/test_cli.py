@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -225,6 +226,17 @@ def test_convergence_exit_code(capsys, monkeypatch):
     assert json.loads(err) == {"error": "convergence", "message": "no convergence"}
 
 
+def test_singular_integral_budget_on_trunc(capsys):
+    # at the default --trunc 1000 this integral would run for minutes
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "arcs", "--op", "singular-integral",
+                             "--n", "60", "--limit", "16")
+    assert time.perf_counter() - start < 5
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "budget"
+
+
 _INT_FLAGS = ("--limit", "--n", "--k", "--q", "--a", "--P", "--Q", "--sample", "--seed", "--grid")
 _VALUES = st.one_of(st.integers(-3, 60).map(str), st.sampled_from(["x", "1.5", "", "nan"]))
 
@@ -237,9 +249,8 @@ def _argv(draw):
     if command in selector:
         flag, names = selector[command]
         argv += [flag, draw(st.sampled_from(names + ["nope"]))]
-    # --trunc is always given: at its default W = 1000 a singular integral
-    # with X <= 60 runs for minutes, which is a cost, not an exit-contract case
-    argv += ["--trunc", draw(_VALUES)]
+    if draw(st.booleans()):
+        argv += ["--trunc", draw(_VALUES)]
     for flag, value in draw(st.dictionaries(st.sampled_from(_INT_FLAGS), _VALUES)).items():
         argv += [flag, value]
     return argv

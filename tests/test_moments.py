@@ -3,6 +3,8 @@ import pytest
 
 from circleforge.errors import BudgetError, PreconditionError
 from circleforge.moments import (
+    _pair_sum_counts,
+    _split_pair_sums,
     count_cube_sixth_correlation,
     count_sixth_pair_collisions,
     cube_multiplicity,
@@ -24,6 +26,23 @@ def test_pair_collisions_examples():
     assert count_sixth_pair_collisions(2).count == 6
     for P6 in (3, 5, 9):
         assert count_sixth_pair_collisions(P6).count == pair_collision_brute(P6)
+
+
+def test_pair_collisions_split_keys():
+    # the plain int64 pair spectrum is exact at P6 = 1200; from P6 = 1449 on,
+    # x^6 >= 2^63 and the low words of a pair sum carry into the high word
+    _, counts = _pair_sum_counts(1200)
+    assert count_sixth_pair_collisions(1200).count == int(np.dot(counts, counts))
+    assert 1448**6 < 2**63 <= 1449**6
+    for P6 in (1201, 1460):
+        assert count_sixth_pair_collisions(P6).count == pair_collision_brute(P6)
+    # the keys are the exact sums, carries included
+    P6 = 3000
+    hi, lo = _split_pair_sums(P6)
+    for x in (1, 1448, 1449, 2000, 3000):
+        for y in range(1, P6 + 1):
+            i = (x - 1) * P6 + y - 1
+            assert int(hi[i]) * 2**64 + int(lo[i]) == x**6 + y**6
 
 
 def test_pair_collisions_trend():

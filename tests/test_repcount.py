@@ -1,4 +1,6 @@
 import time
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -171,17 +173,66 @@ def test_range_total_is_tuple_count():
 
 
 def test_range_matches_single_path():
+    # every n up to 3000, including those where the cube/sixth spectrum of
+    # P3 = iroot(n - 4, 3), P6 = iroot(n - 4, 6) ends below n - 2
     X = 3000
     rc = rep_count_range(X)
-    rng = np.random.default_rng(42)
-    for n in rng.integers(1, X + 1, 25):
-        assert int(rc.values[int(n)]) == rep_count_single(int(n))
+    for n in range(1, X + 1):
+        assert int(rc.values[n]) == rep_count_single(n)
+
+
+@pytest.fixture(scope="module")
+def range_2e5():
+    return rep_count_range(2 * 10**5).values
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(6, 2 * 10**5))
+def test_single_matches_range_property(range_2e5, n):
+    assert rep_count_single(n) == int(range_2e5[n])
+
+
+def _cube_sixth_brute(P3, P6, limit):
+    tally = Counter(
+        a**3 + b**3 + c**6 + d**6
+        for a in range(1, P3 + 1)
+        for b in range(1, P3 + 1)
+        for c in range(1, P6 + 1)
+        for d in range(1, P6 + 1)
+    )
+    return [tally[m] for m in range(limit + 1)]
+
+
+def test_cube_sixth_spectrum_matches_brute():
+    for P3, P6 in ((1, 1), (5, 2), (9, 3)):
+        top = 2 * P3**3 + 2 * P6**6
+        for limit in (top // 3, top - 1, top, top + 7):
+            g = _cube_sixth_spectrum(P3, P6, limit)
+            assert g.dtype == np.int64 and len(g) == limit + 1
+            assert g.tolist() == _cube_sixth_brute(P3, P6, limit)
+        full = _cube_sixth_spectrum(P3, P6)
+        assert full.dtype == np.int64
+        assert full.tolist() == _cube_sixth_brute(P3, P6, top)
 
 
 def test_cube_sixth_spectrum_conservation():
     for P3, P6 in ((12, 3), (21, 4)):
         g = _cube_sixth_spectrum(P3, P6)
         assert int(g.sum()) == P3 * P3 * P6 * P6
+
+
+def test_single_target_memory_is_one_spectrum():
+    # one int64 cube/sixth spectrum of about n entries; a second dense
+    # histogram of that length would push the peak past 2 x 8n bytes
+    n = 10**6
+    rep_count_single(n)  # warm-up, so lazy imports do not count
+    tracemalloc.start()
+    try:
+        rep_count_single(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n
 
 
 def test_cube_sixth_spectrum_refuses_inexact_float_sums():

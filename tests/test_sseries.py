@@ -16,13 +16,16 @@ from circleforge.sseries import (
     congruence_count,
     local_density,
     series_batch,
-    series_sum_literal,
     series_term,
-    series_term_direct,
     truncated_singular_series,
 )
 
-from oracles import congruence_brute, cyclic_convolution_kronecker
+from oracles import (
+    congruence_brute,
+    cyclic_convolution_kronecker,
+    series_sum_literal,
+    series_term_direct,
+)
 
 
 def test_series_term_examples():
