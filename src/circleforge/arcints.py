@@ -18,6 +18,7 @@ from .arcs import (
     ExceptionalSample,
     _GL4,
     _chebyshev_degree,
+    _gauss_panels,
     exceptional_sum_grid,
     weyl_integral_batch,
 )
@@ -134,16 +135,13 @@ def _dissect(
 
 def _quad_nodes(segments, spacing: float):
     """Composite 4-point Gauss nodes with panel width <= spacing."""
-    offs, wts = _GL4
     alphas, weights, arc_idx = [], [], []
     for lo, hi, idx in segments:
         panels = max(1, int(math.ceil((hi - lo) / spacing)))
-        bounds = np.linspace(lo, hi, panels + 1)
-        half = 0.5 * (bounds[1:] - bounds[:-1])
-        mid = 0.5 * (bounds[1:] + bounds[:-1])
-        alphas.append((mid[:, None] + half[:, None] * offs[None, :]).ravel())
-        weights.append((half[:, None] * wts[None, :]).ravel())
-        arc_idx.append(np.full(panels * len(offs), idx, dtype=np.int64))
+        nodes, wts = _gauss_panels(np.linspace(lo, hi, panels + 1), _GL4)
+        alphas.append(nodes)
+        weights.append(wts)
+        arc_idx.append(np.full(len(nodes), idx, dtype=np.int64))
     return (
         np.concatenate(alphas),
         np.concatenate(weights),
@@ -276,12 +274,7 @@ def singular_integral(n: int, X: int, W: int) -> SingularIntegral:
         )
 
     def evaluate(m):
-        offs, wts = _GL4
-        bounds = np.linspace(-width, width, m + 1)
-        half = 0.5 * (bounds[1:] - bounds[:-1])
-        mid = 0.5 * (bounds[1:] + bounds[:-1])
-        betas = (mid[:, None] + half[:, None] * offs[None, :]).ravel()
-        weights = (half[:, None] * wts[None, :]).ravel()
+        betas, weights = _gauss_panels(np.linspace(-width, width, m + 1), _GL4)
         prod = np.ones(len(betas), dtype=complex)
         for k, P in P_by_k.items():
             prod = prod * weyl_integral_batch(k, P, betas) ** 2

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError, ConvergenceError, PreconditionError
-from .powersums import _unity_roots, gauss_sum
+from .powersums import _check_exponent, _unity_roots, gauss_sum
 
 KIND_MAJOR = "major"
 KIND_ANNULUS = "annulus"
@@ -26,6 +26,14 @@ WEYL_POINT_BUDGET = 10**7
 OSCILLATION_BUDGET = 10**6
 _GL8 = np.polynomial.legendre.leggauss(8)
 _GL4 = np.polynomial.legendre.leggauss(4)
+
+
+def _gauss_panels(bounds: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss nodes and weights over the panels between consecutive bounds."""
+    offsets, weights = rule
+    half = 0.5 * (bounds[1:] - bounds[:-1])
+    mid = 0.5 * (bounds[1:] + bounds[:-1])
+    return (mid[:, None] + half[:, None] * offsets).ravel(), (half[:, None] * weights).ravel()
 
 
 @dataclass(frozen=True)
@@ -103,8 +111,7 @@ def weyl_sum(k: int, P: int, alpha) -> complex:
     rational it represents, and every phase a x^k is reduced mod the
     denominator in exact integer arithmetic before evaluation.
     """
-    if k not in (2, 3, 6):
-        raise PreconditionError(f"exponent k={k} not in (2, 3, 6)")
+    _check_exponent(k)
     if not 1 <= P <= WEYL_POINT_BUDGET:
         raise PreconditionError(f"requires 1 <= P <= {WEYL_POINT_BUDGET}")
     p, q = _alpha_as_rational(alpha)
@@ -157,15 +164,11 @@ def _initial_panels(k: int, P: float, beta: float) -> int:
 def _adaptive_weyl(k: int, P, mags: np.ndarray, rel_tol: float) -> np.ndarray:
     """Panel quadrature of v_k at offsets mags >= 0 on one shared panel
     structure, doubled until no value moves by more than rel_tol * P."""
-    nodes, weights = _GL8
     panels = _initial_panels(k, P, float(mags.max()))
     previous = None
     for _ in range(24):
-        bounds = _phase_panel_bounds(k, P, panels)
-        half = 0.5 * (bounds[1:] - bounds[:-1])
-        mid = 0.5 * (bounds[1:] + bounds[:-1])
-        flat = ((mid[:, None] + half[:, None] * nodes[None, :]) ** k).ravel()
-        wts = (half[:, None] * weights[None, :]).ravel()
+        nodes, wts = _gauss_panels(_phase_panel_bounds(k, P, panels), _GL8)
+        flat = nodes**k
         est = np.empty(len(mags), dtype=complex)
         step = max(1, 4 * 10**6 // len(flat))
         for lo in range(0, len(mags), step):
@@ -225,8 +228,7 @@ def weyl_integral_batch(k: int, P, betas: np.ndarray, rel_tol: float = 1e-8) -> 
     rel_tol / (2 L_n), where L_n = (2/pi) log(n + 1) + 1 bounds the Lebesgue
     constant; otherwise it runs at the distinct offsets themselves.
     """
-    if k not in (2, 3, 6):
-        raise PreconditionError(f"exponent k={k} not in (2, 3, 6)")
+    _check_exponent(k)
     if not P >= 1:
         raise PreconditionError("bound P must be >= 1")
     betas = np.asarray(betas, dtype=np.float64)

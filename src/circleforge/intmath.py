@@ -1,9 +1,12 @@
-"""Exact integer helpers: k-th roots, trial-division factorisation, prime tables."""
+"""Exact integer helpers: k-th roots, trial-division factorisation, prime
+tables, and the one enumerator of pair sums and differences."""
 
 import math
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import BudgetError
 
 # Trial division is used for every factorisation; all moduli in this package
 # stay at or below this bound.
@@ -115,3 +118,103 @@ def prime_powers_up_to(n: int) -> list[tuple[int, int, int]]:
             h += 1
     out.sort(key=lambda t: t[2])
     return out
+
+
+# keys per run-reduction chunk and cells per enumeration tile: the
+# temporaries of either stay at a few MiB beside the full key array
+PAIR_CHUNK = 1 << 18
+
+
+def powers(k: int, P: int) -> np.ndarray:
+    """x**k for x = 1..P as int64."""
+    return np.arange(1, P + 1, dtype=np.int64) ** k
+
+
+def pair_keys(a: np.ndarray, sign: int = 1, weights=None, limit: int | None = None):
+    """Sorted packed keys of the pair lattice of a strictly increasing int64 a,
+    as (keys, bits) with key = (value << bits) | (weight - 1).
+
+    sign=1 takes the triangle a[i] + a[j], i <= j, with weight w[i] w[j]
+    doubled off the diagonal, so the weights of a value sum to its number of
+    ordered pairs; sign=-1 takes the positive differences a[i] - a[j], i > j,
+    with weight w[i] w[j].  weights are positive (all 1 when None), and only
+    values <= limit are kept; the bound is applied in exact integers, so no
+    excluded pair can wrap into range.  Raises BudgetError if a key could
+    pass int64.
+    """
+    n = len(a)
+    w = np.ones(n, dtype=np.int64) if weights is None else np.asarray(weights, dtype=np.int64)
+    first, last = (int(a[0]), int(a[-1])) if n else (0, 0)
+    low, high = (2 * first, 2 * last) if sign == 1 else (1, last - first)
+    high = high if limit is None else min(high, limit)
+    # row i keeps the columns [start[i], stop[i]), found in exact integers
+    rows, exact = np.arange(n), a.astype(object)
+    start = rows if sign == 1 else np.searchsorted(exact, exact - high, "left")
+    stop = np.searchsorted(exact, high - exact, "right") if sign == 1 else rows
+    counts = np.maximum(stop - start, 0)
+    double = 2 if sign == 1 else 1  # the triangle stands for both ordered pairs
+    w_top = double * int(w.max(initial=1)) ** 2
+    bits = (w_top - 1).bit_length()
+    if counts.any() and not -(2**63) <= low << bits <= (high << bits) + w_top - 1 < 2**63:
+        raise BudgetError(f"pair values up to {high} with {bits} weight bits overflow int64 keys")
+    # key = (a[i] << bits) +- (a[j] << bits) + weight - 1 in wrapping int64
+    # arithmetic, exact wherever the key itself fits; unit weights fold into
+    # the row term
+    shifted = a << bits
+    head = shifted + (double - 1 if weights is None else -1)
+    op = np.add if sign == 1 else np.subtract
+    keys = np.empty(int(counts.sum()), dtype=np.int64)
+    side = math.isqrt(PAIR_CHUNK)
+    pos = 0
+    for lo in range(0, n, side):
+        hi = min(n, lo + side)
+        for c0 in range(int(start[lo:hi].min()) // side * side, int(stop[lo:hi].max()), side):
+            c1 = min(n, c0 + side)
+            block = op(head[lo:hi, None], shifted[None, c0:c1])
+            if weights is not None:
+                block += np.multiply.outer(double * w[lo:hi], w[c0:c1])
+            if sign == 1:
+                diagonal = rows[max(lo, c0) : min(hi, c1)]
+                block[diagonal - lo, diagonal - c0] -= w[diagonal] ** 2
+            if start[lo:hi].max() > c0 or stop[lo:hi].min() < c1:
+                # cells outside the row ranges may hold wrapped values; they
+                # are masked by index, never by value
+                offset = (rows[None, c0:c1] - start[lo:hi, None]).view(np.uint64)
+                block = block[offset < counts[lo:hi, None].astype(np.uint64)]
+            keys[pos : pos + block.size] = block.ravel()
+            pos += block.size
+    keys.sort()
+    return keys, bits
+
+
+def key_runs(keys: np.ndarray, bits: int):
+    """Yield (values, sums) over sorted packed keys, one chunk of PAIR_CHUNK
+    keys at a time: each distinct value once, in increasing order, with the
+    sum of its weights (with bits = 0, plain sorted values and their run
+    lengths).  The run that crosses a chunk edge is carried into the next
+    chunk, so no array of full length is built besides the keys."""
+    carry = None
+    for lo in range(0, len(keys), PAIR_CHUNK):
+        chunk = keys[lo : lo + PAIR_CHUNK]
+        values = chunk >> bits
+        starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+        sums = np.diff(starts, append=len(chunk))
+        if bits:
+            sums += np.add.reduceat(chunk & ((1 << bits) - 1), starts)
+        values = values[starts]
+        if carry is not None:
+            values, sums = np.r_[carry[0], values], np.r_[carry[1], sums]
+            if values[0] == values[1]:
+                sums[1] += sums[0]
+                values, sums = values[1:], sums[1:]
+        carry = values[-1:].copy(), sums[-1:].copy()
+        yield values[:-1], sums[:-1]
+    if carry is not None:
+        yield carry
+
+
+def pair_values(a: np.ndarray, sign: int = 1, weights=None, limit: int | None = None):
+    """Distinct values of the pair lattice of pair_keys, with the sum of the
+    weights of each, as two int64 arrays (values increasing)."""
+    runs = [(np.empty(0, dtype=np.int64),) * 2, *key_runs(*pair_keys(a, sign, weights, limit))]
+    return tuple(map(np.concatenate, zip(*runs)))

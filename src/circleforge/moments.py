@@ -3,9 +3,12 @@
 Everything here is a finite lattice-point count: collisions of sixth-power
 pair sums, the mixed cube/sixth-power correlation, the eighth moment of the
 sixth-power spectrum, cube-difference multiplicities and shifted-cube
-correlations against an arbitrary shift set.  All joins run on exact integers;
-value-indexed dense arrays are used only while ranges stay small, otherwise the
-counts go through sorted 64-bit value joins.
+correlations against an arbitrary shift set.  Each is a count of
+coincidences among sums or differences x^k +- y^k on a P^2 lattice, and each
+lattice goes through the one enumerator ``intmath.pair_values``: sorted
+packed int64 keys, reduced to runs of equal value one chunk at a time.  The
+exception is the pair-collision count, whose sums pass 2^63 from P6 = 1449
+on; it sorts exact two-word (hi, lo) keys instead.
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .intmath import iroot
+from .intmath import iroot, key_runs, pair_keys, pair_values, powers
 
 @dataclass(frozen=True)
 class MomentCount:
@@ -33,12 +36,6 @@ class MultiplicitySet:
     P3: int
     members: np.ndarray  # int64, strictly increasing
     max_multiplicity: int
-
-
-def _pair_sum_counts(P: int, k: int = 6) -> tuple[np.ndarray, np.ndarray]:
-    powers = np.arange(1, P + 1, dtype=np.int64) ** k
-    sums = (powers[:, None] + powers[None, :]).ravel()
-    return np.unique(sums, return_counts=True)
 
 
 def _split_pair_sums(P6: int) -> tuple[np.ndarray, np.ndarray]:
@@ -66,21 +63,12 @@ def count_sixth_pair_collisions(P6: int) -> MomentCount:
     hi, lo = _split_pair_sums(P6)
     order = np.argsort(hi, kind="stable")
     total = 0
-    for run in np.split(lo[order], np.flatnonzero(np.diff(hi[order])) + 1):
-        run.sort()
-        starts = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
-        counts = np.diff(np.r_[starts, len(run)])
-        total += int(np.dot(counts, counts))
+    for group in np.split(lo[order], np.flatnonzero(np.diff(hi[order])) + 1):
+        group.sort()
+        total += sum(int(np.dot(c, c)) for _, c in key_runs(group, 0))
     return MomentCount(
         label="sixth_pair_collision", parameters={"P6": P6}, count=total
     )
-
-
-def _cube_diff_counts(P3: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of x1^3 - x2^3 over [1, P3]^2 with multiplicities."""
-    cubes = np.arange(1, P3 + 1, dtype=np.int64) ** 3
-    diffs = (cubes[:, None] - cubes[None, :]).ravel()
-    return np.unique(diffs, return_counts=True)
 
 
 def count_cube_sixth_correlation(X: int) -> MomentCount:
@@ -96,31 +84,18 @@ def count_cube_sixth_correlation(X: int) -> MomentCount:
     if X > 10**8:
         raise BudgetError("correlation count budget is X <= 10**8")
     P3, P6 = iroot(X, 3), iroot(X, 6)
-    dvals, dcounts = _cube_diff_counts(P3)
-    uvals, ucounts = _pair_sum_counts(P6)
-    yvals = (uvals[:, None] - uvals[None, :]).ravel()
-    yweights = (ucounts[:, None] * ucounts[None, :]).ravel()
-    order = np.argsort(yvals, kind="stable")
-    yvals = yvals[order]
-    yweights = yweights[order]
-    starts = np.concatenate([[0], np.flatnonzero(yvals[1:] != yvals[:-1]) + 1])
-    ydistinct = yvals[starts]
-    ycounts = np.add.reduceat(yweights, starts)
+    uvals, ucounts = pair_values(powers(6, P6))
+    dvals, dcounts = pair_values(powers(3, P3), -1)
+    yvals, ycounts = pair_values(uvals, -1, weights=ucounts)
+    _, ix, iy = np.intersect1d(dvals, yvals, assume_unique=True, return_indices=True)
+    cx, cy = dcounts[ix], ycounts[iy]
 
-    shared, ix, iy = np.intersect1d(
-        dvals, ydistinct, assume_unique=True, return_indices=True
-    )
-    cx = dcounts[ix]
-    cy = ycounts[iy]
-    total = int(np.dot(cx, cy))
-
-    # cube-diff value 0 arises exactly from the P3 diagonal pairs, so the
-    # zero bucket is the full x1 = x2 contribution
-    zero = shared == 0
-    diagonal = int(np.dot(cx[zero], cy[zero]))
-    off = ~zero
-    unique_rep = int(cy[off][cx[off] == 1].sum())
-    multi_rep = int(np.dot(cx[off][cx[off] > 1], cy[off][cx[off] > 1]))
+    # both sides are even in the value, so each positive bucket counts twice;
+    # cube-diff value 0 arises exactly from the P3 diagonal pairs, so the zero
+    # bucket is the full x1 = x2 contribution
+    diagonal = P3 * int(np.dot(ucounts, ucounts))
+    unique_rep = 2 * int(cy[cx == 1].sum())
+    multi_rep = 2 * int(np.dot(cx[cx > 1], cy[cx > 1]))
     parts = {
         "diagonal": diagonal,
         "unique_representation": unique_rep,
@@ -129,38 +104,9 @@ def count_cube_sixth_correlation(X: int) -> MomentCount:
     return MomentCount(
         label="cube_sixth_correlation",
         parameters={"X": X, "P3": P3, "P6": P6},
-        count=total,
+        count=sum(parts.values()),
         parts=parts,
     )
-
-
-def _sum_squared_group_weights(packed: np.ndarray, weight_bits: int) -> int:
-    """packed is sorted; entry = (value << weight_bits) | weight.
-    Returns sum over runs of equal value of (sum of weights)^2, chunked so that
-    no run-boundary array of full length is ever materialised."""
-    mask = (1 << weight_bits) - 1
-    total = 0
-    carry_value = None
-    carry_weight = 0
-    step = 1 << 24
-    for lo in range(0, len(packed), step):
-        chunk = packed[lo : lo + step]
-        values = chunk >> weight_bits
-        weights = chunk & mask
-        starts = np.concatenate([[0], np.flatnonzero(values[1:] != values[:-1]) + 1])
-        sums = np.add.reduceat(weights, starts)
-        if carry_value is not None:
-            if values[0] == carry_value:
-                sums[0] += carry_weight
-            else:
-                total += carry_weight * carry_weight
-        carry_value = int(values[-1])
-        carry_weight = int(sums[-1])
-        head = sums[:-1]
-        total += int(np.dot(head, head))
-    if carry_value is not None:
-        total += carry_weight * carry_weight
-    return total
 
 
 def sixth_power_eighth_moment(P6: int) -> MomentCount:
@@ -173,30 +119,9 @@ def sixth_power_eighth_moment(P6: int) -> MomentCount:
         raise PreconditionError("bound P6 must be >= 1")
     if P6 > 200:
         raise BudgetError("eighth-moment budget is P6 <= 200")
-    vals, counts = _pair_sum_counts(P6)
-    u = len(vals)
-    wmax = 2 * int(counts.max()) ** 2
-    weight_bits = max(1, wmax.bit_length())
-    top = 2 * int(vals[-1])
-    if (top << weight_bits) >= 2**62:
-        raise BudgetError("packed quadruple values would overflow int64")
-    n_entries = u * (u + 1) // 2
-    if n_entries * 8 > 3 * 2**30:
-        raise BudgetError(
-            f"quadruple join needs {n_entries} packed entries "
-            f"({n_entries * 8 / 2**30:.1f} GiB)"
-        )
-    packed = np.empty(n_entries, dtype=np.int64)
-    pos = 0
-    for i in range(u):
-        tail = u - i
-        sums = vals[i] + vals[i:]
-        weights = counts[i] * counts[i:] * 2
-        weights[0] //= 2  # the (i, i) cell is not doubled
-        packed[pos : pos + tail] = (sums << weight_bits) | weights
-        pos += tail
-    packed.sort()
-    total = _sum_squared_group_weights(packed, weight_bits)
+    uvals, ucounts = pair_values(powers(6, P6))
+    # the P6 budget bounds the keys: 20,100 pair sums give 2.02e8 (1.5 GiB)
+    total = sum(int(np.dot(c, c)) for _, c in key_runs(*pair_keys(uvals, weights=ucounts)))
     return MomentCount(
         label="sixth_eighth_moment", parameters={"P6": P6}, count=total
     )
@@ -209,23 +134,13 @@ def cube_multiplicity(P3: int) -> MultiplicitySet:
         raise PreconditionError("bound P3 must be >= 1")
     if P3 > 10**4:
         raise BudgetError("cube-multiplicity budget is P3 <= 10**4")
-    cubes = np.arange(1, P3 + 1, dtype=np.int64) ** 3
-    n_pairs = P3 * (P3 - 1) // 2
-    diffs = np.empty(n_pairs, dtype=np.int64)
-    pos = 0
-    for i in range(1, P3):
-        diffs[pos : pos + i] = cubes[i] - cubes[:i]
-        pos += i
-    diffs.sort()
-    if len(diffs) == 0:
-        return MultiplicitySet(P3=P3, members=np.empty(0, dtype=np.int64), max_multiplicity=0)
-    starts = np.concatenate([[0], np.flatnonzero(diffs[1:] != diffs[:-1]) + 1])
-    run_lengths = np.diff(np.concatenate([starts, [len(diffs)]]))
-    repeated = diffs[starts[run_lengths >= 2]]
+    repeated, top = [np.empty(0, dtype=np.int64)], 0
+    for values, mult in key_runs(*pair_keys(powers(3, P3), -1)):
+        repeated.append(values[mult >= 2])
+        top = max(top, int(mult.max(initial=0)))
+    repeated = np.concatenate(repeated)
     members = np.concatenate([-repeated[::-1], repeated])
-    return MultiplicitySet(
-        P3=P3, members=members, max_multiplicity=int(run_lengths.max())
-    )
+    return MultiplicitySet(P3=P3, members=members, max_multiplicity=top)
 
 
 def shifted_cube_correlation(P3: int, shifts) -> MomentCount:
@@ -236,31 +151,30 @@ def shifted_cube_correlation(P3: int, shifts) -> MomentCount:
         raise PreconditionError("bound P3 must be >= 1")
     if P3 > 10**4:
         raise BudgetError("correlation budget is P3 <= 10**4")
-    z = np.asarray(sorted(int(v) for v in shifts), dtype=np.int64)
-    if len(z) != len(set(z.tolist())):
+    values = sorted(int(v) for v in shifts)
+    if values and not -(2**63) <= values[0] <= values[-1] < 2**63:
+        raise PreconditionError("shift set entries must lie in the int64 range")
+    z = np.asarray(values, dtype=np.int64)
+    if len(z) != len(set(values)):
         raise PreconditionError("shift set entries must be distinct")
     if len(z) > 10**5:
         raise BudgetError("shift set budget is 10**5 entries")
     diagonal = P3 * len(z)
-    dvals, dcounts = _cube_diff_counts(P3)
-    positive = dvals > 0
-    dvals, dcounts = dvals[positive], dcounts[positive]
+    dvals, dcounts = pair_values(powers(3, P3), -1)
     off = 0
     if len(z) > 1 and len(dvals) > 0:
         if len(z) * len(z) <= 4 * 10**7:
-            zdiffs = (z[:, None] - z[None, :]).ravel()
-            zdiffs = zdiffs[zdiffs > 0]
-            zvals, zcounts = np.unique(zdiffs, return_counts=True)
-            shared, ix, iz = np.intersect1d(
-                dvals, zvals, assume_unique=True, return_indices=True
-            )
+            # only differences below P3^3 can match a cube difference;
+            # pair_values bounds them in exact integers, so none can wrap
+            zvals, zcounts = pair_values(z, -1, limit=P3**3 - 1)
+            _, ix, iz = np.intersect1d(dvals, zvals, assume_unique=True, return_indices=True)
             off = 2 * int(np.dot(dcounts[ix], zcounts[iz]))
         else:
             if len(dvals) * len(z) > 5 * 10**8:
                 raise BudgetError("shifted correlation join too large")
-            for d, c in zip(dvals, dcounts):
-                matched = int(np.isin(z + int(d), z, assume_unique=True).sum())
-                off += 2 * int(c) * matched
+            for d, c in zip(dvals.tolist(), dcounts.tolist()):
+                base = z[: np.searchsorted(z, 2**63 - 1 - d, "right")]  # z + d stays in int64
+                off += 2 * c * int(np.isin(base + d, z, assume_unique=True).sum())
     total = diagonal + off
     return MomentCount(
         label="shifted_cube_correlation",

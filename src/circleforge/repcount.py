@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import BudgetError, PreconditionError
 from .exactconv import FLOAT_EXACT_LIMIT, exact_convolve
-from .intmath import iroot
+from .intmath import iroot, pair_values, powers
+from .powersums import _check_exponent
 
 PAIR_INDEX_BUDGET = 2 * 10**8  # entries in a pair spectrum
 SINGLE_TARGET_BUDGET = 2 * 10**8  # practical memory ceiling for one target
@@ -44,14 +45,9 @@ class RangeCounts:
     values: np.ndarray  # R(n) at index n, exact
 
 
-def _powers(k: int, P: int) -> np.ndarray:
-    return np.arange(1, P + 1, dtype=np.int64) ** k
-
-
 def pair_spectrum(k: int, P: int) -> PairSpectrum:
-    """Exact pair-sum spectrum by enumeration of all P^2 ordered pairs."""
-    if k not in (2, 3, 6):
-        raise PreconditionError(f"exponent k={k} not in (2, 3, 6)")
+    """Exact pair-sum spectrum: the ordered-pair counts of pair_values, by value."""
+    _check_exponent(k)
     if P < 1:
         raise PreconditionError("bound P must be >= 1")
     length = 2 * P**k + 1
@@ -60,12 +56,9 @@ def pair_spectrum(k: int, P: int) -> PairSpectrum:
             f"pair spectrum needs {length} entries "
             f"({length * 8 / 2**30:.1f} GiB), budget is {PAIR_INDEX_BUDGET}"
         )
-    powers = _powers(k, P)
+    values, mult = pair_values(powers(k, P))
     counts = np.zeros(length, dtype=np.int64)
-    rows_per_chunk = max(1, 4 * 10**7 // P)
-    for lo in range(0, P, rows_per_chunk):
-        block = powers[lo : lo + rows_per_chunk, None] + powers[None, :]
-        counts += np.bincount(block.ravel(), minlength=length)
+    counts[values] = mult
     return PairSpectrum(k=k, P=P, counts=counts)
 
 
@@ -129,14 +122,6 @@ def _cached_pair_spectrum(k: int, P: int, cache_dir: str | None) -> PairSpectrum
     return spectrum
 
 
-def _value_counts(k: int, P: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct pair-sum values <= limit with multiplicities."""
-    powers = _powers(k, P)
-    sums = (powers[:, None] + powers[None, :]).ravel()
-    sums = sums[sums <= limit]
-    return np.unique(sums, return_counts=True)
-
-
 def _cube_sixth_spectrum(P3: int, P6: int, limit: int | None = None) -> np.ndarray:
     """g[m] = #{(x3,x4,x5,x6): x3^3+x4^3+x5^6+x6^6 = m} for m <= limit, as int64
     of length limit + 1 (2 P3^3 + 2 P6^6 + 1 when limit is None)."""
@@ -146,8 +131,8 @@ def _cube_sixth_spectrum(P3: int, P6: int, limit: int | None = None) -> np.ndarr
         raise BudgetError(f"cube/sixth spectrum of {(P3 * P6) ** 2} tuples, not below 2^53")
     full_top = 2 * P3**3 + 2 * P6**6
     top = full_top if limit is None else limit
-    v3, c3 = _value_counts(3, P3, top)
-    v6, c6 = _value_counts(6, P6, top)
+    v3, c3 = pair_values(powers(3, P3), limit=top)
+    v6, c6 = pair_values(powers(6, P6), limit=top)
     g = np.zeros(top + 1, dtype=np.int64)
     # v3 is distinct, so no index repeats within one add
     for s, w in zip(v6.tolist(), c6.tolist()):
@@ -169,7 +154,7 @@ def rep_count_single(n: int) -> int:
     if n < 6:
         return 0
     g = _cube_sixth_spectrum(iroot(n - 4, 3), iroot(n - 4, 6), limit=n - 2)
-    squares = _powers(2, iroot(n - 4, 2))
+    squares = powers(2, iroot(n - 4, 2))
     total = 0
     for x in range(1, iroot((n - 4) // 2, 2) + 1):
         row = g[n - x * x - squares[x - 1 : iroot(n - 4 - x * x, 2)]]

@@ -196,6 +196,23 @@ def eighth_moment_brute(P6):
     return sum(c * c for c in tally.values())
 
 
+def pair_values_grid(a, sign=1, weights=None, limit=None):
+    """Distinct values of a[i] + a[j] over all ordered pairs (sign=1), or of
+    the positive a[i] - a[j] (sign=-1), at most limit, each with the sum of
+    w[i] w[j]: the full P^2 grid in plain int64, reduced by np.unique."""
+    a = np.asarray(a, dtype=np.int64)
+    w = np.ones(len(a), dtype=np.int64) if weights is None else np.asarray(weights, dtype=np.int64)
+    values = (a[:, None] + sign * a[None, :]).ravel()
+    products = (w[:, None] * w[None, :]).ravel()
+    keep = values > 0 if sign == -1 else np.ones(len(values), dtype=bool)
+    if limit is not None:
+        keep &= values <= limit
+    distinct, inverse = np.unique(values[keep], return_inverse=True)
+    mult = np.zeros(len(distinct), dtype=np.int64)
+    np.add.at(mult, inverse, products[keep])
+    return distinct, mult
+
+
 def pair_collision_brute(P6):
     tally = Counter()
     for y1 in range(1, P6 + 1):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from circleforge import intmath
 from circleforge.errors import BudgetError, PreconditionError
+from circleforge.intmath import pair_values, powers
 from circleforge.moments import (
-    _pair_sum_counts,
     _split_pair_sums,
     count_cube_sixth_correlation,
     count_sixth_pair_collisions,
@@ -17,6 +19,7 @@ from oracles import (
     cube_sixth_correlation_brute,
     eighth_moment_brute,
     pair_collision_brute,
+    pair_values_grid,
     shifted_correlation_brute,
 )
 
@@ -30,8 +33,9 @@ def test_pair_collisions_examples():
 
 def test_pair_collisions_split_keys():
     # the plain int64 pair spectrum is exact at P6 = 1200; from P6 = 1449 on,
-    # x^6 >= 2^63 and the low words of a pair sum carry into the high word
-    _, counts = _pair_sum_counts(1200)
+    # x^6 >= 2^63 and the low words of a pair sum carry into the high word;
+    # packed pair_values keys refuse these 6e18 sums, so the grid is the reference
+    _, counts = pair_values_grid(powers(6, 1200))
     assert count_sixth_pair_collisions(1200).count == int(np.dot(counts, counts))
     assert 1448**6 < 2**63 <= 1449**6
     for P6 in (1201, 1460):
@@ -154,3 +158,57 @@ def test_enumeration_order_independence():
             tally[powers[i] + powers[j]] += 1
     shuffled = sum(c * c for c in tally.values())
     assert shuffled == count_sixth_pair_collisions(P6).count
+
+
+def test_shifted_correlation_int64_edges():
+    # 2^63 - 7 - (-2^63) wraps to 7 = 2^3 - 1^3 in int64; the true count has
+    # no off-diagonal solution
+    edges = [-(2**63), 2**63 - 7]
+    assert shifted_cube_correlation(10, edges).count == 20
+    # the same pair past the 4e7-cell limit goes through the per-difference join
+    wide = edges + [10**7 * i for i in range(1, 6400)]
+    assert shifted_cube_correlation(10, wide).count == 10 * len(wide)
+    with pytest.raises(PreconditionError):
+        shifted_cube_correlation(10, [2**63])
+    with pytest.raises(PreconditionError):
+        shifted_cube_correlation(10, [-(2**63) - 1, 5])
+
+
+@st.composite
+def _pair_lattices(draw):
+    a = sorted(draw(st.sets(st.integers(-60, 200), max_size=25)))
+    weights = draw(st.none() | st.lists(st.integers(1, 9), min_size=len(a), max_size=len(a)))
+    limit = draw(st.none() | st.integers(-150, 450))
+    return np.array(a, dtype=np.int64), weights, limit
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair_lattices(), st.sampled_from([1, -1]), st.sampled_from([7, intmath.PAIR_CHUNK]))
+def test_pair_values_matches_grid(lattice, sign, chunk):
+    a, weights, limit = lattice
+    saved = intmath.PAIR_CHUNK
+    intmath.PAIR_CHUNK = chunk
+    try:
+        values, mult = pair_values(a, sign, weights, limit)
+    finally:
+        intmath.PAIR_CHUNK = saved
+    expect_values, expect_mult = pair_values_grid(a, sign, weights, limit)
+    assert values.tolist() == expect_values.tolist()
+    assert mult.tolist() == expect_mult.tolist()
+
+
+def test_pair_values_refuses_int64_overflow():
+    with pytest.raises(BudgetError):
+        pair_values(powers(6, 1200))  # sums near 6e18 leave no room for a weight bit
+
+
+def test_run_chunk_carry(monkeypatch):
+    # with 7-key chunks most runs of equal value cross a chunk edge, and the
+    # carried partial sums must merge exactly
+    expect = [sixth_power_eighth_moment(P6).count for P6 in (6, 25)]
+    cubes = cube_multiplicity(300)
+    monkeypatch.setattr(intmath, "PAIR_CHUNK", 7)
+    assert [sixth_power_eighth_moment(P6).count for P6 in (6, 25)] == expect
+    chunked = cube_multiplicity(300)
+    assert chunked.members.tolist() == cubes.members.tolist()
+    assert chunked.max_multiplicity == cubes.max_multiplicity
