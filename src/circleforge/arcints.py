@@ -19,7 +19,9 @@ from .arcs import (
     _GL4,
     _chebyshev_degree,
     _gauss_panels,
+    _phase_kernel,
     exceptional_sum_grid,
+    peak_majorant,
     weyl_integral_batch,
 )
 from .errors import BudgetError, PreconditionError
@@ -29,6 +31,18 @@ from .powersums import gauss_sum, leading_constant
 # panels x Chebyshev degree of one singular integral; its cost grows with both
 # (about 4 s at 1.1e6 on one core of a 2-core Xeon VM)
 SINGULAR_WORK_BUDGET = 2 * 10**6
+# elementary segments x arcs of one dissection, the cells of its coverage
+# matrices; the largest admitted case, the annulus of peak_majorant_survey at
+# X = 10**4, Q = 100, has 2.9e7 (0.3 s, 390 MiB peak on the same VM), 4e7 takes
+# 0.7 s and 520 MiB
+DISSECT_CELL_BUDGET = 4 * 10**7
+# quadrature nodes at one grid density; the largest admitted case has 29,064
+# (that annulus); 4.95e5 fine nodes take 6.8 s and 310 MiB in
+# major_arc_integral(5000, 10**4, 6), 10 s and 300 MiB in the pruned integral
+# at X = 10**4, Q = 16
+QUAD_NODE_BUDGET = 5 * 10**5
+# survey panels per 1/sqrt(X)
+SURVEY_DENSITY = 40
 
 
 @dataclass(frozen=True)
@@ -87,66 +101,73 @@ class PrunedDiagnostic:
 
 
 def _farey_pairs(bound: int) -> list[tuple[int, int]]:
-    pairs = []
-    for q in range(1, bound + 1):
-        for a in range(0, q + 1):
-            if math.gcd(a, q) == 1:
-                pairs.append((q, a))
-    return pairs
+    """Reduced (q, a), 0 <= a <= q <= bound, sorted by q."""
+    return [(q, a) for q in range(1, bound + 1) for a in range(q + 1) if math.gcd(a, q) == 1]
 
 
-def _dissect(
-    pairs: list[tuple[int, int]],
-    halfwidth,
-    exclude_pairs=None,
-    exclude_halfwidth=None,
-) -> list[tuple[float, float, int]]:
+def _dissect(pairs, halfwidth, exclude=()) -> list[tuple[float, float, int]]:
     """Cut [0, 1] at all arc endpoints; return (lo, hi, pair_index) for every
-    elementary segment inside the union, assigned to its least-q covering arc
-    and not covered by any exclusion arc."""
+    elementary segment inside the union of the arcs |alpha - a/q| <= halfwidth(q),
+    assigned to its least-q covering arc (pairs are sorted by q), and outside
+    every exclusion arc, taken at half width."""
     centers = np.array([a / q for q, a in pairs])
     widths = np.array([halfwidth(q) for q, _ in pairs])
-    qs = np.array([q for q, _ in pairs])
-    events = [0.0, 1.0]
-    events.extend(np.clip(centers - widths, 0.0, 1.0))
-    events.extend(np.clip(centers + widths, 0.0, 1.0))
-    if exclude_pairs:
-        ex_centers = np.array([a / q for q, a in exclude_pairs])
-        ex_widths = np.array([exclude_halfwidth(q) for q, _ in exclude_pairs])
-        events.extend(np.clip(ex_centers - ex_widths, 0.0, 1.0))
-        events.extend(np.clip(ex_centers + ex_widths, 0.0, 1.0))
-    cuts = np.unique(np.asarray(events))
+    ex_centers = np.array([a / q for q, a in exclude])
+    ex_widths = np.array([halfwidth(q) for q, _ in exclude]) / 2
+    events = [[0.0, 1.0], centers - widths, centers + widths, ex_centers - ex_widths,
+              ex_centers + ex_widths]
+    cuts = np.unique(np.clip(np.concatenate(events), 0.0, 1.0))
+    cells = (len(cuts) - 1) * (len(pairs) + len(exclude))
+    if cells > DISSECT_CELL_BUDGET:
+        raise BudgetError(
+            f"dissection budget is {DISSECT_CELL_BUDGET} segments x arcs, here {cells}"
+        )
     mids = 0.5 * (cuts[1:] + cuts[:-1])
     cover = np.abs(mids[:, None] - centers[None, :]) <= widths[None, :]
-    ranked = np.where(cover, qs[None, :], np.iinfo(np.int64).max)
-    assigned = np.argmin(ranked, axis=1)
-    in_union = cover.any(axis=1)
-    if exclude_pairs:
-        excluded = (
-            np.abs(mids[:, None] - ex_centers[None, :]) <= ex_widths[None, :]
-        ).any(axis=1)
-        in_union &= ~excluded
-    out = []
-    for i in np.flatnonzero(in_union):
-        if cuts[i + 1] > cuts[i]:
-            out.append((float(cuts[i]), float(cuts[i + 1]), int(assigned[i])))
-    return out
+    excluded = (np.abs(mids[:, None] - ex_centers[None, :]) <= ex_widths[None, :]).any(axis=1)
+    assigned = cover.argmax(axis=1)  # the first covering arc has the least q
+    keep = np.flatnonzero(cover.any(axis=1) & ~excluded)
+    return [(float(cuts[i]), float(cuts[i + 1]), int(assigned[i])) for i in keep]
+
+
+def _annulus(Q: int, X: int):
+    """Farey pairs of level Q and the annulus segments: the level-Q arcs
+    |q alpha - a| <= Q/X minus the half-level arcs (q <= Q/2) at half width."""
+    pairs = _farey_pairs(Q)
+    return pairs, _dissect(pairs, lambda q: Q / (q * X), _farey_pairs(Q // 2))
 
 
 def _quad_nodes(segments, spacing: float):
     """Composite 4-point Gauss nodes with panel width <= spacing."""
-    alphas, weights, arc_idx = [], [], []
-    for lo, hi, idx in segments:
-        panels = max(1, int(math.ceil((hi - lo) / spacing)))
-        nodes, wts = _gauss_panels(np.linspace(lo, hi, panels + 1), _GL4)
-        alphas.append(nodes)
-        weights.append(wts)
-        arc_idx.append(np.full(len(nodes), idx, dtype=np.int64))
-    return (
-        np.concatenate(alphas),
-        np.concatenate(weights),
-        np.concatenate(arc_idx),
-    )
+    panels = [max(1, int(math.ceil((hi - lo) / spacing))) for lo, hi, _ in segments]
+    if 4 * sum(panels) > QUAD_NODE_BUDGET:
+        raise BudgetError(f"quadrature budget is {QUAD_NODE_BUDGET} nodes, here {4 * sum(panels)}")
+    parts = [_gauss_panels(np.linspace(lo, hi, m + 1), _GL4)
+             for (lo, hi, _), m in zip(segments, panels)]
+    alphas, weights = (np.concatenate(column) for column in zip(*parts))
+    owners = np.array([idx for _, _, idx in segments], dtype=np.int64)
+    return alphas, weights, np.repeat(owners, 4 * np.array(panels))
+
+
+def _rel_change(coarse, fine) -> float:
+    """Grid-halving stability |fine - coarse| / |fine|."""
+    return abs(fine - coarse) / max(abs(fine), 1e-300)
+
+
+def _two_density(nodes, integrands, grid: int):
+    """Integrate at densities grid and 2 * grid.  nodes(factor) gives
+    (points, weights, *rest) and integrands(points, *rest) a tuple of arrays
+    over those points; returns the fine integrals, their relative changes
+    against the coarse ones, the fine nodes and the fine integrand arrays."""
+
+    def integrate(factor):
+        points, weights, *rest = nodes(factor)
+        values = integrands(points, *rest)
+        return [complex(np.dot(weights, v)) for v in values], (points, weights, *rest), values
+
+    coarse = integrate(grid)[0]
+    fine, fine_nodes, values = integrate(2 * grid)
+    return fine, [_rel_change(c, f) for c, f in zip(coarse, fine)], fine_nodes, values
 
 
 def weyl_sum_grid(k: int, P: int, alphas: np.ndarray) -> np.ndarray:
@@ -156,13 +177,7 @@ def weyl_sum_grid(k: int, P: int, alphas: np.ndarray) -> np.ndarray:
     below 5e-8."""
     if float(P) ** k * 2.0**-52 > 2.0**-26:
         raise BudgetError(f"P^k = {float(P) ** k:.3g} exceeds 2^26 for a float Weyl-sum grid")
-    powers = np.arange(1, P + 1, dtype=np.float64) ** k
-    out = np.empty(len(alphas), dtype=complex)
-    step = max(1, 4 * 10**6 // max(1, P))
-    for lo in range(0, len(alphas), step):
-        block = np.exp(2j * np.pi * np.outer(alphas[lo : lo + step], powers))
-        out[lo : lo + step] = block.sum(axis=1)
-    return out
+    return _phase_kernel(alphas, np.arange(1, P + 1, dtype=np.float64) ** k)
 
 
 @lru_cache(maxsize=4096)
@@ -219,32 +234,27 @@ def major_arc_integral(n: int, X: int, W: int, grid: int = 10) -> MajorArcIntegr
     pairs = _farey_pairs(W)
     segments = _dissect(pairs, lambda q: W / X)
 
-    def evaluate(factor):
-        alphas, weights, arc_idx = _quad_nodes(segments, 1.0 / (factor * X))
+    def integrands(alphas, arc_idx):
         phase = np.exp(-2j * np.pi * n * alphas)
         f = {k: weyl_sum_grid(k, P, alphas) for k, P in P_by_k.items()}
         direct = f[2] ** 2 * f[3] ** 2 * f[6] ** 2 * phase
         models = _arc_models(pairs, arc_idx, alphas, P_by_k)
-        modelled = models[2] ** 2 * models[3] ** 2 * models[6] ** 2 * phase
-        val = complex(np.dot(weights, direct))
-        approx = complex(np.dot(weights, modelled))
-        rows = _collect_rows(W, pairs, arc_idx, weights, direct)
-        return val, approx, rows, len(alphas)
+        return direct, models[2] ** 2 * models[3] ** 2 * models[6] ** 2 * phase
 
-    v1, a1, _, _ = evaluate(grid)
-    v2, a2, rows, points = evaluate(2 * grid)
-    denom = max(abs(v2), 1e-300)
+    (value, approx), changes, (alphas, weights, arc_idx), (direct, _) = _two_density(
+        lambda factor: _quad_nodes(segments, 1.0 / (factor * X)), integrands, grid
+    )
     return MajorArcIntegral(
         n=n,
         X=X,
         W=W,
-        value=v2,
-        approx_value=a2,
-        difference=abs(v2 - a2),
-        value_rel_change=abs(v2 - v1) / denom,
-        approx_rel_change=abs(a2 - a1) / max(abs(a2), 1e-300),
-        grid_points=points,
-        arc_rows=rows,
+        value=value,
+        approx_value=approx,
+        difference=abs(value - approx),
+        value_rel_change=changes[0],
+        approx_rel_change=changes[1],
+        grid_points=len(alphas),
+        arc_rows=_collect_rows(W, pairs, arc_idx, weights, direct),
     )
 
 
@@ -273,25 +283,25 @@ def singular_integral(n: int, X: int, W: int) -> SingularIntegral:
             f"here {panels} x {degree}"
         )
 
-    def evaluate(m):
-        betas, weights = _gauss_panels(np.linspace(-width, width, m + 1), _GL4)
+    def integrands(betas):
         prod = np.ones(len(betas), dtype=complex)
         for k, P in P_by_k.items():
             prod = prod * weyl_integral_batch(k, P, betas) ** 2
         prod *= np.exp(-2j * np.pi * betas * n)
-        return complex(np.dot(weights, prod)), len(betas)
+        return (prod,)
 
-    v1, _ = evaluate(panels)
-    v2, points = evaluate(2 * panels)
+    (value,), (change,), (betas, _), _ = _two_density(
+        lambda m: _gauss_panels(np.linspace(-width, width, m + 1), _GL4), integrands, panels
+    )
     return SingularIntegral(
         n=n,
         X=X,
         W=W,
-        value=v2.real,
-        imag_residual=abs(v2.imag) / max(abs(v2.real), 1e-300),
-        rel_change=abs(v2 - v1) / max(abs(v2), 1e-300),
+        value=value.real,
+        imag_residual=abs(value.imag) / max(abs(value.real), 1e-300),
+        rel_change=change,
         reference=leading_constant().value * n,
-        grid_points=points,
+        grid_points=len(betas),
     )
 
 
@@ -305,30 +315,19 @@ class MajorantSurvey:
     a: int
 
 
-def peak_majorant_survey(X: int, Q: int, grid: int = 40) -> MajorantSurvey:
+def peak_majorant_survey(X: int, Q: int) -> MajorantSurvey:
     """sup of |f_2(alpha)| over its arc majorant on an annulus grid at level Q."""
     if X < 16 or X > 10**5:
         raise BudgetError("majorant survey budget is 16 <= X <= 10**5")
     if Q < 2 or Q > 2 * math.isqrt(X):
         raise PreconditionError("need 2 <= Q <= 2 sqrt(X)")
     P2 = iroot(X, 2)
-    pairs = _farey_pairs(Q)
-    half_pairs = _farey_pairs(Q // 2)
-    segments = _dissect(
-        pairs,
-        lambda q: Q / (q * X),
-        exclude_pairs=half_pairs or None,
-        exclude_halfwidth=(lambda q: Q / (2 * q * X)) if half_pairs else None,
-    )
+    pairs, segments = _annulus(Q, X)
     if not segments:
         raise PreconditionError(f"annulus at level Q={Q} is empty at X={X}")
-    alphas, _, arc_idx = _quad_nodes(segments, 1.0 / (grid * math.sqrt(X)))
-    f2 = np.abs(weyl_sum_grid(2, P2, alphas))
-    qs = np.array([q for q, _ in pairs], dtype=np.float64)
-    aas = np.array([a for _, a in pairs], dtype=np.float64)
-    offset = np.abs(qs[arc_idx] * alphas - aas[arc_idx])
-    majorant = P2 / np.sqrt(qs[arc_idx] + P2**2 * offset)
-    ratios = f2 / majorant
+    alphas, _, arc_idx = _quad_nodes(segments, 1.0 / (SURVEY_DENSITY * math.sqrt(X)))
+    q_at, a_at = np.array(pairs, dtype=np.float64)[arc_idx].T
+    ratios = np.abs(weyl_sum_grid(2, P2, alphas)) / peak_majorant(alphas, q_at, a_at, P2)
     best = int(np.argmax(ratios))
     pair = pairs[arc_idx[best]]
     return MajorantSurvey(
@@ -394,48 +393,25 @@ def pruned_integral_diagnostic(
     if grid < 1:
         raise PreconditionError("need grid >= 1")
     P2, P3, P6 = iroot(X, 2), iroot(X, 3), iroot(X, 6)
-    pairs = _farey_pairs(Q)
-    half_pairs = _farey_pairs(Q // 2) if Q >= 2 else []
-    segments = _dissect(
-        pairs,
-        lambda q: Q / (q * X),
-        exclude_pairs=half_pairs or None,
-        exclude_halfwidth=(lambda q: Q / (2 * q * X)) if half_pairs else None,
-    )
-    qs = np.array([q for q, _ in pairs], dtype=np.float64)
-    centers = np.array([a / q for q, a in pairs])
+    # for Q <= sqrt(X) the annulus is never empty: it keeps (Q/2X, Q/X] of the
+    # q = 1 arc, which a half-level arc covers only if X <= Q^2/2 + Q/2
+    pairs, segments = _annulus(Q, X)
 
-    def evaluate(factor):
-        if not segments:
-            return 0.0, 0.0, 0.0, (), 0
-        alphas, weights, arc_idx = _quad_nodes(segments, 1.0 / (factor * X))
+    def integrands(alphas, arc_idx):
         absk = np.abs(exceptional_sum_grid(sample, alphas))
         f2 = np.abs(weyl_sum_grid(2, P2, alphas))
         f3 = np.abs(weyl_sum_grid(3, P3, alphas))
         f6 = np.abs(weyl_sum_grid(6, P6, alphas))
-        q_at = qs[arc_idx]
-        offset = np.abs(q_at * alphas - q_at * centers[arc_idx])
-        majorant2 = P2 / np.sqrt(q_at + P2**2 * offset)
-        models = _arc_models(pairs, arc_idx, alphas, {3: P3})
-        f3_model = np.abs(models[3])
+        q_at, a_at = np.array(pairs, dtype=np.float64)[arc_idx].T
+        majorant2 = peak_majorant(alphas, q_at, a_at, P2)
+        f3_model = np.abs(_arc_models(pairs, arc_idx, alphas, {3: P3})[3])
         raw = f2**2 * f3**2 * f6**2 * absk
         square = majorant2**2 * f3**2 * f6**2 * absk
-        cubic = majorant2**2 * f3_model**2 * f6**2 * absk
-        rows = _collect_rows(Q, pairs, arc_idx, weights, raw)
-        return (
-            float(np.dot(weights, raw)),
-            float(np.dot(weights, square)),
-            float(np.dot(weights, cubic)),
-            rows,
-            len(alphas),
-        )
+        return raw, square, majorant2**2 * f3_model**2 * f6**2 * absk
 
-    r1, s1, c1, _, _ = evaluate(grid)
-    r2, s2, c2, rows, points = evaluate(2 * grid)
-
-    def change(a, b):
-        return abs(a - b) / max(abs(b), 1e-300)
-
+    values, changes, (alphas, weights, arc_idx), (raw, _, _) = _two_density(
+        lambda factor: _quad_nodes(segments, 1.0 / (factor * X)), integrands, grid
+    )
     Z = sample.size
     # delta in the second bound shape is reported at 0.1; the analysis only
     # requires it to be a small positive number
@@ -444,17 +420,17 @@ def pruned_integral_diagnostic(
         X=X,
         Q=Q,
         sample_size=Z,
-        raw=r2,
-        square_majorant=s2,
-        cubic_approx=c2,
-        raw_rel_change=change(r1, r2),
-        square_majorant_rel_change=change(s1, s2),
-        cubic_approx_rel_change=change(c1, c2),
-        grid_points=points,
+        raw=values[0].real,
+        square_majorant=values[1].real,
+        cubic_approx=values[2].real,
+        raw_rel_change=changes[0],
+        square_majorant_rel_change=changes[1],
+        cubic_approx_rel_change=changes[2],
+        grid_points=len(alphas),
         bound_shapes={
             "X*sqrt(Z)": X * math.sqrt(Z),
             "X^(1-delta^2)*Z": X ** (1 - delta**2) * Z,
             "delta": delta,
         },
-        arc_rows=rows,
+        arc_rows=_collect_rows(Q, pairs, arc_idx, weights, raw),
     )

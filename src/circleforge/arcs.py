@@ -156,6 +156,17 @@ def _phase_panel_bounds(k: int, P: float, panels: int) -> np.ndarray:
     return np.unique(np.concatenate([phase_grid, uniform]))
 
 
+def _phase_kernel(x: np.ndarray, t: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """sum_j w_j e(x_i t_j) for every x_i (the plain sum when w is None), in
+    blocks of about 4e6 phases."""
+    out = np.empty(len(x), dtype=complex)
+    step = max(1, 4 * 10**6 // max(1, len(t)))
+    for lo in range(0, len(x), step):
+        block = np.exp(2j * np.pi * np.outer(x[lo : lo + step], t))
+        out[lo : lo + step] = block.sum(axis=1) if w is None else block @ w
+    return out
+
+
 def _initial_panels(k: int, P: float, beta: float) -> int:
     cycles = abs(beta) * float(P) ** k
     return max(8, int(math.ceil(4.0 * cycles)))
@@ -168,12 +179,7 @@ def _adaptive_weyl(k: int, P, mags: np.ndarray, rel_tol: float) -> np.ndarray:
     previous = None
     for _ in range(24):
         nodes, wts = _gauss_panels(_phase_panel_bounds(k, P, panels), _GL8)
-        flat = nodes**k
-        est = np.empty(len(mags), dtype=complex)
-        step = max(1, 4 * 10**6 // len(flat))
-        for lo in range(0, len(mags), step):
-            block = mags[lo : lo + step, None] * flat[None, :]
-            est[lo : lo + step] = np.exp(2j * np.pi * block) @ wts
+        est = _phase_kernel(mags, nodes**k, wts)
         if previous is not None and np.abs(est - previous).max() <= rel_tol * P:
             return est
         previous = est
@@ -337,12 +343,15 @@ def classify_arc(alpha, Q: int, X: int, W: int) -> ArcLabel:
     )
 
 
-def peak_majorant(alpha, q: int, a: int, P2: int) -> float:
-    """P2 * (q + P2^2 |q alpha - a|)^(-1/2), the square-sum arc majorant."""
-    if q < 1:
+def peak_majorant(alpha, q, a, P2: int):
+    """P2 * (q + P2^2 |q alpha - a|)^(-1/2), the square-sum arc majorant, at
+    one point or elementwise over arrays of points and arcs."""
+    q = np.asarray(q, dtype=np.float64)
+    if (q < 1).any():
         raise PreconditionError("arc denominator must be positive")
-    offset = abs(q * float(alpha) - a)
-    return P2 / math.sqrt(q + P2**2 * offset)
+    offset = np.abs(q * np.asarray(alpha, dtype=np.float64) - a)
+    majorant = P2 / np.sqrt(q + P2**2 * offset)
+    return float(majorant) if majorant.ndim == 0 else majorant
 
 
 def exceptional_sum(sample: ExceptionalSample, alpha) -> complex:
@@ -351,16 +360,6 @@ def exceptional_sum(sample: ExceptionalSample, alpha) -> complex:
 
 
 def exceptional_sum_grid(sample: ExceptionalSample, alphas: np.ndarray) -> np.ndarray:
-    """K over an array of points, chunked over the grid."""
-    alphas = np.asarray(alphas, dtype=np.float64)
+    """K over an array of points."""
     members = np.asarray(sample.members, dtype=np.float64)
-    coeff = sample.coefficients()
-    out = np.empty(alphas.shape, dtype=complex)
-    if len(members) == 0:
-        out[:] = 0.0
-        return out
-    step = max(1, 4 * 10**6 // max(1, len(members)))
-    for lo in range(0, len(alphas), step):
-        block = np.exp(-2j * np.pi * np.outer(alphas[lo : lo + step], members))
-        out[lo : lo + step] = block @ coeff
-    return out
+    return _phase_kernel(np.asarray(alphas, dtype=np.float64), -members, sample.coefficients())

@@ -31,19 +31,6 @@ def iroot(n: int, k: int) -> int:
     return r
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by a byte sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start : n + 1 : p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, v in enumerate(sieve) if v]
-
-
 @lru_cache(maxsize=8)
 def _spf_table(n: int) -> np.ndarray:
     """Smallest-prime-factor table for 0..n."""
@@ -60,6 +47,14 @@ def smallest_prime_factors(n: int) -> np.ndarray:
     table = _spf_table(max(n, 2))
     table.setflags(write=False)
     return table
+
+
+def primes_up_to(n: int) -> list[int]:
+    """All primes <= n, read off the smallest-prime-factor table."""
+    if n < 2:
+        return []
+    spf = smallest_prime_factors(n)
+    return np.flatnonzero(spf == np.arange(n + 1))[2:].tolist()
 
 
 def is_prime(n: int) -> bool:

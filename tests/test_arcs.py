@@ -278,11 +278,27 @@ def test_peak_majorant():
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+def test_peak_majorant_vectorised():
+    rng = np.random.default_rng(21)
+    q = rng.integers(1, 40, 50)
+    a = np.array([int(rng.integers(0, qi + 1)) for qi in q])
+    alpha = a / q + rng.uniform(-1e-3, 1e-3, 50)
+    got = peak_majorant(alpha, q, a, 100)
+    assert got.shape == (50,)
+    for i in range(50):
+        assert got[i] == peak_majorant(float(alpha[i]), int(q[i]), int(a[i]), 100)
+    with pytest.raises(PreconditionError):
+        peak_majorant(alpha[:3], np.array([2, 0, 3]), a[:3], 100)
+
+
 def test_peak_majorant_survey():
     # sup |f2| / majorant over annulus grids; frozen guard 6, observed <= 2.4
     for Q in (10, 100):
         s = peak_majorant_survey(10**4, Q)
         assert s.sup_ratio <= 6.0
+    # inside the Q <= 2 sqrt(X) precondition, but a 4.6e10-cell dissection
+    with pytest.raises(BudgetError):
+        peak_majorant_survey(10**5, 632)
 
 
 def test_exceptional_sum():
@@ -373,17 +389,10 @@ def test_pruned_singleton_equals_unweighted_integral():
     single = ExceptionalSample(members=(987,))
     d = pruned_integral_diagnostic(X, Q, single, grid=12)
 
-    from circleforge.arcints import _dissect, _farey_pairs, _quad_nodes
+    from circleforge.arcints import _annulus, _quad_nodes
     from circleforge.intmath import iroot
 
-    pairs = _farey_pairs(Q)
-    half = _farey_pairs(Q // 2)
-    segments = _dissect(
-        pairs,
-        lambda q: Q / (q * X),
-        exclude_pairs=half,
-        exclude_halfwidth=lambda q: Q / (2 * q * X),
-    )
+    _, segments = _annulus(Q, X)
     alphas, weights, _ = _quad_nodes(segments, 1.0 / (24 * X))
     prod = (
         np.abs(weyl_sum_grid(2, iroot(X, 2), alphas)) ** 2
@@ -391,3 +400,17 @@ def test_pruned_singleton_equals_unweighted_integral():
         * np.abs(weyl_sum_grid(6, iroot(X, 6), alphas)) ** 2
     )
     assert d.raw == pytest.approx(float(np.dot(weights, prod)), rel=1e-6)
+
+
+def test_arc_rows_partition_the_fine_grid():
+    # the per-arc rows are built on the reported (fine) grid: their node
+    # counts add up to grid_points and their integrals to the total
+    r = major_arc_integral(3000, 5000, 4, grid=10)
+    assert sum(row.grid_points for row in r.arc_rows) == r.grid_points
+    total = sum(complex(row.integral_re, row.integral_im) for row in r.arc_rows)
+    assert abs(total - r.value) <= 1e-12 * abs(r.value)
+
+    d = pruned_integral_diagnostic(1000, 8, ExceptionalSample(members=(700, 951)))
+    assert sum(row.grid_points for row in d.arc_rows) == d.grid_points
+    assert sum(row.integral_re for row in d.arc_rows) == pytest.approx(d.raw, rel=1e-12)
+    assert all(row.integral_im == 0.0 for row in d.arc_rows)

@@ -237,6 +237,21 @@ def test_singular_integral_budget_on_trunc(capsys):
     assert json.loads(err)["error"] == "budget"
 
 
+@pytest.mark.parametrize("argv", [
+    # 3.2e8 quadrature nodes at the coarse density
+    ("--n", "5", "--limit", "1000", "--trunc", "2", "--grid", "10000000"),
+    # 12,233 arcs: a 3e8-cell dissection, then 8e6 fine nodes
+    ("--n", "1", "--limit", "100000", "--trunc", "200"),
+])
+def test_major_integral_quadrature_budget(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "arcs", "--op", "major-integral", *argv)
+    assert time.perf_counter() - start < 5
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "budget"
+
+
 _INT_FLAGS = ("--limit", "--n", "--k", "--q", "--a", "--P", "--Q", "--sample", "--seed", "--grid")
 _VALUES = st.one_of(st.integers(-3, 60).map(str), st.sampled_from(["x", "1.5", "", "nan"]))
 
