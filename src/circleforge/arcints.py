@@ -137,8 +137,13 @@ def _annulus(Q: int, X: int):
     return pairs, _dissect(pairs, lambda q: Q / (q * X), _farey_pairs(Q // 2))
 
 
-def _quad_nodes(segments, spacing: float):
-    """Composite 4-point Gauss nodes with panel width <= spacing."""
+def _quad_nodes(segments, density: float):
+    """Composite 4-point Gauss nodes with panel width <= 1 / density."""
+    # the longest segment alone needs density x its length panels; an int compares
+    # exactly with a float, so a density too large for a float never reaches 1 / density
+    if density > QUAD_NODE_BUDGET / (4 * max(hi - lo for lo, hi, _ in segments)):
+        raise BudgetError(f"quadrature budget is {QUAD_NODE_BUDGET} nodes, one segment exceeds it")
+    spacing = 1.0 / density
     panels = [max(1, int(math.ceil((hi - lo) / spacing))) for lo, hi, _ in segments]
     if 4 * sum(panels) > QUAD_NODE_BUDGET:
         raise BudgetError(f"quadrature budget is {QUAD_NODE_BUDGET} nodes, here {4 * sum(panels)}")
@@ -242,7 +247,7 @@ def major_arc_integral(n: int, X: int, W: int, grid: int = 10) -> MajorArcIntegr
         return direct, models[2] ** 2 * models[3] ** 2 * models[6] ** 2 * phase
 
     (value, approx), changes, (alphas, weights, arc_idx), (direct, _) = _two_density(
-        lambda factor: _quad_nodes(segments, 1.0 / (factor * X)), integrands, grid
+        lambda factor: _quad_nodes(segments, factor * X), integrands, grid
     )
     return MajorArcIntegral(
         n=n,
@@ -325,7 +330,7 @@ def peak_majorant_survey(X: int, Q: int) -> MajorantSurvey:
     pairs, segments = _annulus(Q, X)
     if not segments:
         raise PreconditionError(f"annulus at level Q={Q} is empty at X={X}")
-    alphas, _, arc_idx = _quad_nodes(segments, 1.0 / (SURVEY_DENSITY * math.sqrt(X)))
+    alphas, _, arc_idx = _quad_nodes(segments, SURVEY_DENSITY * math.sqrt(X))
     q_at, a_at = np.array(pairs, dtype=np.float64)[arc_idx].T
     ratios = np.abs(weyl_sum_grid(2, P2, alphas)) / peak_majorant(alphas, q_at, a_at, P2)
     best = int(np.argmax(ratios))
@@ -410,7 +415,7 @@ def pruned_integral_diagnostic(
         return raw, square, majorant2**2 * f3_model**2 * f6**2 * absk
 
     values, changes, (alphas, weights, arc_idx), (raw, _, _) = _two_density(
-        lambda factor: _quad_nodes(segments, 1.0 / (factor * X)), integrands, grid
+        lambda factor: _quad_nodes(segments, factor * X), integrands, grid
     )
     Z = sample.size
     # delta in the second bound shape is reported at 0.1; the analysis only

@@ -393,7 +393,7 @@ def test_pruned_singleton_equals_unweighted_integral():
     from circleforge.intmath import iroot
 
     _, segments = _annulus(Q, X)
-    alphas, weights, _ = _quad_nodes(segments, 1.0 / (24 * X))
+    alphas, weights, _ = _quad_nodes(segments, 24 * X)
     prod = (
         np.abs(weyl_sum_grid(2, iroot(X, 2), alphas)) ** 2
         * np.abs(weyl_sum_grid(3, iroot(X, 3), alphas)) ** 2

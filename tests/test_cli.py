@@ -237,15 +237,23 @@ def test_singular_integral_budget_on_trunc(capsys):
     assert json.loads(err)["error"] == "budget"
 
 
+# 10^400 overflows a float; the density is refused before any float division
+_HUGE_GRID = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("argv", [
     # 3.2e8 quadrature nodes at the coarse density
-    ("--n", "5", "--limit", "1000", "--trunc", "2", "--grid", "10000000"),
+    ("--op", "major-integral", "--n", "5", "--limit", "1000", "--trunc", "2",
+     "--grid", "10000000"),
     # 12,233 arcs: a 3e8-cell dissection, then 8e6 fine nodes
-    ("--n", "1", "--limit", "100000", "--trunc", "200"),
+    ("--op", "major-integral", "--n", "1", "--limit", "100000", "--trunc", "200"),
+    ("--op", "major-integral", "--n", "5", "--limit", "1000", "--trunc", "2",
+     "--grid", _HUGE_GRID),
+    ("--op", "pruned", "--limit", "400", "--Q", "5", "--grid", _HUGE_GRID),
 ])
 def test_major_integral_quadrature_budget(capsys, argv):
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "arcs", "--op", "major-integral", *argv)
+    code, out, err = run_cli(capsys, "arcs", *argv)
     assert time.perf_counter() - start < 5
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1

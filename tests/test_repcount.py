@@ -9,7 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from circleforge import exactconv
 from circleforge.errors import BudgetError, PreconditionError
 from circleforge.exactconv import FLOAT_EXACT_LIMIT, convolution_value_bound, exact_convolve
+from circleforge.intmath import iroot, pair_values, powers
 from circleforge.repcount import (
+    SINGLE_TARGET_BUDGET,
+    _count_dtype,
     _cube_sixth_spectrum,
     pair_spectrum,
     read_spectrum,
@@ -203,16 +206,49 @@ def _cube_sixth_brute(P3, P6, limit):
     return [tally[m] for m in range(limit + 1)]
 
 
+def _spectrum_bound(P3, P6, limit):
+    """sum(c6) * max(c3), the a-priori bound on every cube/sixth count <= limit."""
+    _, c3 = pair_values(powers(3, P3), limit=limit)
+    _, c6 = pair_values(powers(6, P6), limit=limit)
+    return int(c6.sum()) * int(c3.max(initial=0))
+
+
+def _holds(dtype, bound):
+    return np.issubdtype(dtype, np.signedinteger) and np.iinfo(dtype).max >= bound
+
+
 def test_cube_sixth_spectrum_matches_brute():
     for P3, P6 in ((1, 1), (5, 2), (9, 3)):
         top = 2 * P3**3 + 2 * P6**6
         for limit in (top // 3, top - 1, top, top + 7):
             g = _cube_sixth_spectrum(P3, P6, limit)
-            assert g.dtype == np.int64 and len(g) == limit + 1
+            assert _holds(g.dtype, _spectrum_bound(P3, P6, limit)) and len(g) == limit + 1
             assert g.tolist() == _cube_sixth_brute(P3, P6, limit)
         full = _cube_sixth_spectrum(P3, P6)
-        assert full.dtype == np.int64
+        assert _holds(full.dtype, _spectrum_bound(P3, P6, top))
         assert full.tolist() == _cube_sixth_brute(P3, P6, top)
+
+
+@pytest.mark.parametrize("bound, dtype", [
+    (0, np.int16), (2**15 - 1, np.int16), (2**15, np.int32),
+    (2**31 - 1, np.int32), (2**31, np.int64), (2**63 - 1, np.int64),
+])
+def test_count_dtype_is_the_narrowest_that_holds_the_bound(bound, dtype):
+    assert _count_dtype(bound) is dtype
+
+
+def test_single_target_budget_spectrum_is_int16():
+    # the largest single target: P3 = 584, P6 = 24, every count at most 3,294
+    n = SINGLE_TARGET_BUDGET
+    P3, P6 = iroot(n - 4, 3), iroot(n - 4, 6)
+    bound = _spectrum_bound(P3, P6, n - 2)
+    assert (P3, P6, bound) == (584, 24, 3294)
+    assert _count_dtype(bound) is np.int16
+
+
+def test_single_target_refusal_states_the_spectrum_size():
+    with pytest.raises(BudgetError, match=f"spectrum of {SINGLE_TARGET_BUDGET} entries"):
+        rep_count_single(SINGLE_TARGET_BUDGET + 1)
 
 
 def test_cube_sixth_spectrum_conservation():
@@ -222,8 +258,9 @@ def test_cube_sixth_spectrum_conservation():
 
 
 def test_single_target_memory_is_one_spectrum():
-    # one int64 cube/sixth spectrum of about n entries; a second dense
-    # histogram of that length would push the peak past 2 x 8n bytes
+    # one int16 cube/sixth spectrum of about n entries (its counts stay below
+    # 2^15 here); an int64 spectrum, or a second dense histogram of that
+    # length, would push the peak past 1.5 x 2n bytes
     n = 10**6
     rep_count_single(n)  # warm-up, so lazy imports do not count
     tracemalloc.start()
@@ -232,7 +269,7 @@ def test_single_target_memory_is_one_spectrum():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 8 * n
+    assert peak <= 1.5 * 2 * n
 
 
 def test_cube_sixth_spectrum_refuses_inexact_float_sums():
