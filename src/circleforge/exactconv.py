@@ -2,14 +2,15 @@
 
 Two tools live here:
 
-* ``exact_convolve`` — linear convolution of nonnegative int64 arrays: small
-  problems go through direct ``np.convolve``; large ones through a float64 FFT
-  rounded to integers, run only when a-priori bounds keep every value below 2^53
-  and the rounding error below 1/2, and returned only when a random-point
-  certificate modulo a prime holds.  Otherwise the call is refused.
+* ``exact_convolve`` — linear convolution of each nonnegative int64 row of `a`
+  with one row `b`: small problems go through direct ``np.convolve``; large
+  ones through one float64 FFT rounded to integers, run only when per-row
+  a-priori bounds keep every value below 2^53 and the rounding error below
+  1/2, and returned only when a random-point certificate modulo a prime holds
+  for every row.  Otherwise the call is refused.
 * ``cyclic_histogram_convolution`` — cyclic convolution of several residue
   histograms mod q, exact or refused: the running product is split into
-  20-bit int64 limbs, each convolved by ``exact_convolve`` and folded mod q.
+  20-bit int64 limbs, convolved as one stack by ``exact_convolve``, folded mod q.
 """
 
 import math
@@ -44,95 +45,125 @@ _CERT_POINTS = 2
 _LIMB_BITS = 20
 
 
-def _power_table(w: int, count: int, p: int) -> np.ndarray:
-    """[w**0, w**1, ..., w**(count-1)] mod p, built by doubling."""
-    table = np.ones(1, dtype=np.int64)
+def _block_size(n: int) -> int:
+    """ceil(sqrt(n)): 2^13 at n = MAX_TRANSFORM_LENGTH, below _eval_mod's 2^16."""
+    return math.isqrt(max(n, 1) - 1) + 1
+
+
+def _power_table(r: np.ndarray, count: int, p: int) -> np.ndarray:
+    """(count, len(r)) table of r**i mod p for i < count, built by doubling."""
+    table = np.ones((1, len(r)), dtype=np.int64)
     while len(table) < count:
-        step = pow(int(w), len(table), p)
-        table = np.concatenate([table, (table * step) % p])
+        table = np.concatenate([table, table * (table[-1] * r % p) % p])
     return table[:count]
 
 
-def _eval_mod(coeffs: np.ndarray, powers: np.ndarray, p: int) -> int:
-    """sum_i coeffs[i] * r**i mod p, given powers[i] = r**i mod p (p < 2^31)."""
-    terms = (coeffs % p) * powers[: len(coeffs)] % p
-    return int(terms.sum()) % p  # at most 2^26 terms below 2^31: no overflow
+def _eval_mod(arrays, r: np.ndarray, p: int, block: int):
+    """Yield sum_i x[j, i] r[k]**i mod p for every row j and point k, for each
+    2-D int64 x in arrays of at most block**2 columns (p < 2^31, block <= 2^16).
+
+    Each x, reduced mod p once, is cut into blocks; one int64 matmul against
+    r**0..r**(block-1), split into 16-bit halves, sums every block: products
+    are below 2^31 * 2^16 = 2^47, so sums of at most 2^16 stay below 2^63.  The
+    block sums are combined with the powers of r**block, products below 2^62.
+    """
+    k, inner = len(r), _power_table(r, block, p)
+    halves = np.concatenate([inner & 0xFFFF, inner >> 16], axis=1)
+    outer = _power_table(inner[-1] * r % p, block, p)
+    for x in arrays:
+        blocks = -(-x.shape[1] // block)
+        padded = np.zeros((len(x), blocks * block), dtype=np.int64)
+        np.remainder(x, p, out=padded[:, : x.shape[1]])
+        split = padded.reshape(-1, block) @ halves
+        sums = (split[:, :k] % p + (split[:, k:] % p << 16)) % p
+        yield (sums.reshape(len(x), blocks, k) * outer[:blocks] % p).sum(axis=1) % p
+
+
+def _row_sums(x: np.ndarray) -> list[int]:
+    """Exact row sums of a nonnegative int64 array, in 32-bit halves that never wrap."""
+    hi, lo = (x >> 32).sum(axis=-1).flat, (x & 0xFFFFFFFF).sum(axis=-1).flat
+    return [(int(h) << 32) + int(l) for h, l in zip(hi, lo)]
 
 
 def convolution_value_bound(a: np.ndarray, b: np.ndarray) -> int:
-    """Cheap upper bound for max entry of the linear convolution a * b."""
-    if len(a) == 0 or len(b) == 0:
+    """Upper bound, exact for any nonnegative int64 input, for the max entry of
+    the linear convolution with b of a, or of every row of a 2-D a."""
+    rows = np.atleast_2d(a)
+    if rows.size == 0 or len(b) == 0:
         return 0
-    sa, sb = int(a.sum()), int(b.sum())
-    ma, mb = int(a.max()), int(b.max())
-    return min(sa * mb, sb * ma)
+    (sb,), mb = _row_sums(b), int(b.max())
+    return max(min(sa * mb, sb * int(ma)) for sa, ma in zip(_row_sums(rows), rows.max(axis=1)))
 
 
 def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact linear convolution of nonnegative integer arrays, int64 output.
 
-    Raises BudgetError, rather than return a possibly wrong result, when the
-    value bound reaches 2^53, when the transform length exceeds
-    MAX_TRANSFORM_LENGTH, when the a-priori rounding bound of the float FFT
-    reaches 1/2, or when the rounded result fails its certificate.
+    `a` is one row or a 2-D stack of rows, each convolved with the row `b`
+    (transformed once).  Raises BudgetError, rather than return a possibly
+    wrong result, when the value bound of any row reaches 2^53, when the
+    transform length exceeds MAX_TRANSFORM_LENGTH, when the a-priori rounding
+    bound of the float FFT, taken with the largest row norm, reaches 1/2 (all
+    before any transform), or when any rounded row fails its certificate.
 
-    The certificate evaluates a, b and the result c at _CERT_POINTS points r
-    drawn uniformly from [1, p) with p = 2^31 - 1 and fresh entropy, and checks
-    a(r) b(r) = c(r) mod p.  If c differs from a * b by an error whose reduction
-    mod p is nonzero (every error smaller than p in size is), the difference is
-    a nonzero polynomial of degree below N = len(c), with fewer than N roots
-    mod p, so a wrong c passes with probability at most (N/p)^_CERT_POINTS.
+    The certificate evaluates b and every row a_j and c_j at _CERT_POINTS
+    points r drawn uniformly from [1, p) with p = 2^31 - 1 and fresh entropy,
+    and checks a_j(r) b(r) = c_j(r) mod p for every row at every point.  If c_j
+    differs from a_j * b by an error whose reduction mod p is nonzero (every
+    error smaller than p in size is), the difference is a nonzero polynomial of
+    degree below N = len(c_j), with fewer than N roots mod p, so a wrong row
+    passes with probability at most (N/p)^_CERT_POINTS.  The evaluation is
+    O(N) per row, with power tables of about 2 sqrt(N) entries (_eval_mod).
     """
     a = np.ascontiguousarray(a, dtype=np.int64)
     b = np.ascontiguousarray(b, dtype=np.int64)
-    if a.min(initial=0) < 0 or b.min(initial=0) < 0:
-        raise ValueError("exact_convolve expects nonnegative inputs")
-    n_out = len(a) + len(b) - 1
-    if len(a) == 0 or len(b) == 0:
-        return np.zeros(0, dtype=np.int64)
+    if a.ndim not in (1, 2) or b.ndim != 1 or a.min(initial=0) < 0 or b.min(initial=0) < 0:
+        raise ValueError("exact_convolve expects nonnegative inputs, a 1-D or 2-D and b 1-D")
+    rows, shape = a.reshape(-1, a.shape[-1]), a.shape[:-1] + (-1,)
+    if rows.size == 0 or len(b) == 0:
+        return np.zeros(a.shape[:-1] + (0,), dtype=np.int64)
+    n_out = rows.shape[1] + len(b) - 1
 
-    bound = convolution_value_bound(a, b)
+    bound = convolution_value_bound(rows, b)
     if bound >= FLOAT_EXACT_LIMIT:
         raise BudgetError(f"convolution values may reach {bound}, not below 2^53")
 
-    if len(a) * len(b) <= _DIRECT_OPS_LIMIT:
+    if rows.shape[1] * len(b) <= _DIRECT_OPS_LIMIT:
         # direct path is exact in int64 whenever the certified bound is
-        return np.convolve(a, b)
+        return np.stack([np.convolve(row, b) for row in rows]).reshape(shape)
 
     n = 1 << (n_out - 1).bit_length()
     if n > MAX_TRANSFORM_LENGTH:
         raise BudgetError(
             f"transform length {n} exceeds supported maximum {MAX_TRANSFORM_LENGTH}"
         )
-    fa, fb = a.astype(np.float64), b.astype(np.float64)
-    norms = float(np.linalg.norm(fa)) * float(np.linalg.norm(fb))
+    norms = float(np.linalg.norm(rows, axis=1).max()) * float(np.linalg.norm(b))
     rounding = norms * 2.0**-53 * _ROUNDING_CONSTANT * math.log2(n)
     if rounding >= 0.5:
         raise BudgetError(f"FFT rounding error may reach {rounding:.3g}, not below 1/2")
-    spectrum = np.fft.rfft(fa, n)
-    spectrum *= np.fft.rfft(fb, n)
-    c = np.rint(np.fft.irfft(spectrum, n)[:n_out]).astype(np.int64)
+    spectrum = np.fft.rfft(rows, n, axis=1)
+    spectrum *= np.fft.rfft(b, n)
+    c = np.fft.irfft(spectrum, n, axis=1)[:, :n_out]
+    del spectrum
+    c = np.rint(c, out=c).astype(np.int64)
 
-    p = _CERT_PRIME
-    for r in np.random.default_rng().integers(1, p, _CERT_POINTS):
-        powers = _power_table(int(r), n_out, p)
-        lhs = _eval_mod(a, powers, p) * _eval_mod(b, powers, p) % p
-        if lhs != _eval_mod(c, powers, p):
-            raise BudgetError(
-                f"float transform result failed its certificate mod {p} at r={r}"
-            )
-    return c
+    p, block = _CERT_PRIME, _block_size(n_out)
+    r = np.random.default_rng().integers(1, p, _CERT_POINTS)
+    va, vb, vc = _eval_mod((rows, b[None, :], c), r, p, block)
+    for j, k in np.argwhere(va * vb % p != vc)[:1]:
+        raise BudgetError(f"float transform result failed its certificate mod {p} "
+                          f"in row {j} at r={r[k]}")
+    return c.reshape(shape)
 
 
 def cyclic_histogram_convolution(histograms, q: int) -> list[int]:
     """Cyclic convolution mod q of nonnegative integer histograms, exact.
 
-    The running product is held as int64 limbs of _LIMB_BITS bits.  Each limb
-    is convolved with the next histogram by ``exact_convolve``, folded mod q
-    and carry-normalised, so every product passes that engine's bounds and
-    certificate; a product it cannot certify raises BudgetError.  Every entry
-    is at most the product of the histogram masses, which fixes the number of
-    limbs.
+    The running product is held as int64 limbs of _LIMB_BITS bits, the rows of
+    one stack, convolved with the next histogram in one ``exact_convolve`` call,
+    folded mod q and carry-normalised, so every product passes that engine's
+    bounds and certificate; a product it cannot certify raises BudgetError.
+    Every entry is at most the product of the histogram masses, which fixes
+    the number of limbs.
     """
     if q < 1:
         raise ValueError("modulus must be positive")
@@ -146,10 +177,9 @@ def cyclic_histogram_convolution(histograms, q: int) -> list[int]:
     for h in hists[1:]:
         mass *= max(1, int(h.sum()))
         folded = np.zeros((mass.bit_length() // _LIMB_BITS + 1, q), dtype=np.int64)
-        for j, limb in enumerate(limbs):
-            c = exact_convolve(limb, h)
-            folded[j] += c[:q]
-            folded[j, : len(c) - q] += c[q:]
+        c = exact_convolve(limbs, h)
+        folded[: len(c)] += c[:, :q]
+        folded[: len(c), : c.shape[1] - q] += c[:, q:]
         for j in range(len(folded) - 1):
             folded[j + 1] += folded[j] >> _LIMB_BITS
             folded[j] &= (1 << _LIMB_BITS) - 1

@@ -105,6 +105,14 @@ def cyclic_convolution_kronecker(histograms, q):
     ]
 
 
+def poly_mod_horner(coeffs, r, p):
+    """sum_i coeffs[i] * r**i mod p by Horner's rule on Python integers."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * r + int(c)) % p
+    return acc
+
+
 def rep_single_brute(n):
     """R(n) by full enumeration; fine up to n of a few hundred."""
     count = 0

@@ -21,7 +21,7 @@ from circleforge.repcount import (
     write_spectrum,
 )
 
-from oracles import rep_range_enumeration, rep_single_brute
+from oracles import poly_mod_horner, rep_range_enumeration, rep_single_brute
 
 # R(1..20), frozen from full brute-force enumeration
 R_SMALL = [0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 1, 2, 2, 0, 4, 2, 0, 2, 1]
@@ -82,43 +82,103 @@ _LAST_DIRECT_LEN_A = exactconv._DIRECT_OPS_LIMIT // 2000
 
 
 @settings(max_examples=40, deadline=None)
-@example(len_a=_LAST_DIRECT_LEN_A, len_b=2000, bits=12, density=1.0, seed=0)
-@example(len_a=_LAST_DIRECT_LEN_A + 1, len_b=2000, bits=12, density=1.0, seed=0)
+@example(len_a=_LAST_DIRECT_LEN_A, len_b=2000, rows=3, bits=12, density=1.0, seed=0)
+@example(len_a=_LAST_DIRECT_LEN_A + 1, len_b=2000, rows=3, bits=12, density=1.0, seed=0)
 @given(
     len_a=st.integers(1, 6000),
     len_b=st.integers(1500, 6000),
+    rows=st.integers(1, 4),
     bits=st.integers(0, 12),
     density=st.sampled_from([1.0, 0.1, 0.001]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_exact_convolve_property(len_a, len_b, bits, density, seed):
+def test_exact_convolve_property(len_a, len_b, rows, bits, density, seed):
     # lengths straddle the direct/transform threshold len_a * len_b =
     # _DIRECT_OPS_LIMIT; the two examples are its last direct and first
-    # transform sizes
+    # transform sizes.  Every row of a stack is convolved with the one b.
     rng = np.random.default_rng(seed)
     a, b = (
-        rng.integers(0, 2**bits + 1, n) * (rng.random(n) < density)
-        for n in (len_a, len_b)
+        rng.integers(0, 2**bits + 1, shape) * (rng.random(shape) < density)
+        for shape in ((rows, len_a), len_b)
     )
     out = exact_convolve(a, b)
-    assert out.dtype == np.int64
-    assert np.array_equal(out, np.convolve(a, b))
+    assert out.dtype == np.int64 and out.shape == (rows, len_a + len_b - 1)
+    for row, got in zip(a, out):
+        assert np.array_equal(got, np.convolve(row, b))
+    if rows == 1:
+        assert np.array_equal(exact_convolve(a[0], b), out[0])
 
 
-def test_exact_convolve_certificate_rejects_corruption(monkeypatch):
+def _corrupting_irfft(monkeypatch, index):
     irfft = np.fft.irfft
 
     def corrupt_irfft(*args, **kwargs):
         out = irfft(*args, **kwargs)
-        out[12345] += 1.0
+        out[index] += 1.0
         return out
 
     monkeypatch.setattr(exactconv.np.fft, "irfft", corrupt_irfft)
+
+
+def test_exact_convolve_certificate_rejects_corruption(monkeypatch):
+    _corrupting_irfft(monkeypatch, (..., 12345))
     rng = np.random.default_rng(79)
     a = rng.integers(0, 100, 20000)
     b = rng.integers(0, 100, 20000)
     with pytest.raises(BudgetError, match="certificate"):
         exact_convolve(a, b)
+
+
+def test_exact_convolve_certificate_rejects_one_corrupt_row(monkeypatch):
+    _corrupting_irfft(monkeypatch, (1, 4321))
+    rng = np.random.default_rng(81)
+    a = rng.integers(0, 100, (3, 20000))
+    b = rng.integers(0, 100, 20000)
+    with pytest.raises(BudgetError, match="certificate mod 2147483647 in row 1"):
+        exact_convolve(a, b)
+
+
+@pytest.mark.parametrize("pad", [0, 1000])  # direct path, transform path
+@pytest.mark.parametrize(
+    "a, b", [([2**62, 2**62], [1, 1]), ([2**61] * 4, [2**61] * 4)]
+)
+def test_exact_convolve_refuses_sums_beyond_int64(a, b, pad):
+    # int64 sums of these inputs wrap, to -2^63 and to 0: an int64 value
+    # bound let the first through as [2^62, -2^63, 2^62] and the second as zeros
+    a, b = (np.pad(np.array(v, dtype=np.int64), (0, pad)) for v in (a, b))
+    assert convolution_value_bound(a, b) >= 2**63
+    for rows in (a, np.stack([np.ones_like(a), a, np.ones_like(a)])):
+        with pytest.raises(BudgetError, match="2\\^53"):
+            exact_convolve(rows, b)
+
+
+def test_block_evaluator_matches_horner():
+    p = exactconv._CERT_PRIME
+    B = exactconv._block_size(2**21)
+    rng = np.random.default_rng(80)
+    points = np.array([1, 2, p - 1, rng.integers(3, p - 1)])
+    extremes = np.array([0, p - 1, p, 2**53 - 1])
+    for length in (1, B - 1, B, B + 1, 3 * B + 7, 2**21 - 3):
+        rows = np.stack([
+            extremes[rng.integers(0, 4, length)],
+            rng.integers(0, 2**53, length),
+        ])
+        if length > 3 * B + 7:
+            rows = rows[:1]  # the Horner reference is slow at this length
+        (values,) = exactconv._eval_mod([rows], points, p, B)
+        expected = [[poly_mod_horner(row, int(r), p) for r in points] for row in rows.tolist()]
+        assert values.tolist() == expected
+
+
+def test_block_size_rule_within_matmul_headroom():
+    # block sums stay below 2^63 only for blocks of at most 2^16 coefficients,
+    # and a row of n coefficients must fit in block**2 of them
+    sizes = sorted({(1 << e) + d for e in range(27) for d in (-1, 0, 1)} - {0})
+    sizes = [n for n in sizes if n <= exactconv.MAX_TRANSFORM_LENGTH]
+    blocks = [exactconv._block_size(n) for n in sizes]
+    assert blocks == sorted(blocks) and max(blocks) <= 2**16
+    for n, block in zip(sizes, blocks):
+        assert block**2 >= n > (block - 1) ** 2
 
 
 def test_exact_convolve_refuses_by_rounding_bound():

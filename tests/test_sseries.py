@@ -5,6 +5,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from circleforge import exactconv, sseries
 from circleforge.errors import BudgetError, PreconditionError
 from circleforge.exactconv import cyclic_histogram_convolution
 from circleforge.intmath import prime_powers_up_to
@@ -110,6 +111,22 @@ def test_congruence_spectrum_matches_kronecker_oracle():
         hists = [residue_histogram(k, q).tolist() for k in (2, 2, 3, 3, 6, 6)]
         expected = cyclic_convolution_kronecker(hists, q)
         assert [congruence_count(q, n).count for n in range(q)] == expected
+
+
+@pytest.mark.parametrize("q, transform", [(125, False), (1009, True)])
+def test_congruence_spectrum_one_engine_call_per_product(monkeypatch, q, transform):
+    # six histograms, five products: every limb of a product goes through one
+    # exact_convolve call as one row of a stack
+    engine, products = exactconv.exact_convolve, []
+
+    def counting(a, b):
+        products.append(np.shape(a)[-1] * len(b) > exactconv._DIRECT_OPS_LIMIT)
+        return engine(a, b)
+
+    monkeypatch.setattr(exactconv, "exact_convolve", counting)
+    spectrum = sseries._congruence_spectrum.__wrapped__(q)
+    assert products == [transform] * 5
+    assert sum(spectrum) == q**6
 
 
 @settings(max_examples=30, deadline=None)
