@@ -15,11 +15,12 @@ from functools import lru_cache
 import numpy as np
 
 from .arcs import (
+    PHASE_BLOCK,
+    PHASE_INTEGER_LIMIT,
     ExceptionalSample,
     _GL4,
     _chebyshev_degree,
     _gauss_panels,
-    _phase_kernel,
     exceptional_sum_grid,
     peak_majorant,
     weyl_integral_batch,
@@ -29,7 +30,8 @@ from .intmath import iroot
 from .powersums import gauss_sum, leading_constant
 
 # panels x Chebyshev degree of one singular integral; its cost grows with both
-# (about 4 s at 1.1e6 on one core of a 2-core Xeon VM)
+# (singular_integral(10**4, 10**4, 200), at 1.1e6, takes 2.7 s and 94 MiB on
+# one core of a 2-core Xeon VM)
 SINGULAR_WORK_BUDGET = 2 * 10**6
 # elementary segments x arcs of one dissection, the cells of its coverage
 # matrices; the largest admitted case, the annulus of peak_majorant_survey at
@@ -37,9 +39,9 @@ SINGULAR_WORK_BUDGET = 2 * 10**6
 # 0.7 s and 520 MiB
 DISSECT_CELL_BUDGET = 4 * 10**7
 # quadrature nodes at one grid density; the largest admitted case has 29,064
-# (that annulus); 4.95e5 fine nodes take 6.8 s and 310 MiB in
-# major_arc_integral(5000, 10**4, 6), 10 s and 300 MiB in the pruned integral
-# at X = 10**4, Q = 16
+# (that annulus); 4.9e5 fine nodes take 1.7 s and 240 MiB in
+# major_arc_integral(5000, 10**4, 6, grid=428), 5.0 s and 190 MiB in the pruned
+# integral at X = 10**4, Q = 16, 100 members (grid=263)
 QUAD_NODE_BUDGET = 5 * 10**5
 # survey panels per 1/sqrt(X)
 SURVEY_DENSITY = 40
@@ -161,28 +163,52 @@ def _rel_change(coarse, fine) -> float:
 
 def _two_density(nodes, integrands, grid: int):
     """Integrate at densities grid and 2 * grid.  nodes(factor) gives
-    (points, weights, *rest) and integrands(points, *rest) a tuple of arrays
-    over those points; returns the fine integrals, their relative changes
-    against the coarse ones, the fine nodes and the fine integrand arrays."""
-
-    def integrate(factor):
-        points, weights, *rest = nodes(factor)
-        values = integrands(points, *rest)
-        return [complex(np.dot(weights, v)) for v in values], (points, weights, *rest), values
-
-    coarse = integrate(grid)[0]
-    fine, fine_nodes, values = integrate(2 * grid)
-    return fine, [_rel_change(c, f) for c, f in zip(coarse, fine)], fine_nodes, values
+    (points, weights, *rest) and integrands(points, *rest) a tuple of pointwise
+    arrays over those points, called once over both node sets; returns the fine
+    integrals, their relative changes against the coarse ones, the fine nodes
+    and the fine integrand arrays."""
+    coarse, fine = nodes(grid), nodes(2 * grid)
+    split = len(coarse[0])
+    points, _, *rest = (np.concatenate(pair) for pair in zip(coarse, fine))
+    values = integrands(points, *rest)
+    low = [complex(np.dot(coarse[1], v[:split])) for v in values]
+    high = [complex(np.dot(fine[1], v[split:])) for v in values]
+    return high, [_rel_change(c, f) for c, f in zip(low, high)], fine, [v[split:] for v in values]
 
 
 def weyl_sum_grid(k: int, P: int, alphas: np.ndarray) -> np.ndarray:
-    """f_k over a float grid.  Each phase alpha x^k is rounded by at most
-    P^k 2^-53 cycles, so f_k is within pi P^k 2^-52 * P; refused with
-    BudgetError unless P^k 2^-52 <= 2^-26 (P^k <= 2^26), a relative error
-    below 5e-8."""
-    if float(P) ** k * 2.0**-52 > 2.0**-26:
+    """f_k over a float grid of alpha in [0, 1], by the forward-difference
+    recurrence on e(alpha x^k): each point takes the k + 1 exponentials
+    D_j = e(alpha d_j), d_j = Delta^j x^k at x = 1, and P - 1 steps
+    D_j *= D_{j+1} (j < k, ascending), after which D_0 = e(alpha x^k).
+
+    D_0 at x is the product of the D_j taken C(x - 1, j) times; these weights
+    sum to at most x^k and weight the d_j to exactly x^k.  The starting phases
+    are rounded as in a direct sum, by at most alpha d_j 2^-53 cycles, and each
+    exponential and complex product adds a relative error of at most 3 * 2^-53,
+    so to first order the term for x errs by (2 pi + 6) x^k 2^-53.  Summed by
+    convexity, sum x^k <= P (P^k + 1) / 2, f_k is within
+    (pi + 3) (P^k + 1) 2^-53 * P; refused with BudgetError unless P^k <= 2^26,
+    a relative error below 5e-8."""
+    if float(P) ** k > PHASE_INTEGER_LIMIT:
         raise BudgetError(f"P^k = {float(P) ** k:.3g} exceeds 2^26 for a float Weyl-sum grid")
-    return _phase_kernel(alphas, np.arange(1, P + 1, dtype=np.float64) ** k)
+    alphas = np.asarray(alphas, dtype=np.float64)
+    out = np.zeros(len(alphas), dtype=complex)
+    if P < 1:
+        return out
+    # d_j from the values 1^k .. (k + 1)^k, exact in int64
+    powers = np.arange(1, k + 2, dtype=np.int64) ** k
+    diffs = np.array([np.diff(powers, j)[0] for j in range(k + 1)], dtype=np.float64)
+    step = max(1, PHASE_BLOCK // (k + 1))
+    for lo in range(0, len(alphas), step):
+        D = np.exp(2j * np.pi * np.outer(diffs, alphas[lo : lo + step]))
+        total = D[0].copy()
+        for _ in range(P - 1):
+            for j in range(k):
+                D[j] *= D[j + 1]
+            total += D[0]
+        out[lo : lo + step] = total
+    return out
 
 
 @lru_cache(maxsize=4096)

@@ -24,6 +24,12 @@ KIND_MINOR = "minor"
 
 WEYL_POINT_BUDGET = 10**7
 OSCILLATION_BUDGET = 10**6
+# complex entries of one block of exponentials or interpolation weights (16 MB):
+# the pruned integral's 28k quadrature nodes x 100 members take three blocks
+PHASE_BLOCK = 10**6
+# largest |x| of a float phase grid e(alpha x), alpha in [0, 1]: each phase is
+# then rounded by at most 2^26 * 2^-53 = 2^-27 cycles
+PHASE_INTEGER_LIMIT = 2**26
 _GL8 = np.polynomial.legendre.leggauss(8)
 _GL4 = np.polynomial.legendre.leggauss(4)
 
@@ -156,14 +162,12 @@ def _phase_panel_bounds(k: int, P: float, panels: int) -> np.ndarray:
     return np.unique(np.concatenate([phase_grid, uniform]))
 
 
-def _phase_kernel(x: np.ndarray, t: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """sum_j w_j e(x_i t_j) for every x_i (the plain sum when w is None), in
-    blocks of about 4e6 phases."""
+def _phase_kernel(x: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j e(x_i t_j) for every x_i, in blocks of PHASE_BLOCK phases."""
     out = np.empty(len(x), dtype=complex)
-    step = max(1, 4 * 10**6 // max(1, len(t)))
+    step = max(1, PHASE_BLOCK // max(1, len(t)))
     for lo in range(0, len(x), step):
-        block = np.exp(2j * np.pi * np.outer(x[lo : lo + step], t))
-        out[lo : lo + step] = block.sum(axis=1) if w is None else block @ w
+        out[lo : lo + step] = np.exp(2j * np.pi * np.outer(x[lo : lo + step], t)) @ w
     return out
 
 
@@ -206,7 +210,7 @@ def _barycentric(nodes: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.nda
     w = np.where(np.arange(len(nodes)) % 2, -1.0, 1.0)
     w[[0, -1]] *= 0.5
     out = np.empty(len(x), dtype=complex)
-    step = max(1, 4 * 10**6 // len(nodes))
+    step = max(1, PHASE_BLOCK // len(nodes))
     for lo in range(0, len(x), step):
         diff = x[lo : lo + step, None] - nodes[None, :]
         hit = diff == 0.0
@@ -360,6 +364,14 @@ def exceptional_sum(sample: ExceptionalSample, alpha) -> complex:
 
 
 def exceptional_sum_grid(sample: ExceptionalSample, alphas: np.ndarray) -> np.ndarray:
-    """K over an array of points."""
+    """K over a float grid of alpha in [0, 1].  Each phase alpha n is rounded
+    by at most |n| 2^-53 cycles, so K is within pi max|n| 2^-52 * Z for Z
+    members; refused with BudgetError unless max|n| <= 2^26, a relative error
+    below 5e-8 of the trivial bound Z."""
+    top = max((abs(int(m)) for m in sample.members), default=0)
+    if top > PHASE_INTEGER_LIMIT:
+        raise BudgetError(
+            f"a sample member of {top.bit_length()} bits exceeds 2^26 for a float phase grid"
+        )
     members = np.asarray(sample.members, dtype=np.float64)
     return _phase_kernel(np.asarray(alphas, dtype=np.float64), -members, sample.coefficients())

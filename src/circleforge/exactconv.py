@@ -10,7 +10,8 @@ Two tools live here:
   for every row.  Otherwise the call is refused.
 * ``cyclic_histogram_convolution`` — cyclic convolution of several residue
   histograms mod q, exact or refused: the running product is split into
-  20-bit int64 limbs, convolved as one stack by ``exact_convolve``, folded mod q.
+  20-bit int64 limbs, convolved as one stack by ``exact_convolve``, folded mod q;
+  a constant histogram gives the even spread of the product of the masses.
 """
 
 import math
@@ -163,7 +164,9 @@ def cyclic_histogram_convolution(histograms, q: int) -> list[int]:
     folded mod q and carry-normalised, so every product passes that engine's
     bounds and certificate; a product it cannot certify raises BudgetError.
     Every entry is at most the product of the histogram masses, which fixes
-    the number of limbs.
+    the number of limbs.  A constant histogram c spreads every product evenly:
+    each residue then gets c times the other masses, prod(masses) / q, with no
+    engine call (the cube histogram of a prime p = 2 mod 3 is all ones).
     """
     if q < 1:
         raise ValueError("modulus must be positive")
@@ -172,6 +175,10 @@ def cyclic_histogram_convolution(histograms, q: int) -> list[int]:
         raise ValueError("need at least one histogram")
     if any(len(h) != q for h in hists):
         raise ValueError("histogram length must equal the modulus")
+    if any(h.min() < 0 for h in hists):
+        raise ValueError("histograms must be nonnegative")
+    if any((h == h[0]).all() for h in hists):
+        return [math.prod(_row_sums(h)[0] for h in hists) // q] * q
     limbs = hists[0][None, :]
     mass = max(1, int(hists[0].sum()))
     for h in hists[1:]:

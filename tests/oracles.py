@@ -261,3 +261,17 @@ def exceptional_sum_direct(members, alpha, eta=None):
         c = 1.0 if eta is None else eta[i]
         total += c * cmath.exp(-2j * cmath.pi * n * alpha)
     return total
+
+
+def two_density_two_calls(nodes, integrands, grid):
+    """The grid-halving quadrature with one integrand call per density: the
+    coarse and the fine node sets are integrated separately."""
+    results = []
+    for factor in (grid, 2 * grid):
+        points, weights, *rest = nodes(factor)
+        values = integrands(points, *rest)
+        results.append(([complex(np.dot(weights, v)) for v in values],
+                        (points, weights, *rest), values))
+    (coarse, _, _), (fine, fine_nodes, values) = results
+    changes = [abs(f - c) / max(abs(f), 1e-300) for c, f in zip(coarse, fine)]
+    return fine, changes, fine_nodes, values

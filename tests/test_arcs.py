@@ -17,6 +17,7 @@ from circleforge.arcs import (
     weyl_integral_batch,
     weyl_sum,
 )
+from circleforge import arcints
 from circleforge.arcints import (
     major_arc_error_survey,
     major_arc_integral,
@@ -28,7 +29,12 @@ from circleforge.arcints import (
 from circleforge.errors import BudgetError, PreconditionError
 from circleforge.powersums import leading_constant
 
-from oracles import exceptional_sum_direct, weyl_direct, weyl_integral_midpoint
+from oracles import (
+    exceptional_sum_direct,
+    two_density_two_calls,
+    weyl_direct,
+    weyl_integral_midpoint,
+)
 
 
 def test_weyl_sum_trivial_and_parity():
@@ -184,6 +190,83 @@ def test_weyl_sum_grid_float_guard():
         assert weyl_sum_grid(k, P, alphas)[0] == P
         with pytest.raises(BudgetError):
             weyl_sum_grid(k, P + 1, alphas)
+
+
+@pytest.mark.parametrize("k, P", [(2, 8192), (3, 406), (6, 20), (2, 100), (3, 21), (6, 4)])
+def test_weyl_sum_grid_recurrence_bound(k, P):
+    # the budget extremes and the benchmark's X = 10^4 sizes, against the
+    # exact rational weyl_sum, within (pi + 3) (P^k + 1) 2^-53 * P
+    rng = np.random.default_rng(k * P)
+    alphas = np.concatenate([rng.random(40), [0.5, 1.0 / 3.0, 1.0 - 2.0**-53]])
+    got = weyl_sum_grid(k, P, alphas)
+    exact = np.array([weyl_sum(k, P, float(alpha)) for alpha in alphas])
+    assert np.abs(got - exact).max() <= (math.pi + 3) * (float(P) ** k + 1) * 2.0**-53 * P
+
+
+def test_weyl_sum_grid_edges():
+    alphas = np.array([0.0, 0.125, 0.7])
+    assert (weyl_sum_grid(3, 50, np.array([0.0, 0.0])) == 50).all()
+    assert weyl_sum_grid(2, 10, np.array([])).shape == (0,)
+    single = weyl_sum_grid(6, 1, alphas)
+    assert np.abs(single - np.exp(2j * np.pi * alphas)).max() <= 1e-15
+    # the empty sum: a recurrence started at x = 1 would give e(alpha)
+    assert (weyl_sum_grid(2, 0, alphas) == 0).all()
+
+
+def test_exceptional_sum_grid_phase_guard():
+    # members up to 2^26 keep each float phase within 2^-27 cycles
+    alphas = np.array([0.1234567])
+    top = ExceptionalSample(members=(2**26,))
+    assert exceptional_sum_grid(top, alphas)[0] == pytest.approx(
+        exceptional_sum_direct((2**26,), 0.1234567), abs=1e-7
+    )
+    for member in (2**26 + 1, -(2**26) - 1, 10**20):
+        with pytest.raises(BudgetError):
+            exceptional_sum_grid(ExceptionalSample(members=(3, member)), alphas)
+
+
+SMALL_INTEGRALS = (
+    lambda: singular_integral(1000, 1000, 5),
+    lambda: major_arc_integral(500, 1000, 2),
+    lambda: pruned_integral_diagnostic(400, 5, ExceptionalSample(members=(700, 951))),
+)
+
+
+def test_one_weyl_integral_call_per_integral_and_k(monkeypatch):
+    # both grid densities share one weyl_integral_batch call per k
+    calls = []
+    monkeypatch.setattr(arcints, "weyl_integral_batch",
+                        lambda *args: calls.append(args[0]) or weyl_integral_batch(*args))
+    counts = []
+    for integral in SMALL_INTEGRALS:
+        calls.clear()
+        integral()
+        counts.append(sorted(calls))
+    assert counts == [[2, 3, 6], [2, 3, 6], [3]]
+
+
+def _close(a, b, tol):
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_close(x, y, tol) for x, y in zip(a, b))
+    if hasattr(a, "__dataclass_fields__"):
+        return all(_close(v, getattr(b, f), tol) for f, v in vars(a).items())
+    if isinstance(a, (float, complex)):
+        return abs(a - b) <= tol
+    return a == b
+
+
+def test_two_density_matches_two_calls(monkeypatch):
+    # one integrand call over both node sets against one call per density:
+    # every reported number within 1e-12 of the integral's size, and the
+    # relative changes within 1e-11
+    shared = [integral() for integral in SMALL_INTEGRALS]
+    monkeypatch.setattr(arcints, "_two_density", two_density_two_calls)
+    for one, integral in zip(shared, SMALL_INTEGRALS):
+        two = integral()
+        scale = abs(two.value if hasattr(two, "value") else two.raw)
+        for field, value in vars(two).items():
+            tol = 1e-11 if field.endswith(("rel_change", "residual")) else 1e-12 * scale
+            assert _close(getattr(one, field), value, tol), field
 
 
 def test_major_arc_approx():

@@ -3,7 +3,9 @@
 `golden_cli.json` holds, for each command, the argv and the stdout, stderr,
 exit code and `--out` file contents that the CLI produced before it was
 rebuilt around its command tables.  It is the invariant that makes deleting
-CLI code safe, so it is compared as captured and never regenerated.  In an
+CLI code safe, so it is compared as captured and never regenerated as a
+whole: a change that moves the float noise digits of an arc quadrature
+re-records exactly the cases that moved and lists each moved field.  In an
 argv, `{tmp}` stands for a fresh temporary directory, and it replaces that
 directory's path in the captured text.
 """

@@ -150,6 +150,28 @@ def test_cyclic_convolution_matches_kronecker_oracle(q, count, bits, density, se
     assert out == cyclic_convolution_kronecker(hists, q)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.integers(1, 1500),
+    count=st.integers(1, 5),
+    constant=st.integers(0, 2**12),
+    where=st.integers(0, 4),
+    bits=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cyclic_convolution_constant_histogram(q, count, constant, where, bits, seed):
+    # a constant histogram (all zeros allowed; every histogram is constant at
+    # q = 1) spreads the product of the masses evenly, with no engine call
+    rng = np.random.default_rng(seed)
+    hists = [rng.integers(0, 2**bits + 1, q).tolist() for _ in range(count)]
+    hists.insert(where % (count + 1), [constant] * q)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactconv, "exact_convolve", None)
+        out = cyclic_histogram_convolution(hists, q)
+    assert all(type(v) is int for v in out)
+    assert out == cyclic_convolution_kronecker(hists, q)
+
+
 def test_divisor_sum_identity_sample():
     rng = np.random.default_rng(9)
     for q in (2, 3, 4, 8, 9, 16, 25, 27, 49, 121, 243, 625):
