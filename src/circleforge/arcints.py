@@ -33,11 +33,6 @@ from .powersums import gauss_sum, leading_constant
 # (singular_integral(10**4, 10**4, 200), at 1.1e6, takes 2.7 s and 94 MiB on
 # one core of a 2-core Xeon VM)
 SINGULAR_WORK_BUDGET = 2 * 10**6
-# elementary segments x arcs of one dissection, the cells of its coverage
-# matrices; the largest admitted case, the annulus of peak_majorant_survey at
-# X = 10**4, Q = 100, has 2.9e7 (0.3 s, 390 MiB peak on the same VM), 4e7 takes
-# 0.7 s and 520 MiB
-DISSECT_CELL_BUDGET = 4 * 10**7
 # quadrature nodes at one grid density; the largest admitted case has 29,064
 # (that annulus); 4.9e5 fine nodes take 1.7 s and 240 MiB in
 # major_arc_integral(5000, 10**4, 6, grid=428), 5.0 s and 190 MiB in the pruned
@@ -111,25 +106,23 @@ def _dissect(pairs, halfwidth, exclude=()) -> list[tuple[float, float, int]]:
     """Cut [0, 1] at all arc endpoints; return (lo, hi, pair_index) for every
     elementary segment inside the union of the arcs |alpha - a/q| <= halfwidth(q),
     assigned to its least-q covering arc (pairs are sorted by q), and outside
-    every exclusion arc, taken at half width."""
+    every exclusion arc, taken at half width.  Arc indices are painted over
+    their ranges of sorted cuts, the least q last, then holes paint -1."""
     centers = np.array([a / q for q, a in pairs])
     widths = np.array([halfwidth(q) for q, _ in pairs])
     ex_centers = np.array([a / q for q, a in exclude])
     ex_widths = np.array([halfwidth(q) for q, _ in exclude]) / 2
-    events = [[0.0, 1.0], centers - widths, centers + widths, ex_centers - ex_widths,
-              ex_centers + ex_widths]
-    cuts = np.unique(np.clip(np.concatenate(events), 0.0, 1.0))
-    cells = (len(cuts) - 1) * (len(pairs) + len(exclude))
-    if cells > DISSECT_CELL_BUDGET:
-        raise BudgetError(
-            f"dissection budget is {DISSECT_CELL_BUDGET} segments x arcs, here {cells}"
-        )
-    mids = 0.5 * (cuts[1:] + cuts[:-1])
-    cover = np.abs(mids[:, None] - centers[None, :]) <= widths[None, :]
-    excluded = (np.abs(mids[:, None] - ex_centers[None, :]) <= ex_widths[None, :]).any(axis=1)
-    assigned = cover.argmax(axis=1)  # the first covering arc has the least q
-    keep = np.flatnonzero(cover.any(axis=1) & ~excluded)
-    return [(float(cuts[i]), float(cuts[i + 1]), int(assigned[i])) for i in keep]
+    ends = np.clip(np.concatenate([centers - widths, ex_centers - ex_widths,
+                                   centers + widths, ex_centers + ex_widths]), 0.0, 1.0)
+    cuts = np.unique(np.concatenate([[0.0, 1.0], ends]))
+    first, last = np.searchsorted(cuts, ends).reshape(2, -1).tolist()
+    owner = np.full(len(cuts) - 1, -1, dtype=np.int64)
+    for i in range(len(pairs) - 1, -1, -1):
+        owner[first[i] : last[i]] = i
+    for i in range(len(pairs), len(first)):
+        owner[first[i] : last[i]] = -1
+    keep = np.flatnonzero(owner >= 0)
+    return [(float(cuts[i]), float(cuts[i + 1]), int(owner[i])) for i in keep]
 
 
 def _annulus(Q: int, X: int):
@@ -229,13 +222,14 @@ def _arc_models(pairs, arc_idx, alphas, P_by_k):
 
 
 def _collect_rows(Q, pairs, arc_idx, weights, integrand) -> tuple:
+    # a stable sort keeps each arc's terms in grid order, so each is summed as
+    # the arc's own masked slice would be
+    owners, counts = np.unique(arc_idx, return_counts=True)
+    contrib = (weights * integrand)[np.argsort(arc_idx, kind="stable")]
     rows = []
-    contrib = weights * integrand
-    for idx, (q, a) in enumerate(pairs):
-        mask = arc_idx == idx
-        if not mask.any():
-            continue
-        val = complex(contrib[mask].sum())
+    for idx, part in zip(owners.tolist(), np.split(contrib, np.cumsum(counts)[:-1])):
+        val = complex(part.sum())
+        q, a = pairs[idx]
         rows.append(
             ArcRow(
                 q=q,
@@ -244,7 +238,7 @@ def _collect_rows(Q, pairs, arc_idx, weights, integrand) -> tuple:
                 integral_re=val.real,
                 integral_im=val.imag,
                 abs_value=abs(val),
-                grid_points=int(mask.sum()),
+                grid_points=len(part),
             )
         )
     return tuple(rows)

@@ -81,11 +81,14 @@ def _sample_set(args, X: int) -> arcs.ExceptionalSample:
         raise PreconditionError("--sample and --seed must be >= 0")
     if args.sample == 0:
         return arcs.ExceptionalSample(members=())
+    if X >= 2**63:
+        raise PreconditionError("sampling needs --limit below 2^63")
     rng = np.random.default_rng(args.seed)
     lo, hi = X // 2 + 1, X
     if args.sample > hi - lo + 1:
         raise PreconditionError("sample larger than the admissible range (X/2, X]")
-    members = rng.choice(np.arange(lo, hi + 1), size=args.sample, replace=False)
+    # the same draw as from np.arange(lo, hi + 1), without building that range
+    members = lo + rng.choice(hi - lo + 1, size=args.sample, replace=False)
     return arcs.ExceptionalSample(members=tuple(int(v) for v in np.sort(members)))
 
 

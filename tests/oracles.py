@@ -275,3 +275,22 @@ def two_density_two_calls(nodes, integrands, grid):
     (coarse, _, _), (fine, fine_nodes, values) = results
     changes = [abs(f - c) / max(abs(f), 1e-300) for c, f in zip(coarse, fine)]
     return fine, changes, fine_nodes, values
+
+
+def dissect_midpoints(pairs, halfwidth, exclude=()):
+    """The arc dissection by dense midpoint tests: every elementary segment's
+    midpoint against every arc and every hole in (segments x arcs) matrices.
+    The first covering arc in `pairs` (sorted by q) owns the segment."""
+    centers = np.array([a / q for q, a in pairs])
+    widths = np.array([halfwidth(q) for q, _ in pairs])
+    ex_centers = np.array([a / q for q, a in exclude])
+    ex_widths = np.array([halfwidth(q) for q, _ in exclude]) / 2
+    events = [[0.0, 1.0], centers - widths, centers + widths, ex_centers - ex_widths,
+              ex_centers + ex_widths]
+    cuts = np.unique(np.clip(np.concatenate(events), 0.0, 1.0))
+    mids = 0.5 * (cuts[1:] + cuts[:-1])
+    cover = np.abs(mids[:, None] - centers[None, :]) <= widths[None, :]
+    excluded = (np.abs(mids[:, None] - ex_centers[None, :]) <= ex_widths[None, :]).any(axis=1)
+    assigned = cover.argmax(axis=1)
+    keep = np.flatnonzero(cover.any(axis=1) & ~excluded)
+    return [(float(cuts[i]), float(cuts[i + 1]), int(assigned[i])) for i in keep]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from circleforge.errors import BudgetError, PreconditionError
 from circleforge.powersums import leading_constant
 
 from oracles import (
+    dissect_midpoints,
     exceptional_sum_direct,
     two_density_two_calls,
     weyl_direct,
@@ -377,11 +379,79 @@ def test_peak_majorant_vectorised():
 def test_peak_majorant_survey():
     # sup |f2| / majorant over annulus grids; frozen guard 6, observed <= 2.4
     for Q in (10, 100):
+        tracemalloc.start()
         s = peak_majorant_survey(10**4, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
         assert s.sup_ratio <= 6.0
-    # inside the Q <= 2 sqrt(X) precondition, but a 4.6e10-cell dissection
-    with pytest.raises(BudgetError):
+        # the dissection holds O(cuts), not segments x arcs (observed 6.1 MiB at Q = 100)
+        assert peak <= 32 * 2**20
+    # 109,501 arcs and 12,806 segments (observed 2.01)
+    assert peak_majorant_survey(10**5, 600).sup_ratio <= 6.0
+    # by Dirichlet with N = 316, every alpha has |q alpha - a| < 1/317 < 316/10^5
+    # for some q <= 316, so the half-level arcs cover [0, 1]
+    with pytest.raises(PreconditionError, match="annulus .* is empty"):
         peak_majorant_survey(10**5, 632)
+
+
+def _intervals(pairs, halfwidth, scale=1.0):
+    """The clipped float interval of every arc, as the dissection cuts it."""
+    return [
+        (min(max(a / q - halfwidth(q) * scale, 0.0), 1.0),
+         min(max(a / q + halfwidth(q) * scale, 0.0), 1.0))
+        for q, a in pairs
+    ]
+
+
+_PAIRS = st.lists(st.integers(1, 40).flatmap(lambda q: st.tuples(st.just(q), st.integers(0, q))),
+                  min_size=1, max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=_PAIRS.map(lambda p: sorted(p, key=lambda pair: pair[0])),
+    holes=st.one_of(st.just([]), _PAIRS),
+    scale=st.floats(1e-4, 0.5),
+    power=st.sampled_from([0, 1, 2]),
+)
+def test_dissect_against_interval_containment(pairs, holes, scale, power):
+    def halfwidth(q):
+        return scale / q**power
+
+    segments = arcints._dissect(pairs, halfwidth, holes)
+    arcs = _intervals(pairs, halfwidth)
+    gaps = _intervals(holes, halfwidth, 0.5)
+    for lo, hi, idx in segments:
+        assert lo < hi
+        # inside its owner, no lower-index arc covers it, and no hole does
+        assert arcs[idx][0] <= lo and hi <= arcs[idx][1]
+        assert not any(a <= lo and hi <= b for a, b in arcs[:idx])
+        assert not any(a <= lo and hi <= b for a, b in gaps)
+    # every elementary segment an arc covers and no hole does is returned
+    cuts = sorted({0.0, 1.0, *(end for arc in arcs + gaps for end in arc)})
+    returned = {(lo, hi) for lo, hi, _ in segments}
+    for lo, hi in zip(cuts, cuts[1:]):
+        covered = any(a <= lo and hi <= b for a, b in arcs)
+        holed = any(a <= lo and hi <= b for a, b in gaps)
+        assert ((lo, hi) in returned) == (covered and not holed)
+    assert len(returned) == len(segments)
+
+
+@pytest.mark.parametrize("X, level, annulus", [
+    (1000, 2, False), (10**4, 3, False), (10**4, 6, False),
+    (400, 5, True), (1000, 8, True), (10**4, 16, True),
+])
+def test_dissect_matches_midpoint_oracle(X, level, annulus):
+    # the golden and benchmark dissections; elsewhere the two can differ on a
+    # segment one ulp long, where the oracle's float midpoint test is unreliable
+    pairs = arcints._farey_pairs(level)
+    if annulus:
+        got = arcints._annulus(level, X)[1]
+        args = (pairs, lambda q: level / (q * X), arcints._farey_pairs(level // 2))
+    else:
+        got = arcints._dissect(pairs, lambda q: level / X)
+        args = (pairs, lambda q: level / X)
+    assert got == dissect_midpoints(*args)
 
 
 def test_exceptional_sum():

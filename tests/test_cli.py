@@ -83,6 +83,19 @@ def test_precondition_exit_code(capsys):
         assert json.loads(err)["error"] == "precondition"
 
 
+def test_sample_from_a_huge_range(capsys):
+    # the draw never builds the X/2 candidates, so a 5e9-wide range costs nothing
+    shifted = ("moments", "--moment", "shifted", "--P", "10", "--sample", "5")
+    code, out, err = run_cli(capsys, *shifted, "--limit", "10000000000")
+    assert code == 0 and err == ""
+    assert json.loads(out)["param_sample_size"] == 5
+    # members beyond int64 are refused before any draw
+    code, out, err = run_cli(capsys, *shifted, "--limit", "100000000000000000000")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "precondition"
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run_cli(capsys, "sseries", "--n", "10", "--q", "2000000")
     assert code == 3
@@ -245,7 +258,7 @@ _HUGE_GRID = "1" + "0" * 400
     # 3.2e8 quadrature nodes at the coarse density
     ("--op", "major-integral", "--n", "5", "--limit", "1000", "--trunc", "2",
      "--grid", "10000000"),
-    # 12,233 arcs: a 3e8-cell dissection, then 8e6 fine nodes
+    # 12,233 arcs: a small dissection, but 8e6 fine nodes
     ("--op", "major-integral", "--n", "1", "--limit", "100000", "--trunc", "200"),
     ("--op", "major-integral", "--n", "5", "--limit", "1000", "--trunc", "2",
      "--grid", _HUGE_GRID),
