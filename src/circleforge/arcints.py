@@ -134,19 +134,25 @@ def _annulus(Q: int, X: int):
 
 def _quad_nodes(segments, density: float):
     """Composite 4-point Gauss nodes with panel width <= 1 / density."""
+    lo, hi, owners = np.array(segments, dtype=np.float64).T
     # the longest segment alone needs density x its length panels; an int compares
     # exactly with a float, so a density too large for a float never reaches 1 / density
-    if density > QUAD_NODE_BUDGET / (4 * max(hi - lo for lo, hi, _ in segments)):
+    if density > QUAD_NODE_BUDGET / (4 * float((hi - lo).max())):
         raise BudgetError(f"quadrature budget is {QUAD_NODE_BUDGET} nodes, one segment exceeds it")
-    spacing = 1.0 / density
-    panels = [max(1, int(math.ceil((hi - lo) / spacing))) for lo, hi, _ in segments]
-    if 4 * sum(panels) > QUAD_NODE_BUDGET:
-        raise BudgetError(f"quadrature budget is {QUAD_NODE_BUDGET} nodes, here {4 * sum(panels)}")
-    parts = [_gauss_panels(np.linspace(lo, hi, m + 1), _GL4)
-             for (lo, hi, _), m in zip(segments, panels)]
-    alphas, weights = (np.concatenate(column) for column in zip(*parts))
-    owners = np.array([idx for _, _, idx in segments], dtype=np.int64)
-    return alphas, weights, np.repeat(owners, 4 * np.array(panels))
+    panels = np.maximum(1, np.ceil((hi - lo) / (1.0 / density))).astype(np.int64)
+    if 4 * int(panels.sum()) > QUAD_NODE_BUDGET:
+        raise BudgetError(f"quadrature budget is {QUAD_NODE_BUDGET} nodes, here {4 * panels.sum()}")
+    # all panels at once, bound j of a segment as np.linspace(lo, hi, m + 1)
+    # computes it: lo + j * ((hi - lo) / m), and exactly hi for j = m
+    seg = np.repeat(np.arange(len(panels)), panels)
+    j = np.arange(len(seg)) - np.repeat(np.cumsum(panels) - panels, panels)
+    step = ((hi - lo) / panels)[seg]
+
+    def bound(i):
+        return np.where(i == panels[seg], hi[seg], lo[seg] + i * step)
+
+    alphas, weights = _gauss_panels(bound(j), bound(j + 1), _GL4)
+    return alphas, weights, np.repeat(owners.astype(np.int64), 4 * panels)
 
 
 def _rel_change(coarse, fine) -> float:
@@ -315,9 +321,11 @@ def singular_integral(n: int, X: int, W: int) -> SingularIntegral:
         prod *= np.exp(-2j * np.pi * betas * n)
         return (prod,)
 
-    (value,), (change,), (betas, _), _ = _two_density(
-        lambda m: _gauss_panels(np.linspace(-width, width, m + 1), _GL4), integrands, panels
-    )
+    def nodes(m):
+        bounds = np.linspace(-width, width, m + 1)
+        return _gauss_panels(bounds[:-1], bounds[1:], _GL4)
+
+    (value,), (change,), (betas, _), _ = _two_density(nodes, integrands, panels)
     return SingularIntegral(
         n=n,
         X=X,

@@ -34,11 +34,11 @@ _GL8 = np.polynomial.legendre.leggauss(8)
 _GL4 = np.polynomial.legendre.leggauss(4)
 
 
-def _gauss_panels(bounds: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss nodes and weights over the panels between consecutive bounds."""
+def _gauss_panels(lo: np.ndarray, hi: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss nodes and weights over the panels [lo[i], hi[i]]."""
     offsets, weights = rule
-    half = 0.5 * (bounds[1:] - bounds[:-1])
-    mid = 0.5 * (bounds[1:] + bounds[:-1])
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
     return (mid[:, None] + half[:, None] * offsets).ravel(), (half[:, None] * weights).ravel()
 
 
@@ -182,7 +182,8 @@ def _adaptive_weyl(k: int, P, mags: np.ndarray, rel_tol: float) -> np.ndarray:
     panels = _initial_panels(k, P, float(mags.max()))
     previous = None
     for _ in range(24):
-        nodes, wts = _gauss_panels(_phase_panel_bounds(k, P, panels), _GL8)
+        bounds = _phase_panel_bounds(k, P, panels)
+        nodes, wts = _gauss_panels(bounds[:-1], bounds[1:], _GL8)
         est = _phase_kernel(mags, nodes**k, wts)
         if previous is not None and np.abs(est - previous).max() <= rel_tol * P:
             return est

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import workers
 from .errors import BudgetError
 
 # Trial division is used for every factorisation; all moduli in this package
@@ -125,6 +126,12 @@ def powers(k: int, P: int) -> np.ndarray:
     return np.arange(1, P + 1, dtype=np.int64) ** k
 
 
+def _band_count(size: int) -> int:
+    """Value bands for `size` keys: one per worker, but a single band (on the
+    calling thread) below PAIR_CHUNK keys per worker."""
+    return workers.WORKERS if size >= PAIR_CHUNK * workers.WORKERS else 1
+
+
 def pair_keys(a: np.ndarray, sign: int = 1, weights=None, limit: int | None = None):
     """Sorted packed keys of the pair lattice of a strictly increasing int64 a,
     as (keys, bits) with key = (value << bits) | (weight - 1).
@@ -136,49 +143,90 @@ def pair_keys(a: np.ndarray, sign: int = 1, weights=None, limit: int | None = No
     values <= limit are kept; the bound is applied in exact integers, so no
     excluded pair can wrap into range.  Raises BudgetError if a key could
     pass int64.
+
+    The lattice is cut into value bands, one per worker (_band_count): each
+    band's cells are found per row in exact integers, as the limit is, so its
+    size is known before any key is built; each worker fills and sorts its own
+    slice of the one key array, and the sorted, value-disjoint slices laid end
+    to end are the sorted array.
     """
     n = len(a)
     w = np.ones(n, dtype=np.int64) if weights is None else np.asarray(weights, dtype=np.int64)
     first, last = (int(a[0]), int(a[-1])) if n else (0, 0)
     low, high = (2 * first, 2 * last) if sign == 1 else (1, last - first)
     high = high if limit is None else min(high, limit)
-    # row i keeps the columns [start[i], stop[i]), found in exact integers
     rows, exact = np.arange(n), a.astype(object)
-    start = rows if sign == 1 else np.searchsorted(exact, exact - high, "left")
-    stop = np.searchsorted(exact, high - exact, "right") if sign == 1 else rows
-    counts = np.maximum(stop - start, 0)
+
+    def edge(bound, values=exact):
+        """Per row, the column where the cells of value <= bound end (sign=1)
+        or begin (sign=-1): exact for the object array of a, an estimate for
+        its floats."""
+        if sign == 1:
+            return np.maximum(rows, np.searchsorted(values, bound - values, "right"))
+        return np.minimum(rows, np.searchsorted(values, values - bound, "left"))
+
+    top = edge(high)
+    total = int(np.abs(top - rows).sum())
     double = 2 if sign == 1 else 1  # the triangle stands for both ordered pairs
     w_top = double * int(w.max(initial=1)) ** 2
     bits = (w_top - 1).bit_length()
-    if counts.any() and not -(2**63) <= low << bits <= (high << bits) + w_top - 1 < 2**63:
+    if total and not -(2**63) <= low << bits <= (high << bits) + w_top - 1 < 2**63:
         raise BudgetError(f"pair values up to {high} with {bits} weight bits overflow int64 keys")
+
+    # band b holds the values in (bounds[b - 1], bounds[b]]; each bound is the
+    # least value whose float count estimate reaches b / parts of the lattice
+    parts, floats, bounds = _band_count(total), a.astype(np.float64), [low]
+    for b in range(1, parts):
+        lo, hi = bounds[-1], high
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if parts * int(np.abs(edge(mid, floats) - rows).sum()) < b * total:
+                lo = mid + 1
+            else:
+                hi = mid
+        bounds.append(lo)
+    edges = [rows, *(edge(v) for v in bounds[1:]), top]
+    # row i of a band keeps the columns [start[i], stop[i])
+    bands = [(e0, e1) if sign == 1 else (e1, e0) for e0, e1 in zip(edges, edges[1:])]
+    ends = np.cumsum([int((stop - start).sum()) for start, stop in bands])
+
     # key = (a[i] << bits) +- (a[j] << bits) + weight - 1 in wrapping int64
     # arithmetic, exact wherever the key itself fits; unit weights fold into
     # the row term
     shifted = a << bits
     head = shifted + (double - 1 if weights is None else -1)
     op = np.add if sign == 1 else np.subtract
-    keys = np.empty(int(counts.sum()), dtype=np.int64)
     side = math.isqrt(PAIR_CHUNK)
-    pos = 0
-    for lo in range(0, n, side):
-        hi = min(n, lo + side)
-        for c0 in range(int(start[lo:hi].min()) // side * side, int(stop[lo:hi].max()), side):
-            c1 = min(n, c0 + side)
-            block = op(head[lo:hi, None], shifted[None, c0:c1])
-            if weights is not None:
-                block += np.multiply.outer(double * w[lo:hi], w[c0:c1])
-            if sign == 1:
-                diagonal = rows[max(lo, c0) : min(hi, c1)]
-                block[diagonal - lo, diagonal - c0] -= w[diagonal] ** 2
-            if start[lo:hi].max() > c0 or stop[lo:hi].min() < c1:
-                # cells outside the row ranges may hold wrapped values; they
-                # are masked by index, never by value
-                offset = (rows[None, c0:c1] - start[lo:hi, None]).view(np.uint64)
-                block = block[offset < counts[lo:hi, None].astype(np.uint64)]
-            keys[pos : pos + block.size] = block.ravel()
-            pos += block.size
-    keys.sort()
+
+    def fill(out, start, stop):
+        """Write the keys of one band into out, tile by tile, and sort it."""
+        pos = 0
+        for lo in range(0, n, side):
+            hi = min(n, lo + side)
+            begin, end = start[lo:hi], stop[lo:hi]
+            live = end > begin
+            if not live.any():
+                continue
+            for c0 in range(int(begin[live].min()) // side * side, int(end[live].max()), side):
+                c1 = min(n, c0 + side)
+                block = op(head[lo:hi, None], shifted[None, c0:c1])
+                if weights is not None:
+                    block += np.multiply.outer(double * w[lo:hi], w[c0:c1])
+                if sign == 1:
+                    diagonal = rows[max(lo, c0) : min(hi, c1)]
+                    block[diagonal - lo, diagonal - c0] -= w[diagonal] ** 2
+                if begin.max() > c0 or end.min() < c1:
+                    # cells outside the row ranges may hold wrapped values;
+                    # they are masked by index, never by value
+                    offset = (rows[None, c0:c1] - begin[:, None]).view(np.uint64)
+                    block = block[offset < (end - begin)[:, None].astype(np.uint64)]
+                out[pos : pos + block.size] = block.ravel()
+                pos += block.size
+        out.sort()
+
+    keys = np.empty(int(ends[-1]), dtype=np.int64)
+    workers.run(lambda out=keys[e0:e1], band=band: fill(out, *band)
+                for e0, e1, band in zip([0, *ends[:-1]], ends, bands))
     return keys, bits
 
 
@@ -208,8 +256,20 @@ def key_runs(keys: np.ndarray, bits: int):
         yield carry
 
 
+def map_key_runs(fn, keys: np.ndarray, bits: int) -> list:
+    """[fn(key_runs(band, bits)) for band in bands], with the sorted keys cut
+    into one band per worker (_band_count).  Each cut is moved back to the
+    first key of its run of equal value, so no run crosses a band and the
+    bands' runs, in order, are the runs of the whole array."""
+    parts = _band_count(len(keys))
+    cuts = [int(keys[len(keys) * b // parts]) >> bits << bits for b in range(1, parts)]
+    bands = np.split(keys, np.searchsorted(keys, np.array(cuts, dtype=np.int64)))
+    return workers.run(lambda band=band: fn(key_runs(band, bits)) for band in bands)
+
+
 def pair_values(a: np.ndarray, sign: int = 1, weights=None, limit: int | None = None):
     """Distinct values of the pair lattice of pair_keys, with the sum of the
     weights of each, as two int64 arrays (values increasing)."""
-    runs = [(np.empty(0, dtype=np.int64),) * 2, *key_runs(*pair_keys(a, sign, weights, limit))]
+    bands = map_key_runs(list, *pair_keys(a, sign, weights, limit))
+    runs = [(np.empty(0, dtype=np.int64),) * 2, *(run for band in bands for run in band)]
     return tuple(map(np.concatenate, zip(*runs)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .intmath import iroot, key_runs, pair_keys, pair_values, powers
+from .intmath import iroot, key_runs, map_key_runs, pair_keys, pair_values, powers
 
 @dataclass(frozen=True)
 class MomentCount:
@@ -121,7 +121,8 @@ def sixth_power_eighth_moment(P6: int) -> MomentCount:
         raise BudgetError("eighth-moment budget is P6 <= 200")
     uvals, ucounts = pair_values(powers(6, P6))
     # the P6 budget bounds the keys: 20,100 pair sums give 2.02e8 (1.5 GiB)
-    total = sum(int(np.dot(c, c)) for _, c in key_runs(*pair_keys(uvals, weights=ucounts)))
+    keys, bits = pair_keys(uvals, weights=ucounts)
+    total = sum(map_key_runs(lambda runs: sum(int(np.dot(c, c)) for _, c in runs), keys, bits))
     return MomentCount(
         label="sixth_eighth_moment", parameters={"P6": P6}, count=total
     )
@@ -134,11 +135,17 @@ def cube_multiplicity(P3: int) -> MultiplicitySet:
         raise PreconditionError("bound P3 must be >= 1")
     if P3 > 10**4:
         raise BudgetError("cube-multiplicity budget is P3 <= 10**4")
-    repeated, top = [np.empty(0, dtype=np.int64)], 0
-    for values, mult in key_runs(*pair_keys(powers(3, P3), -1)):
-        repeated.append(values[mult >= 2])
-        top = max(top, int(mult.max(initial=0)))
-    repeated = np.concatenate(repeated)
+
+    def repeats(runs):
+        found, top = [np.empty(0, dtype=np.int64)], 0
+        for values, mult in runs:
+            found.append(values[mult >= 2])
+            top = max(top, int(mult.max(initial=0)))
+        return np.concatenate(found), top
+
+    bands = map_key_runs(repeats, *pair_keys(powers(3, P3), -1))
+    repeated = np.concatenate([found for found, _ in bands])
+    top = max(top for _, top in bands)
     members = np.concatenate([-repeated[::-1], repeated])
     return MultiplicitySet(P3=P3, members=members, max_multiplicity=top)
 

@@ -150,9 +150,8 @@ def _cube_sixth_spectrum(P3: int, P6: int, limit: int | None = None) -> np.ndarr
     return g
 
 
-def rep_count_single(n: int) -> int:
-    """Exact R(n): the cube/sixth spectrum g summed over the square pairs,
-    R(n) = sum_{x<=y} (2 - [x == y]) g[n - x^2 - y^2], one gather per row x."""
+def check_single_target(n: int) -> None:
+    """The refusals of rep_count_single, raised before any work."""
     if n < 1:
         raise PreconditionError("target n must be >= 1")
     if n > SINGLE_TARGET_BUDGET:
@@ -160,6 +159,20 @@ def rep_count_single(n: int) -> int:
             f"single target n={n} beyond budget {SINGLE_TARGET_BUDGET} "
             f"(needs a cube/sixth spectrum of {n - 1} entries)"
         )
+
+
+def check_range(X: int) -> None:
+    """The refusals of rep_count_range, raised before any work."""
+    if X < 1:
+        raise PreconditionError("range bound X must be >= 1")
+    if X > RANGE_BUDGET:
+        raise BudgetError(f"range bound X={X} beyond budget {RANGE_BUDGET}")
+
+
+def rep_count_single(n: int) -> int:
+    """Exact R(n): the cube/sixth spectrum g summed over the square pairs,
+    R(n) = sum_{x<=y} (2 - [x == y]) g[n - x^2 - y^2], one gather per row x."""
+    check_single_target(n)
     if n < 6:
         return 0
     g = _cube_sixth_spectrum(iroot(n - 4, 3), iroot(n - 4, 6), limit=n - 2)
@@ -173,10 +186,7 @@ def rep_count_single(n: int) -> int:
 
 def rep_count_range(X: int, cache_dir: str | None = None) -> RangeCounts:
     """Exact R(n) for every n <= X via one exact convolution."""
-    if X < 1:
-        raise PreconditionError("range bound X must be >= 1")
-    if X > RANGE_BUDGET:
-        raise BudgetError(f"range bound X={X} beyond budget {RANGE_BUDGET}")
+    check_range(X)
     P2, P3, P6 = iroot(X, 2), iroot(X, 3), iroot(X, 6)
     sq = _cached_pair_spectrum(2, P2, cache_dir)
     sq_trunc = sq.counts[: X + 1]

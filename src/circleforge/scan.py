@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .errors import PreconditionError
 from .powersums import leading_constant
-from .repcount import rep_count_range, rep_count_single
-from .sseries import series_batch, truncated_singular_series
+from .repcount import check_range, check_single_target, rep_count_range, rep_count_single
+from .sseries import check_truncation, series_batch, truncated_singular_series
 
 PRE_ASYMPTOTIC_CUTOFF = 1000
 DEFAULT_TRUNCATION = 1000
@@ -132,6 +133,8 @@ def predict(n: int, W: int = DEFAULT_TRUNCATION) -> PredictionRecord:
         raise PreconditionError("targets below 6 have no representations")
     if W < 1:
         raise PreconditionError("truncation W must be >= 1")
+    check_single_target(n)
+    check_truncation(W)
     count = rep_count_single(n)
     series = truncated_singular_series(n, W)
     main = leading_constant().value * series.value * n
@@ -159,8 +162,14 @@ def scan(X: int, psi: PsiSpec, W: int = DEFAULT_TRUNCATION, cache_dir=None) -> S
     """Full exceptional-set scan over 1 <= n <= X."""
     if X < 8:
         raise PreconditionError("scan range must reach at least 8")
-    counts = rep_count_range(X, cache_dir=cache_dir).values
-    series_w, series_2w = series_batch(X, W)
+    check_range(X)
+    check_truncation(W)
+    # neither uses the other: the series runs on a worker while this thread
+    # convolves, so the transform's temporaries stay in this thread's heap
+    counts, (series_w, series_2w) = workers.run((
+        lambda: rep_count_range(X, cache_dir=cache_dir).values,
+        lambda: series_batch(X, W),
+    ))
     n = np.arange(X + 1, dtype=np.float64)
     mains = leading_constant().value * series_w * n
     abs_errs = np.abs(counts - mains)

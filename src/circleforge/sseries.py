@@ -134,6 +134,14 @@ def _prime_power_values(n: int, bound: int) -> dict[int, float]:
     return {q: float(_term_table(q)[n % q]) for _, _, q in prime_powers_up_to(bound)}
 
 
+def check_truncation(W: int) -> None:
+    """The refusals of a truncation level W, raised before any work."""
+    if W < 1:
+        raise PreconditionError("truncation W must be >= 1")
+    if W > TRUNCATION_BUDGET:
+        raise BudgetError(f"truncation W={W} beyond budget {TRUNCATION_BUDGET}")
+
+
 def truncated_singular_series(n: int, W: int) -> SingularSeriesValue:
     """sum_{q<=W} A(q; n), assembled multiplicatively from prime-power terms.
 
@@ -141,10 +149,7 @@ def truncated_singular_series(n: int, W: int) -> SingularSeriesValue:
     """
     if n < 1:
         raise PreconditionError("target n must be >= 1")
-    if W < 1:
-        raise PreconditionError("truncation W must be >= 1")
-    if W > TRUNCATION_BUDGET:
-        raise BudgetError(f"truncation W={W} beyond budget {TRUNCATION_BUDGET}")
+    check_truncation(W)
     pp = _prime_power_values(n, 2 * W)
     spf = smallest_prime_factors(2 * W)
     # A(q) for every q <= 2W by multiplicativity, in one ascending sweep
@@ -169,10 +174,7 @@ def series_batch(X: int, W: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if X < 0:
         raise PreconditionError("range bound X must be >= 0")
-    if W < 1:
-        raise PreconditionError("truncation W must be >= 1")
-    if W > TRUNCATION_BUDGET:
-        raise BudgetError(f"truncation W={W} beyond budget {TRUNCATION_BUDGET}")
+    check_truncation(W)
     spf = smallest_prime_factors(2 * W)
     tables: dict[int, np.ndarray] = {1: np.ones(1)}  # live moduli only
     acc = np.ones(X + 1)  # q = 1 contributes A(1; n) = 1

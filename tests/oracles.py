@@ -294,3 +294,19 @@ def dissect_midpoints(pairs, halfwidth, exclude=()):
     assigned = cover.argmax(axis=1)
     keep = np.flatnonzero(cover.any(axis=1) & ~excluded)
     return [(float(cuts[i]), float(cuts[i + 1]), int(assigned[i])) for i in keep]
+
+
+def quad_nodes_per_segment(segments, density):
+    """Composite 4-point Gauss nodes, weights and owners built one segment at
+    a time, each segment's panel bounds from np.linspace."""
+    from circleforge.arcs import _GL4, _gauss_panels
+
+    nodes, weights, owners = [], [], []
+    for lo, hi, idx in segments:
+        m = max(1, int(math.ceil((hi - lo) / (1.0 / density))))
+        bounds = np.linspace(lo, hi, m + 1)
+        x, w = _gauss_panels(bounds[:-1], bounds[1:], _GL4)
+        nodes.append(x)
+        weights.append(w)
+        owners.append(np.full(4 * m, idx, dtype=np.int64))
+    return tuple(map(np.concatenate, (nodes, weights, owners)))

@@ -33,6 +33,7 @@ from circleforge.powersums import leading_constant
 from oracles import (
     dissect_midpoints,
     exceptional_sum_direct,
+    quad_nodes_per_segment,
     two_density_two_calls,
     weyl_direct,
     weyl_integral_midpoint,
@@ -452,6 +453,27 @@ def test_dissect_matches_midpoint_oracle(X, level, annulus):
         got = arcints._dissect(pairs, lambda q: level / X)
         args = (pairs, lambda q: level / X)
     assert got == dissect_midpoints(*args)
+
+
+@pytest.mark.parametrize("annulus, level, X, density", [
+    (False, 6, 10**4, 10 * 10**4),
+    (False, 6, 10**4, 20 * 10**4),
+    (True, 16, 10**4, 10 * 10**4),
+    (True, 16, 10**4, 20 * 10**4),
+    (True, 600, 10**5, arcints.SURVEY_DENSITY * math.sqrt(10**5)),
+])
+def test_quad_nodes_match_per_segment_layout(annulus, level, X, density):
+    # the benchmark's major-arc and pruned integrals at both grid densities,
+    # and the survey at (10**5, 600): the panels laid out for all segments at
+    # once are, bit for bit, those of one np.linspace per segment
+    if annulus:
+        segments = arcints._annulus(level, X)[1]
+    else:
+        segments = arcints._dissect(arcints._farey_pairs(level), lambda q: level / X)
+    got = arcints._quad_nodes(segments, density)
+    expect = quad_nodes_per_segment(segments, density)
+    assert [a.dtype for a in got] == [a.dtype for a in expect]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
 
 
 def test_exceptional_sum():

@@ -224,6 +224,36 @@ def test_out_checked_before_work(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_budgets_checked_before_work(capsys, monkeypatch):
+    # scan and predict refuse an X, n or W beyond budget before any count or
+    # series is computed, X (or n) first, each with its own message
+    import sys
+
+    scanmod = sys.modules["circleforge.scan"]  # circleforge.scan is the function
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before a budget check")
+
+    for name in ("rep_count_range", "rep_count_single", "series_batch",
+                 "truncated_singular_series"):
+        monkeypatch.setattr(scanmod, name, never)
+    for argv, message in (
+        (("scan", "--limit", "3000000", "--psi", "log", "--trunc", "6000"),
+         "truncation W=6000 beyond budget 5000"),
+        (("scan", "--limit", "30000001", "--trunc", "6000"),
+         "range bound X=30000001 beyond budget 30000000"),
+        (("predict", "--n", "100000000", "--trunc", "6000"),
+         "truncation W=6000 beyond budget 5000"),
+        (("predict", "--n", "200000001", "--trunc", "6000"),
+         "single target n=200000001 beyond budget 200000000 "
+         "(needs a cube/sixth spectrum of 200000000 entries)"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "budget", "message": message}
+
+
 def test_convergence_exit_code(capsys, monkeypatch):
     from circleforge import arcints
     from circleforge.errors import ConvergenceError

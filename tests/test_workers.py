@@ -1,0 +1,186 @@
+"""The worker pool: results never depend on the worker count, one CPU starts
+no thread, and an error raised on a worker reaches the caller and the CLI."""
+
+import contextlib
+import json
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from circleforge import intmath, moments, workers
+from circleforge.cli import main
+from circleforge.errors import BudgetError
+from circleforge.intmath import pair_keys, pair_values, powers
+from circleforge.scan import PsiSpec, scan
+
+from oracles import pair_values_grid
+
+scanmod = sys.modules["circleforge.scan"]  # circleforge.scan is the function
+
+
+@contextlib.contextmanager
+def worker_count(count):
+    """Run the block with `count` workers and a fresh pool, shut down after."""
+    saved = workers.WORKERS, workers._executor
+    workers.WORKERS, workers._executor = count, None
+    try:
+        yield
+    finally:
+        if workers._executor is not None:
+            workers._executor.shutdown()
+        workers.WORKERS, workers._executor = saved
+
+
+def _lattices():
+    cubes = powers(3, 1500)  # 1.1e6 differences, 3 bands of 2^18 keys at 3 workers
+    sixths, mult = pair_values(powers(6, 60))
+    rng = np.random.default_rng(5)
+    mixed = np.unique(rng.integers(-2**40, 2**40, 1400))
+    return [
+        (cubes, 1, None, None),
+        (cubes, -1, None, None),
+        (cubes, 1, None, 2 * 10**9),
+        (cubes, -1, None, 10**9),
+        (sixths, 1, mult, None),
+        (sixths, -1, mult, 10**12),
+        (mixed, 1, None, 2**39),
+        (mixed, -1, None, None),
+    ]
+
+
+def test_pair_keys_independent_of_worker_count():
+    cases = _lattices()
+    expect = []
+    with worker_count(1):
+        for a, sign, weights, limit in cases:
+            expect.append(pair_keys(a, sign, weights, limit))
+    for count in (2, 3):
+        with worker_count(count):
+            for case, (keys, bits) in zip(cases, expect):
+                got_keys, got_bits = pair_keys(*case)
+                assert got_bits == bits
+                assert np.array_equal(got_keys, keys)
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_small_bands_against_grid(monkeypatch, count):
+    # 16-key chunks cut lattices of a few dozen values into bands, with runs,
+    # limits and negative values on both sides of every band edge
+    monkeypatch.setattr(intmath, "PAIR_CHUNK", 16)
+    rng = np.random.default_rng(count)
+    with worker_count(count):
+        for _ in range(40):
+            a = np.unique(rng.integers(-60, 200, rng.integers(1, 40)))
+            weights = rng.integers(1, 9, len(a)) if rng.random() < 0.5 else None
+            limit = int(rng.integers(-150, 450)) if rng.random() < 0.5 else None
+            for sign in (1, -1):
+                values, mult = pair_values(a, sign, weights, limit)
+                expect_values, expect_mult = pair_values_grid(a, sign, weights, limit)
+                assert values.tolist() == expect_values.tolist()
+                assert mult.tolist() == expect_mult.tolist()
+
+
+def _scan_task_moments():
+    shifts = np.random.default_rng(7).choice(10**7, 500, replace=False).tolist()
+    multiplicity = moments.cube_multiplicity(3000)
+    correlation = moments.count_cube_sixth_correlation(10**8)
+    return (
+        moments.sixth_power_eighth_moment(100).count,
+        multiplicity.members.tolist(),
+        multiplicity.max_multiplicity,
+        correlation.count,
+        correlation.parts,
+        moments.shifted_cube_correlation(2000, shifts).count,
+    )
+
+
+def _scan_arrays():
+    report = scan(2 * 10**4, PsiSpec.parse("log"), 100)
+    arrays = (report.counts, report.series, report.tails, report.mains,
+              report.abs_errs, report.rel_errs, report.flags)
+    return report.summary(), [a.tobytes() for a in arrays]
+
+
+def test_results_independent_of_worker_count():
+    results = {}
+    for count in (1, 2, 3):
+        with worker_count(count):
+            results[count] = (_scan_task_moments(), _scan_arrays())
+    assert results[1] == results[2] == results[3]
+
+
+def test_one_worker_starts_no_thread():
+    with worker_count(1):
+        before = threading.active_count()
+        moments.sixth_power_eighth_moment(60)
+        moments.cube_multiplicity(1500)
+        scan(2 * 10**4, PsiSpec.parse("log"), 100)
+        assert threading.active_count() == before
+        assert workers._executor is None
+
+
+def test_more_workers_than_cores_under_fast_switching(monkeypatch):
+    # disjoint slices of one key array filled and sorted by six threads, in
+    # tiles of 64 x 64, with a switch interval that interleaves every tile
+    monkeypatch.setattr(intmath, "PAIR_CHUNK", 1 << 12)
+    a = powers(3, 1200)
+    with worker_count(1):
+        expect = pair_keys(a, -1)[0]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with worker_count(6):
+            start = time.perf_counter()
+            keys, _ = pair_keys(a, -1)
+            assert time.perf_counter() - start < 30
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(keys, expect)
+
+
+def test_worker_error_reaches_caller():
+    def fail():
+        raise BudgetError("refused on a worker")
+
+    with worker_count(2):
+        with pytest.raises(BudgetError, match="refused on a worker"):
+            workers.run([lambda: 1, fail])
+        with pytest.raises(BudgetError, match="refused on a worker"):
+            workers.run([fail, lambda: time.sleep(0.1)])
+        assert workers.run([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
+
+
+def _run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_worker_budget_error_exits_3(capsys, monkeypatch):
+    # a band of pair_keys, and the series of scan, raise on a pool thread
+    where = []
+
+    def refuse(*args, **kwargs):
+        where.append(threading.current_thread() is not threading.main_thread())
+        raise BudgetError("refused on a worker")
+
+    real_run = workers.run
+
+    def run_refusing_on_pool(calls):
+        calls = list(calls)
+        return real_run([calls[0], *(refuse for _ in calls[1:])])
+
+    with worker_count(2):
+        monkeypatch.setattr(workers, "run", run_refusing_on_pool)
+        first = _run_cli(capsys, "moments", "--moment", "eighth", "--P", "100")
+        monkeypatch.setattr(workers, "run", real_run)
+        monkeypatch.setattr(scanmod, "series_batch", refuse)
+        second = _run_cli(capsys, "scan", "--limit", "20000", "--trunc", "100")
+    assert where == [True, True]
+    for code, out, err in (first, second):
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "budget", "message": "refused on a worker"}
