@@ -58,20 +58,6 @@ def primes_up_to(n: int) -> list[int]:
     return np.flatnonzero(spf == np.arange(n + 1))[2:].tolist()
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13):
-        if n % p == 0:
-            return n == p
-    f = 17
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorisation [(p, exponent), ...] by trial division.
 

@@ -5,10 +5,10 @@ The q-th term is
 
     A(q; n) = sum_{a=1..q, gcd(a,q)=1} q^{-6} S_2(q,a)^2 S_3(q,a)^2 S_6(q,a)^2 e(-n a / q)
 
-and the truncation sums A(q; n) over q <= W.  A is multiplicative in q, so the
-truncation is assembled from prime-power values.  Exact congruence counts
-M_n(q), obtained by cyclic convolution of power-residue histograms in exact
-integers, act as an independent oracle through the divisor-sum identity
+and the truncation sums A(q; n) over q <= W.  A is multiplicative in q, so one
+cached set of tables built from prime powers, ``_live_tables``, serves both a
+target and a range.  Exact congruence counts M_n(q), by cyclic convolution of
+residue histograms in exact integers, are an oracle via the divisor-sum identity
 
     sum_{d | q} A(d; n) = q^{-5} M_n(q).
 """
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BudgetError, PreconditionError
 from .exactconv import cyclic_histogram_convolution
-from .intmath import is_prime, prime_powers_up_to, smallest_prime_factors
+from .intmath import smallest_prime_factors
 from .powersums import gauss_sum_table, residue_histogram
 
 # cost bounds: exact congruence spectra and per-q term tables are O(q log q)
@@ -98,23 +98,13 @@ def congruence_count(q: int, n: int) -> CongruenceCount:
 
 def local_density(p: int, n: int, h: int) -> float:
     """p^{-5h} * M_n(p^h); stabilises in h once lifting obstructions clear."""
-    if not is_prime(p):
+    if p < 2 or h < 1:
+        raise PreconditionError(f"need a prime p and h >= 1, got p={p}, h={h}")
+    if p > CONGRUENCE_BUDGET or h >= CONGRUENCE_BUDGET.bit_length() or p**h > CONGRUENCE_BUDGET:
+        raise BudgetError(f"p**h = {p}**{h} beyond budget {CONGRUENCE_BUDGET}")
+    if smallest_prime_factors(CONGRUENCE_BUDGET)[p] != p:
         raise PreconditionError(f"p={p} is not prime")
-    if h < 1:
-        raise PreconditionError("exponent h must be >= 1")
-    q = p**h
-    if q > CONGRUENCE_BUDGET:
-        raise BudgetError(f"p**h = {q} beyond budget {CONGRUENCE_BUDGET}")
-    return float(congruence_count(q, n).count) / float(p) ** (5 * h)
-
-
-def _split_prime_power(spf: np.ndarray, q: int) -> tuple[int, int]:
-    """(p^h, q / p^h) for the smallest prime p | q, where p^h || q."""
-    p = int(spf[q])
-    ppow = p
-    while (q // ppow) % p == 0:
-        ppow *= p
-    return ppow, q // ppow
+    return float(congruence_count(p**h, n).count) / float(p) ** (5 * h)
 
 
 def _vanishes(q: int, p: int) -> bool:
@@ -130,8 +120,28 @@ def _vanishes(q: int, p: int) -> bool:
     return any((r == r[0]).all() for r in rows)
 
 
-def _prime_power_values(n: int, bound: int) -> dict[int, float]:
-    return {q: float(_term_table(q)[n % q]) for _, _, q in prime_powers_up_to(bound)}
+@lru_cache(maxsize=2)  # 70 MiB of tables at the top truncation, W = 5000
+def _live_tables(top: int) -> tuple[np.ndarray, ...]:
+    """A(q; r) for r < q, for each q <= top whose term is not identically 0, in
+    ascending q.  A prime power is live unless ``_vanishes``; any other q is live
+    when p^h || q and q / p^h are, and its table is their product.
+    """
+    spf = smallest_prime_factors(top)
+    tables = {1: np.ones(1)}
+    for q in range(2, top + 1):
+        p = ppow = int(spf[q])
+        while (q // ppow) % p == 0:
+            ppow *= p
+        rest = q // ppow
+        if ppow == q:
+            if not _vanishes(q, p):
+                tables[q] = _term_table(q)
+        elif ppow in tables and rest in tables:
+            idx = np.arange(q)
+            tables[q] = tables[ppow][idx % ppow] * tables[rest][idx % rest]
+    for table in tables.values():
+        table.setflags(write=False)
+    return tuple(tables.values())
 
 
 def check_truncation(W: int) -> None:
@@ -143,57 +153,41 @@ def check_truncation(W: int) -> None:
 
 
 def truncated_singular_series(n: int, W: int) -> SingularSeriesValue:
-    """sum_{q<=W} A(q; n), assembled multiplicatively from prime-power terms.
-
-    The tail estimate is the change when the truncation is doubled.
-    """
+    """sum_{q<=W} A(q; n), read off ``_live_tables``; the tail estimate is the
+    change when the truncation is doubled."""
     if n < 1:
         raise PreconditionError("target n must be >= 1")
     check_truncation(W)
-    pp = _prime_power_values(n, 2 * W)
-    spf = smallest_prime_factors(2 * W)
-    # A(q) for every q <= 2W by multiplicativity, in one ascending sweep
-    terms = np.empty(2 * W + 1)
-    terms[0] = 0.0
-    terms[1] = 1.0
-    for q in range(2, 2 * W + 1):
-        ppow, rest = _split_prime_power(spf, q)
-        terms[q] = pp[ppow] * terms[rest]
-    value = float(terms[1 : W + 1].sum())
-    value2 = float(terms[1 : 2 * W + 1].sum())
+    terms = np.zeros(2 * W + 1)  # A(q; n) for q <= 2W; dead moduli stay 0
+    for table in _live_tables(2 * W):
+        terms[len(table)] = table[n % len(table)]
+    value, value2 = float(terms[1 : W + 1].sum()), float(terms[1:].sum())
     return SingularSeriesValue(n=n, W=W, value=value, tail_estimate=abs(value2 - value))
+
+
+def _add_periodic(acc: np.ndarray, tables) -> None:
+    """acc[n] += table[n % len(table)] in place, for each table in turn."""
+    for table in tables:
+        q = len(table)
+        full = len(acc) // q * q
+        tiles = acc[:full].reshape(-1, q)  # a view: adds in place
+        tiles += table
+        acc[full:] += table[: len(acc) - full]
 
 
 def series_batch(X: int, W: int) -> tuple[np.ndarray, np.ndarray]:
     """(S_W, S_2W) arrays over n = 0..X, S_W[n] = sum_{q<=W} A(q; n).
 
-    Per-q residue tables are built multiplicatively from prime-power tables and
-    tiled across the n-range.  A modulus with a prime-power factor whose term
-    vanishes identically (``_vanishes``; every q with 2 || q, for one) adds
-    nothing and is skipped.
+    The tables of ``_live_tables``, the ones ``truncated_singular_series``
+    reads, are tiled across the n-range in ascending q.
     """
     if X < 0:
         raise PreconditionError("range bound X must be >= 0")
     check_truncation(W)
-    spf = smallest_prime_factors(2 * W)
-    tables: dict[int, np.ndarray] = {1: np.ones(1)}  # live moduli only
-    acc = np.ones(X + 1)  # q = 1 contributes A(1; n) = 1
-    snapshot = None
-    for q in range(2, 2 * W + 1):
-        ppow, rest = _split_prime_power(spf, q)
-        if ppow == q:
-            if not _vanishes(q, int(spf[q])):
-                tables[q] = np.asarray(_term_table(q))
-        elif ppow in tables and rest in tables:
-            idx = np.arange(q)
-            tables[q] = tables[ppow][idx % ppow] * tables[rest][idx % rest]
-        if q in tables:
-            full = (X + 1) // q * q
-            tiles = acc[:full].reshape(-1, q)  # a view: adds in place
-            tiles += tables[q]
-            acc[full:] += tables[q][: X + 1 - full]
-        if q == W:
-            snapshot = acc.copy()
-    if snapshot is None:  # W == 1
-        snapshot = np.ones(X + 1)
+    live = _live_tables(2 * W)
+    cut = sum(len(table) <= W for table in live)
+    acc = np.zeros(X + 1)
+    _add_periodic(acc, live[:cut])
+    snapshot = acc.copy()
+    _add_periodic(acc, live[cut:])
     return snapshot, acc

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from circleforge.exactconv import cyclic_histogram_convolution
 from circleforge.intmath import prime_powers_up_to
 from circleforge.powersums import gauss_sum_majorant, residue_histogram
 from circleforge.sseries import (
+    _live_tables,
     _term_table,
     _term_table_complex,
     _vanishes,
@@ -194,6 +196,21 @@ def test_local_density_examples():
         local_density(1009, 1, 2)  # beyond cost bound
 
 
+def test_local_density_refuses_before_any_primality_work():
+    # a Mersenne prime far beyond the budget is refused at once, not trial-divided
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        local_density(2**61 - 1, 1, 1)
+    with pytest.raises(BudgetError):
+        local_density(3, 1, 10**18)  # 3**h is never formed
+    assert time.perf_counter() - start < 1.0
+    for p in (1, 4, 91, 9999):  # 91 = 7 * 13, 9999 = 3^2 * 11 * 101
+        with pytest.raises(PreconditionError):
+            local_density(p, 1, 1)
+    with pytest.raises(PreconditionError):
+        local_density(3, 1, 0)
+
+
 def test_local_density_stabilisation():
     # densities stabilise once lifting obstructions clear; observed exact
     # stabilisation at h >= 8 (p = 2) and h >= 4 (p = 3) for ordinary targets
@@ -270,3 +287,31 @@ def test_batch_matches_scalar():
         ref = truncated_singular_series(n, 150)
         assert sw[n] == pytest.approx(ref.value, abs=1e-10)
         assert abs(s2w[n] - sw[n]) == pytest.approx(ref.tail_estimate, abs=1e-10)
+
+
+def test_batch_and_single_targets_share_one_table_set():
+    X, W = 3000, 403  # W = 13 * 31 is live, so the S_W cut falls on a table
+    sw, s2w = series_batch(X, W)
+    before = _live_tables.cache_info()
+    for n in range(1, X + 1):
+        ref = truncated_singular_series(n, W)
+        assert abs(sw[n] - ref.value) <= 1e-12, n
+        assert abs(abs(s2w[n] - sw[n]) - ref.tail_estimate) <= 1e-12, n
+    after = _live_tables.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + X
+
+
+def test_live_tables_are_the_nonvanishing_terms():
+    live = _live_tables(600)
+    qs = [len(table) for table in live]
+    assert qs == sorted(set(qs))
+    assert all(not table.flags.writeable for table in live)
+    # a product table is the direct table; a prime power's is the very same array
+    prime_powers = {q for _, _, q in prime_powers_up_to(600)}
+    for table in live:
+        q = len(table)
+        assert np.abs(table - _term_table(q)).max() <= 1e-12, q
+        assert q not in prime_powers or table is _term_table(q), q
+    # every q <= 600 whose term is not identically zero has a table, and only those
+    assert set(qs) == {q for q in range(1, 601) if np.abs(_term_table(q)).max() > 1e-12}
