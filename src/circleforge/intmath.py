@@ -1,5 +1,6 @@
-"""Exact integer helpers: k-th roots, trial-division factorisation, prime
-tables, and the one enumerator of pair sums and differences."""
+"""Exact integer helpers: k-th roots, trial-division factorisation, the
+smallest-prime-factor table, and the one enumerator of pair sums and
+differences."""
 
 import math
 from functools import lru_cache
@@ -9,8 +10,8 @@ import numpy as np
 from . import workers
 from .errors import BudgetError
 
-# Trial division is used for every factorisation; all moduli in this package
-# stay at or below this bound.
+# Trial division is used for every factorisation, so a modulus is factorised
+# only up to the square of this bound.
 TRIAL_DIVISION_BOUND = 10**6
 
 
@@ -50,22 +51,16 @@ def smallest_prime_factors(n: int) -> np.ndarray:
     return table
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, read off the smallest-prime-factor table."""
-    if n < 2:
-        return []
-    spf = smallest_prime_factors(n)
-    return np.flatnonzero(spf == np.arange(n + 1))[2:].tolist()
-
-
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorisation [(p, exponent), ...] by trial division.
 
-    Intended for moduli up to TRIAL_DIVISION_BOUND**2; a prime cofactor larger
-    than TRIAL_DIVISION_BOUND is accepted as-is.
+    Raises BudgetError above TRIAL_DIVISION_BOUND**2, where a cofactor left
+    after trial division up to the bound need not be prime.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
+    if n > TRIAL_DIVISION_BOUND**2:
+        raise BudgetError(f"factorisation budget is n <= {TRIAL_DIVISION_BOUND}**2")
     out = []
     for p in (2, 3, 5):
         if n % p == 0:
@@ -75,7 +70,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 h += 1
             out.append((p, h))
     f = 7
-    while f * f <= n and f <= TRIAL_DIVISION_BOUND:
+    while f * f <= n:
         if n % f == 0:
             h = 0
             while n % f == 0:
@@ -88,22 +83,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def prime_powers_up_to(n: int) -> list[tuple[int, int, int]]:
-    """All prime powers p**h <= n as (p, h, p**h), sorted by value."""
-    out = []
-    for p in primes_up_to(n):
-        q = p
-        h = 1
-        while q <= n:
-            out.append((p, h, q))
-            q *= p
-            h += 1
-    out.sort(key=lambda t: t[2])
-    return out
-
-
-# keys per run-reduction chunk and cells per enumeration tile: the
-# temporaries of either stay at a few MiB beside the full key array
+# keys per run-reduction chunk, whose temporaries stay at a few MiB beside the
+# full key array, and per worker at least in a lattice cut into value bands
 PAIR_CHUNK = 1 << 18
 
 
@@ -132,9 +113,9 @@ def pair_keys(a: np.ndarray, sign: int = 1, weights=None, limit: int | None = No
 
     The lattice is cut into value bands, one per worker (_band_count): each
     band's cells are found per row in exact integers, as the limit is, so its
-    size is known before any key is built; each worker fills and sorts its own
-    slice of the one key array, and the sorted, value-disjoint slices laid end
-    to end are the sorted array.
+    size is known before any key is built.  Each band is written row by row
+    into its own slice of the one key array, each worker sorts one slice, and
+    the sorted, value-disjoint slices laid end to end are the sorted array.
     """
     n = len(a)
     w = np.ones(n, dtype=np.int64) if weights is None else np.asarray(weights, dtype=np.int64)
@@ -176,43 +157,29 @@ def pair_keys(a: np.ndarray, sign: int = 1, weights=None, limit: int | None = No
     bands = [(e0, e1) if sign == 1 else (e1, e0) for e0, e1 in zip(edges, edges[1:])]
     ends = np.cumsum([int((stop - start).sum()) for start, stop in bands])
 
-    # key = (a[i] << bits) +- (a[j] << bits) + weight - 1 in wrapping int64
-    # arithmetic, exact wherever the key itself fits; unit weights fold into
-    # the row term
+    # key = (a[i] << bits) +- (a[j] << bits) + weight - 1, computed only for
+    # the cells of a row's range, so every sum is a key that fits; unit
+    # weights fold into the row term
     shifted = a << bits
     head = shifted + (double - 1 if weights is None else -1)
     op = np.add if sign == 1 else np.subtract
-    side = math.isqrt(PAIR_CHUNK)
 
-    def fill(out, start, stop):
-        """Write the keys of one band into out, tile by tile, and sort it."""
-        pos = 0
-        for lo in range(0, n, side):
-            hi = min(n, lo + side)
-            begin, end = start[lo:hi], stop[lo:hi]
-            live = end > begin
-            if not live.any():
-                continue
-            for c0 in range(int(begin[live].min()) // side * side, int(end[live].max()), side):
-                c1 = min(n, c0 + side)
-                block = op(head[lo:hi, None], shifted[None, c0:c1])
-                if weights is not None:
-                    block += np.multiply.outer(double * w[lo:hi], w[c0:c1])
-                if sign == 1:
-                    diagonal = rows[max(lo, c0) : min(hi, c1)]
-                    block[diagonal - lo, diagonal - c0] -= w[diagonal] ** 2
-                if begin.max() > c0 or end.min() < c1:
-                    # cells outside the row ranges may hold wrapped values;
-                    # they are masked by index, never by value
-                    offset = (rows[None, c0:c1] - begin[:, None]).view(np.uint64)
-                    block = block[offset < (end - begin)[:, None].astype(np.uint64)]
-                out[pos : pos + block.size] = block.ravel()
-                pos += block.size
-        out.sort()
-
+    # the bands are written in turn on this thread: a row is one short ufunc
+    # call, and two threads would pass the GIL back and forth between them;
+    # each sort releases it for its whole length
     keys = np.empty(int(ends[-1]), dtype=np.int64)
-    workers.run(lambda out=keys[e0:e1], band=band: fill(out, *band)
-                for e0, e1, band in zip([0, *ends[:-1]], ends, bands))
+    pos = 0
+    for start, stop in bands:
+        for i in np.flatnonzero(stop > start).tolist():
+            s, e = int(start[i]), int(stop[i])
+            row = keys[pos : pos + e - s]
+            op(head[i], shifted[s:e], out=row)
+            if weights is not None:
+                row += double * w[i] * w[s:e]
+            if sign == 1 and s == i:
+                row[0] -= w[i] ** 2
+            pos += e - s
+    workers.run(band.sort for band in np.split(keys, ends[:-1]))
     return keys, bits
 
 

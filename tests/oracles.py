@@ -15,6 +15,30 @@ from circleforge.errors import BudgetError, PreconditionError
 from circleforge.sseries import series_term
 
 
+def primes_up_to(n):
+    """All primes <= n by a sieve of Eratosthenes on a bytearray."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if sieve[p]]
+
+
+def prime_powers_up_to(n):
+    """All prime powers p**h <= n as (p, h, p**h), sorted by value."""
+    out = []
+    for p in primes_up_to(n):
+        q, h = p, 1
+        while q <= n:
+            out.append((p, h, q))
+            q *= p
+            h += 1
+    return sorted(out, key=lambda t: t[2])
+
+
 def gauss_direct(k, q, a):
     """Direct summation of e(a r^k / q) with exact integer phase reduction."""
     total = 0j

@@ -16,7 +16,6 @@ from circleforge.arcints import (
     singular_integral,
 )
 from circleforge.cli import main as cli_main
-from circleforge.intmath import prime_powers_up_to
 from circleforge.moments import (
     count_cube_sixth_correlation,
     count_sixth_pair_collisions,
@@ -29,7 +28,7 @@ from circleforge.repcount import pair_spectrum, read_spectrum, rep_count_range, 
 from circleforge.scan import PsiSpec, scan
 from circleforge.sseries import congruence_count, series_term, truncated_singular_series
 
-from oracles import cube_sixth_correlation_brute, rep_range_enumeration
+from oracles import cube_sixth_correlation_brute, prime_powers_up_to, rep_range_enumeration
 
 
 def _report(ok: bool, label: str) -> None:

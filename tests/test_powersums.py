@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from circleforge.errors import PreconditionError
+from circleforge.errors import BudgetError, PreconditionError
+from circleforge.intmath import TRIAL_DIVISION_BOUND, factorize, smallest_prime_factors
 from circleforge.powersums import (
     gauss_sum,
     gauss_sum_majorant,
@@ -11,9 +12,7 @@ from circleforge.powersums import (
     leading_constant,
     majorant_ratio_survey,
 )
-from circleforge.intmath import primes_up_to
-
-from oracles import gauss_direct
+from oracles import gauss_direct, primes_up_to
 
 
 def test_gauss_sum_examples():
@@ -89,6 +88,25 @@ def test_majorant_prime_power_cases():
     assert gauss_sum_majorant(3, 3**5).value == pytest.approx(3.0**-2)
     assert gauss_sum_majorant(6, 2**7).value == pytest.approx(6 * 2**-1.5)
     assert gauss_sum_majorant(6, 2**12).value == pytest.approx(2.0**-2)
+
+
+def test_factorize_is_exact_or_refused():
+    # every factor is a prime by the sieve, and the factors multiply back
+    spf = smallest_prime_factors(10**5)
+    for q in range(1, 10**5 + 1):
+        factors = factorize(q)
+        assert math.prod(p**h for p, h in factors) == q
+        assert all(spf[p] == p and h >= 1 for p, h in factors)
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+    # the square of the largest prime below the bound, and the bound itself
+    assert factorize(999983**2) == [(999983, 2)]
+    assert factorize(TRIAL_DIVISION_BOUND**2) == [(2, 12), (5, 12)]
+    # 1000003 is prime: past the bound a leftover cofactor need not be, and
+    # the majorant of its square would read 2e-6 instead of 1e-6
+    with pytest.raises(BudgetError):
+        factorize(TRIAL_DIVISION_BOUND**2 + 1)
+    with pytest.raises(BudgetError):
+        gauss_sum_majorant(2, 1000003**2)
 
 
 def test_majorant_multiplicativity():

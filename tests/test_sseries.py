@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from circleforge import exactconv, sseries
 from circleforge.errors import BudgetError, PreconditionError
 from circleforge.exactconv import cyclic_histogram_convolution
-from circleforge.intmath import prime_powers_up_to
 from circleforge.powersums import gauss_sum_majorant, residue_histogram
 from circleforge.sseries import (
     _live_tables,
@@ -26,6 +25,7 @@ from circleforge.sseries import (
 from oracles import (
     congruence_brute,
     cyclic_convolution_kronecker,
+    prime_powers_up_to,
     series_sum_literal,
     series_term_direct,
 )

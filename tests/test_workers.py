@@ -6,6 +6,7 @@ import json
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,24 @@ def test_pair_keys_independent_of_worker_count():
                 got_keys, got_bits = pair_keys(*case)
                 assert got_bits == bits
                 assert np.array_equal(got_keys, keys)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_pair_keys_temporaries_are_bounded(count):
+    # each row is written straight into the key array: besides the keys, a
+    # call holds only per-row temporaries and the band edges
+    cubes = powers(3, 1500)
+    sixths, mult = pair_values(powers(6, 60))
+    with worker_count(count):
+        for case in ((cubes, 1), (cubes, -1), (sixths, 1, mult)):
+            pair_keys(*case)
+            tracemalloc.start()
+            try:
+                keys, _ = pair_keys(*case)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * keys.nbytes
 
 
 @pytest.mark.parametrize("count", [2, 3])
@@ -123,8 +142,8 @@ def test_one_worker_starts_no_thread():
 
 
 def test_more_workers_than_cores_under_fast_switching(monkeypatch):
-    # disjoint slices of one key array filled and sorted by six threads, in
-    # tiles of 64 x 64, with a switch interval that interleaves every tile
+    # disjoint slices of one key array sorted by six threads, with a switch
+    # interval that interleaves them
     monkeypatch.setattr(intmath, "PAIR_CHUNK", 1 << 12)
     a = powers(3, 1200)
     with worker_count(1):
