@@ -96,6 +96,17 @@ def convolution_value_bound(a: np.ndarray, b: np.ndarray) -> int:
     return max(min(sa * mb, sb * int(ma)) for sa, ma in zip(_row_sums(rows), rows.max(axis=1)))
 
 
+def _int64(x, message: str) -> np.ndarray:
+    """x as a contiguous int64 array, or ValueError(message) for a nonempty x
+    of a non-integer dtype: a cast would truncate floats, and numpy holds a
+    Python int outside int64 as an object.  uint64 values past int64 wrap to
+    negatives, which every caller refuses next."""
+    x = np.asarray(x)
+    if x.size and not np.issubdtype(x.dtype, np.integer):
+        raise ValueError(message)
+    return np.ascontiguousarray(x, dtype=np.int64)
+
+
 def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact linear convolution of nonnegative integer arrays, int64 output.
 
@@ -115,10 +126,10 @@ def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     passes with probability at most (N/p)^_CERT_POINTS.  The evaluation is
     O(N) per row, with power tables of about 2 sqrt(N) entries (_eval_mod).
     """
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    b = np.ascontiguousarray(b, dtype=np.int64)
+    message = "exact_convolve expects nonnegative integer inputs, a 1-D or 2-D and b 1-D"
+    a, b = _int64(a, message), _int64(b, message)
     if a.ndim not in (1, 2) or b.ndim != 1 or a.min(initial=0) < 0 or b.min(initial=0) < 0:
-        raise ValueError("exact_convolve expects nonnegative inputs, a 1-D or 2-D and b 1-D")
+        raise ValueError(message)
     rows, shape = a.reshape(-1, a.shape[-1]), a.shape[:-1] + (-1,)
     if rows.size == 0 or len(b) == 0:
         return np.zeros(a.shape[:-1] + (0,), dtype=np.int64)
@@ -170,13 +181,13 @@ def cyclic_histogram_convolution(histograms, q: int) -> list[int]:
     """
     if q < 1:
         raise ValueError("modulus must be positive")
-    hists = [np.asarray(h, dtype=np.int64) for h in histograms]
+    hists = [_int64(h, "histograms must be nonnegative integers") for h in histograms]
     if not hists:
         raise ValueError("need at least one histogram")
     if any(len(h) != q for h in hists):
         raise ValueError("histogram length must equal the modulus")
     if any(h.min() < 0 for h in hists):
-        raise ValueError("histograms must be nonnegative")
+        raise ValueError("histograms must be nonnegative integers")
     if any((h == h[0]).all() for h in hists):
         return [math.prod(_row_sums(h)[0] for h in hists) // q] * q
     limbs = hists[0][None, :]

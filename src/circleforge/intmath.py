@@ -1,6 +1,9 @@
 """Exact integer helpers: k-th roots, trial-division factorisation, the
 smallest-prime-factor table, and the one enumerator of pair sums and
-differences."""
+differences, `pair_reduce`.  It writes each value band of a lattice as packed
+int64 keys, and a worker sorts the band and reduces it to runs of equal value,
+in chunks that end at run starts.  The key format stays in this module:
+callers see only (values, sums) runs."""
 
 import math
 from functools import lru_cache
@@ -93,15 +96,11 @@ def powers(k: int, P: int) -> np.ndarray:
     return np.arange(1, P + 1, dtype=np.int64) ** k
 
 
-def _band_count(size: int) -> int:
-    """Value bands for `size` keys: one per worker, but a single band (on the
-    calling thread) below PAIR_CHUNK keys per worker."""
-    return workers.WORKERS if size >= PAIR_CHUNK * workers.WORKERS else 1
-
-
-def pair_keys(a: np.ndarray, sign: int = 1, weights=None, limit: int | None = None):
-    """Sorted packed keys of the pair lattice of a strictly increasing int64 a,
-    as (keys, bits) with key = (value << bits) | (weight - 1).
+def pair_reduce(fn, a: np.ndarray, sign: int = 1, weights=None, limit: int | None = None) -> list:
+    """[fn(runs) for each value band] over the pair lattice of a strictly
+    increasing int64 a, the bands in increasing order of value, where runs
+    yields (values, sums) as key_runs does: each distinct value of the band
+    once, in increasing order, with the sum of its weights.
 
     sign=1 takes the triangle a[i] + a[j], i <= j, with weight w[i] w[j]
     doubled off the diagonal, so the weights of a value sum to its number of
@@ -111,11 +110,13 @@ def pair_keys(a: np.ndarray, sign: int = 1, weights=None, limit: int | None = No
     excluded pair can wrap into range.  Raises BudgetError if a key could
     pass int64.
 
-    The lattice is cut into value bands, one per worker (_band_count): each
-    band's cells are found per row in exact integers, as the limit is, so its
-    size is known before any key is built.  Each band is written row by row
-    into its own slice of the one key array, each worker sorts one slice, and
-    the sorted, value-disjoint slices laid end to end are the sorted array.
+    The lattice is cut into value bands, one per worker, or one band on the
+    calling thread below PAIR_CHUNK keys per worker: each band's cells are
+    found per row in exact integers, as the limit is, so its size is known
+    before any key is built.  Each band is written row by row into its own
+    slice of one array of packed keys (value << bits) | (weight - 1), and each
+    worker sorts and reduces one slice; the bands are value-disjoint, so no
+    run of equal values crosses two of them.
     """
     n = len(a)
     w = np.ones(n, dtype=np.int64) if weights is None else np.asarray(weights, dtype=np.int64)
@@ -142,7 +143,8 @@ def pair_keys(a: np.ndarray, sign: int = 1, weights=None, limit: int | None = No
 
     # band b holds the values in (bounds[b - 1], bounds[b]]; each bound is the
     # least value whose float count estimate reaches b / parts of the lattice
-    parts, floats, bounds = _band_count(total), a.astype(np.float64), [low]
+    parts = workers.WORKERS if total >= PAIR_CHUNK * workers.WORKERS else 1
+    floats, bounds = a.astype(np.float64), [low]
     for b in range(1, parts):
         lo, hi = bounds[-1], high
         while lo < hi:
@@ -179,50 +181,34 @@ def pair_keys(a: np.ndarray, sign: int = 1, weights=None, limit: int | None = No
             if sign == 1 and s == i:
                 row[0] -= w[i] ** 2
             pos += e - s
-    workers.run(band.sort for band in np.split(keys, ends[:-1]))
-    return keys, bits
+
+    def reduce_band(band):
+        band.sort()
+        return fn(key_runs(band, bits))
+
+    return workers.run(lambda band=band: reduce_band(band) for band in np.split(keys, ends[:-1]))
 
 
 def key_runs(keys: np.ndarray, bits: int):
-    """Yield (values, sums) over sorted packed keys, one chunk of PAIR_CHUNK
-    keys at a time: each distinct value once, in increasing order, with the
-    sum of its weights (with bits = 0, plain sorted values and their run
-    lengths).  The run that crosses a chunk edge is carried into the next
-    chunk, so no array of full length is built besides the keys."""
-    carry = None
-    for lo in range(0, len(keys), PAIR_CHUNK):
-        chunk = keys[lo : lo + PAIR_CHUNK]
-        values = chunk >> bits
-        starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
-        sums = np.diff(starts, append=len(chunk))
-        if bits:
-            sums += np.add.reduceat(chunk & ((1 << bits) - 1), starts)
-        values = values[starts]
-        if carry is not None:
-            values, sums = np.r_[carry[0], values], np.r_[carry[1], sums]
-            if values[0] == values[1]:
-                sums[1] += sums[0]
-                values, sums = values[1:], sums[1:]
-        carry = values[-1:].copy(), sums[-1:].copy()
-        yield values[:-1], sums[:-1]
-    if carry is not None:
-        yield carry
-
-
-def map_key_runs(fn, keys: np.ndarray, bits: int) -> list:
-    """[fn(key_runs(band, bits)) for band in bands], with the sorted keys cut
-    into one band per worker (_band_count).  Each cut is moved back to the
-    first key of its run of equal value, so no run crosses a band and the
-    bands' runs, in order, are the runs of the whole array."""
-    parts = _band_count(len(keys))
-    cuts = [int(keys[len(keys) * b // parts]) >> bits << bits for b in range(1, parts)]
-    bands = np.split(keys, np.searchsorted(keys, np.array(cuts, dtype=np.int64)))
-    return workers.run(lambda band=band: fn(key_runs(band, bits)) for band in bands)
+    """Yield (values, sums) over sorted packed keys, one chunk of about
+    PAIR_CHUNK keys at a time: each distinct value once, in increasing order,
+    with the sum of its weights (with bits = 0, plain sorted values and their
+    run lengths).  Each chunk ends at the start of a run, so no run crosses
+    two chunks and no array of full length is built besides the keys."""
+    cuts = np.searchsorted(keys, keys[PAIR_CHUNK::PAIR_CHUNK] >> bits << bits)
+    for chunk in np.split(keys, cuts):
+        if len(chunk):
+            values = chunk >> bits
+            starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+            sums = np.diff(starts, append=len(chunk))
+            if bits:
+                sums += np.add.reduceat(chunk & ((1 << bits) - 1), starts)
+            yield values[starts], sums
 
 
 def pair_values(a: np.ndarray, sign: int = 1, weights=None, limit: int | None = None):
-    """Distinct values of the pair lattice of pair_keys, with the sum of the
+    """Distinct values of the pair lattice of pair_reduce, with the sum of the
     weights of each, as two int64 arrays (values increasing)."""
-    bands = map_key_runs(list, *pair_keys(a, sign, weights, limit))
+    bands = pair_reduce(list, a, sign, weights, limit)
     runs = [(np.empty(0, dtype=np.int64),) * 2, *(run for band in bands for run in band)]
     return tuple(map(np.concatenate, zip(*runs)))

@@ -5,10 +5,12 @@ pair sums, the mixed cube/sixth-power correlation, the eighth moment of the
 sixth-power spectrum, cube-difference multiplicities and shifted-cube
 correlations against an arbitrary shift set.  Each is a count of
 coincidences among sums or differences x^k +- y^k on a P^2 lattice, and each
-lattice goes through the one enumerator ``intmath.pair_values``: sorted
-packed int64 keys, reduced to runs of equal value one chunk at a time.  The
-exception is the pair-collision count, whose sums pass 2^63 from P6 = 1449
-on; it sorts exact two-word (hi, lo) keys instead.
+lattice goes through the one enumerator ``intmath.pair_reduce``, which hands
+each value band's runs of equal value, (values, sums) one chunk at a time,
+to a reduction on the worker that sorted the band; ``pair_values`` lays those
+runs end to end.  No packed key reaches this module.  The exception is the
+pair-collision count, whose sums pass 2^63 from P6 = 1449 on; it sorts exact
+two-word (hi, lo) keys and reads their runs as plain sorted values.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .intmath import iroot, key_runs, map_key_runs, pair_keys, pair_values, powers
+from .intmath import iroot, key_runs, pair_reduce, pair_values, powers
 
 @dataclass(frozen=True)
 class MomentCount:
@@ -121,8 +123,7 @@ def sixth_power_eighth_moment(P6: int) -> MomentCount:
         raise BudgetError("eighth-moment budget is P6 <= 200")
     uvals, ucounts = pair_values(powers(6, P6))
     # the P6 budget bounds the keys: 20,100 pair sums give 2.02e8 (1.5 GiB)
-    keys, bits = pair_keys(uvals, weights=ucounts)
-    total = sum(map_key_runs(lambda runs: sum(int(np.dot(c, c)) for _, c in runs), keys, bits))
+    total = sum(pair_reduce(lambda runs: sum(int(c @ c) for _, c in runs), uvals, weights=ucounts))
     return MomentCount(
         label="sixth_eighth_moment", parameters={"P6": P6}, count=total
     )
@@ -143,7 +144,7 @@ def cube_multiplicity(P3: int) -> MultiplicitySet:
             top = max(top, int(mult.max(initial=0)))
         return np.concatenate(found), top
 
-    bands = map_key_runs(repeats, *pair_keys(powers(3, P3), -1))
+    bands = pair_reduce(repeats, powers(3, P3), -1)
     repeated = np.concatenate([found for found, _ in bands])
     top = max(top for _, top in bands)
     members = np.concatenate([-repeated[::-1], repeated])

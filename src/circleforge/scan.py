@@ -131,8 +131,6 @@ def predict(n: int, W: int = DEFAULT_TRUNCATION) -> PredictionRecord:
     """Exact count against main term for a single target (no flag attached)."""
     if n < 6:
         raise PreconditionError("targets below 6 have no representations")
-    if W < 1:
-        raise PreconditionError("truncation W must be >= 1")
     check_single_target(n)
     check_truncation(W)
     count = rep_count_single(n)

@@ -245,6 +245,18 @@ def pair_values_grid(a, sign=1, weights=None, limit=None):
     return distinct, mult
 
 
+def concat_runs(chunks):
+    """The (values, sums) chunks of a run reduction laid end to end, as two
+    int64 arrays, after checking that no chunk is empty and that the values
+    increase strictly within and across chunks, so no run is split."""
+    chunks = list(chunks)
+    assert all(len(values) for values, _ in chunks)
+    empty = np.empty(0, dtype=np.int64)
+    values, sums = (np.concatenate(part) for part in zip((empty, empty), *chunks))
+    assert (np.diff(values) > 0).all()
+    return values, sums
+
+
 def pair_collision_brute(P6):
     tally = Counter()
     for y1 in range(1, P6 + 1):

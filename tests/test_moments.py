@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from circleforge import intmath
 from circleforge.errors import BudgetError, PreconditionError
-from circleforge.intmath import pair_values, powers
+from circleforge.intmath import key_runs, pair_reduce, pair_values, powers
 from circleforge.moments import (
     _split_pair_sums,
     count_cube_sixth_correlation,
@@ -15,6 +15,7 @@ from circleforge.moments import (
 )
 
 from oracles import (
+    concat_runs,
     cube_multiplicity_brute,
     cube_sixth_correlation_brute,
     eighth_moment_brute,
@@ -189,12 +190,13 @@ def test_pair_values_matches_grid(lattice, sign, chunk):
     saved = intmath.PAIR_CHUNK
     intmath.PAIR_CHUNK = chunk
     try:
-        values, mult = pair_values(a, sign, weights, limit)
+        bands = pair_reduce(list, a, sign, weights, limit)
+        values = pair_values(a, sign, weights, limit)
     finally:
         intmath.PAIR_CHUNK = saved
-    expect_values, expect_mult = pair_values_grid(a, sign, weights, limit)
-    assert values.tolist() == expect_values.tolist()
-    assert mult.tolist() == expect_mult.tolist()
+    runs = concat_runs(run for band in bands for run in band)
+    expect = pair_values_grid(a, sign, weights, limit)
+    assert [r.tolist() for r in runs] == [v.tolist() for v in values] == [e.tolist() for e in expect]
 
 
 def test_pair_values_refuses_int64_overflow():
@@ -202,12 +204,26 @@ def test_pair_values_refuses_int64_overflow():
         pair_values(powers(6, 1200))  # sums near 6e18 leave no room for a weight bit
 
 
-def test_run_chunk_carry(monkeypatch):
-    # with 7-key chunks most runs of equal value cross a chunk edge, and the
-    # carried partial sums must merge exactly
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_chunks_cut_at_run_starts(monkeypatch, chunk):
+    # runs of up to 41 equal values, longer than every chunk: each chunk must
+    # end where a run starts, so the chunks are value-disjoint and their runs,
+    # laid end to end, are the np.unique reduction
     expect = [sixth_power_eighth_moment(P6).count for P6 in (6, 25)]
     cubes = cube_multiplicity(300)
-    monkeypatch.setattr(intmath, "PAIR_CHUNK", 7)
+    a = np.arange(-10, 31, dtype=np.int64)
+    sums = np.sort((a[:, None] + a[None, :]).ravel())
+    weights = np.arange(1, len(a) + 1) % 5 + 1
+    monkeypatch.setattr(intmath, "PAIR_CHUNK", chunk)
+    values, counts = concat_runs(key_runs(sums, 0))
+    expect_values, expect_counts = np.unique(sums, return_counts=True)
+    assert counts.max() > chunk
+    assert values.tolist() == expect_values.tolist() and counts.tolist() == expect_counts.tolist()
+    for sign in (1, -1):
+        for w in (None, weights):
+            bands = pair_reduce(list, a, sign, w)
+            runs = concat_runs(run for band in bands for run in band)
+            assert [r.tolist() for r in runs] == [e.tolist() for e in pair_values_grid(a, sign, w)]
     assert [sixth_power_eighth_moment(P6).count for P6 in (6, 25)] == expect
     chunked = cube_multiplicity(300)
     assert chunked.members.tolist() == cubes.members.tolist()

@@ -8,7 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from circleforge import exactconv
 from circleforge.errors import BudgetError, PreconditionError
-from circleforge.exactconv import FLOAT_EXACT_LIMIT, convolution_value_bound, exact_convolve
+from circleforge.exactconv import (
+    FLOAT_EXACT_LIMIT,
+    convolution_value_bound,
+    cyclic_histogram_convolution,
+    exact_convolve,
+)
 from circleforge.intmath import iroot, pair_values, powers
 from circleforge.repcount import (
     SINGLE_TARGET_BUDGET,
@@ -197,6 +202,22 @@ def test_exact_convolve_refuses_by_value_bound():
     a = np.full(10, 2**50)
     with pytest.raises(BudgetError, match="2\\^53"):
         exact_convolve(a, a)
+
+
+def test_convolutions_refuse_non_integer_input():
+    # a cast to int64 would truncate [1.5, 2.7] to [1, 2] and [0.9] to [0],
+    # and cannot hold Python ints outside int64 (numpy keeps them as objects)
+    for a, b in (([1.5, 2.7], [1, 1]), ([0.9], [3]), ([1, 1], [0.5]),
+                 ([2**64], [1]), ([1], [-(2**63) - 1]), ([2**63, 1], [1]), ([True], [1])):
+        with pytest.raises(ValueError, match="integer"):
+            exact_convolve(a, b)
+    for hists in ([[0.5, 1.9, 1], [1, 1, 0.2]], [[1, 1, 1], [2**64, 0, 1]]):
+        with pytest.raises(ValueError, match="integer"):
+            cyclic_histogram_convolution(hists, 3)
+    # narrower integer dtypes, as the int16 and int32 spectra g, still pass
+    g = np.array([1, 2, 3], dtype=np.int16)
+    assert exact_convolve(g, np.array([1, 1], dtype=np.int32)).tolist() == [1, 3, 5, 3]
+    assert cyclic_histogram_convolution([g, np.array([1, 1, 0], dtype=np.int32)], 3) == [4, 3, 5]
 
 
 def test_rep_count_single_examples():

@@ -14,10 +14,10 @@ import pytest
 from circleforge import intmath, moments, workers
 from circleforge.cli import main
 from circleforge.errors import BudgetError
-from circleforge.intmath import pair_keys, pair_values, powers
+from circleforge.intmath import pair_reduce, pair_values, powers
 from circleforge.scan import PsiSpec, scan
 
-from oracles import pair_values_grid
+from oracles import concat_runs, pair_values_grid
 
 scanmod = sys.modules["circleforge.scan"]  # circleforge.scan is the function
 
@@ -52,36 +52,52 @@ def _lattices():
     ]
 
 
-def test_pair_keys_independent_of_worker_count():
+def _runs_and_values(case):
+    """The runs of every band of pair_reduce laid end to end, the band count,
+    and pair_values, all as plain lists."""
+    bands = pair_reduce(list, *case)
+    runs = concat_runs(run for band in bands for run in band)
+    return [r.tolist() for r in runs], len(bands), [v.tolist() for v in pair_values(*case)]
+
+
+def test_pair_reduce_independent_of_worker_count():
     cases = _lattices()
-    expect = []
     with worker_count(1):
-        for a, sign, weights, limit in cases:
-            expect.append(pair_keys(a, sign, weights, limit))
+        expect = [_runs_and_values(case) for case in cases]
     for count in (2, 3):
         with worker_count(count):
-            for case, (keys, bits) in zip(cases, expect):
-                got_keys, got_bits = pair_keys(*case)
-                assert got_bits == bits
-                assert np.array_equal(got_keys, keys)
+            got = [_runs_and_values(case) for case in cases]
+        # the full cube lattices are cut into one band per worker
+        assert [bands for _, bands, _ in got[:2]] == [count, count]
+        for (runs, _, values), (expect_runs, _, expect_values) in zip(got, expect):
+            assert runs == expect_runs == values == expect_values
 
 
 @pytest.mark.parametrize("count", [1, 2])
-def test_pair_keys_temporaries_are_bounded(count):
-    # each row is written straight into the key array: besides the keys, a
-    # call holds only per-row temporaries and the band edges
+def test_pair_reduce_temporaries_are_bounded(count):
+    # each row is written straight into the key array, and each worker sorts
+    # its band in place: besides the keys, a call holds per-row temporaries,
+    # the band edges, and the reduction of one chunk per worker, at most eight
+    # int64 arrays of PAIR_CHUNK entries (about 6.6 at one worker, 7.8 at two)
     cubes = powers(3, 1500)
     sixths, mult = pair_values(powers(6, 60))
+    chunk_bytes = 8 * 8 * intmath.PAIR_CHUNK
+
+    def squares(runs):
+        return sum(int(c @ c) for _, c in runs)
+
     with worker_count(count):
         for case in ((cubes, 1), (cubes, -1), (sixths, 1, mult)):
-            pair_keys(*case)
+            n = len(case[0])
+            key_bytes = 8 * (n * (n + 1) // 2 if case[1] == 1 else n * (n - 1) // 2)
+            expect = pair_reduce(squares, *case)
             tracemalloc.start()
             try:
-                keys, _ = pair_keys(*case)
+                assert pair_reduce(squares, *case) == expect
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 1.1 * keys.nbytes
+            assert peak <= 1.1 * key_bytes + count * chunk_bytes
 
 
 @pytest.mark.parametrize("count", [2, 3])
@@ -96,10 +112,9 @@ def test_small_bands_against_grid(monkeypatch, count):
             weights = rng.integers(1, 9, len(a)) if rng.random() < 0.5 else None
             limit = int(rng.integers(-150, 450)) if rng.random() < 0.5 else None
             for sign in (1, -1):
-                values, mult = pair_values(a, sign, weights, limit)
-                expect_values, expect_mult = pair_values_grid(a, sign, weights, limit)
-                assert values.tolist() == expect_values.tolist()
-                assert mult.tolist() == expect_mult.tolist()
+                runs, _, values = _runs_and_values((a, sign, weights, limit))
+                expect = pair_values_grid(a, sign, weights, limit)
+                assert runs == values == [e.tolist() for e in expect]
 
 
 def _scan_task_moments():
@@ -142,22 +157,23 @@ def test_one_worker_starts_no_thread():
 
 
 def test_more_workers_than_cores_under_fast_switching(monkeypatch):
-    # disjoint slices of one key array sorted by six threads, with a switch
-    # interval that interleaves them
+    # disjoint slices of one key array sorted and reduced by six threads, with
+    # a switch interval that interleaves them
     monkeypatch.setattr(intmath, "PAIR_CHUNK", 1 << 12)
-    a = powers(3, 1200)
+    case = (powers(3, 1200), -1)
     with worker_count(1):
-        expect = pair_keys(a, -1)[0]
+        runs, _, values = _runs_and_values(case)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with worker_count(6):
             start = time.perf_counter()
-            keys, _ = pair_keys(a, -1)
+            got_runs, bands, got_values = _runs_and_values(case)
             assert time.perf_counter() - start < 30
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(keys, expect)
+    assert bands == 6
+    assert got_runs == runs == got_values == values
 
 
 def test_worker_error_reaches_caller():
@@ -179,7 +195,7 @@ def _run_cli(capsys, *argv):
 
 
 def test_worker_budget_error_exits_3(capsys, monkeypatch):
-    # a band of pair_keys, and the series of scan, raise on a pool thread
+    # a band of pair_reduce, and the series of scan, raise on a pool thread
     where = []
 
     def refuse(*args, **kwargs):
