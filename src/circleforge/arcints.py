@@ -24,6 +24,7 @@ from .arcs import (
     exceptional_sum_grid,
     peak_majorant,
     weyl_integral_batch,
+    weyl_sum,
 )
 from .errors import BudgetError, PreconditionError
 from .intmath import iroot
@@ -391,8 +392,6 @@ def major_arc_error_survey(k: int, X: int, q_max: int, W: int) -> ModelErrorSurv
         raise BudgetError("survey budget is X <= 10**6")
     if q_max > 50:
         raise BudgetError("survey budget is q_max <= 50")
-    from .arcs import weyl_sum
-
     P = iroot(X, k)
     width = W / X
     worst = (0.0, 1, 0)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError, ConvergenceError, PreconditionError
-from .powersums import _check_exponent, _unity_roots, gauss_sum
+from .powersums import _check_exponent, _unity_roots, gauss_sum, powers_mod
 
 KIND_MAJOR = "major"
 KIND_ANNULUS = "annulus"
@@ -129,9 +129,7 @@ def weyl_sum(k: int, P: int, alpha) -> complex:
         pm = p % q
         for lo in range(1, P + 1, chunk):
             x = np.arange(lo, min(P, lo + chunk - 1) + 1, dtype=np.int64) % q
-            x2 = x * x % q
-            xk = x2 if k == 2 else (x2 * x % q) if k == 3 else (x2 * x % q) ** 2 % q
-            total += _phase_sum(pm * xk % q, q)
+            total += _phase_sum(pm * powers_mod(x, k, q) % q, q)
         return total
     if (q & (q - 1)) == 0 and q.bit_length() <= 65:
         # float denominators are powers of two; wraparound in uint64 is exact

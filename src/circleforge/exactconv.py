@@ -130,7 +130,7 @@ def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = _int64(a, message), _int64(b, message)
     if a.ndim not in (1, 2) or b.ndim != 1 or a.min(initial=0) < 0 or b.min(initial=0) < 0:
         raise ValueError(message)
-    rows, shape = a.reshape(-1, a.shape[-1]), a.shape[:-1] + (-1,)
+    rows, shape = np.atleast_2d(a), a.shape[:-1] + (-1,)
     if rows.size == 0 or len(b) == 0:
         return np.zeros(a.shape[:-1] + (0,), dtype=np.int64)
     n_out = rows.shape[1] + len(b) - 1

@@ -1,12 +1,10 @@
-"""Exact integer helpers: k-th roots, trial-division factorisation, the
-smallest-prime-factor table, and the one enumerator of pair sums and
-differences, `pair_reduce`.  It writes each value band of a lattice as packed
-int64 keys, and a worker sorts the band and reduces it to runs of equal value,
-in chunks that end at run starts.  The key format stays in this module:
-callers see only (values, sums) runs."""
+"""Exact integer helpers: k-th roots, trial-division factorisation, and the
+one enumerator of pair sums and differences, `pair_reduce`.  It writes each
+value band of a lattice as packed int64 keys, and a worker sorts the band and
+reduces it to runs of equal value, in chunks that end at run starts.  The key
+format stays in this module: callers see only (values, sums) runs."""
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,24 +34,6 @@ def iroot(n: int, k: int) -> int:
     return r
 
 
-@lru_cache(maxsize=8)
-def _spf_table(n: int) -> np.ndarray:
-    """Smallest-prime-factor table for 0..n."""
-    spf = np.arange(n + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == p:
-            block = spf[p * p : n + 1 : p]
-            block[block == np.arange(p * p, n + 1, p)] = p
-    return spf
-
-
-def smallest_prime_factors(n: int) -> np.ndarray:
-    """Read-only smallest-prime-factor table for 0..n (cached)."""
-    table = _spf_table(max(n, 2))
-    table.setflags(write=False)
-    return table
-
-
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorisation [(p, exponent), ...] by trial division.
 
@@ -65,14 +45,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > TRIAL_DIVISION_BOUND**2:
         raise BudgetError(f"factorisation budget is n <= {TRIAL_DIVISION_BOUND}**2")
     out = []
-    for p in (2, 3, 5):
-        if n % p == 0:
-            h = 0
-            while n % p == 0:
-                n //= p
-                h += 1
-            out.append((p, h))
-    f = 7
+    f = 2
     while f * f <= n:
         if n % f == 0:
             h = 0
@@ -80,7 +53,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 n //= f
                 h += 1
             out.append((f, h))
-        f += 2
+        f += 1 if f == 2 else 2
     if n > 1:
         out.append((n, 1))
     return out

@@ -65,16 +65,21 @@ def _check_modulus(q: int) -> None:
         raise BudgetError(f"modulus q={q} beyond budget {MODULUS_BUDGET}")
 
 
-def power_residues(k: int, q: int) -> np.ndarray:
-    """(r**k mod q) for r = 0..q-1, via chained modular multiplication."""
-    r = np.arange(q, dtype=np.int64)
-    r2 = (r * r) % q
+def powers_mod(x: np.ndarray, k: int, q: int) -> np.ndarray:
+    """x**k mod q for an int64 array x of residues mod q < 2^31, by chained
+    modular products: x^2, then x^3 = x^2 x, then x^6 = x^3 x^3."""
+    x2 = x * x % q
     if k == 2:
-        return r2
-    r3 = (r2 * r) % q
+        return x2
+    x3 = x2 * x % q
     if k == 3:
-        return r3
-    return (r3 * r3) % q
+        return x3
+    return x3 * x3 % q
+
+
+def power_residues(k: int, q: int) -> np.ndarray:
+    """(r**k mod q) for r = 0..q-1."""
+    return powers_mod(np.arange(q, dtype=np.int64), k, q)
 
 
 def residue_histogram(k: int, q: int) -> np.ndarray:
@@ -146,11 +151,6 @@ def majorant_ratio_survey(k: int, q_max: int) -> MajorantRatioSurvey:
     best = MajorantRatioSurvey(k=k, q_max=q_max, ratio=1.0, q=1, a=1)
     for q in range(1, q_max + 1):
         w = gauss_sum_majorant(k, q).value
-        if q == 1:
-            ratio = 1.0 / w
-            if ratio > best.ratio:
-                best = MajorantRatioSurvey(k, q_max, ratio, 1, 1)
-            continue
         table = gauss_sum_table(k, q)
         coprime = np.gcd(np.arange(q), q) == 1
         ratios = np.abs(table) / q / w

@@ -127,25 +127,23 @@ def _count_dtype(bound: int) -> type:
     return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
-def _cube_sixth_spectrum(P3: int, P6: int, limit: int | None = None) -> np.ndarray:
+def _cube_sixth_spectrum(P3: int, P6: int, limit: int) -> np.ndarray:
     """g[m] = #{(x3,x4,x5,x6): x3^3+x4^3+x5^6+x6^6 = m} for m <= limit, of
-    length limit + 1 (2 P3^3 + 2 P6^6 + 1 when limit is None), in the narrowest
-    signed integer type that holds sum(c6) * max(c3)."""
+    length limit + 1, in the narrowest signed integer type that holds
+    sum(c6) * max(c3)."""
     # the P3^2 * P6^2 quadruples bound every sum of entries; below 2^53 they
     # keep the float convolution of g exact
     if (P3 * P6) ** 2 >= FLOAT_EXACT_LIMIT:
         raise BudgetError(f"cube/sixth spectrum of {(P3 * P6) ** 2} tuples, not below 2^53")
-    full_top = 2 * P3**3 + 2 * P6**6
-    top = full_top if limit is None else limit
-    v3, c3 = pair_values(powers(3, P3), limit=top)
-    v6, c6 = pair_values(powers(6, P6), limit=top)
+    v3, c3 = pair_values(powers(3, P3), limit=limit)
+    v6, c6 = pair_values(powers(6, P6), limit=limit)
     # sum(c6) * max(c3) also bounds each product w * c3 and each partial sum
     dtype = _count_dtype(int(c6.sum()) * int(c3.max(initial=0)))
     c3 = c3.astype(dtype)
-    g = np.zeros(top + 1, dtype=dtype)
+    g = np.zeros(limit + 1, dtype=dtype)
     # v3 is distinct, so no index repeats within one add
     for s, w in zip(v6.tolist(), c6.tolist()):
-        m = int(np.searchsorted(v3, top - s, "right"))
+        m = int(np.searchsorted(v3, limit - s, "right"))
         g[s + v3[:m]] += w * c3[:m]
     return g
 

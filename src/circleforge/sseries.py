@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BudgetError, PreconditionError
 from .exactconv import cyclic_histogram_convolution
-from .intmath import smallest_prime_factors
+from .intmath import factorize
 from .powersums import gauss_sum_table, residue_histogram
 
 # cost bounds: exact congruence spectra and per-q term tables are O(q log q)
@@ -102,7 +102,7 @@ def local_density(p: int, n: int, h: int) -> float:
         raise PreconditionError(f"need a prime p and h >= 1, got p={p}, h={h}")
     if p > CONGRUENCE_BUDGET or h >= CONGRUENCE_BUDGET.bit_length() or p**h > CONGRUENCE_BUDGET:
         raise BudgetError(f"p**h = {p}**{h} beyond budget {CONGRUENCE_BUDGET}")
-    if smallest_prime_factors(CONGRUENCE_BUDGET)[p] != p:
+    if factorize(p) != [(p, 1)]:
         raise PreconditionError(f"p={p} is not prime")
     return float(congruence_count(p**h, n).count) / float(p) ** (5 * h)
 
@@ -126,12 +126,10 @@ def _live_tables(top: int) -> tuple[np.ndarray, ...]:
     ascending q.  A prime power is live unless ``_vanishes``; any other q is live
     when p^h || q and q / p^h are, and its table is their product.
     """
-    spf = smallest_prime_factors(top)
     tables = {1: np.ones(1)}
     for q in range(2, top + 1):
-        p = ppow = int(spf[q])
-        while (q // ppow) % p == 0:
-            ppow *= p
+        p, h = factorize(q)[0]  # the smallest prime comes first
+        ppow = p**h
         rest = q // ppow
         if ppow == q:
             if not _vanishes(q, p):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from circleforge.errors import BudgetError, PreconditionError
-from circleforge.intmath import TRIAL_DIVISION_BOUND, factorize, smallest_prime_factors
+from circleforge.intmath import TRIAL_DIVISION_BOUND, factorize
 from circleforge.powersums import (
     gauss_sum,
     gauss_sum_majorant,
@@ -91,12 +91,12 @@ def test_majorant_prime_power_cases():
 
 
 def test_factorize_is_exact_or_refused():
-    # every factor is a prime by the sieve, and the factors multiply back
-    spf = smallest_prime_factors(10**5)
+    # every factor is a prime by the oracle's sieve, and the factors multiply back
+    primes = set(primes_up_to(10**5))
     for q in range(1, 10**5 + 1):
         factors = factorize(q)
         assert math.prod(p**h for p, h in factors) == q
-        assert all(spf[p] == p and h >= 1 for p, h in factors)
+        assert all(p in primes and h >= 1 for p, h in factors)
         assert [p for p, _ in factors] == sorted({p for p, _ in factors})
     # the square of the largest prime below the bound, and the bound itself
     assert factorize(999983**2) == [(999983, 2)]
