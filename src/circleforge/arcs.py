@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError, ConvergenceError, PreconditionError
-from .powersums import _check_exponent, _unity_roots, gauss_sum, powers_mod
+from .powersums import _check_exponent, _phase_sum, gauss_sum, powers_mod
 
 KIND_MAJOR = "major"
 KIND_ANNULUS = "annulus"
@@ -100,14 +100,6 @@ def _alpha_as_rational(alpha) -> tuple[int, int]:
     if not (0 <= p < q or (p == 0 and q == 1)):
         raise PreconditionError(f"alpha={alpha} outside [0, 1)")
     return p, q
-
-
-def _phase_sum(numerators: np.ndarray, q: int) -> complex:
-    """sum of e(m / q) over an int array of numerators in [0, q)."""
-    if q <= 2**20:
-        counts = np.bincount(numerators.astype(np.int64), minlength=q)
-        return complex(np.dot(counts, _unity_roots(q)))
-    return complex(np.exp(2j * np.pi * (numerators / q)).sum())
 
 
 def weyl_sum(k: int, P: int, alpha) -> complex:
@@ -301,19 +293,14 @@ def _least_arc(alpha: Fraction, q_bound: int, delta: Fraction) -> tuple[int, int
 
 
 def _least_peak_arc(alpha: Fraction, W: int, X: int) -> tuple[int, int] | None:
-    """Least q <= W with |alpha - a/q| <= W/X, gcd(a, q) = 1, scanned directly."""
+    """Least q <= W with |alpha - a/q| <= W/X, a the nearest numerator (the
+    smaller on a tie).  That a/q is reduced: a non-reduced one would have been
+    found at its reduced denominator."""
     width = Fraction(W, X)
     for q in range(1, W + 1):
-        lo = math.ceil((alpha - width) * q)
-        hi = math.floor((alpha + width) * q)
-        best = None
-        for a in range(max(lo, 0), min(hi, q) + 1):
-            if math.gcd(a, q) == 1:
-                dist = abs(alpha - Fraction(a, q))
-                if dist <= width and (best is None or dist < best[0]):
-                    best = (dist, a)
-        if best is not None:
-            return q, best[1]
+        a = math.ceil(q * alpha - Fraction(1, 2))
+        if abs(alpha - Fraction(a, q)) <= width:
+            return q, a
     return None
 
 

@@ -16,6 +16,7 @@ header and rows that `--format csv` prints instead; `_emit` writes them.
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -25,10 +26,10 @@ import numpy as np
 
 from . import arcints, arcs, moments, powersums, repcount, sseries
 from .errors import BudgetError, ConvergenceError, PreconditionError
-from .scan import PsiSpec, predict as predict_target, record_rows, scan as run_scan
+from .scan import (DEFAULT_TRUNCATION, PredictionRecord, PsiSpec, predict as predict_target,
+                   record_rows, scan as run_scan)
 
 ARC_HEADER = ("q", "a", "Q", "integral_re", "integral_im", "abs", "grid_points")
-RECORD_HEADER = ("n", "R", "S_W", "tail_estimate", "main", "abs_err", "rel_err", "exceptional")
 # error class: (stderr kind, exit code); OSError is an unusable --out or --cache-dir path
 EXIT_CODES = {
     PreconditionError: ("precondition", 2),
@@ -41,6 +42,16 @@ EXIT_CODES = {
 def _f(x) -> float:
     """Round-trip through 12 significant digits for stable printing."""
     return float(f"{float(x):.12g}")
+
+
+def _fields(result, *drop) -> dict:
+    """A result dataclass's fields less `drop`, every float (in dicts too) through `_f`."""
+    def value(v):
+        if isinstance(v, dict):
+            return {k: value(x) for k, x in v.items()}
+        return _f(v) if isinstance(v, float) else v
+    return {f.name: value(getattr(result, f.name))
+            for f in dataclasses.fields(result) if f.name not in drop}
 
 
 def _emit(args, out, payload: dict, header=None, rows=None, records=False) -> None:
@@ -125,15 +136,8 @@ def _gauss(args):
 def _sseries(args):
     _require(args, "n")
     if args.q is not None:
-        term = sseries.series_term(args.q, args.n)
-        return {"q": term.q, "n": term.n, "value": _f(term.value)}
-    value = sseries.truncated_singular_series(args.n, args.trunc)
-    return {
-        "n": value.n,
-        "W": value.W,
-        "value": _f(value.value),
-        "tail_estimate": _f(value.tail_estimate),
-    }
+        return _fields(sseries.series_term(args.q, args.n))
+    return _fields(sseries.truncated_singular_series(args.n, args.trunc))
 
 
 def _count(args):
@@ -214,16 +218,7 @@ def _major_integral(args):
 
 
 def _singular_integral(args):
-    result = arcints.singular_integral(args.n, args.limit, args.trunc)
-    return {
-        "n": result.n,
-        "X": result.X,
-        "W": result.W,
-        "value": _f(result.value),
-        "reference": _f(result.reference),
-        "rel_change": _f(result.rel_change),
-        "grid_points": result.grid_points,
-    }
+    return _fields(arcints.singular_integral(args.n, args.limit, args.trunc), "imag_residual")
 
 
 def _pruned(args):
@@ -246,27 +241,16 @@ def _pruned(args):
 
 def _predict(args):
     _require(args, "n")
-    record = predict_target(args.n, args.trunc)
-    return {
-        "n": record.n,
-        "R": record.R,
-        "S_W": _f(record.S_W),
-        "tail_estimate": _f(record.tail_estimate),
-        "main": _f(record.main),
-        "abs_err": _f(record.abs_err),
-        "rel_err": _f(record.rel_err),
-    }
+    return _fields(predict_target(args.n, args.trunc), "exceptional")
 
 
 def _scan(args):
     _require(args, "limit")
     psi = PsiSpec.parse(args.psi)
     report = run_scan(args.limit, psi, args.trunc, cache_dir=args.cache_dir)
-    summary = report.summary()
-    summary["rel_err_quantiles"] = {k: _f(v) for k, v in summary["rel_err_quantiles"].items()}
-    summary["rel_err_median_asymptotic"] = _f(summary["rel_err_median_asymptotic"])
-    summary["exceptional_proportion"] = _f(summary["exceptional_proportion"])
-    return summary, RECORD_HEADER, record_rows(report), True  # records: see _emit
+    summary = _fields(report, "counts", "series", "tails", "flags")
+    header = [f.name for f in dataclasses.fields(PredictionRecord)]
+    return summary, header, record_rows(report), True  # records: see _emit
 
 
 # --moment name: (required flags, handler)
@@ -320,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (helptext, _) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--limit", type=int, help="range bound X")
-        p.add_argument("--trunc", type=int, default=1000, help="truncation level W")
+        p.add_argument("--trunc", type=int, default=DEFAULT_TRUNCATION, help="truncation level W")
         p.add_argument("--psi", default="log", help='growth function: "log" | "log^A" | "pow:d"')
         p.add_argument("--n", type=int, help="target integer")
         p.add_argument("--k", type=int, help="exponent in {2, 3, 6}")

@@ -94,6 +94,14 @@ def _unity_roots(q: int) -> np.ndarray:
     return table
 
 
+def _phase_sum(numerators: np.ndarray, q: int) -> complex:
+    """sum of e(m / q) over an int array of numerators in [0, q)."""
+    if q <= 2**20:
+        counts = np.bincount(numerators.astype(np.int64), minlength=q)
+        return complex(np.dot(counts, _unity_roots(q)))
+    return complex(np.exp(2j * np.pi * (numerators / q)).sum())
+
+
 def gauss_sum(k: int, q: int, a: int) -> GaussSumValue:
     """S_k(q, a) = sum_{r=1}^{q} e(a r^k / q) for gcd(a, q) = 1."""
     _check_exponent(k)
@@ -102,13 +110,7 @@ def gauss_sum(k: int, q: int, a: int) -> GaussSumValue:
         raise PreconditionError(f"residue a={a} outside 1..q")
     if math.gcd(a, q) != 1:
         raise PreconditionError(f"gcd(a, q) must be 1, got gcd({a}, {q})")
-    reduced = (a % q) * power_residues(k, q) % q
-    counts = np.bincount(reduced, minlength=q)
-    if q <= 2 * 10**6:
-        value = complex(np.dot(counts, _unity_roots(q)))
-    else:
-        nz = np.flatnonzero(counts)
-        value = complex(np.dot(counts[nz], np.exp(2j * np.pi * nz / q)))
+    value = _phase_sum((a % q) * power_residues(k, q) % q, q)
     return GaussSumValue(k=k, q=q, a=a, value=value)
 
 

@@ -93,38 +93,27 @@ class ScanReport:
     rel_err_quantiles: dict   # percentiles 50/90/99 over all n
     rel_err_median_asymptotic: float  # median over n >= PRE_ASYMPTOTIC_CUTOFF
     exceptional_proportion: float
-    # full per-n arrays, index n (entry 0 unused)
+    # full per-n arrays, index n (entry 0 unused); _errors derives the rest
     counts: np.ndarray
     series: np.ndarray
     tails: np.ndarray
-    mains: np.ndarray
-    abs_errs: np.ndarray
-    rel_errs: np.ndarray
     flags: np.ndarray
 
-    def summary(self) -> dict:
-        return {
-            "X": self.X,
-            "psi": self.psi,
-            "W": self.W,
-            "E": self.E,
-            "exceptional_proportion": self.exceptional_proportion,
-            "dyadic_counts": [list(t) for t in self.dyadic_counts],
-            "rel_err_quantiles": self.rel_err_quantiles,
-            "rel_err_median_asymptotic": self.rel_err_median_asymptotic,
-        }
-
     def record(self, n: int) -> PredictionRecord:
-        return PredictionRecord(
-            n=n,
-            R=int(self.counts[n]),
-            S_W=float(self.series[n]),
-            tail_estimate=float(self.tails[n]),
-            main=float(self.mains[n]),
-            abs_err=float(self.abs_errs[n]),
-            rel_err=float(self.rel_errs[n]),
-            exceptional=bool(self.flags[n]),
-        )
+        errors = _errors(self.counts[n], self.series[n], n)
+        return PredictionRecord(n, int(self.counts[n]), float(self.series[n]), float(self.tails[n]),
+                                *map(float, errors), exceptional=bool(self.flags[n]))
+
+
+def _errors(counts, series, n):
+    """(main, abs_err, rel_err): main = C * S(n; W) * n, abs_err = |R - main|
+    and rel_err = abs_err / main (inf where main <= 0), elementwise over
+    arrays or at one n."""
+    main = leading_constant().value * series * n
+    abs_err = np.abs(counts - main)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel_err = np.where(main > 0, abs_err / np.where(main > 0, main, 1.0), np.inf)
+    return main, abs_err, rel_err
 
 
 def predict(n: int, W: int = DEFAULT_TRUNCATION) -> PredictionRecord:
@@ -135,17 +124,8 @@ def predict(n: int, W: int = DEFAULT_TRUNCATION) -> PredictionRecord:
     check_truncation(W)
     count = rep_count_single(n)
     series = truncated_singular_series(n, W)
-    main = leading_constant().value * series.value * n
-    abs_err = abs(count - main)
-    return PredictionRecord(
-        n=n,
-        R=count,
-        S_W=series.value,
-        tail_estimate=series.tail_estimate,
-        main=main,
-        abs_err=abs_err,
-        rel_err=abs_err / main,
-    )
+    return PredictionRecord(n, count, series.value, series.tail_estimate,
+                            *map(float, _errors(count, series.value, n)))
 
 
 def _dyadic_intervals(X: int):
@@ -169,10 +149,7 @@ def scan(X: int, psi: PsiSpec, W: int = DEFAULT_TRUNCATION, cache_dir=None) -> S
         lambda: series_batch(X, W),
     ))
     n = np.arange(X + 1, dtype=np.float64)
-    mains = leading_constant().value * series_w * n
-    abs_errs = np.abs(counts - mains)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel_errs = np.where(mains > 0, abs_errs / np.where(mains > 0, mains, 1.0), np.inf)
+    _, abs_errs, rel_errs = _errors(counts, series_w, n)
     psi_vals = psi(n)
     with np.errstate(divide="ignore"):
         thresholds = np.where(psi_vals > 0, n / np.where(psi_vals > 0, psi_vals, 1.0), np.inf)
@@ -197,23 +174,22 @@ def scan(X: int, psi: PsiSpec, W: int = DEFAULT_TRUNCATION, cache_dir=None) -> S
         counts=counts,
         series=series_w,
         tails=np.abs(series_2w - series_w),
-        mains=mains,
-        abs_errs=abs_errs,
-        rel_errs=rel_errs,
         flags=flags,
     )
 
 
 def record_rows(report: ScanReport):
-    """CSV rows (n, R, S_W, tail_estimate, main, abs_err, rel_err, exceptional)."""
+    """CSV rows in PredictionRecord's field order, exceptional as 0 or 1."""
+    main, abs_err, rel_err = _errors(
+        report.counts, report.series, np.arange(report.X + 1, dtype=np.float64))
     for n in range(1, report.X + 1):
         yield (
             n,
             int(report.counts[n]),
             f"{report.series[n]:.12g}",
             f"{report.tails[n]:.12g}",
-            f"{report.mains[n]:.12g}",
-            f"{report.abs_errs[n]:.12g}",
-            f"{report.rel_errs[n]:.12g}",
+            f"{main[n]:.12g}",
+            f"{abs_err[n]:.12g}",
+            f"{rel_err[n]:.12g}",
             int(report.flags[n]),
         )

@@ -8,6 +8,7 @@ so that agreement is evidence, not circularity.
 import cmath
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -346,3 +347,22 @@ def quad_nodes_per_segment(segments, density):
         weights.append(w)
         owners.append(np.full(4 * m, idx, dtype=np.int64))
     return tuple(map(np.concatenate, (nodes, weights, owners)))
+
+
+def least_peak_arc_scan(alpha, W, X):
+    """Least q <= W with |alpha - a/q| <= W/X and gcd(a, q) = 1, every
+    numerator in the window tested; the nearest one wins, the smaller on a
+    tie."""
+    width = Fraction(W, X)
+    for q in range(1, W + 1):
+        lo = math.ceil((alpha - width) * q)
+        hi = math.floor((alpha + width) * q)
+        best = None
+        for a in range(max(lo, 0), min(hi, q) + 1):
+            if math.gcd(a, q) == 1:
+                dist = abs(alpha - Fraction(a, q))
+                if dist <= width and (best is None or dist < best[0]):
+                    best = (dist, a)
+        if best is not None:
+            return q, best[1]
+    return None

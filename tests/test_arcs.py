@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from circleforge.arcs import (
     ExceptionalSample,
     _chebyshev_degree,
+    _least_peak_arc,
     classify_arc,
     exceptional_sum,
     exceptional_sum_grid,
@@ -33,6 +34,7 @@ from circleforge.powersums import leading_constant
 from oracles import (
     dissect_midpoints,
     exceptional_sum_direct,
+    least_peak_arc_scan,
     quad_nodes_per_segment,
     two_density_two_calls,
     weyl_direct,
@@ -316,6 +318,28 @@ def test_classify_least_denominator_convention():
     # arc (offset 0); the least denominator wins
     label = classify_arc(Fraction(2, 5), 20, 100, 3)
     assert (label.q, label.a) == (2, 1)
+
+
+def test_least_peak_arc_matches_window_scan():
+    # random rationals, and the tie points j/(2q) midway between two
+    # numerators, against the scan of every coprime numerator in the window
+    rng = np.random.default_rng(29)
+    cases = []
+    for _ in range(1500):
+        W = int(rng.integers(1, 40))
+        den = int(rng.integers(1, 5000))
+        cases.append((Fraction(int(rng.integers(0, den)), den), W,
+                      int(rng.integers(W, 2 * W**3 + 2))))
+    for q in range(1, 30):
+        for j in range(1, 2 * q, 2):
+            for W, X in ((q, 2 * q * q), (q, 2 * q * q + 1), (q + 3, 2 * q * (q + 3)), (40, 5000)):
+                cases.append((Fraction(j, 2 * q), W, X))
+    found = 0
+    for alpha, W, X in cases:
+        expect = least_peak_arc_scan(alpha, W, X)
+        assert _least_peak_arc(alpha, W, X) == expect, (alpha, W, X)
+        found += expect is not None
+    assert 0 < found < len(cases)
 
 
 def test_classify_partition_against_brute_membership():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,28 @@ def test_scan_record_rows_schema():
     n, R, s_w, tail, main, abs_err, rel_err, fl = rows[5]
     assert n == 6 and R == 1 and fl in (0, 1)
     assert float(s_w) > 0 and float(main) > 0
+
+
+@pytest.mark.parametrize("X, W", [(3000, 100), (20000, 1000)])
+def test_scan_record_matches_predict(X, W):
+    # series_batch and truncated_singular_series sum in different orders, so
+    # the floats agree to rounding, not bit for bit; the tail is a difference
+    # of two such sums, so its rounding is relative to S_W, not to itself
+    report = scan(X, PsiSpec.parse("log"), W)
+    for n in np.random.default_rng(X).choice(np.arange(6, X + 1), 25, replace=False):
+        rec, expect = report.record(int(n)), predict(int(n), W)
+        assert rec.n == expect.n and rec.R == expect.R
+        for field in ("S_W", "main", "abs_err", "rel_err"):
+            assert getattr(rec, field) == pytest.approx(getattr(expect, field), rel=1e-12, abs=0)
+        assert abs(rec.tail_estimate - expect.tail_estimate) <= 1e-12 * expect.S_W
+
+
+def test_scan_record_matches_record_rows():
+    report = scan(300, PsiSpec.parse("log"), 150)
+    for row in record_rows(report):
+        rec = dataclasses.astuple(report.record(row[0]))
+        floats = tuple(f"{v:.12g}" for v in rec[2:7])
+        assert row == (rec[0], rec[1], *floats, int(rec[7]))
 
 
 def test_series_stability_feeding_predictions():
