@@ -122,7 +122,11 @@ def _dissect(pairs, halfwidth, exclude=()) -> list[tuple[float, float, int]]:
         owner[first[i] : last[i]] = i
     for i in range(len(pairs), len(first)):
         owner[first[i] : last[i]] = -1
-    keep = np.flatnonzero(owner >= 0)
+    # all callers' cuts are a/q +- m/(2qX), m an integer, so distinct cuts differ by
+    # >= 1/(2 q q' X) >= 1.2e-11 within the budgets (q <= 632, X <= 1e5): a segment
+    # below 1e-12 joins two float paths to one cut, of exact width 0, and dropping it
+    # moves an integral by at most its float width (an ulp) times the integrand's sup
+    keep = np.flatnonzero((owner >= 0) & (np.diff(cuts) >= 1e-12))
     return [(float(cuts[i]), float(cuts[i + 1]), int(owner[i])) for i in keep]
 
 

@@ -11,6 +11,7 @@ is exact.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -71,6 +72,8 @@ class ExceptionalSample:
     eta: tuple | None = None
 
     def __post_init__(self):
+        if not all(isinstance(m, Integral) for m in self.members):
+            raise PreconditionError("sample members must be integers")
         if len(set(self.members)) != len(self.members):
             raise PreconditionError("sample members must be distinct")
         if self.eta is not None:

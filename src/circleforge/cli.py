@@ -10,7 +10,7 @@ Exit codes: 0 success, 2 precondition violation or unusable file path,
 3 budget refusal or failed convergence contract.
 
 A handler returns its JSON payload, or the payload together with the CSV
-header and rows that `--format csv` prints instead; `_emit` writes them.
+header and columns that `--format csv` prints instead; `_emit` writes them.
 """
 
 import argparse
@@ -27,8 +27,9 @@ import numpy as np
 from . import arcints, arcs, moments, powersums, repcount, sseries
 from .errors import BudgetError, ConvergenceError, PreconditionError
 from .scan import (DEFAULT_TRUNCATION, PredictionRecord, PsiSpec, predict as predict_target,
-                   record_rows, scan as run_scan)
+                   record_columns, scan as run_scan)
 
+# the arcints.ArcRow fields, in order, with abs for abs_value
 ARC_HEADER = ("q", "a", "Q", "integral_re", "integral_im", "abs", "grid_points")
 # error class: (stderr kind, exit code); OSError is an unusable --out or --cache-dir path
 EXIT_CODES = {
@@ -54,11 +55,13 @@ def _fields(result, *drop) -> dict:
             for f in dataclasses.fields(result) if f.name not in drop}
 
 
-def _emit(args, out, payload: dict, header=None, rows=None, records=False) -> None:
+def _emit(args, out, payload: dict, header=None, columns=None, records=False) -> None:
     """Write one report to `out` (the opened --out file) or stdout.  JSON
-    writes the payload; CSV writes header and rows, or the payload as a
-    one-row table.  Per-record rows (`records`, scan's) go to --out under
-    JSON too, and the JSON payload then stays on stdout."""
+    writes the payload; CSV writes header and columns, or the payload as a
+    one-row table.  Per-record columns (`records`, scan's) go to --out under
+    JSON too, and the JSON payload then stays on stdout.  Columns are written
+    in blocks of 2^12 rows, each row through one format string: %d for
+    integer and bool columns, %.12g for float columns."""
     stream = out or sys.stdout
     if args.fmt == "json":
         target = sys.stdout if records else stream
@@ -66,12 +69,17 @@ def _emit(args, out, payload: dict, header=None, rows=None, records=False) -> No
         target.write("\n")
         if not (records and out):
             return
-    if header is None:
-        header = sorted(payload)
-        rows = [[payload[k] for k in header]]
     writer = csv.writer(stream, lineterminator="\n")
+    if header is None:  # the payload's floats print by repr
+        writer.writerows([sorted(payload), [payload[k] for k in sorted(payload)]])
+        return
     writer.writerow(header)
-    writer.writerows(rows)
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%.12g" if c.dtype.kind == "f" else "%d" for c in columns) + "\n"
+    # a block's Python scalars take about 1 MiB (270 bytes per scan row)
+    for lo in range(0, len(columns[0]), 2**12):
+        block = zip(*(c[lo : lo + 2**12].tolist() for c in columns))
+        stream.writelines(row % r for r in block)
 
 
 def _require(args, *flags) -> None:
@@ -101,15 +109,6 @@ def _sample_set(args, X: int) -> arcs.ExceptionalSample:
     # the same draw as from np.arange(lo, hi + 1), without building that range
     members = lo + rng.choice(hi - lo + 1, size=args.sample, replace=False)
     return arcs.ExceptionalSample(members=tuple(int(v) for v in np.sort(members)))
-
-
-def _arc_table(result):
-    """The per-arc CSV table of the major-arc and pruned integrals."""
-    return ARC_HEADER, (
-        (r.q, r.a, r.Q, f"{r.integral_re:.12g}", f"{r.integral_im:.12g}",
-         f"{r.abs_value:.12g}", r.grid_points)
-        for r in result.arc_rows
-    )
 
 
 def _dispatch(args, table: dict, selector: str):
@@ -146,7 +145,7 @@ def _count(args):
     _require(args, "limit")
     values = repcount.rep_count_range(args.limit, cache_dir=args.cache_dir).values
     if args.fmt == "csv":  # skips the list of X Python ints that only JSON prints
-        return {}, ("n", "R"), ((n, int(values[n])) for n in range(1, args.limit + 1))
+        return {}, ("n", "R"), (np.arange(1, args.limit + 1), values[1:])
     return {
         "X": args.limit,
         "total": int(values.sum()),
@@ -214,7 +213,7 @@ def _major_integral(args):
         "value_rel_change": _f(result.value_rel_change),
         "grid_points": result.grid_points,
     }
-    return payload, *_arc_table(result)
+    return payload, ARC_HEADER, zip(*map(dataclasses.astuple, result.arc_rows))
 
 
 def _singular_integral(args):
@@ -236,7 +235,7 @@ def _pruned(args):
         "bound_X_power_Z": _f(result.bound_shapes["X^(1-delta^2)*Z"]),
         "grid_points": result.grid_points,
     }
-    return payload, *_arc_table(result)
+    return payload, ARC_HEADER, zip(*map(dataclasses.astuple, result.arc_rows))
 
 
 def _predict(args):
@@ -250,7 +249,7 @@ def _scan(args):
     report = run_scan(args.limit, psi, args.trunc, cache_dir=args.cache_dir)
     summary = _fields(report, "counts", "series", "tails", "flags")
     header = [f.name for f in dataclasses.fields(PredictionRecord)]
-    return summary, header, record_rows(report), True  # records: see _emit
+    return summary, header, record_columns(report), True  # records: see _emit
 
 
 # --moment name: (required flags, handler)

@@ -14,6 +14,7 @@ two-word (hi, lo) keys and reads their runs as plain sorted values.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -159,7 +160,10 @@ def shifted_cube_correlation(P3: int, shifts) -> MomentCount:
         raise PreconditionError("bound P3 must be >= 1")
     if P3 > 10**4:
         raise BudgetError("correlation budget is P3 <= 10**4")
-    values = sorted(int(v) for v in shifts)
+    values = list(shifts)
+    if not all(isinstance(v, Integral) for v in values):  # int() would truncate a float
+        raise PreconditionError("shift set entries must be integers")
+    values = sorted(map(int, values))
     if values and not -(2**63) <= values[0] <= values[-1] < 2**63:
         raise PreconditionError("shift set entries must lie in the int64 range")
     z = np.asarray(values, dtype=np.int64)

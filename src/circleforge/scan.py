@@ -100,6 +100,8 @@ class ScanReport:
     flags: np.ndarray
 
     def record(self, n: int) -> PredictionRecord:
+        if not 1 <= n <= self.X:
+            raise PreconditionError(f"record n={n} outside 1..{self.X}")
         errors = _errors(self.counts[n], self.series[n], n)
         return PredictionRecord(n, int(self.counts[n]), float(self.series[n]), float(self.tails[n]),
                                 *map(float, errors), exceptional=bool(self.flags[n]))
@@ -178,18 +180,11 @@ def scan(X: int, psi: PsiSpec, W: int = DEFAULT_TRUNCATION, cache_dir=None) -> S
     )
 
 
-def record_rows(report: ScanReport):
-    """CSV rows in PredictionRecord's field order, exceptional as 0 or 1."""
-    main, abs_err, rel_err = _errors(
-        report.counts, report.series, np.arange(report.X + 1, dtype=np.float64))
-    for n in range(1, report.X + 1):
-        yield (
-            n,
-            int(report.counts[n]),
-            f"{report.series[n]:.12g}",
-            f"{report.tails[n]:.12g}",
-            f"{main[n]:.12g}",
-            f"{abs_err[n]:.12g}",
-            f"{rel_err[n]:.12g}",
-            int(report.flags[n]),
-        )
+def record_columns(report: ScanReport):
+    """The records of n = 1..X as unformatted columns in PredictionRecord's
+    field order; a generator, so the errors are derived only when read."""
+    n = np.arange(report.X + 1)
+    main, abs_err, rel_err = _errors(report.counts, report.series, n)
+    for column in (n, report.counts, report.series, report.tails, main, abs_err, rel_err,
+                   report.flags):
+        yield column[1:]

@@ -6,6 +6,8 @@ so that agreement is evidence, not circularity.
 """
 
 import cmath
+import csv
+import io
 import math
 from collections import Counter
 from fractions import Fraction
@@ -13,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from circleforge.errors import BudgetError, PreconditionError
+from circleforge.powersums import leading_constant
 from circleforge.sseries import series_term
 
 
@@ -366,3 +369,24 @@ def least_peak_arc_scan(alpha, W, X):
         if best is not None:
             return q, best[1]
     return None
+
+
+def record_rows(report):
+    """A scan report's per-record CSV rows built one element at a time: the
+    floats formatted to 12 significant digits, the flag as 0 or 1."""
+    C = leading_constant().value
+    for n in range(1, report.X + 1):
+        main = C * report.series[n] * n
+        abs_err = abs(report.counts[n] - main)
+        rel_err = abs_err / main if main > 0 else math.inf
+        floats = (report.series[n], report.tails[n], main, abs_err, rel_err)
+        yield (n, int(report.counts[n]), *(f"{v:.12g}" for v in floats), int(report.flags[n]))
+
+
+def csv_table(header, rows) -> str:
+    """Header and rows as csv.writer writes them, one row at a time."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()

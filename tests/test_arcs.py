@@ -447,7 +447,7 @@ def test_dissect_against_interval_containment(pairs, holes, scale, power):
     arcs = _intervals(pairs, halfwidth)
     gaps = _intervals(holes, halfwidth, 0.5)
     for lo, hi, idx in segments:
-        assert lo < hi
+        assert hi - lo >= 1e-12
         # inside its owner, no lower-index arc covers it, and no hole does
         assert arcs[idx][0] <= lo and hi <= arcs[idx][1]
         assert not any(a <= lo and hi <= b for a, b in arcs[:idx])
@@ -458,8 +458,24 @@ def test_dissect_against_interval_containment(pairs, holes, scale, power):
     for lo, hi in zip(cuts, cuts[1:]):
         covered = any(a <= lo and hi <= b for a, b in arcs)
         holed = any(a <= lo and hi <= b for a, b in gaps)
-        assert ((lo, hi) in returned) == (covered and not holed)
+        assert ((lo, hi) in returned) == (covered and not holed and hi - lo >= 1e-12)
     assert len(returned) == len(segments)
+
+
+@pytest.mark.parametrize("annulus, level, X, kept", [(False, 200, 1000, 18106),
+                                                      (True, 100, 10**4, 6822)])
+def test_dissect_drops_ulp_segments(annulus, level, X, kept):
+    # one rational cut reached along two float paths gave a segment one ulp
+    # long: 580 of 18,686 at W = 200, X = 1e3 and 14 of 6,836 in this annulus
+    if annulus:
+        segments = arcints._annulus(level, X)[1]
+    else:
+        segments = arcints._dissect(arcints._farey_pairs(level), lambda q: level / X)
+    lo, hi, _ = np.array(segments).T
+    assert len(segments) == kept
+    assert (hi - lo).min() >= 1e-12 and np.all(lo[1:] >= hi[:-1])
+    if not annulus:  # arcs of half-width 0.2 cover [0, 1]; only ulps are lost
+        assert abs((hi - lo).sum() - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("X, level, annulus", [
@@ -526,6 +542,14 @@ def test_exceptional_sample_validation():
         ExceptionalSample(members=(1,), eta=(0.5,))
     sample = ExceptionalSample(members=(3, 4), eta=(1j, -1.0))
     assert exceptional_sum(sample, 0.0) == pytest.approx(1j - 1.0)
+
+
+def test_exceptional_sample_refuses_non_integers():
+    # a float member would enter exceptional_sum as the frequency 1.5
+    for members in ((1.5, 2), (2.0,), tuple(np.array([1.0, 3.0]))):
+        with pytest.raises(PreconditionError):
+            ExceptionalSample(members=members)
+    assert ExceptionalSample(members=tuple(np.array([1, 3]))).size == 2
 
 
 def test_singular_integral_contracts():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import time
@@ -7,6 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circleforge.cli import ARC_OPS, COMMANDS, MOMENTS, main
+from circleforge.repcount import rep_count_range
+from circleforge.scan import PredictionRecord, PsiSpec, scan
+from oracles import csv_table, record_rows
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +150,26 @@ def test_csv_format(capsys):
     assert lines[0] == "n,R"
     assert lines[6] == "6,1"
     assert len(lines) == 13
+
+
+def test_block_writer_matches_per_element_reference(tmp_path, capsys):
+    # 2^16 + 17 rows fill sixteen 2^12-row blocks and end on a 17-row one
+    X, W = 2**16 + 17, 100
+    header = [f.name for f in dataclasses.fields(PredictionRecord)]
+    records = csv_table(header, record_rows(scan(X, PsiSpec.parse("log"), W)))
+    scan_argv = ("scan", "--limit", str(X), "--trunc", str(W))
+    for fmt in ("json", "csv"):
+        path = tmp_path / f"{fmt}.csv"
+        code, out, _ = run_cli(capsys, *scan_argv, "--format", fmt, "--out", str(path))
+        assert code == 0 and path.read_bytes().decode() == records
+        # under JSON the summary stays on stdout
+        assert (json.loads(out)["X"] == X) if fmt == "json" else out == ""
+    code, out, _ = run_cli(capsys, *scan_argv, "--format", "csv")
+    assert code == 0 and out == records
+    values = rep_count_range(X).values
+    counts = csv_table(("n", "R"), ((n, int(values[n])) for n in range(1, X + 1)))
+    code, out, _ = run_cli(capsys, "count", "--limit", str(X), "--format", "csv")
+    assert code == 0 and out == counts
 
 
 def test_cache_dir_flag_and_env(tmp_path, capsys, monkeypatch):

@@ -127,6 +127,15 @@ def test_shifted_correlation_examples():
         shifted_cube_correlation(10, [5, 5, 7])
 
 
+def test_shifted_correlation_refuses_non_integers():
+    # int() would truncate 1.5 to 1 and count the shift set [1, 2, 9]
+    for shifts in ([1.5, 2, 9], [2.0], np.array([1.0, 4.0])):
+        with pytest.raises(PreconditionError):
+            shifted_cube_correlation(10, shifts)
+    assert shifted_cube_correlation(10, np.array([1, 2, 9])).count == \
+        shifted_cube_correlation(10, [1, 2, 9]).count
+
+
 def test_shifted_correlation_brute_small():
     rng = np.random.default_rng(123)
     shifts = sorted(int(v) for v in rng.choice(np.arange(100, 400), 12, replace=False))

@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from circleforge.cli import main
 from circleforge.errors import PreconditionError
 from circleforge.powersums import leading_constant
-from circleforge.scan import PsiSpec, predict, record_rows, scan
+from circleforge.scan import PsiSpec, predict, record_columns, scan
 from circleforge.sseries import truncated_singular_series
 from circleforge.repcount import rep_count_single
 
@@ -88,13 +89,32 @@ def test_scan_order_invariance():
     assert int(sum(report.flags[n] for n in order)) == report.E
 
 
-def test_scan_record_rows_schema():
+def _csv_records(capsys, X, W):
+    """The data rows of `scan --format csv`, split into fields."""
+    assert main(["scan", "--limit", str(X), "--trunc", str(W), "--format", "csv"]) == 0
+    return [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+
+
+def test_scan_record_columns_schema(capsys):
     report = scan(64, PsiSpec.parse("log"), 64)
-    rows = list(record_rows(report))
-    assert len(rows) == 64
-    n, R, s_w, tail, main, abs_err, rel_err, fl = rows[5]
+    columns = list(record_columns(report))
+    assert len(columns) == 8 and all(len(c) == 64 for c in columns)
+    n, R, s_w, tail, main_term, abs_err, rel_err, fl = (c[5] for c in columns)
     assert n == 6 and R == 1 and fl in (0, 1)
-    assert float(s_w) > 0 and float(main) > 0
+    assert s_w > 0 and main_term > 0
+    rows = _csv_records(capsys, 64, 64)
+    assert len(rows) == 64
+    n, R, s_w, tail, main_term, abs_err, rel_err, fl = rows[5]
+    assert n == "6" and R == "1" and fl in ("0", "1")
+    assert float(s_w) > 0 and float(main_term) > 0
+
+
+def test_scan_record_refuses_n_outside_range():
+    report = scan(100, PsiSpec.parse("log"), 100)
+    assert report.record(1).n == 1 and report.record(100).n == 100
+    for n in (-1, 0, 101):
+        with pytest.raises(PreconditionError):
+            report.record(n)
 
 
 @pytest.mark.parametrize("X, W", [(3000, 100), (20000, 1000)])
@@ -111,12 +131,16 @@ def test_scan_record_matches_predict(X, W):
         assert abs(rec.tail_estimate - expect.tail_estimate) <= 1e-12 * expect.S_W
 
 
-def test_scan_record_matches_record_rows():
+def test_scan_record_matches_record_columns(capsys):
     report = scan(300, PsiSpec.parse("log"), 150)
-    for row in record_rows(report):
-        rec = dataclasses.astuple(report.record(row[0]))
-        floats = tuple(f"{v:.12g}" for v in rec[2:7])
-        assert row == (rec[0], rec[1], *floats, int(rec[7]))
+    columns = list(record_columns(report))
+    rows = _csv_records(capsys, 300, 150)
+    assert len(rows) == 300
+    for i, row in enumerate(rows):
+        rec = dataclasses.astuple(report.record(i + 1))
+        assert rec == tuple(c[i] for c in columns)
+        floats = [f"{v:.12g}" for v in rec[2:7]]
+        assert row == [str(rec[0]), str(rec[1]), *floats, str(int(rec[7]))]
 
 
 def test_series_stability_feeding_predictions():
