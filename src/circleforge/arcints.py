@@ -17,6 +17,7 @@ import numpy as np
 from .arcs import (
     PHASE_BLOCK,
     PHASE_INTEGER_LIMIT,
+    WEYL_INTEGRAL_TOL,
     ExceptionalSample,
     _GL4,
     _chebyshev_degree,
@@ -44,30 +45,17 @@ SURVEY_DENSITY = 40
 
 
 @dataclass(frozen=True)
-class ArcRow:
-    """Per-arc contribution in the CSV report layout."""
-
-    q: int
-    a: int
-    Q: int
-    integral_re: float
-    integral_im: float
-    abs_value: float
-    grid_points: int
-
-
-@dataclass(frozen=True)
 class MajorArcIntegral:
     n: int
     X: int
     W: int
     value: complex            # integral of f2^2 f3^2 f6^2 e(-n a)
-    approx_value: complex     # same with every f_k replaced by its arc model
+    approx: complex           # same with every f_k replaced by its arc model
     difference: float
     value_rel_change: float   # grid-halving stability of `value`
     approx_rel_change: float
     grid_points: int
-    arc_rows: tuple
+    arc_columns: dict         # per-arc table, see _arc_columns
 
 
 @dataclass(frozen=True)
@@ -94,8 +82,9 @@ class PrunedDiagnostic:
     square_majorant_rel_change: float
     cubic_approx_rel_change: float
     grid_points: int
-    bound_shapes: dict
-    arc_rows: tuple
+    bound_X_sqrtZ: float      # X sqrt(Z), Z the sample size
+    bound_X_power_Z: float    # X^(1 - delta^2) Z
+    arc_columns: dict
 
 
 def _farey_pairs(bound: int) -> list[tuple[int, int]]:
@@ -232,27 +221,18 @@ def _arc_models(pairs, arc_idx, alphas, P_by_k):
     return models
 
 
-def _collect_rows(Q, pairs, arc_idx, weights, integrand) -> tuple:
+def _arc_columns(Q, pairs, arc_idx, weights, integrand) -> dict:
+    """Each arc's integral and node count on the reported grid, as columns
+    q, a, Q, integral_re, integral_im, abs, grid_points."""
     # a stable sort keeps each arc's terms in grid order, so each is summed as
     # the arc's own masked slice would be
     owners, counts = np.unique(arc_idx, return_counts=True)
     contrib = (weights * integrand)[np.argsort(arc_idx, kind="stable")]
-    rows = []
-    for idx, part in zip(owners.tolist(), np.split(contrib, np.cumsum(counts)[:-1])):
-        val = complex(part.sum())
-        q, a = pairs[idx]
-        rows.append(
-            ArcRow(
-                q=q,
-                a=a,
-                Q=Q,
-                integral_re=val.real,
-                integral_im=val.imag,
-                abs_value=abs(val),
-                grid_points=len(part),
-            )
-        )
-    return tuple(rows)
+    values = np.array([part.sum() for part in np.split(contrib, np.cumsum(counts)[:-1])],
+                      dtype=complex)
+    q, a = np.array(pairs, dtype=np.int64)[owners].T
+    return {"q": q, "a": a, "Q": np.full(len(owners), Q), "integral_re": values.real,
+            "integral_im": values.imag, "abs": np.abs(values), "grid_points": counts}
 
 
 def major_arc_integral(n: int, X: int, W: int, grid: int = 10) -> MajorArcIntegral:
@@ -285,12 +265,12 @@ def major_arc_integral(n: int, X: int, W: int, grid: int = 10) -> MajorArcIntegr
         X=X,
         W=W,
         value=value,
-        approx_value=approx,
+        approx=approx,
         difference=abs(value - approx),
         value_rel_change=changes[0],
         approx_rel_change=changes[1],
         grid_points=len(alphas),
-        arc_rows=_collect_rows(W, pairs, arc_idx, weights, direct),
+        arc_columns=_arc_columns(W, pairs, arc_idx, weights, direct),
     )
 
 
@@ -312,7 +292,7 @@ def singular_integral(n: int, X: int, W: int) -> SingularIntegral:
     panels = max(64, int(math.ceil(8 * W * max(1.0, n / X))))
     panels += panels % 2  # symmetric node layout keeps the result real
     # P^k = X for every k, so each v_k runs through (W / X) X = W cycles
-    degree = _chebyshev_degree(W, 1e-8)
+    degree = _chebyshev_degree(W, WEYL_INTEGRAL_TOL)
     if panels * degree > SINGULAR_WORK_BUDGET:
         raise BudgetError(
             f"singular-integral budget is panels x Chebyshev degree <= {SINGULAR_WORK_BUDGET}, "
@@ -463,10 +443,7 @@ def pruned_integral_diagnostic(
         square_majorant_rel_change=changes[1],
         cubic_approx_rel_change=changes[2],
         grid_points=len(alphas),
-        bound_shapes={
-            "X*sqrt(Z)": X * math.sqrt(Z),
-            "X^(1-delta^2)*Z": X ** (1 - delta**2) * Z,
-            "delta": delta,
-        },
-        arc_rows=_collect_rows(Q, pairs, arc_idx, weights, raw),
+        bound_X_sqrtZ=X * math.sqrt(Z),
+        bound_X_power_Z=X ** (1 - delta**2) * Z,
+        arc_columns=_arc_columns(Q, pairs, arc_idx, weights, raw),
     )

@@ -31,6 +31,8 @@ PHASE_BLOCK = 10**6
 # largest |x| of a float phase grid e(alpha x), alpha in [0, 1]: each phase is
 # then rounded by at most 2^26 * 2^-53 = 2^-27 cycles
 PHASE_INTEGER_LIMIT = 2**26
+# v_k to within this times P by default; budgets price the Chebyshev degree at it
+WEYL_INTEGRAL_TOL = 1e-8
 _GL8 = np.polynomial.legendre.leggauss(8)
 _GL4 = np.polynomial.legendre.leggauss(4)
 
@@ -221,7 +223,8 @@ def weyl_integral(k: int, P, beta: float) -> complex:
     return complex(weyl_integral_batch(k, P, [beta])[0])
 
 
-def weyl_integral_batch(k: int, P, betas: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
+def weyl_integral_batch(k: int, P, betas: np.ndarray,
+                        rel_tol: float = WEYL_INTEGRAL_TOL) -> np.ndarray:
     """v_k over an array of offsets, each within rel_tol * P.
 
     Only the distinct |beta| are computed; v_k(-beta) = conj(v_k(beta)).  On

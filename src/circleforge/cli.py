@@ -29,8 +29,6 @@ from .errors import BudgetError, ConvergenceError, PreconditionError
 from .scan import (DEFAULT_TRUNCATION, PredictionRecord, PsiSpec, predict as predict_target,
                    record_columns, scan as run_scan)
 
-# the arcints.ArcRow fields, in order, with abs for abs_value
-ARC_HEADER = ("q", "a", "Q", "integral_re", "integral_im", "abs", "grid_points")
 # error class: (stderr kind, exit code); OSError is an unusable --out or --cache-dir path
 EXIT_CODES = {
     PreconditionError: ("precondition", 2),
@@ -46,13 +44,18 @@ def _f(x) -> float:
 
 
 def _fields(result, *drop) -> dict:
-    """A result dataclass's fields less `drop`, every float (in dicts too) through `_f`."""
+    """A result dataclass's fields less `drop`, every float (in dicts too) through
+    `_f`, and a complex field x as x_re and x_im."""
     def value(v):
         if isinstance(v, dict):
             return {k: value(x) for k, x in v.items()}
         return _f(v) if isinstance(v, float) else v
-    return {f.name: value(getattr(result, f.name))
-            for f in dataclasses.fields(result) if f.name not in drop}
+    payload = {}
+    for key in (f.name for f in dataclasses.fields(result) if f.name not in drop):
+        v = getattr(result, key)
+        parts = {f"{key}_re": v.real, f"{key}_im": v.imag} if isinstance(v, complex) else {key: v}
+        payload.update({k: value(x) for k, x in parts.items()})
+    return payload
 
 
 def _emit(args, out, payload: dict, header=None, columns=None, records=False) -> None:
@@ -199,21 +202,15 @@ def _classify(args):
     }
 
 
+def _arc_report(result, *drop):
+    """An arc integral's payload less `drop`, and its per-arc table as columns."""
+    columns = result.arc_columns
+    return _fields(result, "arc_columns", *drop), list(columns), columns.values()
+
+
 def _major_integral(args):
     result = arcints.major_arc_integral(args.n, args.limit, args.trunc, grid=args.grid)
-    payload = {
-        "n": result.n,
-        "X": result.X,
-        "W": result.W,
-        "value_re": _f(result.value.real),
-        "value_im": _f(result.value.imag),
-        "approx_re": _f(result.approx_value.real),
-        "approx_im": _f(result.approx_value.imag),
-        "difference": _f(result.difference),
-        "value_rel_change": _f(result.value_rel_change),
-        "grid_points": result.grid_points,
-    }
-    return payload, ARC_HEADER, zip(*map(dataclasses.astuple, result.arc_rows))
+    return _arc_report(result, "approx_rel_change")
 
 
 def _singular_integral(args):
@@ -223,19 +220,7 @@ def _singular_integral(args):
 def _pruned(args):
     sample = _sample_set(args, args.limit)
     result = arcints.pruned_integral_diagnostic(args.limit, args.Q, sample, grid=args.grid)
-    payload = {
-        "X": result.X,
-        "Q": result.Q,
-        "sample_size": result.sample_size,
-        "raw": _f(result.raw),
-        "square_majorant": _f(result.square_majorant),
-        "cubic_approx": _f(result.cubic_approx),
-        "raw_rel_change": _f(result.raw_rel_change),
-        "bound_X_sqrtZ": _f(result.bound_shapes["X*sqrt(Z)"]),
-        "bound_X_power_Z": _f(result.bound_shapes["X^(1-delta^2)*Z"]),
-        "grid_points": result.grid_points,
-    }
-    return payload, ARC_HEADER, zip(*map(dataclasses.astuple, result.arc_rows))
+    return _arc_report(result, "square_majorant_rel_change", "cubic_approx_rel_change")
 
 
 def _predict(args):

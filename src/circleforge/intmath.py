@@ -5,11 +5,12 @@ reduces it to runs of equal value, in chunks that end at run starts.  The key
 format stays in this module: callers see only (values, sums) runs."""
 
 import math
+from numbers import Integral
 
 import numpy as np
 
 from . import workers
-from .errors import BudgetError
+from .errors import BudgetError, PreconditionError
 
 # Trial division is used for every factorisation, so a modulus is factorised
 # only up to the square of this bound.
@@ -66,6 +67,8 @@ PAIR_CHUNK = 1 << 18
 
 def powers(k: int, P: int) -> np.ndarray:
     """x**k for x = 1..P as int64."""
+    if not isinstance(P, Integral):  # np.arange would run to ceil(P)
+        raise PreconditionError(f"bound P={P!r} must be an integer")
     return np.arange(1, P + 1, dtype=np.int64) ** k
 
 

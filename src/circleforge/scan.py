@@ -10,6 +10,7 @@ reports but marked pre-asymptotic and excluded from trend statistics.
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -100,8 +101,8 @@ class ScanReport:
     flags: np.ndarray
 
     def record(self, n: int) -> PredictionRecord:
-        if not 1 <= n <= self.X:
-            raise PreconditionError(f"record n={n} outside 1..{self.X}")
+        if not isinstance(n, Integral) or not 1 <= n <= self.X:
+            raise PreconditionError(f"record n must be an integer in 1..{self.X}, got {n!r}")
         errors = _errors(self.counts[n], self.series[n], n)
         return PredictionRecord(n, int(self.counts[n]), float(self.series[n]), float(self.tails[n]),
                                 *map(float, errors), exceptional=bool(self.flags[n]))

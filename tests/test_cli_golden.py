@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from circleforge.cli import main
+from circleforge.cli import ARC_OPS, COMMANDS, MOMENTS, main
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
@@ -33,3 +33,17 @@ def test_golden_output(case, tmp_path, capsys, monkeypatch):
     assert captured.out.replace(tmp, "{tmp}") == case["out"]
     assert captured.err.replace(tmp, "{tmp}") == case["err"]
     assert files == case["files"]
+
+
+def test_golden_covers_every_handler():
+    # each subcommand, --op and --moment prints through a handler of its own,
+    # and only an exit-0 golden case in each format guards that handler's bytes
+    covered = set()
+    for argv in (case["argv"] for case in GOLDEN if case["code"] == 0):
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+        names = [argv[0]] + [f"{flag} {argv[argv.index(flag) + 1]}"
+                             for flag in ("--op", "--moment") if flag in argv]
+        covered |= {(name, fmt) for name in names}
+    names = [*COMMANDS, *(f"--op {op}" for op in ARC_OPS),
+             *(f"--moment {moment}" for moment in MOMENTS)]
+    assert {(name, fmt) for name in names for fmt in ("json", "csv")} - covered == set()

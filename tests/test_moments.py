@@ -136,6 +136,17 @@ def test_shifted_correlation_refuses_non_integers():
         shifted_cube_correlation(10, [1, 2, 9]).count
 
 
+def test_moment_counts_refuse_non_integer_bounds():
+    # np.arange(1, P + 1) runs to ceil(P): P6 = 2.5 counted the P6 = 3 moment
+    for count in (sixth_power_eighth_moment, cube_multiplicity,
+                  lambda P: shifted_cube_correlation(P, [1, 8, 20])):
+        for P in (2.5, 12.5, 3.0):
+            with pytest.raises(PreconditionError):
+                count(P)
+    assert sixth_power_eighth_moment(np.int64(3)).count == sixth_power_eighth_moment(3).count
+    assert powers(3, np.int64(4)).tolist() == [1, 8, 27, 64]
+
+
 def test_shifted_correlation_brute_small():
     rng = np.random.default_rng(123)
     shifts = sorted(int(v) for v in rng.choice(np.arange(100, 400), 12, replace=False))

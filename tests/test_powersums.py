@@ -46,6 +46,19 @@ def test_gauss_sum_against_direct_summation():
                 assert abs(got) <= q + 1e-9  # trivial bound
 
 
+def test_gauss_sum_above_binned_moduli():
+    # q > 2^20 sums e(m / q) directly instead of binning the numerators; q is
+    # prime and 2 mod 3, so |S_2| = sqrt(q) and cubing permutes the residues
+    q = 1048583
+    assert q > 2**20
+    table = gauss_sum_table(2, q)
+    for a in (1, 5, q - 1):
+        value = gauss_sum(2, q, a).value
+        assert abs(value - table[a]) <= 1e-8
+        assert abs(abs(value) - math.sqrt(q)) <= 1e-8
+        assert abs(gauss_sum(3, q, a).value) <= 1e-8
+
+
 def test_quadratic_magnitude_at_odd_primes():
     # |S_2(p, a)| = sqrt(p) for every odd prime p and coprime a
     for p in primes_up_to(997):

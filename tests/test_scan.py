@@ -112,7 +112,8 @@ def test_scan_record_columns_schema(capsys):
 def test_scan_record_refuses_n_outside_range():
     report = scan(100, PsiSpec.parse("log"), 100)
     assert report.record(1).n == 1 and report.record(100).n == 100
-    for n in (-1, 0, 101):
+    # a float inside the range would reach numpy's IndexError
+    for n in (-1, 0, 101, 5.0, 5.5):
         with pytest.raises(PreconditionError):
             report.record(n)
 
