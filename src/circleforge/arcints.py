@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import workers
 from .arcs import (
     PHASE_BLOCK,
     PHASE_INTEGER_LIMIT,
@@ -32,19 +33,19 @@ from .intmath import iroot
 from .powersums import gauss_sum, leading_constant
 
 # panels x Chebyshev degree of one singular integral; its cost grows with both
-# (singular_integral(10**4, 10**4, 200), at 1.1e6, takes 2.7 s and 94 MiB on
-# one core of a 2-core Xeon VM)
+# (singular_integral(10**4, 10**4, 200), at 1.1e6, takes 1.0 s and 42 MiB on
+# the two cores of a 2-core Xeon VM, 1.9 s on one)
 SINGULAR_WORK_BUDGET = 2 * 10**6
 # quadrature nodes at one grid density; the largest admitted case has 29,064
-# (that annulus); 4.9e5 fine nodes take 1.7 s and 240 MiB in
-# major_arc_integral(5000, 10**4, 6, grid=428), 5.0 s and 190 MiB in the pruned
-# integral at X = 10**4, Q = 16, 100 members (grid=263)
+# (that annulus); 4.9e5 fine nodes take 0.85 s and 220 MiB in
+# major_arc_integral(5000, 10**4, 6, grid=428), 2.0 s and 170 MiB in the pruned
+# integral at X = 10**4, Q = 16, 100 members (grid=263), on the same two cores
 QUAD_NODE_BUDGET = 5 * 10**5
 # survey panels per 1/sqrt(X)
 SURVEY_DENSITY = 40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MajorArcIntegral:
     n: int
     X: int
@@ -70,7 +71,7 @@ class SingularIntegral:
     grid_points: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrunedDiagnostic:
     X: int
     Q: int
@@ -192,15 +193,17 @@ def weyl_sum_grid(k: int, P: int, alphas: np.ndarray) -> np.ndarray:
     # d_j from the values 1^k .. (k + 1)^k, exact in int64
     powers = np.arange(1, k + 2, dtype=np.int64) ** k
     diffs = np.array([np.diff(powers, j)[0] for j in range(k + 1)], dtype=np.float64)
-    step = max(1, PHASE_BLOCK // (k + 1))
-    for lo in range(0, len(alphas), step):
-        D = np.exp(2j * np.pi * np.outer(diffs, alphas[lo : lo + step]))
+
+    def fill(lo, hi):
+        D = np.exp(2j * np.pi * np.outer(diffs, alphas[lo:hi]))
         total = D[0].copy()
         for _ in range(P - 1):
             for j in range(k):
                 D[j] *= D[j + 1]
             total += D[0]
-        out[lo : lo + step] = total
+        out[lo:hi] = total
+
+    workers.blocks(fill, len(alphas), max(1, PHASE_BLOCK // (k + 1)))
     return out
 
 

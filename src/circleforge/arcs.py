@@ -15,6 +15,7 @@ from numbers import Integral
 
 import numpy as np
 
+from . import workers
 from .errors import BudgetError, ConvergenceError, PreconditionError
 from .powersums import _check_exponent, _phase_sum, gauss_sum, powers_mod
 
@@ -25,9 +26,15 @@ KIND_MINOR = "minor"
 
 WEYL_POINT_BUDGET = 10**7
 OSCILLATION_BUDGET = 10**6
-# complex entries of one block of exponentials or interpolation weights (16 MB):
-# the pruned integral's 28k quadrature nodes x 100 members take three blocks
-PHASE_BLOCK = 10**6
+# complex entries of one block of exponentials or interpolation weights (1 MiB):
+# the pool fills the blocks, and at 10**6 entries (16 MB) their temporaries took
+# the benchmark's quadrature task to a peak of 82 MiB rather than 50
+PHASE_BLOCK = 2**16
+# entries below which OpenBLAS runs a zgemv on the calling thread alone (1024 x
+# its GEMM_MULTITHREAD_THRESHOLD of 4): above it, its threads contend with the
+# worker pool's, and with its default two threads on two CPUs the pruned
+# integral at X = 10**4, Q = 16, 100 members, grid=263 took 4.2 s, not 2.2 s
+SERIAL_GEMV = 4096
 # largest |x| of a float phase grid e(alpha x), alpha in [0, 1]: each phase is
 # then rounded by at most 2^26 * 2^-53 = 2^-27 cycles
 PHASE_INTEGER_LIMIT = 2**26
@@ -157,12 +164,30 @@ def _phase_panel_bounds(k: int, P: float, panels: int) -> np.ndarray:
     return np.unique(np.concatenate([phase_grid, uniform]))
 
 
+def _row_step(width: int, entries: int) -> int:
+    """Rows of `width` entries in a block of at most `entries` entries: an even
+    count, at least two, so that every block starts on an even row."""
+    return 2 * max(1, entries // (2 * max(1, width)))
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v by zgemv on pieces of fewer than SERIAL_GEMV entries, cut at even
+    rows as `workers.blocks` cuts, so that no piece is a lone row: numpy takes
+    one row as a dot product, which rounds differently."""
+    cuts = workers.block_edges(len(a), _row_step(len(v), SERIAL_GEMV - 1))[1:-1]
+    return np.concatenate([piece @ v for piece in np.split(a, cuts)])
+
+
 def _phase_kernel(x: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_j w_j e(x_i t_j) for every x_i, in blocks of PHASE_BLOCK phases."""
+    """sum_j w_j e(x_i t_j) for every x_i, in blocks of PHASE_BLOCK phases on
+    the worker pool."""
     out = np.empty(len(x), dtype=complex)
-    step = max(1, PHASE_BLOCK // max(1, len(t)))
-    for lo in range(0, len(x), step):
-        out[lo : lo + step] = np.exp(2j * np.pi * np.outer(x[lo : lo + step], t)) @ w
+
+    def fill(lo, hi):
+        phases = np.multiply(np.outer(x[lo:hi], t), 2j * np.pi)
+        out[lo:hi] = _matvec(np.exp(phases, out=phases), w)
+
+    workers.blocks(fill, len(x), _row_step(len(t), PHASE_BLOCK))
     return out
 
 
@@ -206,15 +231,17 @@ def _barycentric(nodes: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.nda
     w = np.where(np.arange(len(nodes)) % 2, -1.0, 1.0)
     w[[0, -1]] *= 0.5
     out = np.empty(len(x), dtype=complex)
-    step = max(1, PHASE_BLOCK // len(nodes))
-    for lo in range(0, len(x), step):
-        diff = x[lo : lo + step, None] - nodes[None, :]
+
+    def fill(lo, hi):
+        diff = x[lo:hi, None] - nodes[None, :]
         hit = diff == 0.0
         c = w / np.where(hit, 1.0, diff)
-        block = (c @ values) / c.sum(axis=1)
+        block = _matvec(c, values) / c.sum(axis=1)
         rows, cols = np.nonzero(hit)
         block[rows] = values[cols]
-        out[lo : lo + step] = block
+        out[lo:hi] = block
+
+    workers.blocks(fill, len(x), _row_step(len(nodes), PHASE_BLOCK))
     return out
 
 

@@ -29,7 +29,7 @@ class MomentCount:
     parts: dict | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplicitySet:
     """Signed integers with >= 2 representations as x1^3 - x2^3, 1 <= xi <= P3.
 

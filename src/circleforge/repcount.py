@@ -30,7 +30,7 @@ _HEADER = struct.Struct("<5sQQQ")
 _DIGEST_SIZE = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairSpectrum:
     """counts[m] = #{(x, y) in [1, P]^2 : x^k + y^k = m}, ordered pairs."""
 
@@ -39,7 +39,7 @@ class PairSpectrum:
     counts: np.ndarray  # int64, length 2*P**k + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RangeCounts:
     X: int
     values: np.ndarray  # R(n) at index n, exact

@@ -84,7 +84,7 @@ class PredictionRecord:
     exceptional: bool | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanReport:
     X: int
     psi: str

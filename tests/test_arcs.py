@@ -10,6 +10,7 @@ from circleforge.arcs import (
     ExceptionalSample,
     _chebyshev_degree,
     _least_peak_arc,
+    _matvec,
     classify_arc,
     exceptional_sum,
     exceptional_sum_grid,
@@ -19,7 +20,7 @@ from circleforge.arcs import (
     weyl_integral_batch,
     weyl_sum,
 )
-from circleforge import arcints
+from circleforge import arcints, arcs
 from circleforge.arcints import (
     major_arc_error_survey,
     major_arc_integral,
@@ -228,6 +229,39 @@ def test_exceptional_sum_grid_phase_guard():
     for member in (2**26 + 1, -(2**26) - 1, 10**20):
         with pytest.raises(BudgetError):
             exceptional_sum_grid(ExceptionalSample(members=(3, member)), alphas)
+
+
+def test_matvec_pieces_match_one_product():
+    # pieces cut at even rows, each of two rows or more, leave every row's bits
+    # as one zgemv over the whole matrix gives them; widths span the piece sizes
+    rng = np.random.default_rng(9)
+    for rows, width in ((1, 5), (2, 4095), (3, 2047), (7, 2048), (205, 20), (999, 101), (64, 1)):
+        v = rng.random(width) + 1j * rng.random(width)
+        for a in (np.exp(2j * np.pi * rng.random((rows, width))), rng.random((rows, width))):
+            assert _matvec(a, v).tobytes() == (a @ v).tobytes()
+
+
+def test_phase_kernels_independent_of_block_size(monkeypatch):
+    # blocks and pieces of two rows or more leave each row as one product over
+    # the whole matrix gives it, at any block size; 655 rows are one block of
+    # 654 and a row that joins it
+    rng = np.random.default_rng(10)
+    t, w = rng.random(100) * 1e4, rng.random(100) + 1j * rng.random(100)
+    nodes = 0.5 * (1.0 - np.cos(np.pi * np.arange(41) / 40))
+    values = rng.random(41) + 1j * rng.random(41)
+    sizes = (2**10, arcs.PHASE_BLOCK, 2**30)
+    for n in (1, 2, 655, 1309, 5000):
+        x = rng.random(n)
+        whole = np.exp(2j * np.pi * np.outer(x, t)) @ w
+        results = []
+        for block in sizes:
+            monkeypatch.setattr(arcs, "PHASE_BLOCK", block)
+            monkeypatch.setattr(arcints, "PHASE_BLOCK", block)
+            results.append([arcs._phase_kernel(x, t, w).tobytes(),
+                            arcs._barycentric(nodes, values, x).tobytes(),
+                            weyl_sum_grid(3, 21, x).tobytes()])
+        assert results[0] == results[1] == results[2]
+        assert results[0][0] == whole.tobytes()
 
 
 SMALL_INTEGRALS = (

@@ -328,7 +328,9 @@ def test_major_integral_quadrature_budget(capsys, argv):
 
 
 _INT_FLAGS = ("--limit", "--n", "--k", "--q", "--a", "--P", "--Q", "--sample", "--seed", "--grid")
-_VALUES = st.one_of(st.integers(-3, 60).map(str), st.sampled_from(["x", "1.5", "", "nan"]))
+# 2^63 and +-10^30 lie outside int64; each flag must still exit 0, 2 or 3 at once
+_VALUES = st.one_of(st.integers(-3, 60).map(str),
+                    st.sampled_from(["x", "1.5", "", "nan", str(2**63), str(10**30), str(-10**30)]))
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """The worker pool: results never depend on the worker count, one CPU starts
-no thread, and an error raised on a worker reaches the caller and the CLI."""
+no thread, and an error raised on a worker reaches the caller and the CLI.
+This holds for the pair lattices, the scan and the arc quadrature's blocks."""
 
 import contextlib
 import dataclasses
@@ -12,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from circleforge import intmath, moments, workers
+from circleforge import arcints, arcs, intmath, moments, repcount, workers
 from circleforge.cli import main
 from circleforge.errors import BudgetError
 from circleforge.intmath import pair_reduce, pair_values, powers
@@ -118,6 +119,46 @@ def test_small_bands_against_grid(monkeypatch, count):
                 assert runs == values == [e.tolist() for e in expect]
 
 
+def _bench_sample(seed):
+    members = np.random.default_rng(seed).choice(np.arange(1, 10**4 + 1), 100, replace=False)
+    return arcs.ExceptionalSample(members=tuple(int(v) for v in members))
+
+
+def _quadrature(sample):
+    """The three arc integrals at the benchmark's quadrature sizes."""
+    return (
+        arcints.singular_integral(10**4, 10**4, 50),
+        arcints.major_arc_integral(5000, 10**4, 6),
+        arcints.pruned_integral_diagnostic(10**4, 16, sample),
+    )
+
+
+def _bytes(result):
+    """Every field of a result, dict and array entries included, as raw bytes."""
+    if dataclasses.is_dataclass(result):
+        return [_bytes(getattr(result, f.name)) for f in dataclasses.fields(result)]
+    if isinstance(result, (dict, tuple)):
+        items = result.items() if isinstance(result, dict) else enumerate(result)
+        return [(key, _bytes(value)) for key, value in items]
+    return np.asarray(result).tobytes()
+
+
+def _arc_kernels():
+    """The block kernels on inputs of many blocks, each with a partial last block."""
+    rng = np.random.default_rng(11)
+    alphas = rng.random(20_001)
+    nodes = 0.5 * (1.0 - np.cos(np.pi * np.arange(201) / 200))
+    values = rng.random(201) + 1j * rng.random(201)
+    # some points sit on a node exactly, where the interpolant takes its value
+    x = np.concatenate([rng.random(30_000), nodes[::40]])
+    return (
+        arcs.exceptional_sum_grid(_bench_sample(1), alphas),  # 31 blocks of 654 rows
+        arcints.weyl_sum_grid(2, 100, rng.random(100_001)),  # 5 blocks of 21,845 columns
+        arcints.weyl_sum_grid(6, 4, alphas),  # 3 blocks of 9,362 columns
+        arcs._barycentric(nodes, values, x),  # 93 blocks of 326 rows
+    )
+
+
 def _scan_task_moments():
     shifts = np.random.default_rng(7).choice(10**7, 500, replace=False).tolist()
     multiplicity = moments.cube_multiplicity(3000)
@@ -141,10 +182,12 @@ def _scan_arrays():
 
 
 def test_results_independent_of_worker_count():
+    sample = _bench_sample(2)
     results = {}
     for count in (1, 2, 3):
         with worker_count(count):
-            results[count] = (_scan_task_moments(), _scan_arrays())
+            results[count] = (_scan_task_moments(), _scan_arrays(),
+                              _bytes((_quadrature(sample), _arc_kernels())))
     assert results[1] == results[2] == results[3]
 
 
@@ -154,33 +197,46 @@ def test_one_worker_starts_no_thread():
         moments.sixth_power_eighth_moment(60)
         moments.cube_multiplicity(1500)
         scan(2 * 10**4, PsiSpec.parse("log"), 100)
+        _quadrature(_bench_sample(3))
         assert threading.active_count() == before
         assert workers._executor is None
 
 
 def test_more_workers_than_cores_under_fast_switching(monkeypatch):
-    # disjoint slices of one key array sorted and reduced by six threads, with
-    # a switch interval that interleaves them
+    # disjoint slices of one key array sorted and reduced by six threads, and
+    # disjoint row blocks of each arc kernel's output written by six threads,
+    # with a switch interval that interleaves them
     monkeypatch.setattr(intmath, "PAIR_CHUNK", 1 << 12)
     case = (powers(3, 1200), -1)
     with worker_count(1):
         runs, _, values = _runs_and_values(case)
+        kernels = _bytes(_arc_kernels())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with worker_count(6):
             start = time.perf_counter()
             got_runs, bands, got_values = _runs_and_values(case)
+            got_kernels = _bytes(_arc_kernels())
             assert time.perf_counter() - start < 30
     finally:
         sys.setswitchinterval(interval)
     assert bands == 6
     assert got_runs == runs == got_values == values
+    assert got_kernels == kernels
 
 
 def test_worker_error_reaches_caller():
     def fail():
         raise BudgetError("refused on a worker")
+
+    raised = []
+
+    def fill(lo, hi):
+        if threading.current_thread() is not threading.main_thread():
+            raised.append(lo)
+            fail()
+        time.sleep(0.01)
 
     with worker_count(2):
         with pytest.raises(BudgetError, match="refused on a worker"):
@@ -188,6 +244,50 @@ def test_worker_error_reaches_caller():
         with pytest.raises(BudgetError, match="refused on a worker"):
             workers.run([fail, lambda: time.sleep(0.1)])
         assert workers.run([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
+        # the second run of blocks is the pool's, and stops at its first error
+        with pytest.raises(BudgetError, match="refused on a worker"):
+            workers.blocks(fill, 100, 10)
+    assert raised == [50]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_blocks_cut_independent_of_worker_count(count):
+    # blocks of `step` rows, a row that would stand alone joining the last
+    cases = {(0, 4): [], (1, 4): [(0, 1)], (5, 4): [(0, 5)], (6, 4): [(0, 4), (4, 6)],
+             (8, 4): [(0, 4), (4, 8)], (9, 4): [(0, 4), (4, 9)],
+             (1000, 6): [(lo, lo + 6) for lo in range(0, 996, 6)] + [(996, 1000)]}
+    with worker_count(count):
+        for (n, step), expect in cases.items():
+            seen = []
+            workers.blocks(lambda lo, hi: seen.append((lo, hi)), n, step)
+            assert sorted(seen) == expect
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_empty_grids_keep_their_shape(count):
+    empty = np.array([])
+    nodes = np.array([0.0, 0.5, 1.0])
+    with worker_count(count):
+        assert arcs.exceptional_sum_grid(_bench_sample(4), empty).shape == (0,)
+        assert arcints.weyl_sum_grid(3, 20, empty).shape == (0,)
+        assert arcs._barycentric(nodes, nodes + 0j, empty).shape == (0,)
+        assert arcs.weyl_integral_batch(2, 100, empty).shape == (0,)
+
+
+def test_array_results_compare_without_raising():
+    # results holding numpy arrays compare by identity: numpy gives an array
+    # comparison no single truth value
+    sample = arcs.ExceptionalSample(members=(700, 951))
+    for make in (
+        lambda: repcount.pair_spectrum(3, 20),
+        lambda: repcount.rep_count_range(1000),
+        lambda: moments.cube_multiplicity(200),
+        lambda: scan(1000, PsiSpec.parse("log"), 10),
+        lambda: arcints.major_arc_integral(500, 1000, 2),
+        lambda: arcints.pruned_integral_diagnostic(400, 5, sample),
+    ):
+        first, second = make(), make()
+        assert first == first and first != second
 
 
 def _run_cli(capsys, *argv):
