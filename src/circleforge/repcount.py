@@ -1,11 +1,14 @@
 """Exact representation counts R(n) for n = x1^2+x2^2+x3^3+x4^3+x5^6+x6^6
 with positive integers x_i.
 
-Both paths share one exact integer cube/sixth spectrum g.  A single target
-sums g[n - x^2 - y^2] over the square pairs, one gather per row x; a full
-range convolves g with the square-pair spectrum through the exact transform
-backend.  Tuples are ordered and every variable starts at 1, so the least
-representable value is 6.
+Both paths share one exact integer cube/sixth spectrum g, filled in value
+windows.  A single target fills one window per worker and sums
+g[n - x^2 - y^2] over the square pairs in 2-D blocks of rows x, handed out
+on the worker pool; a full range fills g in one window on its calling thread
+(scan runs it beside series_batch on the pool) and convolves it with the
+square-pair spectrum through the exact transform backend.  Tuples are
+ordered and every variable starts at 1, so the least representable value
+is 6.
 """
 
 import hashlib
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .errors import BudgetError, PreconditionError
 from .exactconv import FLOAT_EXACT_LIMIT, exact_convolve
 from .intmath import iroot, pair_values, powers
@@ -24,6 +28,7 @@ from .powersums import _check_exponent
 PAIR_INDEX_BUDGET = 2 * 10**8  # entries in a pair spectrum
 SINGLE_TARGET_BUDGET = 2 * 10**8  # practical memory ceiling for one target
 RANGE_BUDGET = 3 * 10**7  # keeps the float FFT within its 2**26 length cap
+GATHER_BLOCK = 2**15  # entries of g that one block of rep_count_single gathers
 
 SPECTRUM_MAGIC = b"WSPC2"
 _HEADER = struct.Struct("<5sQQQ")
@@ -127,10 +132,12 @@ def _count_dtype(bound: int) -> type:
     return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
-def _cube_sixth_spectrum(P3: int, P6: int, limit: int) -> np.ndarray:
+def _cube_sixth_spectrum(P3: int, P6: int, limit: int, windows: int = 1) -> np.ndarray:
     """g[m] = #{(x3,x4,x5,x6): x3^3+x4^3+x5^6+x6^6 = m} for m <= limit, of
     length limit + 1, in the narrowest signed integer type that holds
-    sum(c6) * max(c3)."""
+    sum(c6) * max(c3).  The entries are filled in `windows` value windows of
+    about equal length, handed to `workers.blocks`; one window is filled on
+    the calling thread."""
     # the P3^2 * P6^2 quadruples bound every sum of entries; below 2^53 they
     # keep the float convolution of g exact
     if (P3 * P6) ** 2 >= FLOAT_EXACT_LIMIT:
@@ -141,10 +148,16 @@ def _cube_sixth_spectrum(P3: int, P6: int, limit: int) -> np.ndarray:
     dtype = _count_dtype(int(c6.sum()) * int(c3.max(initial=0)))
     c3 = c3.astype(dtype)
     g = np.zeros(limit + 1, dtype=dtype)
-    # v3 is distinct, so no index repeats within one add
-    for s, w in zip(v6.tolist(), c6.tolist()):
-        m = int(np.searchsorted(v3, limit - s, "right"))
-        g[s + v3[:m]] += w * c3[:m]
+
+    def fill(lo, hi):
+        # the cube-pair values v with lo <= s + v < hi, for each sixth-power
+        # value s; v3 is distinct, so no index repeats within one add
+        starts = np.searchsorted(v3, lo - v6).tolist()
+        ends = np.searchsorted(v3, hi - v6).tolist()
+        for s, w, a, b in zip(v6.tolist(), c6.tolist(), starts, ends):
+            g[s + v3[a:b]] += w * c3[a:b]
+
+    workers.blocks(fill, limit + 1, -(-(limit + 1) // windows))
     return g
 
 
@@ -167,19 +180,50 @@ def check_range(X: int) -> None:
         raise BudgetError(f"range bound X={X} beyond budget {RANGE_BUDGET}")
 
 
+def _gather_edges(n: int) -> list:
+    """Edges of the blocks of rows x = 1..iroot((n - 4) // 2, 2) that
+    rep_count_single gathers: each block takes as many rows as fit
+    GATHER_BLOCK entries of its first, widest row (one row at least), so the
+    blocks carry about equal work and depend on n alone."""
+    last = iroot((n - 4) // 2, 2)
+    edges = [1]
+    while edges[-1] <= last:
+        x = edges[-1]
+        width = iroot(n - 4 - x * x, 2) - x + 1
+        edges.append(min(last + 1, x + max(1, GATHER_BLOCK // width)))
+    return edges
+
+
 def rep_count_single(n: int) -> int:
     """Exact R(n): the cube/sixth spectrum g summed over the square pairs,
-    R(n) = sum_{x<=y} (2 - [x == y]) g[n - x^2 - y^2], one gather per row x."""
+    R(n) = sum_{x<=y} (2 - [x == y]) g[n - x^2 - y^2].
+
+    g is filled in one value window per worker.  The rows x are cut into the
+    blocks of _gather_edges, handed out by `workers.blocks`; a block of rows
+    x0 <= x < x1 gathers g once over the columns x0 <= y <= e(x0), the last
+    column of its first row, and takes twice the sum less the corner square
+    x0 <= y < x1: that square is symmetric in x and y, so its sum is twice
+    its strict lower part (y < x) plus its diagonal.  Beyond a row's own last
+    column the index falls below 4 and is clipped to 0, and g[0..3] = 0
+    since the least quadruple sum is 4."""
     check_single_target(n)
     if n < 6:
         return 0
-    g = _cube_sixth_spectrum(iroot(n - 4, 3), iroot(n - 4, 6), limit=n - 2)
+    g = _cube_sixth_spectrum(iroot(n - 4, 3), iroot(n - 4, 6), n - 2, workers.WORKERS)
     squares = powers(2, iroot(n - 4, 2))
-    total = 0
-    for x in range(1, iroot((n - 4) // 2, 2) + 1):
-        row = g[n - x * x - squares[x - 1 : iroot(n - 4 - x * x, 2)]]
-        total += 2 * int(row.sum()) - int(row[0])
-    return total
+    edges = _gather_edges(n)
+    sums = [0] * (len(edges) - 1)
+
+    def fill(lo, hi):
+        for j in range(lo, hi):
+            x0, x1 = edges[j], edges[j + 1]
+            rows = n - squares[x0 - 1 : x1 - 1]
+            idx = rows[:, None] - squares[x0 - 1 : iroot(n - 4 - x0 * x0, 2)]
+            block = g[np.maximum(idx, 0, out=idx)]
+            sums[j] = 2 * int(block.sum()) - int(block[:, : x1 - x0].sum())
+
+    workers.blocks(fill, len(sums), 1)
+    return sum(sums)
 
 
 def rep_count_range(X: int, cache_dir: str | None = None) -> RangeCounts:
@@ -188,7 +232,9 @@ def rep_count_range(X: int, cache_dir: str | None = None) -> RangeCounts:
     P2, P3, P6 = iroot(X, 2), iroot(X, 3), iroot(X, 6)
     sq = _cached_pair_spectrum(2, P2, cache_dir)
     sq_trunc = sq.counts[: X + 1]
-    g = _cube_sixth_spectrum(P3, P6, limit=X)
+    # one window on the calling thread: scan runs this beside series_batch,
+    # which holds the pool's only thread on two CPUs
+    g = _cube_sixth_spectrum(P3, P6, X)
     # a copy, so the unused upper half of the linear convolution is freed
     values = exact_convolve(g, sq_trunc)[: X + 1].copy()
     if X >= 6 and values[:6].any():

@@ -9,9 +9,11 @@ on the pool it runs in.  The calls handed out here spend their time in numpy
 kernels (sorts, ufuncs, FFTs, BLAS matrix-vector products) that release the
 GIL, and no result depends on WORKERS.
 
-`blocks` serves the arc quadrature's dense kernels: it cuts the rows of one
-output into fixed blocks, laid out by the row count and block size alone, and
-each worker fills one contiguous run of them.
+`blocks` cuts n rows of work into fixed blocks, laid out by the row count and
+block size alone, and each worker fills one contiguous run of them.  It serves
+the arc quadrature's dense kernels and the single-target count, whose value
+windows of the cube/sixth spectrum and blocks of square-pair rows it hands
+out.
 """
 
 import os

@@ -16,9 +16,11 @@ from circleforge.exactconv import (
 )
 from circleforge.intmath import iroot, pair_values, powers
 from circleforge.repcount import (
+    GATHER_BLOCK,
     SINGLE_TARGET_BUDGET,
     _count_dtype,
     _cube_sixth_spectrum,
+    _gather_edges,
     pair_spectrum,
     read_spectrum,
     rep_count_range,
@@ -310,9 +312,12 @@ def test_cube_sixth_spectrum_matches_brute():
     for P3, P6 in ((1, 1), (5, 2), (9, 3)):
         top = 2 * P3**3 + 2 * P6**6
         for limit in (top // 3, top - 1, top, top + 7):
-            g = _cube_sixth_spectrum(P3, P6, limit)
-            assert _holds(g.dtype, _spectrum_bound(P3, P6, limit)) and len(g) == limit + 1
-            assert g.tolist() == _cube_sixth_brute(P3, P6, limit)
+            expect = _cube_sixth_brute(P3, P6, limit)
+            # value windows of one entry and more, each filled on its own
+            for windows in (1, 2, 3, 7, limit + 1):
+                g = _cube_sixth_spectrum(P3, P6, limit, windows)
+                assert _holds(g.dtype, _spectrum_bound(P3, P6, limit)) and len(g) == limit + 1
+                assert g.tolist() == expect
 
 
 @pytest.mark.parametrize("bound, dtype", [
@@ -341,6 +346,17 @@ def test_cube_sixth_spectrum_conservation():
     for P3, P6 in ((12, 3), (21, 4)):
         g = _cube_sixth_spectrum(P3, P6, 2 * P3**3 + 2 * P6**6)
         assert int(g.sum()) == P3 * P3 * P6 * P6
+
+
+def test_gather_blocks_cover_the_rows_within_the_block_size():
+    for n in (6, 7, 100, 4500, 10**6, 9_412_345, SINGLE_TARGET_BUDGET):
+        edges = _gather_edges(n)
+        assert edges[0] == 1 and edges[-1] == iroot((n - 4) // 2, 2) + 1
+        for x0, x1 in zip(edges, edges[1:]):
+            width = iroot(n - 4 - x0 * x0, 2) - x0 + 1
+            # a block is never narrower than it is tall, since e(x0) >= x1 - 1
+            assert x0 < x1 <= x0 + width
+            assert (x1 - x0) * width <= GATHER_BLOCK or x1 == x0 + 1
 
 
 def test_single_target_memory_is_one_spectrum():

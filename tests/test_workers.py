@@ -1,6 +1,7 @@
 """The worker pool: results never depend on the worker count, one CPU starts
 no thread, and an error raised on a worker reaches the caller and the CLI.
-This holds for the pair lattices, the scan and the arc quadrature's blocks."""
+This holds for the pair lattices, the scan, the single-target count and the
+arc quadrature's blocks."""
 
 import contextlib
 import dataclasses
@@ -17,9 +18,9 @@ from circleforge import arcints, arcs, intmath, moments, repcount, workers
 from circleforge.cli import main
 from circleforge.errors import BudgetError
 from circleforge.intmath import pair_reduce, pair_values, powers
-from circleforge.scan import PsiSpec, scan
+from circleforge.scan import PsiSpec, predict, scan
 
-from oracles import concat_runs, pair_values_grid
+from oracles import concat_runs, pair_values_grid, rep_single_brute
 
 scanmod = sys.modules["circleforge.scan"]  # circleforge.scan is the function
 
@@ -181,14 +182,21 @@ def _scan_arrays():
     return summary, [a.tobytes() for a in arrays]
 
 
+def _single_counts():
+    """R(n) at n = 6..200 and at two targets of several value windows and
+    dozens of gather blocks."""
+    return [repcount.rep_count_single(n) for n in (*range(6, 201), 2_000_003, 3_141_592)]
+
+
 def test_results_independent_of_worker_count():
     sample = _bench_sample(2)
     results = {}
     for count in (1, 2, 3):
         with worker_count(count):
-            results[count] = (_scan_task_moments(), _scan_arrays(),
+            results[count] = (_scan_task_moments(), _scan_arrays(), _single_counts(),
                               _bytes((_quadrature(sample), _arc_kernels())))
     assert results[1] == results[2] == results[3]
+    assert results[1][2][:195] == [rep_single_brute(n) for n in range(6, 201)]
 
 
 def test_one_worker_starts_no_thread():
@@ -197,20 +205,23 @@ def test_one_worker_starts_no_thread():
         moments.sixth_power_eighth_moment(60)
         moments.cube_multiplicity(1500)
         scan(2 * 10**4, PsiSpec.parse("log"), 100)
+        predict(10**6)
         _quadrature(_bench_sample(3))
         assert threading.active_count() == before
         assert workers._executor is None
 
 
 def test_more_workers_than_cores_under_fast_switching(monkeypatch):
-    # disjoint slices of one key array sorted and reduced by six threads, and
-    # disjoint row blocks of each arc kernel's output written by six threads,
+    # disjoint slices of one key array sorted and reduced by six threads,
+    # disjoint row blocks of each arc kernel's output, and disjoint value
+    # windows and gather sums of a single target written by six threads,
     # with a switch interval that interleaves them
     monkeypatch.setattr(intmath, "PAIR_CHUNK", 1 << 12)
     case = (powers(3, 1200), -1)
     with worker_count(1):
         runs, _, values = _runs_and_values(case)
         kernels = _bytes(_arc_kernels())
+        single = repcount.rep_count_single(3_141_592)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -218,12 +229,42 @@ def test_more_workers_than_cores_under_fast_switching(monkeypatch):
             start = time.perf_counter()
             got_runs, bands, got_values = _runs_and_values(case)
             got_kernels = _bytes(_arc_kernels())
+            got_single = repcount.rep_count_single(3_141_592)
             assert time.perf_counter() - start < 30
     finally:
         sys.setswitchinterval(interval)
     assert bands == 6
     assert got_runs == runs == got_values == values
     assert got_kernels == kernels
+    assert got_single == single
+
+
+def test_range_count_stays_off_the_pool(tmp_path, monkeypatch):
+    # scan runs rep_count_range beside series_batch, which holds the pool's
+    # only thread on two CPUs: a pool call nested in the count would wait
+    # for the whole series
+    def refuse():
+        raise AssertionError("reached the pool")
+
+    with worker_count(2):
+        expect = repcount.rep_count_range(10**6, cache_dir=str(tmp_path)).values
+        monkeypatch.setattr(workers, "_pool", refuse)
+        got = repcount.rep_count_range(10**6, cache_dir=str(tmp_path)).values
+        # the single-target path, which does use the pool, meets the guard
+        with pytest.raises(AssertionError, match="reached the pool"):
+            repcount.rep_count_single(10**6)
+    assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_small_gather_blocks_against_range(monkeypatch, count):
+    # blocks of a few rows, and of one row wider than the block, on each
+    # side of every cut between workers
+    monkeypatch.setattr(repcount, "GATHER_BLOCK", 50)
+    values = repcount.rep_count_range(4000).values
+    with worker_count(count):
+        for n in range(6, 4001, 37):
+            assert repcount.rep_count_single(n) == values[n]
 
 
 def test_worker_error_reaches_caller():
