@@ -18,10 +18,8 @@ from . import workers
 from .arcs import (
     PHASE_BLOCK,
     PHASE_INTEGER_LIMIT,
-    WEYL_INTEGRAL_TOL,
     ExceptionalSample,
     _GL4,
-    _chebyshev_degree,
     _gauss_panels,
     exceptional_sum_grid,
     peak_majorant,
@@ -32,14 +30,13 @@ from .errors import BudgetError, PreconditionError
 from .intmath import iroot
 from .powersums import gauss_sum, leading_constant
 
-# panels x Chebyshev degree of one singular integral; its cost grows with both
-# (singular_integral(10**4, 10**4, 200), at 1.1e6, takes 1.0 s and 42 MiB on
-# the two cores of a 2-core Xeon VM, 1.9 s on one)
-SINGULAR_WORK_BUDGET = 2 * 10**6
-# quadrature nodes at one grid density; the largest admitted case has 29,064
-# (that annulus); 4.9e5 fine nodes take 0.85 s and 220 MiB in
-# major_arc_integral(5000, 10**4, 6, grid=428), 2.0 s and 170 MiB in the pruned
-# integral at X = 10**4, Q = 16, 100 members (grid=263), on the same two cores
+# quadrature nodes at one grid density, in each of the three integrals and the
+# survey (29,064 in its annulus at X = 10**4, Q = 100).  On the two cores of a
+# 2-core Xeon VM the largest singular integral admitted, 499,968 fine nodes at
+# --n 10**6 --limit 10**6 --trunc 7812, takes 0.8 s and peaks at 144 MiB as a
+# fresh CLI process (1.2 s on one core); 4.9e5 fine nodes take 0.85 s and
+# 220 MiB in major_arc_integral(5000, 10**4, 6, grid=428), 2.0 s and 170 MiB in
+# the pruned integral at X = 10**4, Q = 16, 100 members (grid=263)
 QUAD_NODE_BUDGET = 5 * 10**5
 # survey panels per 1/sqrt(X)
 SURVEY_DENSITY = 40
@@ -160,13 +157,14 @@ def _two_density(nodes, integrands, grid: int):
     (points, weights, *rest) and integrands(points, *rest) a tuple of pointwise
     arrays over those points, called once over both node sets; returns the fine
     integrals, their relative changes against the coarse ones, the fine nodes
-    and the fine integrand arrays."""
+    and the fine integrand arrays.  The sums are numpy's own reductions, not
+    BLAS dot products, whose splitting across threads moves the last bits."""
     coarse, fine = nodes(grid), nodes(2 * grid)
     split = len(coarse[0])
     points, _, *rest = (np.concatenate(pair) for pair in zip(coarse, fine))
     values = integrands(points, *rest)
-    low = [complex(np.dot(coarse[1], v[:split])) for v in values]
-    high = [complex(np.dot(fine[1], v[split:])) for v in values]
+    low = [complex((coarse[1] * v[:split]).sum()) for v in values]
+    high = [complex((fine[1] * v[split:]).sum()) for v in values]
     return high, [_rel_change(c, f) for c, f in zip(low, high)], fine, [v[split:] for v in values]
 
 
@@ -292,15 +290,10 @@ def singular_integral(n: int, X: int, W: int) -> SingularIntegral:
         raise PreconditionError("need n >= 1 and W >= 1")
     P_by_k = {k: X ** (1.0 / k) for k in (2, 3, 6)}
     width = W / X
-    panels = max(64, int(math.ceil(8 * W * max(1.0, n / X))))
+    panels = max(64, -(-8 * W * max(n, X) // X))  # ceil(8 W max(1, n / X)), exactly
     panels += panels % 2  # symmetric node layout keeps the result real
-    # P^k = X for every k, so each v_k runs through (W / X) X = W cycles
-    degree = _chebyshev_degree(W, WEYL_INTEGRAL_TOL)
-    if panels * degree > SINGULAR_WORK_BUDGET:
-        raise BudgetError(
-            f"singular-integral budget is panels x Chebyshev degree <= {SINGULAR_WORK_BUDGET}, "
-            f"here {panels} x {degree}"
-        )
+    if 8 * panels > QUAD_NODE_BUDGET:  # 4 nodes per panel at the fine density
+        raise BudgetError(f"quadrature budget is {QUAD_NODE_BUDGET} nodes, here {8 * panels}")
 
     def integrands(betas):
         prod = np.ones(len(betas), dtype=complex)

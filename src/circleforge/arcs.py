@@ -8,6 +8,7 @@ value) are located through continued-fraction convergents, so classification
 is exact.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +17,7 @@ from numbers import Integral
 import numpy as np
 
 from . import workers
-from .errors import BudgetError, ConvergenceError, PreconditionError
+from .errors import BudgetError, PreconditionError
 from .powersums import _check_exponent, _phase_sum, gauss_sum, powers_mod
 
 KIND_MAJOR = "major"
@@ -26,7 +27,7 @@ KIND_MINOR = "minor"
 
 WEYL_POINT_BUDGET = 10**7
 OSCILLATION_BUDGET = 10**6
-# complex entries of one block of exponentials or interpolation weights (1 MiB):
+# complex entries of one block of exponentials, or offsets of v_k (1 MiB):
 # the pool fills the blocks, and at 10**6 entries (16 MB) their temporaries took
 # the benchmark's quadrature task to a peak of 82 MiB rather than 50
 PHASE_BLOCK = 2**16
@@ -38,9 +39,6 @@ SERIAL_GEMV = 4096
 # largest |x| of a float phase grid e(alpha x), alpha in [0, 1]: each phase is
 # then rounded by at most 2^26 * 2^-53 = 2^-27 cycles
 PHASE_INTEGER_LIMIT = 2**26
-# v_k to within this times P by default; budgets price the Chebyshev degree at it
-WEYL_INTEGRAL_TOL = 1e-8
-_GL8 = np.polynomial.legendre.leggauss(8)
 _GL4 = np.polynomial.legendre.leggauss(4)
 
 
@@ -154,16 +152,6 @@ def weyl_sum(k: int, P: int, alpha) -> complex:
     return total
 
 
-def _phase_panel_bounds(k: int, P: float, panels: int) -> np.ndarray:
-    """Panel boundaries on [0, P]: an equal-phase grid (uniform increments of
-    g^k) merged with a coarse uniform grid, so that neither the oscillatory
-    region near P nor the wide leading panel is under-resolved."""
-    j = np.arange(panels + 1, dtype=np.float64)
-    phase_grid = P * (j / panels) ** (1.0 / k)
-    uniform = np.linspace(0.0, float(P), 17)
-    return np.unique(np.concatenate([phase_grid, uniform]))
-
-
 def _row_step(width: int, entries: int) -> int:
     """Rows of `width` entries in a block of at most `entries` entries: an even
     count, at least two, so that every block starts on an even row."""
@@ -191,57 +179,23 @@ def _phase_kernel(x: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _initial_panels(k: int, P: float, beta: float) -> int:
-    cycles = abs(beta) * float(P) ** k
-    return max(8, int(math.ceil(4.0 * cycles)))
-
-
-def _adaptive_weyl(k: int, P, mags: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Panel quadrature of v_k at offsets mags >= 0 on one shared panel
-    structure, doubled until no value moves by more than rel_tol * P."""
-    panels = _initial_panels(k, P, float(mags.max()))
-    previous = None
-    for _ in range(24):
-        bounds = _phase_panel_bounds(k, P, panels)
-        nodes, wts = _gauss_panels(bounds[:-1], bounds[1:], _GL8)
-        est = _phase_kernel(mags, nodes**k, wts)
-        if previous is not None and np.abs(est - previous).max() <= rel_tol * P:
-            return est
-        previous = est
-        panels *= 2
-    raise ConvergenceError(
-        f"quadrature did not meet {rel_tol:g}*P after {panels // 2} panels",
-        achieved=previous,
-        tolerance=rel_tol * P,
-    )
-
-
-def _chebyshev_degree(cycles: float, rel_tol: float) -> int:
-    """Least n with 4 M rho^-n / (rho - 1) <= rel_tol * P / 2 over a grid of
-    rho > 1: the Chebyshev interpolation error on [0, B] of a function bounded
-    by M on the Bernstein ellipse E_rho (Trefethen, ATAP Thm 8.2).  For v_k,
-    M = P exp((pi/2) cycles (rho - 1/rho)) with cycles = B P^k."""
-    rho = 1.0 + np.geomspace(1e-3, 1e3, 601)
-    log_ratio = np.log(8.0 / (rel_tol * (rho - 1.0))) + 0.5 * np.pi * cycles * (rho - 1.0 / rho)
-    return max(1, int(np.ceil(log_ratio / np.log(rho)).min()))
-
-
-def _barycentric(nodes: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Interpolant through values at the Chebyshev-Lobatto nodes, at x."""
-    w = np.where(np.arange(len(nodes)) % 2, -1.0, 1.0)
-    w[[0, -1]] *= 0.5
-    out = np.empty(len(x), dtype=complex)
-
-    def fill(lo, hi):
-        diff = x[lo:hi, None] - nodes[None, :]
-        hit = diff == 0.0
-        c = w / np.where(hit, 1.0, diff)
-        block = _matvec(c, values) / c.sum(axis=1)
-        rows, cols = np.nonzero(hit)
-        block[rows] = values[cols]
-        out[lo:hi] = block
-
-    workers.blocks(fill, len(x), _row_step(len(nodes), PHASE_BLOCK))
+def _unit_weyl_integral(k: int, z: np.ndarray) -> np.ndarray:
+    """V(z) = int_0^1 e^(i z t^k) dt at each z >= 0: the series up to z = 8, the
+    continued fraction beyond (see `weyl_integral_batch`)."""
+    out = np.empty(len(z), dtype=complex)
+    small = z <= 8.0
+    w = 1j * z[small]
+    series = np.zeros(len(w), dtype=complex)
+    for n in range(47, -1, -1):
+        series = series * w + 1 / (math.factorial(n) * (k * n + 1))
+    out[small] = series
+    z = z[~small]
+    s, x = 1 / k, -1j * z
+    tail = np.zeros(len(z), dtype=complex)
+    for j in range(23, 0, -1):
+        tail = j * (j - s) / (x + (2 * j + 1 - s) - tail)
+    lead = math.gamma(1 + s) * cmath.exp(0.5j * math.pi * s)
+    out[~small] = lead * z**-s - s * np.exp(1j * z) / (x + (1 - s) - tail)
     return out
 
 
@@ -250,17 +204,33 @@ def weyl_integral(k: int, P, beta: float) -> complex:
     return complex(weyl_integral_batch(k, P, [beta])[0])
 
 
-def weyl_integral_batch(k: int, P, betas: np.ndarray,
-                        rel_tol: float = WEYL_INTEGRAL_TOL) -> np.ndarray:
-    """v_k over an array of offsets, each within rel_tol * P.
+def weyl_integral_batch(k: int, P, betas: np.ndarray) -> np.ndarray:
+    """v_k over an array of offsets, each within 4e-13 P.
 
-    Only the distinct |beta| are computed; v_k(-beta) = conj(v_k(beta)).  On
-    [0, B], B = max |beta|, v_k is entire with |v_k| <= P e^(2 pi |Im beta| P^k),
-    so its degree-n Chebyshev interpolant, n from `_chebyshev_degree`, is
-    within rel_tol * P / 2.  With more distinct offsets than n + 1, the panel
-    quadrature runs only at the n + 1 Chebyshev-Lobatto points of [0, B], at
-    rel_tol / (2 L_n), where L_n = (2/pi) log(n + 1) + 1 bounds the Lebesgue
-    constant; otherwise it runs at the distinct offsets themselves.
+    v_k(beta) = P V(z), V(z) = int_0^1 e^(i z t^k) dt, z = 2 pi |beta| P^k, and
+    v_k(-beta) = conj(v_k(beta)).  Each distinct |beta| is evaluated alone, in
+    blocks of PHASE_BLOCK offsets on the worker pool, so a value depends only
+    on its own offset.  With u = 2^-53 and gamma_m = m u / (1 - m u):
+
+    - z <= 8: V = sum_n (i z)^n / (n! (k n + 1)) (DLMF 8.7), by Horner over its
+      first 48 terms.  The tail is below 2.2e-20, and Horner's rounding, at most
+      sum_n gamma_(2n+2) z^n / (n! (k n + 1)), is largest at z = 8: 3.6e-13,
+      2.5e-13 and 1.3e-13 for k = 2, 3, 6.
+    - z > 8: V = s x^-s gamma(s, x) = Gamma(1 + s) x^-s - s e^(i z) h with
+      s = 1/k, x = -i z and h = e^x x^-s Gamma(s, x), Legendre's continued
+      fraction 1/(x + 1 - s - 1(1 - s)/(x + 3 - s - 2(2 - s)/(x + 5 - s - ...)))
+      (DLMF 8.9), evaluated bottom-up over 24 partial denominators.  That
+      approximant is the 24-point Gauss rule of the Stieltjes integral
+      h = int_0^inf t^-s e^-t / (x + t) dt / Gamma(1 - s) (DLMF 8.6), so h errs
+      by at most E = Gamma(25 - s) / (24! Gamma(1 - s) z |L_24^(-s)(i z)|^2)
+      and V by s E.  The zeros of L_24 are real, so E falls with z, and s E is
+      below 4e-17 at z = 8 for every k.  Each tail of the fraction is again a
+      Stieltjes function, for which the bottom-up recurrence is stable: its
+      rounding stays at a few ulps (4e-16 P at most against mpmath).
+
+    z carries at most four roundings, which move V by at most
+    4u |z V'(z)| = 4u |e^(i z) - V| / k <= 8u / k; with the product by P, each
+    value stays within 4e-13 P.
     """
     _check_exponent(k)
     if not P >= 1:
@@ -269,22 +239,18 @@ def weyl_integral_batch(k: int, P, betas: np.ndarray,
     if not np.isfinite(betas).all():
         raise PreconditionError("offsets must be finite")
     mags, inverse = np.unique(np.abs(betas), return_inverse=True)
-    top = float(mags[-1]) if mags.size else 0.0
-    cycles = top * float(P) ** k
+    cycles = (float(mags[-1]) if mags.size else 0.0) * float(P) ** k
     if cycles > OSCILLATION_BUDGET:
         raise BudgetError(
             f"|beta| * P^k = {cycles:.3g} exceeds the oscillation budget {OSCILLATION_BUDGET}"
         )
-    if top == 0.0:
-        return np.full(betas.shape, complex(P))
-    n = _chebyshev_degree(cycles, rel_tol)
-    if len(mags) > n + 1:
-        nodes = 0.5 * top * (1.0 - np.cos(np.pi * np.arange(n + 1) / n))
-        lebesgue = 2.0 / np.pi * math.log(n + 1) + 1.0
-        vals = _barycentric(nodes, _adaptive_weyl(k, P, nodes, rel_tol / (2 * lebesgue)), mags)
-    else:
-        vals = _adaptive_weyl(k, P, mags, rel_tol)
-    vals[mags == 0.0] = P
+    z = 2 * math.pi * float(P) ** k * mags
+    vals = np.empty(len(mags), dtype=complex)
+
+    def fill(lo, hi):
+        vals[lo:hi] = P * _unit_weyl_integral(k, z[lo:hi])
+
+    workers.blocks(fill, len(mags), PHASE_BLOCK)
     vals = vals[inverse].reshape(betas.shape)
     return np.where(betas < 0, np.conj(vals), vals)
 

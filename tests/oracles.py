@@ -295,6 +295,44 @@ def weyl_integral_midpoint(k, P, beta, nodes=10**6):
     return complex(np.exp(2j * np.pi * beta * g**k).sum() * (P / nodes))
 
 
+_GL8 = np.polynomial.legendre.leggauss(8)
+
+
+def _phase_panel_bounds(k, P, panels):
+    """Panel boundaries on [0, P]: an equal-phase grid (uniform increments of
+    g^k) merged with a coarse uniform grid, so that neither the oscillatory
+    region near P nor the wide leading panel is under-resolved."""
+    j = np.arange(panels + 1, dtype=np.float64)
+    phase_grid = P * (j / panels) ** (1.0 / k)
+    uniform = np.linspace(0.0, float(P), 17)
+    return np.unique(np.concatenate([phase_grid, uniform]))
+
+
+def _initial_panels(k, P, beta):
+    cycles = abs(beta) * float(P) ** k
+    return max(8, int(math.ceil(4.0 * cycles)))
+
+
+def weyl_integral_adaptive(k, P, mags, rel_tol):
+    """v_k at offsets mags >= 0 by 8-point Gauss panels on one shared panel
+    structure, doubled until no value moves by more than rel_tol * P."""
+    mags = np.asarray(mags, dtype=np.float64)
+    panels = _initial_panels(k, P, float(mags.max()))
+    offsets, weights = _GL8
+    previous = None
+    for _ in range(24):
+        bounds = _phase_panel_bounds(k, P, panels)
+        half, mid = 0.5 * np.diff(bounds), 0.5 * (bounds[1:] + bounds[:-1])
+        nodes = (mid[:, None] + half[:, None] * offsets).ravel()
+        wts = (half[:, None] * weights).ravel()
+        est = np.exp(2j * np.pi * np.outer(mags, nodes**k)) @ wts
+        if previous is not None and np.abs(est - previous).max() <= rel_tol * P:
+            return est
+        previous = est
+        panels *= 2
+    raise AssertionError(f"panel quadrature did not meet {rel_tol:g}*P")
+
+
 def exceptional_sum_direct(members, alpha, eta=None):
     total = 0j
     for i, n in enumerate(members):

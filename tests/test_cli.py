@@ -7,7 +7,12 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circleforge.arcints import QUAD_NODE_BUDGET
+from circleforge.arcs import WEYL_POINT_BUDGET
 from circleforge.cli import ARC_OPS, COMMANDS, MOMENTS, main
+from circleforge.powersums import MODULUS_BUDGET
+from circleforge.repcount import RANGE_BUDGET, SINGLE_TARGET_BUDGET
+from circleforge.sseries import TERM_BUDGET, TRUNCATION_BUDGET
 from circleforge.repcount import rep_count_range
 from circleforge.scan import PredictionRecord, PsiSpec, scan
 from oracles import csv_table, record_rows
@@ -293,19 +298,75 @@ def test_convergence_exit_code(capsys, monkeypatch):
     assert json.loads(err) == {"error": "convergence", "message": "no convergence"}
 
 
+# 10^400 overflows a float: a count or density is refused before any float division
+_HUGE = "1" + "0" * 400
+
+
 def test_singular_integral_budget_on_trunc(capsys):
-    # at the default --trunc 1000 this integral would run for minutes
+    # the default --trunc 1000 at n = 60, X = 16 takes 240,000 fine nodes, within
+    # the node budget; at n = 10^6 it would take 5e8, and 10^400 has no float
+    for n, expect in (("60", 0), ("1000000", 3), (_HUGE, 3)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "arcs", "--op", "singular-integral",
+                                 "--n", n, "--limit", "16")
+        assert time.perf_counter() - start < 5
+        assert code == expect
+        if expect:
+            assert out == "" and len(err.splitlines()) == 1
+            assert json.loads(err)["error"] == "budget"
+        else:
+            assert err == "" and json.loads(out)["grid_points"] == 240_000
+
+
+# every integer budget a handler reaches, each at the budget plus one, with the
+# error the library raises there
+_BUDGET_PLUS_ONE = [
+    (("count", "--limit", str(RANGE_BUDGET + 1)), "budget"),
+    (("scan", "--limit", str(RANGE_BUDGET + 1)), "budget"),
+    (("count", "--n", str(SINGLE_TARGET_BUDGET + 1)), "budget"),
+    (("predict", "--n", str(SINGLE_TARGET_BUDGET + 1)), "budget"),
+    (("sseries", "--n", "10", "--trunc", str(TRUNCATION_BUDGET + 1)), "budget"),
+    (("predict", "--n", "100", "--trunc", str(TRUNCATION_BUDGET + 1)), "budget"),
+    (("scan", "--limit", "100", "--trunc", str(TRUNCATION_BUDGET + 1)), "budget"),
+    (("sseries", "--n", "10", "--q", str(TERM_BUDGET + 1)), "budget"),
+    (("gauss", "--k", "2", "--q", str(MODULUS_BUDGET + 1), "--a", "1"), "budget"),
+    (("arcs", "--op", "weyl", "--k", "2", "--P", str(WEYL_POINT_BUDGET + 1), "--q", "3",
+      "--a", "1"), "precondition"),
+    # a denominator of 2^31 or more that is not a power of two
+    (("arcs", "--op", "weyl", "--k", "2", "--P", "200001", "--q", str(2**31 + 1), "--a", "1"),
+     "budget"),
+    (("arcs", "--op", "classify", "--limit", "100", "--Q", "2", "--q", "3", "--a", "1",
+      "--trunc", "1001"), "precondition"),
+    (("moments", "--moment", "pair-collisions", "--P", "3001"), "budget"),
+    (("moments", "--moment", "cube-sixth", "--limit", str(10**8 + 1)), "budget"),
+    (("moments", "--moment", "eighth", "--P", "201"), "budget"),
+    (("moments", "--moment", "multiplicity", "--P", "10001"), "budget"),
+    (("moments", "--moment", "shifted", "--P", "10001", "--limit", "100"), "budget"),
+    (("moments", "--moment", "shifted", "--P", "10", "--limit", str(10**6),
+      "--sample", str(10**5 + 1)), "budget"),
+    (("arcs", "--op", "major-integral", "--n", "5", "--limit", str(10**5 + 1)), "budget"),
+    (("arcs", "--op", "major-integral", "--n", "5", "--limit", "1000", "--trunc", "201"),
+     "budget"),
+    (("arcs", "--op", "singular-integral", "--n", "5", "--limit", str(10**6 + 1)), "budget"),
+    (("arcs", "--op", "pruned", "--limit", str(10**4 + 1), "--Q", "5"), "budget"),
+    # 8 W panels of 4 nodes at the fine density: W = 7812 takes 499,968 nodes,
+    # W = 7813 the first count above QUAD_NODE_BUDGET
+    (("arcs", "--op", "singular-integral", "--n", "1000", "--limit", "1000",
+      "--trunc", str(QUAD_NODE_BUDGET // 64 + 1)), "budget"),
+]
+
+
+@pytest.mark.parametrize("argv, kind", _BUDGET_PLUS_ONE,
+                         ids=[" ".join(argv) for argv, _ in _BUDGET_PLUS_ONE])
+def test_each_budget_plus_one(capsys, argv, kind):
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "arcs", "--op", "singular-integral",
-                             "--n", "60", "--limit", "16")
+    code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 5
-    assert code == 3 and out == ""
+    assert code == {"budget": 3, "precondition": 2}[kind] and out == ""
     assert len(err.splitlines()) == 1
-    assert json.loads(err)["error"] == "budget"
+    assert json.loads(err)["error"] == kind
 
 
-# 10^400 overflows a float; the density is refused before any float division
-_HUGE_GRID = "1" + "0" * 400
 
 
 @pytest.mark.parametrize("argv", [
@@ -315,8 +376,8 @@ _HUGE_GRID = "1" + "0" * 400
     # 12,233 arcs: a small dissection, but 8e6 fine nodes
     ("--op", "major-integral", "--n", "1", "--limit", "100000", "--trunc", "200"),
     ("--op", "major-integral", "--n", "5", "--limit", "1000", "--trunc", "2",
-     "--grid", _HUGE_GRID),
-    ("--op", "pruned", "--limit", "400", "--Q", "5", "--grid", _HUGE_GRID),
+     "--grid", _HUGE),
+    ("--op", "pruned", "--limit", "400", "--Q", "5", "--grid", _HUGE),
 ])
 def test_major_integral_quadrature_budget(capsys, argv):
     start = time.perf_counter()

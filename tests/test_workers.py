@@ -6,6 +6,8 @@ arc quadrature's blocks."""
 import contextlib
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -14,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import circleforge
 from circleforge import arcints, arcs, intmath, moments, repcount, workers
 from circleforge.cli import main
 from circleforge.errors import BudgetError
@@ -148,15 +151,13 @@ def _arc_kernels():
     """The block kernels on inputs of many blocks, each with a partial last block."""
     rng = np.random.default_rng(11)
     alphas = rng.random(20_001)
-    nodes = 0.5 * (1.0 - np.cos(np.pi * np.arange(201) / 200))
-    values = rng.random(201) + 1j * rng.random(201)
-    # some points sit on a node exactly, where the interpolant takes its value
-    x = np.concatenate([rng.random(30_000), nodes[::40]])
+    # offsets of up to 200 cycles, over a quarter of them on the series side of z = 8
+    betas = rng.random(150_001) ** 4 * 2e-4
     return (
         arcs.exceptional_sum_grid(_bench_sample(1), alphas),  # 31 blocks of 654 rows
         arcints.weyl_sum_grid(2, 100, rng.random(100_001)),  # 5 blocks of 21,845 columns
         arcints.weyl_sum_grid(6, 4, alphas),  # 3 blocks of 9,362 columns
-        arcs._barycentric(nodes, values, x),  # 93 blocks of 326 rows
+        arcs.weyl_integral_batch(2, 1000, betas),  # 3 blocks of 65,536 offsets
     )
 
 
@@ -197,6 +198,22 @@ def test_results_independent_of_worker_count():
                               _bytes((_quadrature(sample), _arc_kernels())))
     assert results[1] == results[2] == results[3]
     assert results[1][2][:195] == [rep_single_brute(n) for n in range(6, 201)]
+
+
+def test_totals_independent_of_blas_threads():
+    # OpenBLAS splits a dot product across its threads, which moves its last
+    # bits; the integrals' totals are numpy reductions, which do not
+    script = ("from circleforge.arcints import major_arc_integral; "
+              "r = major_arc_integral(5000, 10**4, 6); "
+              "print(repr((r.value, r.approx, r.value_rel_change, r.approx_rel_change)))")
+    src = os.path.dirname(os.path.dirname(circleforge.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        outputs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_one_worker_starts_no_thread():
@@ -307,11 +324,9 @@ def test_blocks_cut_independent_of_worker_count(count):
 @pytest.mark.parametrize("count", [1, 2])
 def test_empty_grids_keep_their_shape(count):
     empty = np.array([])
-    nodes = np.array([0.0, 0.5, 1.0])
     with worker_count(count):
         assert arcs.exceptional_sum_grid(_bench_sample(4), empty).shape == (0,)
         assert arcints.weyl_sum_grid(3, 20, empty).shape == (0,)
-        assert arcs._barycentric(nodes, nodes + 0j, empty).shape == (0,)
         assert arcs.weyl_integral_batch(2, 100, empty).shape == (0,)
 
 
