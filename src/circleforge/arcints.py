@@ -193,11 +193,12 @@ def weyl_sum_grid(k: int, P: int, alphas: np.ndarray) -> np.ndarray:
     diffs = np.array([np.diff(powers, j)[0] for j in range(k + 1)], dtype=np.float64)
 
     def fill(lo, hi):
-        D = np.exp(2j * np.pi * np.outer(diffs, alphas[lo:hi]))
+        D = list(np.exp(2j * np.pi * np.outer(diffs, alphas[lo:hi])))
         total = D[0].copy()
         for _ in range(P - 1):
             for j in range(k):
-                D[j] *= D[j + 1]
+                # a new row: numpy rounds a one-entry product in place differently
+                D[j] = D[j] * D[j + 1]
             total += D[0]
         out[lo:hi] = total
 

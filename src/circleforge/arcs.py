@@ -26,18 +26,12 @@ KIND_PEAK = "peak"
 KIND_MINOR = "minor"
 
 WEYL_POINT_BUDGET = 10**7
-OSCILLATION_BUDGET = 10**6
 # complex entries of one block of exponentials, or offsets of v_k (1 MiB):
 # the pool fills the blocks, and at 10**6 entries (16 MB) their temporaries took
 # the benchmark's quadrature task to a peak of 82 MiB rather than 50
 PHASE_BLOCK = 2**16
-# entries below which OpenBLAS runs a zgemv on the calling thread alone (1024 x
-# its GEMM_MULTITHREAD_THRESHOLD of 4): above it, its threads contend with the
-# worker pool's, and with its default two threads on two CPUs the pruned
-# integral at X = 10**4, Q = 16, 100 members, grid=263 took 4.2 s, not 2.2 s
-SERIAL_GEMV = 4096
-# largest |x| of a float phase grid e(alpha x), alpha in [0, 1]: each phase is
-# then rounded by at most 2^26 * 2^-53 = 2^-27 cycles
+# largest |x| of a float phase grid e(alpha x), alpha in [0, 1]: each product
+# alpha x is then rounded by at most 2^26 * 2^-53 = 2^-27 cycles
 PHASE_INTEGER_LIMIT = 2**26
 _GL4 = np.polynomial.legendre.leggauss(4)
 
@@ -152,33 +146,6 @@ def weyl_sum(k: int, P: int, alpha) -> complex:
     return total
 
 
-def _row_step(width: int, entries: int) -> int:
-    """Rows of `width` entries in a block of at most `entries` entries: an even
-    count, at least two, so that every block starts on an even row."""
-    return 2 * max(1, entries // (2 * max(1, width)))
-
-
-def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v by zgemv on pieces of fewer than SERIAL_GEMV entries, cut at even
-    rows as `workers.blocks` cuts, so that no piece is a lone row: numpy takes
-    one row as a dot product, which rounds differently."""
-    cuts = workers.block_edges(len(a), _row_step(len(v), SERIAL_GEMV - 1))[1:-1]
-    return np.concatenate([piece @ v for piece in np.split(a, cuts)])
-
-
-def _phase_kernel(x: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_j w_j e(x_i t_j) for every x_i, in blocks of PHASE_BLOCK phases on
-    the worker pool."""
-    out = np.empty(len(x), dtype=complex)
-
-    def fill(lo, hi):
-        phases = np.multiply(np.outer(x[lo:hi], t), 2j * np.pi)
-        out[lo:hi] = _matvec(np.exp(phases, out=phases), w)
-
-    workers.blocks(fill, len(x), _row_step(len(t), PHASE_BLOCK))
-    return out
-
-
 def _unit_weyl_integral(k: int, z: np.ndarray) -> np.ndarray:
     """V(z) = int_0^1 e^(i z t^k) dt at each z >= 0: the series up to z = 8, the
     continued fraction beyond (see `weyl_integral_batch`)."""
@@ -229,8 +196,8 @@ def weyl_integral_batch(k: int, P, betas: np.ndarray) -> np.ndarray:
       rounding stays at a few ulps (4e-16 P at most against mpmath).
 
     z carries at most four roundings, which move V by at most
-    4u |z V'(z)| = 4u |e^(i z) - V| / k <= 8u / k; with the product by P, each
-    value stays within 4e-13 P.
+    4u |z V'(z)| = 4u |e^(i z) - V| / k <= 8u / k at any z; with the product
+    by P, each value stays within 4e-13 P.  A z that overflows is refused.
     """
     _check_exponent(k)
     if not P >= 1:
@@ -239,12 +206,10 @@ def weyl_integral_batch(k: int, P, betas: np.ndarray) -> np.ndarray:
     if not np.isfinite(betas).all():
         raise PreconditionError("offsets must be finite")
     mags, inverse = np.unique(np.abs(betas), return_inverse=True)
-    cycles = (float(mags[-1]) if mags.size else 0.0) * float(P) ** k
-    if cycles > OSCILLATION_BUDGET:
-        raise BudgetError(
-            f"|beta| * P^k = {cycles:.3g} exceeds the oscillation budget {OSCILLATION_BUDGET}"
-        )
-    z = 2 * math.pi * float(P) ** k * mags
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = 2 * math.pi * np.float64(P) ** k * mags
+    if not np.isfinite(z).all():
+        raise PreconditionError("2 pi |beta| P^k must be finite")
     vals = np.empty(len(mags), dtype=complex)
 
     def fill(lo, hi):
@@ -349,14 +314,29 @@ def exceptional_sum(sample: ExceptionalSample, alpha) -> complex:
 
 
 def exceptional_sum_grid(sample: ExceptionalSample, alphas: np.ndarray) -> np.ndarray:
-    """K over a float grid of alpha in [0, 1].  Each phase alpha n is rounded
-    by at most |n| 2^-53 cycles, so K is within pi max|n| 2^-52 * Z for Z
-    members; refused with BudgetError unless max|n| <= 2^26, a relative error
-    below 5e-8 of the trivial bound Z."""
+    """K over a float grid of alpha in [0, 1], in blocks of about PHASE_BLOCK
+    phases on the worker pool, each row summed by numpy.  eta_n is taken as
+    e(theta_n), theta_n = angle(eta_n) / 2 pi, within the sample's 1e-12 of it,
+    and folded into the phase theta_n - alpha n.  With u = 2^-53, the product
+    alpha n rounds it by at most |n| u cycles, adding theta_n by (|n| + 1/2) u
+    (0 when theta_n = 0) and the product by 2 pi by 2 (|n| + 1/2) u, so K is
+    within pi (4 max|n| + 2) 2^-52 Z + 1e-12 Z for Z members; refused with
+    BudgetError unless max|n| <= 2^26, a relative error below 2e-7 of Z."""
     top = max((abs(int(m)) for m in sample.members), default=0)
     if top > PHASE_INTEGER_LIMIT:
         raise BudgetError(
             f"a sample member of {top.bit_length()} bits exceeds 2^26 for a float phase grid"
         )
     members = np.asarray(sample.members, dtype=np.float64)
-    return _phase_kernel(np.asarray(alphas, dtype=np.float64), -members, sample.coefficients())
+    theta = np.angle(sample.coefficients()) / (2 * np.pi)
+    alphas = np.asarray(alphas, dtype=np.float64)
+    out = np.empty(len(alphas), dtype=complex)
+
+    def fill(lo, hi):
+        cycles = np.outer(alphas[lo:hi], -members)
+        cycles += theta
+        phases = np.multiply(cycles, 2j * np.pi)
+        out[lo:hi] = np.exp(phases, out=phases).sum(axis=1)
+
+    workers.blocks(fill, len(alphas), max(1, PHASE_BLOCK // max(1, len(members))))
+    return out

@@ -148,7 +148,7 @@ def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise BudgetError(
             f"transform length {n} exceeds supported maximum {MAX_TRANSFORM_LENGTH}"
         )
-    norms = float(np.linalg.norm(rows, axis=1).max()) * float(np.linalg.norm(b))
+    norms = float(np.linalg.norm(rows, axis=1).max()) * float(np.linalg.norm(b, axis=0))
     rounding = norms * 2.0**-53 * _ROUNDING_CONSTANT * math.log2(n)
     if rounding >= 0.5:
         raise BudgetError(f"FFT rounding error may reach {rounding:.3g}, not below 1/2")

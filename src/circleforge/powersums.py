@@ -98,7 +98,7 @@ def _phase_sum(numerators: np.ndarray, q: int) -> complex:
     """sum of e(m / q) over an int array of numerators in [0, q)."""
     if q <= 2**20:
         counts = np.bincount(numerators.astype(np.int64), minlength=q)
-        return complex(np.dot(counts, _unity_roots(q)))
+        return complex((counts * _unity_roots(q)).sum())
     return complex(np.exp(2j * np.pi * (numerators / q)).sum())
 
 

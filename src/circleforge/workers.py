@@ -6,8 +6,8 @@ holds WORKERS - 1 threads, since the calling thread always runs one of the
 calls itself.  With one CPU every call runs inline, in order, and no thread is
 ever started; so does a call made from a pool thread, which must never wait
 on the pool it runs in.  The calls handed out here spend their time in numpy
-kernels (sorts, ufuncs, FFTs, BLAS matrix-vector products) that release the
-GIL, and no result depends on WORKERS.
+kernels (sorts, ufuncs, FFTs) that release the GIL, and no result depends on
+WORKERS.
 
 `blocks` cuts n rows of work into fixed blocks, laid out by the row count and
 block size alone, and each worker fills one contiguous run of them.  It serves
@@ -63,17 +63,11 @@ def run(calls) -> list:
     return [head, *(future.result() for future in futures)]
 
 
-def block_edges(n: int, step: int) -> list:
-    """The edges of consecutive blocks that cover range(n), each of `step` rows
-    but the last, which also takes a row that would stand alone."""
-    return [*range(0, n - 1, step), n] if n > 1 else list(range(n + 1))
-
-
 def blocks(fill, n: int, step: int) -> None:
-    """fill(lo, hi) for every block [lo, hi) of `block_edges(n, step)`, the
-    blocks handed to `run` as contiguous runs, one per worker.  The blocks
-    depend only on n and step, never on WORKERS."""
-    edges = block_edges(n, step)
+    """fill(lo, hi) for every block [lo, hi) of `step` rows that covers range(n)
+    (the last may be shorter), the blocks handed to `run` as contiguous runs,
+    one per worker.  The blocks depend only on n and step, never on WORKERS."""
+    edges = [*range(0, n, step), n]
     count = len(edges) - 1
     parts = min(WORKERS, count)
 

@@ -7,10 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from circleforge.arcs import (
-    OSCILLATION_BUDGET,
     ExceptionalSample,
     _least_peak_arc,
-    _matvec,
     classify_arc,
     exceptional_sum,
     exceptional_sum_grid,
@@ -98,8 +96,10 @@ def test_weyl_integral_basics():
     v = weyl_integral(2, 100, beta)
     assert abs(v - weyl_integral_midpoint(2, 100, beta)) <= 1e-6 * 100
     assert weyl_integral(2, 100, -beta) == v.conjugate()
-    with pytest.raises(BudgetError):
-        weyl_integral(6, 100, 10.0)
+    # 10^13 cycles: V(z) = Gamma(7/6) (-i z)^(-1/6) + O(1/z), and 100/(6z) < 3e-13
+    z = 2 * math.pi * 10.0 * 100.0**6
+    lead = 100 * math.gamma(7 / 6) * complex(-1j * z) ** (-1 / 6)
+    assert abs(weyl_integral(6, 100, 10.0) - lead) <= 4e-13 * 100
 
 
 def test_weyl_integral_batch_matches_scalar():
@@ -142,15 +142,17 @@ def test_weyl_integral_batch_matches_adaptive_loop(k, cycles, size, seed):
     assert np.abs(got[picked] - ref).max() <= 1e-9 * P
 
 
-# z = 2 pi |beta| P^k just below, at and just above the switch at z = 8; the
-# largest cycle count stays below the budget after beta P^k is rounded
+# z = 2 pi |beta| P^k just below, at and just above the switch at z = 8; draws
+# reach 10^6 cycles, and two examples 10^9 and 10^12
 _SWITCH = 8 / (2 * math.pi)
-_TOP = OSCILLATION_BUDGET * (1 - 1e-12)
+_TOP = 1e6
 
 
 @settings(max_examples=60, deadline=None)
 @example(k=2, P=100, cycles=[_SWITCH * (1 - 1e-15), _SWITCH, _SWITCH * (1 + 1e-15)])
 @example(k=6, P=10.0**(4 / 6), cycles=[0.0, _TOP])
+@example(k=2, P=100, cycles=[1e9, 1e12])
+@example(k=6, P=7.5, cycles=[1e9, 1e12])
 @given(
     k=st.sampled_from((2, 3, 6)),
     P=st.one_of(st.integers(1, 10**4), st.floats(1.0, 1e4)),
@@ -190,6 +192,8 @@ def test_weyl_integral_preconditions():
         (2, float("nan"), [0.01]),
         (2, 10, [np.nan]),
         (2, 10, [0.0, -np.inf]),
+        (6, 10, [1e303]),  # z overflows
+        (2, 1e200, [0.0]),  # P^k overflows
     ):
         with pytest.raises(PreconditionError):
             weyl_integral_batch(k, P, betas)
@@ -239,36 +243,32 @@ def test_exceptional_sum_grid_phase_guard():
             exceptional_sum_grid(ExceptionalSample(members=(3, member)), alphas)
 
 
-def test_matvec_pieces_match_one_product():
-    # pieces cut at even rows, each of two rows or more, leave every row's bits
-    # as one zgemv over the whole matrix gives them; widths span the piece sizes
-    rng = np.random.default_rng(9)
-    for rows, width in ((1, 5), (2, 4095), (3, 2047), (7, 2048), (205, 20), (999, 101), (64, 1)):
-        v = rng.random(width) + 1j * rng.random(width)
-        for a in (np.exp(2j * np.pi * rng.random((rows, width))), rng.random((rows, width))):
-            assert _matvec(a, v).tobytes() == (a @ v).tobytes()
-
-
 def test_phase_kernels_independent_of_block_size(monkeypatch):
-    # blocks and pieces of two rows or more leave each row as one product over
-    # the whole matrix gives it, at any block size; 655 rows are one block of
-    # 654 and a row that joins it
+    # blocks down to one phase leave every row's bits as the same reduction
+    # over the whole matrix gives them, for samples of 1, 2, 3 and 100 members
+    # with and without coefficients
     rng = np.random.default_rng(10)
-    t, w = rng.random(100) * 1e4, rng.random(100) + 1j * rng.random(100)
-    sizes = (2**10, arcs.PHASE_BLOCK, 2**30)
-    for n in (1, 2, 655, 1309, 5000):
+    samples = []
+    for size in (1, 2, 3, 100):
+        members = tuple(int(m) for m in rng.choice(np.arange(1, 10**4 + 1), size, replace=False))
+        eta = tuple(np.exp(2j * np.pi * rng.random(size)))
+        samples += [ExceptionalSample(members), ExceptionalSample(members, eta)]
+    sizes = (1, 7, 2**10, arcs.PHASE_BLOCK, 2**30)
+    for n in (1, 2, 3, 700, 3000):
         x = rng.random(n)
-        whole = np.exp(2j * np.pi * np.outer(x, t)) @ w
         results = []
         for block in sizes:
             monkeypatch.setattr(arcs, "PHASE_BLOCK", block)
             monkeypatch.setattr(arcints, "PHASE_BLOCK", block)
             # offsets of up to 100 cycles, x^3 putting 23% of them below z = 8
-            results.append([arcs._phase_kernel(x, t, w).tobytes(),
+            results.append([*(exceptional_sum_grid(s, x).tobytes() for s in samples),
                             weyl_integral_batch(2, 100, x**3 * 1e-2).tobytes(),
                             weyl_sum_grid(3, 21, x).tobytes()])
-        assert results[0] == results[1] == results[2]
-        assert results[0][0] == whole.tobytes()
+        assert all(result == results[0] for result in results)
+        for sample, got in zip(samples, results[0]):
+            theta = np.angle(sample.coefficients()) / (2 * np.pi)
+            cycles = np.outer(x, -np.array(sample.members, dtype=float)) + theta
+            assert got == np.exp(np.multiply(cycles, 2j * np.pi)).sum(axis=1).tobytes()
 
 
 SMALL_INTEGRALS = (

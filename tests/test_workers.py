@@ -201,11 +201,24 @@ def test_results_independent_of_worker_count():
 
 
 def test_totals_independent_of_blas_threads():
-    # OpenBLAS splits a dot product across its threads, which moves its last
-    # bits; the integrals' totals are numpy reductions, which do not
-    script = ("from circleforge.arcints import major_arc_integral; "
-              "r = major_arc_integral(5000, 10**4, 6); "
-              "print(repr((r.value, r.approx, r.value_rel_change, r.approx_rel_change)))")
+    # OpenBLAS splits a product across its threads, which moves its last bits;
+    # the library's float sums are numpy reductions, which do not: the
+    # integrals' totals, a Gauss sum, an exact Weyl sum, and K over the pruned
+    # integral's nodes (the benchmark's sample) at the benchmark's size
+    script = """
+from fractions import Fraction
+import numpy as np
+from circleforge import arcints, arcs
+from circleforge.powersums import gauss_sum
+r = arcints.major_arc_integral(5000, 10**4, 6)
+print(repr((r.value, r.approx, r.value_rel_change, r.approx_rel_change)))
+print(repr(gauss_sum(2, 999983, 5).value))
+print(repr(arcs.weyl_sum(3, 10**5, Fraction(5, 524287))))
+members = np.random.default_rng(2).choice(np.arange(1, 10**4 + 1), 100, replace=False)
+sample = arcs.ExceptionalSample(members=tuple(int(v) for v in members))
+nodes = arcints._quad_nodes(arcints._annulus(16, 10**4)[1], 20 * 10**4)[0]
+print(arcs.exceptional_sum_grid(sample, nodes).tobytes().hex())
+"""
     src = os.path.dirname(os.path.dirname(circleforge.__file__))
     outputs = []
     for threads in ("1", "2"):
@@ -310,9 +323,9 @@ def test_worker_error_reaches_caller():
 
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_blocks_cut_independent_of_worker_count(count):
-    # blocks of `step` rows, a row that would stand alone joining the last
-    cases = {(0, 4): [], (1, 4): [(0, 1)], (5, 4): [(0, 5)], (6, 4): [(0, 4), (4, 6)],
-             (8, 4): [(0, 4), (4, 8)], (9, 4): [(0, 4), (4, 9)],
+    # blocks of `step` rows, the last holding what is left
+    cases = {(0, 4): [], (1, 4): [(0, 1)], (5, 4): [(0, 4), (4, 5)], (6, 4): [(0, 4), (4, 6)],
+             (8, 4): [(0, 4), (4, 8)], (9, 4): [(0, 4), (4, 8), (8, 9)],
              (1000, 6): [(lo, lo + 6) for lo in range(0, 996, 6)] + [(996, 1000)]}
     with worker_count(count):
         for (n, step), expect in cases.items():
