@@ -4,7 +4,8 @@ Two tools live here:
 
 * ``exact_convolve`` — linear convolution of each nonnegative int64 row of `a`
   with one row `b`: small problems go through direct ``np.convolve``; large
-  ones through one float64 FFT rounded to integers, run only when per-row
+  ones through float64 FFTs rounded to integers, by overlap-add in pieces at
+  the power-of-two length that transforms least, run only when per-row
   a-priori bounds keep every value below 2^53 and the rounding error below
   1/2, and returned only when a random-point certificate modulo a prime holds
   for every row.  Otherwise the call is refused.
@@ -38,6 +39,10 @@ _DIRECT_OPS_LIMIT = 5 * 10**5
 # leaves room for the real-input packing of rfft/irfft and for rounding in the
 # float evaluation of the norms.
 _ROUNDING_CONSTANT = 32
+# a transform call costs about 2^13 more units of n log2(n): 11 us for an
+# overlap-add piece of length 2^6, at 0.54 ns a unit (one core of a 2-core
+# Intel Xeon VM, numpy 2.4)
+_CALL_COST = 2**13
 _CERT_PRIME = 2**31 - 1
 _CERT_POINTS = 2
 # cyclic_histogram_convolution: for residue histograms of r^2, r^3 and r^6
@@ -74,14 +79,17 @@ def _eval_mod(arrays, r: np.ndarray, p: int, block: int):
     for x in arrays:
         blocks = -(-x.shape[1] // block)
         padded = np.zeros((len(x), blocks * block), dtype=np.int64)
-        np.remainder(x, p, out=padded[:, : x.shape[1]])
+        np.remainder(x, p, out=padded[:, : x.shape[1]], dtype=np.int64)
         split = padded.reshape(-1, block) @ halves
         sums = (split[:, :k] % p + (split[:, k:] % p << 16)) % p
         yield (sums.reshape(len(x), blocks, k) * outer[:blocks] % p).sum(axis=1) % p
 
 
 def _row_sums(x: np.ndarray) -> list[int]:
-    """Exact row sums of a nonnegative int64 array, in 32-bit halves that never wrap."""
+    """Exact row sums of a nonnegative int64 array: plain int64 sums when no
+    sum can reach 2^63, else in 32-bit halves that never wrap."""
+    if x.shape[-1] * int(x.max(initial=0)) < 2**63:
+        return [int(v) for v in np.atleast_1d(x.sum(axis=-1)).flat]
     hi, lo = (x >> 32).sum(axis=-1).flat, (x & 0xFFFFFFFF).sum(axis=-1).flat
     return [(int(h) << 32) + int(l) for h, l in zip(hi, lo)]
 
@@ -96,15 +104,31 @@ def convolution_value_bound(a: np.ndarray, b: np.ndarray) -> int:
     return max(min(sa * mb, sb * int(ma)) for sa, ma in zip(_row_sums(rows), rows.max(axis=1)))
 
 
-def _int64(x, message: str) -> np.ndarray:
-    """x as a contiguous int64 array, or ValueError(message) for a nonempty x
+def _overlap_add(width: int, m: int, full: int) -> tuple[int, int]:
+    """(n, h) for overlap-add: rows of `width` entries are cut into pieces of
+    h columns, each convolved with the m entries of b at a power of two
+    n >= h + m - 1.  n runs from the least power of two >= m up to `full`,
+    which takes a row in one piece, and is the one whose transforms (b once,
+    each piece forward and back) cost least, n log2(n) + _CALL_COST each."""
+    def cost(n):
+        pieces = -(-width // min(width, n - m + 1))
+        return (2 * pieces + 1) * (n * (n.bit_length() - 1) + _CALL_COST)
+
+    n = min((1 << e for e in range((m - 1).bit_length(), full.bit_length())), key=cost)
+    return n, min(width, n - m + 1)
+
+
+def _int64(x, message: str, narrow: bool = False) -> np.ndarray:
+    """x as a contiguous int64 array (with `narrow`, an integer type narrower
+    than 64 bits is kept, uncopied), or ValueError(message) for a nonempty x
     of a non-integer dtype: a cast would truncate floats, and numpy holds a
     Python int outside int64 as an object.  uint64 values past int64 wrap to
     negatives, which every caller refuses next."""
     x = np.asarray(x)
     if x.size and not np.issubdtype(x.dtype, np.integer):
         raise ValueError(message)
-    return np.ascontiguousarray(x, dtype=np.int64)
+    keep = narrow and x.dtype.kind in "iu" and x.dtype.itemsize < 8
+    return np.ascontiguousarray(x, dtype=x.dtype if keep else np.int64)
 
 
 def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -113,9 +137,11 @@ def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     `a` is one row or a 2-D stack of rows, each convolved with the row `b`
     (transformed once).  Raises BudgetError, rather than return a possibly
     wrong result, when the value bound of any row reaches 2^53, when the
-    transform length exceeds MAX_TRANSFORM_LENGTH, when the a-priori rounding
-    bound of the float FFT, taken with the largest row norm, reaches 1/2 (all
-    before any transform), or when any rounded row fails its certificate.
+    least power of two that holds the output exceeds MAX_TRANSFORM_LENGTH
+    (the rows are transformed in pieces of at most that length), when the
+    a-priori rounding bound of the float FFT, taken with the largest row norm,
+    reaches 1/2 (all before any transform), or when any rounded row fails its
+    certificate.
 
     The certificate evaluates b and every row a_j and c_j at _CERT_POINTS
     points r drawn uniformly from [1, p) with p = 2^31 - 1 and fresh entropy,
@@ -127,7 +153,9 @@ def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     O(N) per row, with power tables of about 2 sqrt(N) entries (_eval_mod).
     """
     message = "exact_convolve expects nonnegative integer inputs, a 1-D or 2-D and b 1-D"
-    a, b = _int64(a, message), _int64(b, message)
+    # a narrow `a` (the int16 spectrum g) is read only through int64 and
+    # float64 operations, so it is not copied to int64
+    a, b = _int64(a, message, narrow=True), _int64(b, message)
     if a.ndim not in (1, 2) or b.ndim != 1 or a.min(initial=0) < 0 or b.min(initial=0) < 0:
         raise ValueError(message)
     rows, shape = np.atleast_2d(a), a.shape[:-1] + (-1,)
@@ -143,20 +171,35 @@ def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # direct path is exact in int64 whenever the certified bound is
         return np.stack([np.convolve(row, b) for row in rows]).reshape(shape)
 
-    n = 1 << (n_out - 1).bit_length()
-    if n > MAX_TRANSFORM_LENGTH:
+    full = 1 << (n_out - 1).bit_length()
+    if full > MAX_TRANSFORM_LENGTH:
         raise BudgetError(
-            f"transform length {n} exceeds supported maximum {MAX_TRANSFORM_LENGTH}"
+            f"transform length {full} exceeds supported maximum {MAX_TRANSFORM_LENGTH}"
         )
+    n, h = _overlap_add(rows.shape[1], len(b), full)
     norms = float(np.linalg.norm(rows, axis=1).max()) * float(np.linalg.norm(b, axis=0))
     rounding = norms * 2.0**-53 * _ROUNDING_CONSTANT * math.log2(n)
     if rounding >= 0.5:
         raise BudgetError(f"FFT rounding error may reach {rounding:.3g}, not below 1/2")
-    spectrum = np.fft.rfft(rows, n, axis=1)
-    spectrum *= np.fft.rfft(b, n)
-    c = np.fft.irfft(spectrum, n, axis=1)[:, :n_out]
-    del spectrum
-    c = np.rint(c, out=c).astype(np.int64)
+    # piece by piece, h columns are cast into `piece`, convolved at length n,
+    # rounded and added into c at their offset: the rounding bound holds per
+    # piece, whose norm is at most its row's, and sums of exact integers below
+    # 2^53 stay exact.  c is made after the first inverse, so with one piece
+    # it never sits beside a transform's scratch.
+    fb, spectrum = (np.empty((k, n // 2 + 1), dtype=complex) for k in (1, len(rows)))
+    piece = np.empty((len(rows), n))
+    np.copyto(piece[:1, : len(b)], b)
+    np.fft.rfft(piece[:1, : len(b)], n, axis=1, out=fb)
+    for lo in range(0, rows.shape[1], h):
+        w, hi = min(h, rows.shape[1] - lo), min(n_out, lo + n)
+        np.copyto(piece[:, :w], rows[:, lo : lo + w])
+        np.fft.rfft(piece[:, :w], n, axis=1, out=spectrum)
+        spectrum *= fb
+        piece = np.rint(np.fft.irfft(spectrum, n, axis=1, out=piece), out=piece)
+        if not lo:
+            c = np.zeros((len(rows), n_out), dtype=np.int64)
+        np.add(c[:, lo:hi], piece[:, : hi - lo], out=c[:, lo:hi], casting="unsafe")
+    del fb, spectrum, piece
 
     p, block = _CERT_PRIME, _block_size(n_out)
     r = np.random.default_rng().integers(1, p, _CERT_POINTS)

@@ -230,8 +230,8 @@ def rep_count_range(X: int, cache_dir: str | None = None) -> RangeCounts:
     """Exact R(n) for every n <= X via one exact convolution."""
     check_range(X)
     P2, P3, P6 = iroot(X, 2), iroot(X, 3), iroot(X, 6)
-    sq = _cached_pair_spectrum(2, P2, cache_dir)
-    sq_trunc = sq.counts[: X + 1]
+    # a copy, so the spectrum, twice as long, is freed before the transforms
+    sq_trunc = _cached_pair_spectrum(2, P2, cache_dir).counts[: X + 1].copy()
     # one window on the calling thread: scan runs this beside series_batch,
     # which holds the pool's only thread on two CPUs
     g = _cube_sixth_spectrum(P3, P6, X)

@@ -93,6 +93,22 @@ def test_exact_convolve_transform_path():
         assert via_transform[idx] == np.dot(a[js], b[idx - js])
 
 
+def test_exact_convolve_pieces_in_narrow_types():
+    # rows cut into several overlap-add pieces, read in their own integer
+    # types (the int16 spectrum g is never copied to int64), give
+    # np.convolve's result
+    rng = np.random.default_rng(81)
+    b = rng.integers(0, 1000, 3000)
+    width = 50000
+    n, h = exactconv._overlap_add(width, len(b), 1 << (width + len(b) - 2).bit_length())
+    assert h < width and n >= h + len(b) - 1
+    for dtype in (np.uint8, np.int16, np.int32, np.uint32, np.int64):
+        a = rng.integers(0, 100, (2, width)).astype(dtype)
+        out = exact_convolve(a, b)
+        for row, got in zip(a, out):
+            assert np.array_equal(got, np.convolve(row.astype(np.int64), b))
+
+
 _LAST_DIRECT_LEN_A = exactconv._DIRECT_OPS_LIMIT // 2000
 
 
