@@ -182,8 +182,8 @@ def weyl_sum_grid(k: int, P: int, alphas: np.ndarray) -> np.ndarray:
     convexity, sum x^k <= P (P^k + 1) / 2, f_k is within
     (pi + 3) (P^k + 1) 2^-53 * P; refused with BudgetError unless P^k <= 2^26,
     a relative error below 5e-8."""
-    if float(P) ** k > PHASE_INTEGER_LIMIT:
-        raise BudgetError(f"P^k = {float(P) ** k:.3g} exceeds 2^26 for a float Weyl-sum grid")
+    if int(P) ** k > PHASE_INTEGER_LIMIT:
+        raise BudgetError(f"P^k = {P}^{k} exceeds 2^26 for a float Weyl-sum grid")
     alphas = np.asarray(alphas, dtype=np.float64)
     out = np.zeros(len(alphas), dtype=complex)
     if P < 1:

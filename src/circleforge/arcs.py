@@ -202,6 +202,8 @@ def weyl_integral_batch(k: int, P, betas: np.ndarray) -> np.ndarray:
     _check_exponent(k)
     if not P >= 1:
         raise PreconditionError("bound P must be >= 1")
+    if isinstance(P, Integral) and int(P) ** k >= 2**1024:  # exact: P may have no float
+        raise PreconditionError("P^k must be finite as a float")
     betas = np.asarray(betas, dtype=np.float64)
     if not np.isfinite(betas).all():
         raise PreconditionError("offsets must be finite")

@@ -1,14 +1,12 @@
 """Exact representation counts R(n) for n = x1^2+x2^2+x3^3+x4^3+x5^6+x6^6
 with positive integers x_i.
 
-Both paths share one exact integer cube/sixth spectrum g, filled in value
-windows.  A single target fills one window per worker and sums
-g[n - x^2 - y^2] over the square pairs in 2-D blocks of rows x, handed out
-on the worker pool; a full range fills g in one window on its calling thread
-(scan runs it beside series_batch on the pool) and convolves it with the
-square-pair spectrum through the exact transform backend.  Tuples are
-ordered and every variable starts at 1, so the least representable value
-is 6.
+Both paths share one exact integer cube/sixth spectrum g, filled in one
+value window per worker.  A single target sums g[n - x^2 - y^2] over the
+square pairs in 2-D blocks of rows x, handed out by `workers.blocks`; a full
+range convolves g with the square-pair spectrum through the exact transform
+backend.  Tuples are ordered and every variable starts at 1, so the least
+representable value is 6.
 """
 
 import hashlib
@@ -132,12 +130,11 @@ def _count_dtype(bound: int) -> type:
     return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
-def _cube_sixth_spectrum(P3: int, P6: int, limit: int, windows: int = 1) -> np.ndarray:
+def _cube_sixth_spectrum(P3: int, P6: int, limit: int) -> np.ndarray:
     """g[m] = #{(x3,x4,x5,x6): x3^3+x4^3+x5^6+x6^6 = m} for m <= limit, of
     length limit + 1, in the narrowest signed integer type that holds
-    sum(c6) * max(c3).  The entries are filled in `windows` value windows of
-    about equal length, handed to `workers.blocks`; one window is filled on
-    the calling thread."""
+    sum(c6) * max(c3).  The entries are filled in one value window of about
+    equal length per worker, handed to `workers.blocks`."""
     # the P3^2 * P6^2 quadruples bound every sum of entries; below 2^53 they
     # keep the float convolution of g exact
     if (P3 * P6) ** 2 >= FLOAT_EXACT_LIMIT:
@@ -157,7 +154,7 @@ def _cube_sixth_spectrum(P3: int, P6: int, limit: int, windows: int = 1) -> np.n
         for s, w, a, b in zip(v6.tolist(), c6.tolist(), starts, ends):
             g[s + v3[a:b]] += w * c3[a:b]
 
-    workers.blocks(fill, limit + 1, -(-(limit + 1) // windows))
+    workers.blocks(fill, limit + 1, -(-(limit + 1) // workers.WORKERS))
     return g
 
 
@@ -198,18 +195,17 @@ def rep_count_single(n: int) -> int:
     """Exact R(n): the cube/sixth spectrum g summed over the square pairs,
     R(n) = sum_{x<=y} (2 - [x == y]) g[n - x^2 - y^2].
 
-    g is filled in one value window per worker.  The rows x are cut into the
-    blocks of _gather_edges, handed out by `workers.blocks`; a block of rows
-    x0 <= x < x1 gathers g once over the columns x0 <= y <= e(x0), the last
-    column of its first row, and takes twice the sum less the corner square
-    x0 <= y < x1: that square is symmetric in x and y, so its sum is twice
-    its strict lower part (y < x) plus its diagonal.  Beyond a row's own last
-    column the index falls below 4 and is clipped to 0, and g[0..3] = 0
-    since the least quadruple sum is 4."""
+    The rows x are cut into the blocks of _gather_edges, handed out by
+    `workers.blocks`; a block of rows x0 <= x < x1 gathers g once over the
+    columns x0 <= y <= e(x0), the last column of its first row, and takes
+    twice the sum less the corner square x0 <= y < x1: that square is
+    symmetric in x and y, so its sum is twice its strict lower part (y < x)
+    plus its diagonal.  Beyond a row's own last column the index falls below
+    4 and is clipped to 0, and g[0..3] = 0 since the least quadruple sum is 4."""
     check_single_target(n)
     if n < 6:
         return 0
-    g = _cube_sixth_spectrum(iroot(n - 4, 3), iroot(n - 4, 6), n - 2, workers.WORKERS)
+    g = _cube_sixth_spectrum(iroot(n - 4, 3), iroot(n - 4, 6), n - 2)
     squares = powers(2, iroot(n - 4, 2))
     edges = _gather_edges(n)
     sums = [0] * (len(edges) - 1)
@@ -232,8 +228,6 @@ def rep_count_range(X: int, cache_dir: str | None = None) -> RangeCounts:
     P2, P3, P6 = iroot(X, 2), iroot(X, 3), iroot(X, 6)
     # a copy, so the spectrum, twice as long, is freed before the transforms
     sq_trunc = _cached_pair_spectrum(2, P2, cache_dir).counts[: X + 1].copy()
-    # one window on the calling thread: scan runs this beside series_batch,
-    # which holds the pool's only thread on two CPUs
     g = _cube_sixth_spectrum(P3, P6, X)
     # a copy, so the unused upper half of the linear convolution is freed
     values = exact_convolve(g, sq_trunc)[: X + 1].copy()

@@ -145,8 +145,8 @@ def scan(X: int, psi: PsiSpec, W: int = DEFAULT_TRUNCATION, cache_dir=None) -> S
         raise PreconditionError("scan range must reach at least 8")
     check_range(X)
     check_truncation(W)
-    # neither uses the other: the series runs on a worker while this thread
-    # convolves, so the transform's temporaries stay in this thread's heap
+    # neither uses the other; the count goes first, so it convolves on this
+    # thread and the transform's temporaries stay in this thread's heap
     counts, (series_w, series_2w) = workers.run((
         lambda: rep_count_range(X, cache_dir=cache_dir).values,
         lambda: series_batch(X, W),

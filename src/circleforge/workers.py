@@ -2,18 +2,18 @@
 
 WORKERS is the size of the process's CPU affinity mask, read once at import;
 nothing else sets it.  The pool is created on the first call that needs it and
-holds WORKERS - 1 threads, since the calling thread always runs one of the
-calls itself.  With one CPU every call runs inline, in order, and no thread is
-ever started; so does a call made from a pool thread, which must never wait
-on the pool it runs in.  The calls handed out here spend their time in numpy
-kernels (sorts, ufuncs, FFTs) that release the GIL, and no result depends on
-WORKERS.
+holds WORKERS - 1 threads.  One rule, in `run`, decides where a call runs: the
+calling thread runs the first call, then takes back and runs each call that no
+worker has started, and waits only on calls already running, so no caller, on
+the pool or off it, waits on queued work.  With one CPU every call runs
+inline, in order, and no thread is ever started.  The calls spend their time
+in numpy kernels (sorts, ufuncs, FFTs) that release the GIL, and no result
+depends on WORKERS.
 
 `blocks` cuts n rows of work into fixed blocks, laid out by the row count and
 block size alone, and each worker fills one contiguous run of them.  It serves
-the arc quadrature's dense kernels and the single-target count, whose value
-windows of the cube/sixth spectrum and blocks of square-pair rows it hands
-out.
+the arc quadrature's dense kernels and the counts, whose value windows of the
+cube/sixth spectrum and blocks of square-pair rows it hands out.
 """
 
 import os
@@ -23,11 +23,6 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 
 _executor = None
 _lock = threading.Lock()
-_local = threading.local()
-
-
-def _mark_worker() -> None:
-    _local.on_worker = True
 
 
 def _pool():
@@ -38,29 +33,34 @@ def _pool():
 
     with _lock:
         if _executor is None:
-            _executor = ThreadPoolExecutor(WORKERS - 1, "circleforge", _mark_worker)
+            _executor = ThreadPoolExecutor(WORKERS - 1, "circleforge")
         return _executor
 
 
 def run(calls) -> list:
-    """The results of the zero-argument calls, in order.  The first runs on the
-    calling thread and the others on the pool; an error raised by any call is
-    raised here once no call is left running."""
+    """The results of the zero-argument calls, in order, each run on the
+    calling thread unless a pool thread started it first; an error raised by
+    any call is raised here once no call is left running."""
     calls = list(calls)
-    if WORKERS < 2 or len(calls) < 2 or getattr(_local, "on_worker", False):
+    if WORKERS < 2 or len(calls) < 2:
         return [call() for call in calls]
     from concurrent.futures import wait
 
     futures = [_pool().submit(call) for call in calls[1:]]
+    got = []  # cancel() takes back only a call that no worker has started
     try:
-        head = calls[0]()
+        got.append(calls[0]())
+        for call, future in zip(calls[1:], futures):
+            got.append(call() if future.cancel() else future)
     except BaseException:
         for future in futures:
             future.cancel()
         raise
     finally:
-        wait(futures)
-    return [head, *(future.result() for future in futures)]
+        # wait counts a cancelled future as done only once a pool thread
+        # dequeues it, so it gets the running ones alone
+        wait([future for future in futures if not future.cancelled()])
+    return [got[0], *(r.result() if r is f else r for r, f in zip(got[1:], futures))]
 
 
 def blocks(fill, n: int, step: int) -> None:

@@ -194,6 +194,7 @@ def test_weyl_integral_preconditions():
         (2, 10, [0.0, -np.inf]),
         (6, 10, [1e303]),  # z overflows
         (2, 1e200, [0.0]),  # P^k overflows
+        (2, 10**400, [0.0]),  # P has no float
     ):
         with pytest.raises(PreconditionError):
             weyl_integral_batch(k, P, betas)
@@ -208,6 +209,10 @@ def test_weyl_sum_grid_float_guard():
         assert weyl_sum_grid(k, P, alphas)[0] == P
         with pytest.raises(BudgetError):
             weyl_sum_grid(k, P + 1, alphas)
+    # P^k, or P itself, past the float range
+    for k, P in ((6, 10**60), (2, 10**400)):
+        with pytest.raises(BudgetError):
+            weyl_sum_grid(k, P, alphas)
 
 
 @pytest.mark.parametrize("k, P", [(2, 8192), (3, 406), (6, 20), (2, 100), (3, 21), (6, 4)])

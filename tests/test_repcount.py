@@ -29,6 +29,7 @@ from circleforge.repcount import (
 )
 
 from oracles import poly_mod_horner, rep_range_enumeration, rep_single_brute
+from test_workers import worker_count
 
 # R(1..20), frozen from full brute-force enumeration
 R_SMALL = [0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 1, 2, 2, 0, 4, 2, 0, 2, 1]
@@ -329,9 +330,10 @@ def test_cube_sixth_spectrum_matches_brute():
         top = 2 * P3**3 + 2 * P6**6
         for limit in (top // 3, top - 1, top, top + 7):
             expect = _cube_sixth_brute(P3, P6, limit)
-            # value windows of one entry and more, each filled on its own
-            for windows in (1, 2, 3, 7, limit + 1):
-                g = _cube_sixth_spectrum(P3, P6, limit, windows)
+            # one value window per worker, down to windows of one entry
+            for count in (1, 2, 3, 7):
+                with worker_count(count):
+                    g = _cube_sixth_spectrum(P3, P6, limit)
                 assert _holds(g.dtype, _spectrum_bound(P3, P6, limit)) and len(g) == limit + 1
                 assert g.tolist() == expect
 

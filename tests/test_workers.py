@@ -20,7 +20,7 @@ import circleforge
 from circleforge import arcints, arcs, intmath, moments, repcount, workers
 from circleforge.cli import main
 from circleforge.errors import BudgetError
-from circleforge.intmath import pair_reduce, pair_values, powers
+from circleforge.intmath import iroot, pair_reduce, pair_values, powers
 from circleforge.scan import PsiSpec, predict, scan
 
 from oracles import concat_runs, pair_values_grid, rep_single_brute
@@ -269,21 +269,60 @@ def test_more_workers_than_cores_under_fast_switching(monkeypatch):
     assert got_single == single
 
 
-def test_range_count_stays_off_the_pool(tmp_path, monkeypatch):
-    # scan runs rep_count_range beside series_batch, which holds the pool's
-    # only thread on two CPUs: a pool call nested in the count would wait
-    # for the whole series
-    def refuse():
-        raise AssertionError("reached the pool")
+HOLD_S = 30  # the longest a held pool thread waits before it lets go
 
-    with worker_count(2):
-        expect = repcount.rep_count_range(10**6, cache_dir=str(tmp_path)).values
-        monkeypatch.setattr(workers, "_pool", refuse)
-        got = repcount.rep_count_range(10**6, cache_dir=str(tmp_path)).values
-        # the single-target path, which does use the pool, meets the guard
-        with pytest.raises(AssertionError, match="reached the pool"):
-            repcount.rep_count_single(10**6)
+
+@contextlib.contextmanager
+def one_thread_held():
+    """Hold one thread of the pool on an event until the block ends."""
+    started, release = threading.Event(), threading.Event()
+
+    def hold():
+        started.set()
+        release.wait(HOLD_S)
+
+    held = workers._pool().submit(hold)
+    try:
+        assert started.wait(HOLD_S)
+        yield
+    finally:
+        release.set()
+        held.result()
+
+
+def test_caller_runs_calls_no_worker_started():
+    # with the pool's only thread held, the caller runs the queued calls
+    # itself; the range count's pair_reduce cuts its square pairs into two
+    # bands, and its cube/sixth spectrum into two windows
+    X = 12 * 10**5
+    P2 = iroot(X, 2)
+    assert P2 * (P2 + 1) // 2 >= intmath.PAIR_CHUNK * 2
+    with worker_count(1):
+        expect = repcount.rep_count_range(X).values
+    with worker_count(2), one_thread_held():
+        start = time.perf_counter()
+        main = threading.main_thread()
+        assert workers.run([threading.current_thread] * 3) == [main] * 3
+        got = repcount.rep_count_range(X).values
+        assert time.perf_counter() - start < HOLD_S / 3
     assert np.array_equal(got, expect)
+
+
+def test_call_on_a_busy_pool_runs_its_own_blocks():
+    # a single-target count on a pool thread, while the pool's other thread
+    # is held: its value windows and gather blocks, queued behind the held
+    # thread, are run by the thread that queued them
+    n = 2_000_003
+    with worker_count(1):
+        expect = repcount.rep_count_single(n)
+    with worker_count(3), one_thread_held():
+        start = time.perf_counter()
+        on_pool = workers._pool().submit(
+            lambda: (threading.current_thread(), repcount.rep_count_single(n)))
+        thread, got = on_pool.result(timeout=HOLD_S)
+        assert time.perf_counter() - start < HOLD_S / 3
+    assert thread is not threading.main_thread()
+    assert got == expect
 
 
 @pytest.mark.parametrize("count", [2, 3])
@@ -368,21 +407,34 @@ def _run_cli(capsys, *argv):
 def test_worker_budget_error_exits_3(capsys, monkeypatch):
     # a band of pair_reduce, and the series of scan, raise on a pool thread
     where = []
+    started = threading.Event()
 
     def refuse(*args, **kwargs):
+        started.set()
         where.append(threading.current_thread() is not threading.main_thread())
         raise BudgetError("refused on a worker")
 
     real_run = workers.run
 
-    def run_refusing_on_pool(calls):
+    def run_pool_first(calls):
+        # the first call waits until the pool has started a later one, so
+        # the caller never takes that one back to run it itself
         calls = list(calls)
-        return real_run([calls[0], *(refuse for _ in calls[1:])])
+        if len(calls) < 2:
+            return real_run(calls)
+
+        def wait_then_head():
+            started.wait(HOLD_S)
+            return calls[0]()
+
+        return real_run([wait_then_head, *calls[1:]])
 
     with worker_count(2):
-        monkeypatch.setattr(workers, "run", run_refusing_on_pool)
+        monkeypatch.setattr(workers, "run", lambda calls: run_pool_first(
+            [call if i == 0 else refuse for i, call in enumerate(calls)]))
         first = _run_cli(capsys, "moments", "--moment", "eighth", "--P", "100")
-        monkeypatch.setattr(workers, "run", real_run)
+        started.clear()
+        monkeypatch.setattr(workers, "run", run_pool_first)
         monkeypatch.setattr(scanmod, "series_batch", refuse)
         second = _run_cli(capsys, "scan", "--limit", "20000", "--trunc", "100")
     assert where == [True, True]
