@@ -27,7 +27,7 @@ from .arcints import (
     pruned_integral_diagnostic,
     singular_integral,
 )
-from .errors import BudgetError, ConvergenceError, PreconditionError
+from .errors import BudgetError, PreconditionError
 from .moments import (
     MomentCount,
     MultiplicitySet,

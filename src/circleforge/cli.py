@@ -7,7 +7,7 @@ numpy's PCG64 generator seeded from --seed, so samples reproduce across
 platforms.
 
 Exit codes: 0 success, 2 precondition violation or unusable file path,
-3 budget refusal or failed convergence contract.
+3 budget refusal.
 
 A handler returns its JSON payload, or the payload together with the CSV
 header and columns that `--format csv` prints instead; `_emit` writes them.
@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import arcints, arcs, moments, powersums, repcount, sseries
-from .errors import BudgetError, ConvergenceError, PreconditionError
+from .errors import BudgetError, PreconditionError
 from .scan import (DEFAULT_TRUNCATION, PredictionRecord, PsiSpec, predict as predict_target,
                    record_columns, scan as run_scan)
 
@@ -33,7 +33,6 @@ from .scan import (DEFAULT_TRUNCATION, PredictionRecord, PsiSpec, predict as pre
 EXIT_CODES = {
     PreconditionError: ("precondition", 2),
     BudgetError: ("budget", 3),
-    ConvergenceError: ("convergence", 3),
     OSError: ("io", 2),
 }
 

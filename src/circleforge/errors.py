@@ -8,14 +8,3 @@ class PreconditionError(ValueError):
 class BudgetError(RuntimeError):
     """The request exceeds a memory or cost budget and was refused, not attempted."""
 
-
-class ConvergenceError(RuntimeError):
-    """A quadrature failed its convergence contract.
-
-    Carries the best estimate achieved so the caller can still inspect it.
-    """
-
-    def __init__(self, message, achieved=None, tolerance=None):
-        super().__init__(message)
-        self.achieved = achieved
-        self.tolerance = tolerance

@@ -18,7 +18,7 @@ from . import workers
 from .errors import PreconditionError
 from .powersums import leading_constant
 from .repcount import check_range, check_single_target, rep_count_range, rep_count_single
-from .sseries import check_truncation, series_batch, truncated_singular_series
+from .sseries import check_truncation, series_blocks, truncated_singular_series
 
 PRE_ASYMPTOTIC_CUTOFF = 1000
 DEFAULT_TRUNCATION = 1000
@@ -146,10 +146,11 @@ def scan(X: int, psi: PsiSpec, W: int = DEFAULT_TRUNCATION, cache_dir=None) -> S
     check_range(X)
     check_truncation(W)
     # neither uses the other; the count goes first, so it convolves on this
-    # thread and the transform's temporaries stay in this thread's heap
-    counts, (series_w, series_2w) = workers.run((
+    # thread and the transform's temporaries stay in this thread's heap, while
+    # the pool starts the series blocks; this thread takes back the rest
+    counts, (series_w, series_2w), *_ = workers.run((
         lambda: rep_count_range(X, cache_dir=cache_dir).values,
-        lambda: series_batch(X, W),
+        *series_blocks(X, W),
     ))
     n = np.arange(X + 1, dtype=np.float64)
     _, abs_errs, rel_errs = _errors(counts, series_w, n)

@@ -13,11 +13,13 @@ residue histograms in exact integers, are an oracle via the divisor-sum identity
     sum_{d | q} A(d; n) = q^{-5} M_n(q).
 """
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import workers
 from .errors import BudgetError, PreconditionError
 from .exactconv import cyclic_histogram_convolution
 from .intmath import factorize
@@ -28,6 +30,11 @@ from .powersums import gauss_sum_table, residue_histogram
 CONGRUENCE_BUDGET = 10**4
 TERM_BUDGET = 10**5
 TRUNCATION_BUDGET = 5000
+# the range series is filled in n-blocks of SERIES_BLOCK entries, 512 KiB of
+# float64 that stay in cache while every table is added; a table shorter than
+# _TILE is tiled up to it, since numpy's inner loop is slow on short rows
+SERIES_BLOCK = 2**16
+_TILE = 512
 
 
 @dataclass(frozen=True)
@@ -163,29 +170,70 @@ def truncated_singular_series(n: int, W: int) -> SingularSeriesValue:
     return SingularSeriesValue(n=n, W=W, value=value, tail_estimate=abs(value2 - value))
 
 
-def _add_periodic(acc: np.ndarray, tables) -> None:
-    """acc[n] += table[n % len(table)] in place, for each table in turn."""
+def _add_periodic(acc: np.ndarray, lo: int, tables) -> None:
+    """acc[i] += table[(lo + i) % len(table)] in place, for each table in turn:
+    the part up to the next multiple of len(table), whole rows, the rest."""
+    n = len(acc)
     for table in tables:
         q = len(table)
-        full = len(acc) // q * q
-        tiles = acc[:full].reshape(-1, q)  # a view: adds in place
+        start, head = lo % q, min(-lo % q, n)
+        acc[:head] += table[start : start + head]
+        rows = (n - head) // q
+        tiles = acc[head : head + rows * q].reshape(rows, q)  # a view: adds in place
         tiles += table
-        acc[full:] += table[: len(acc) - full]
+        acc[head + rows * q :] += table[: n - head - rows * q]
+
+
+def series_blocks(X: int, W: int) -> list:
+    """The calls that fill (S_W, S_2W) over n = 0..X, as ``series_batch``
+    defines them, one per block of SERIES_BLOCK entries; each returns the
+    pair, which is complete once every call has returned.
+
+    The first call to run takes the tables from ``_live_tables``, tiles each
+    one shorter than _TILE to a whole number of periods of at least _TILE
+    entries, and allocates both arrays, so in ``scan`` a pool thread, not
+    the counting thread, allocates them (see the README); a call that
+    starts meanwhile waits on a lock.  A block adds every table, in ascending q, into its slice of
+    S_2W and copies the slice to S_W at the cut q = W, so each entry gets
+    the same float additions in the same order whatever the block size and
+    whichever thread runs the block.
+    """
+    if X < 0:
+        raise PreconditionError("range bound X must be >= 0")
+    check_truncation(W)
+    lock = threading.Lock()
+    state = []
+
+    def setup():
+        with lock:
+            if not state:
+                live = _live_tables(2 * W)
+                cut = sum(len(table) <= W for table in live)
+                tiled = [np.tile(table, -(-_TILE // len(table))) if len(table) < _TILE else table
+                         for table in live]
+                state.append((tiled[:cut], tiled[cut:], np.empty(X + 1), np.empty(X + 1)))
+        return state[0]
+
+    def block(lo, hi):
+        def call():
+            low, high, series_w, series_2w = setup()
+            acc = series_2w[lo:hi]
+            acc[:] = 0.0
+            _add_periodic(acc, lo, low)
+            series_w[lo:hi] = acc
+            _add_periodic(acc, lo, high)
+            return series_w, series_2w
+        return call
+
+    return [block(lo, min(lo + SERIES_BLOCK, X + 1)) for lo in range(0, X + 1, SERIES_BLOCK)]
 
 
 def series_batch(X: int, W: int) -> tuple[np.ndarray, np.ndarray]:
     """(S_W, S_2W) arrays over n = 0..X, S_W[n] = sum_{q<=W} A(q; n).
 
     The tables of ``_live_tables``, the ones ``truncated_singular_series``
-    reads, are tiled across the n-range in ascending q.
+    reads, are added in ascending q, one n-block of SERIES_BLOCK entries at
+    a time (``series_blocks``), the blocks spread over ``workers.run``.  The
+    bits do not depend on the block size or the worker count.
     """
-    if X < 0:
-        raise PreconditionError("range bound X must be >= 0")
-    check_truncation(W)
-    live = _live_tables(2 * W)
-    cut = sum(len(table) <= W for table in live)
-    acc = np.zeros(X + 1)
-    _add_periodic(acc, live[:cut])
-    snapshot = acc.copy()
-    _add_periodic(acc, live[cut:])
-    return snapshot, acc
+    return workers.run(series_blocks(X, W))[0]

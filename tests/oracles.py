@@ -16,7 +16,7 @@ import numpy as np
 
 from circleforge.errors import BudgetError, PreconditionError
 from circleforge.powersums import leading_constant
-from circleforge.sseries import series_term
+from circleforge.sseries import _live_tables, series_term
 
 
 def primes_up_to(n):
@@ -84,6 +84,29 @@ def series_sum_literal(n, W):
     if W > 500:
         raise BudgetError("literal summation is kept only for W <= 500")
     return float(sum(series_term(q, n).value for q in range(1, W + 1)))
+
+
+def _add_periodic_whole_range(acc, tables):
+    """acc[n] += table[n % len(table)] in place, for each table in turn."""
+    for table in tables:
+        q = len(table)
+        full = len(acc) // q * q
+        tiles = acc[:full].reshape(-1, q)  # a view: adds in place
+        tiles += table
+        acc[full:] += table[: len(acc) - full]
+
+
+def series_batch_tiled(X, W):
+    """(S_W, S_2W) over n = 0..X by one full pass over the range per live
+    table, in ascending q: the float additions series_batch makes per
+    n-block, in the same order, so the two agree bit for bit."""
+    live = _live_tables(2 * W)
+    cut = sum(len(table) <= W for table in live)
+    acc = np.zeros(X + 1)
+    _add_periodic_whole_range(acc, live[:cut])
+    snapshot = acc.copy()
+    _add_periodic_whole_range(acc, live[cut:])
+    return snapshot, acc
 
 
 def congruence_brute(q, n):

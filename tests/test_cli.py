@@ -263,7 +263,7 @@ def test_budgets_checked_before_work(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("work started before a budget check")
 
-    for name in ("rep_count_range", "rep_count_single", "series_batch",
+    for name in ("rep_count_range", "rep_count_single", "series_blocks",
                  "truncated_singular_series"):
         monkeypatch.setattr(scanmod, name, never)
     for argv, message in (
@@ -281,21 +281,6 @@ def test_budgets_checked_before_work(capsys, monkeypatch):
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err) == {"error": "budget", "message": message}
-
-
-def test_convergence_exit_code(capsys, monkeypatch):
-    from circleforge import arcints
-    from circleforge.errors import ConvergenceError
-
-    def fail(*args, **kwargs):
-        raise ConvergenceError("no convergence", achieved=0.1, tolerance=1e-9)
-
-    monkeypatch.setattr(arcints, "singular_integral", fail)
-    code, out, err = run_cli(capsys, "arcs", "--op", "singular-integral",
-                             "--n", "100", "--limit", "100", "--trunc", "5")
-    assert code == 3 and out == ""
-    assert len(err.splitlines()) == 1
-    assert json.loads(err) == {"error": "convergence", "message": "no convergence"}
 
 
 # 10^400 overflows a float: a count or density is refused before any float division

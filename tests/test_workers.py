@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 import circleforge
-from circleforge import arcints, arcs, intmath, moments, repcount, workers
+from circleforge import arcints, arcs, intmath, moments, repcount, sseries, workers
 from circleforge.cli import main
 from circleforge.errors import BudgetError
 from circleforge.intmath import iroot, pair_reduce, pair_values, powers
 from circleforge.scan import PsiSpec, predict, scan
 
-from oracles import concat_runs, pair_values_grid, rep_single_brute
+from oracles import concat_runs, pair_values_grid, rep_single_brute, series_batch_tiled
 
 scanmod = sys.modules["circleforge.scan"]  # circleforge.scan is the function
 
@@ -336,6 +336,36 @@ def test_small_gather_blocks_against_range(monkeypatch, count):
             assert repcount.rep_count_single(n) == values[n]
 
 
+@pytest.mark.parametrize("block", [1, 7, sseries.SERIES_BLOCK])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_series_blocks_match_whole_range_tiling(monkeypatch, block, count):
+    # X + 1 entries below, at and across a block edge, and over several
+    # blocks; W = 403 = 13 * 31 is live, so the S_W cut falls on a table
+    monkeypatch.setattr(sseries, "SERIES_BLOCK", block)
+    with worker_count(count):
+        for X in {max(block - 2, 0), block - 1, block, 3 * block + 5, 700}:
+            for W in (1, 403):
+                got = sseries.series_batch(X, W)
+                expect = series_batch_tiled(X, W)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in expect], (X, W)
+
+
+def test_series_builds_its_tables_once(monkeypatch):
+    # three threads start blocks at once; whichever comes second waits for
+    # the first to build the tables, and none builds them again
+    monkeypatch.setattr(sseries, "SERIES_BLOCK", 500)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with worker_count(3):
+            sseries._live_tables.cache_clear()
+            sseries.series_batch(20000, 300)
+            info = sseries._live_tables.cache_info()
+    finally:
+        sys.setswitchinterval(interval)
+    assert (info.hits, info.misses) == (0, 1)
+
+
 def test_worker_error_reaches_caller():
     def fail():
         raise BudgetError("refused on a worker")
@@ -405,7 +435,7 @@ def _run_cli(capsys, *argv):
 
 
 def test_worker_budget_error_exits_3(capsys, monkeypatch):
-    # a band of pair_reduce, and the series of scan, raise on a pool thread
+    # a band of pair_reduce, and a series block of scan, raise on a pool thread
     where = []
     started = threading.Event()
 
@@ -435,7 +465,7 @@ def test_worker_budget_error_exits_3(capsys, monkeypatch):
         first = _run_cli(capsys, "moments", "--moment", "eighth", "--P", "100")
         started.clear()
         monkeypatch.setattr(workers, "run", run_pool_first)
-        monkeypatch.setattr(scanmod, "series_batch", refuse)
+        monkeypatch.setattr(scanmod, "series_blocks", lambda X, W: [refuse])
         second = _run_cli(capsys, "scan", "--limit", "20000", "--trunc", "100")
     assert where == [True, True]
     for code, out, err in (first, second):
