@@ -1,7 +1,7 @@
 """The worker pool: results never depend on the worker count, one CPU starts
 no thread, and an error raised on a worker reaches the caller and the CLI.
-This holds for the pair lattices, the scan, the single-target count and the
-arc quadrature's blocks."""
+This holds for the pair lattices, the scan and its series blocks, the
+single-target count and the arc quadrature's blocks."""
 
 import contextlib
 import dataclasses
