@@ -19,8 +19,6 @@ from .arcs import (
     PHASE_BLOCK,
     PHASE_INTEGER_LIMIT,
     ExceptionalSample,
-    _GL4,
-    _gauss_panels,
     exceptional_sum_grid,
     peak_majorant,
     weyl_integral_batch,
@@ -40,6 +38,7 @@ from .powersums import gauss_sum, leading_constant
 QUAD_NODE_BUDGET = 5 * 10**5
 # survey panels per 1/sqrt(X)
 SURVEY_DENSITY = 40
+_GL4 = np.polynomial.legendre.leggauss(4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +121,14 @@ def _annulus(Q: int, X: int):
     |q alpha - a| <= Q/X minus the half-level arcs (q <= Q/2) at half width."""
     pairs = _farey_pairs(Q)
     return pairs, _dissect(pairs, lambda q: Q / (q * X), _farey_pairs(Q // 2))
+
+
+def _gauss_panels(lo: np.ndarray, hi: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss nodes and weights over the panels [lo[i], hi[i]]."""
+    offsets, weights = rule
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    return (mid[:, None] + half[:, None] * offsets).ravel(), (half[:, None] * weights).ravel()
 
 
 def _quad_nodes(segments, density: float):

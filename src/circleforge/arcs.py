@@ -33,15 +33,6 @@ PHASE_BLOCK = 2**16
 # largest |x| of a float phase grid e(alpha x), alpha in [0, 1]: each product
 # alpha x is then rounded by at most 2^26 * 2^-53 = 2^-27 cycles
 PHASE_INTEGER_LIMIT = 2**26
-_GL4 = np.polynomial.legendre.leggauss(4)
-
-
-def _gauss_panels(lo: np.ndarray, hi: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss nodes and weights over the panels [lo[i], hi[i]]."""
-    offsets, weights = rule
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    return (mid[:, None] + half[:, None] * offsets).ravel(), (half[:, None] * weights).ravel()
 
 
 @dataclass(frozen=True)
@@ -319,11 +310,14 @@ def exceptional_sum_grid(sample: ExceptionalSample, alphas: np.ndarray) -> np.nd
     """K over a float grid of alpha in [0, 1], in blocks of about PHASE_BLOCK
     phases on the worker pool, each row summed by numpy.  eta_n is taken as
     e(theta_n), theta_n = angle(eta_n) / 2 pi, within the sample's 1e-12 of it,
-    and folded into the phase theta_n - alpha n.  With u = 2^-53, the product
-    alpha n rounds it by at most |n| u cycles, adding theta_n by (|n| + 1/2) u
-    (0 when theta_n = 0) and the product by 2 pi by 2 (|n| + 1/2) u, so K is
-    within pi (4 max|n| + 2) 2^-52 Z + 1e-12 Z for Z members; refused with
-    BudgetError unless max|n| <= 2^26, a relative error below 2e-7 of Z."""
+    and folded into the phase theta_n - alpha n.  Refused with BudgetError
+    unless max|n| <= 2^26: the product alpha n, at most 2^26 in size, is then
+    rounded by at most 2^-28 cycles, half a unit in the last place below 2^26.
+    Taking off its nearest integer is exact; adding theta_n to the remainder,
+    both at most 1/2, and the product by 2 pi, below 2 pi, add less than 2^-49
+    radians.  So each phase is within 2 pi 2^-28 + 2^-49 < 2.4e-8 radians, and K
+    within 2.4e-8 Z + 1e-12 Z, below 5e-8 Z for Z members, up to the rounding
+    of the exponentials and their sum."""
     top = max((abs(int(m)) for m in sample.members), default=0)
     if top > PHASE_INTEGER_LIMIT:
         raise BudgetError(
@@ -336,6 +330,7 @@ def exceptional_sum_grid(sample: ExceptionalSample, alphas: np.ndarray) -> np.nd
 
     def fill(lo, hi):
         cycles = np.outer(alphas[lo:hi], -members)
+        cycles -= np.rint(cycles)
         cycles += theta
         phases = np.multiply(cycles, 2j * np.pi)
         out[lo:hi] = np.exp(phases, out=phases).sum(axis=1)

@@ -3,12 +3,11 @@
 Two tools live here:
 
 * ``exact_convolve`` — linear convolution of each nonnegative int64 row of `a`
-  with one row `b`: small problems go through direct ``np.convolve``; large
-  ones through float64 FFTs rounded to integers, by overlap-add in pieces at
-  the power-of-two length that transforms least, run only when per-row
-  a-priori bounds keep every value below 2^53 and the rounding error below
-  1/2, and returned only when a random-point certificate modulo a prime holds
-  for every row.  Otherwise the call is refused.
+  with one row `b`, of any size, through float64 FFTs rounded to integers, by
+  overlap-add in pieces at the power-of-two length that transforms least, run
+  only when per-row a-priori bounds keep every value below 2^53 and the
+  rounding error below 1/2, and returned only when a random-point certificate
+  modulo a prime holds for every row.  Otherwise the call is refused.
 * ``cyclic_histogram_convolution`` — cyclic convolution of several residue
   histograms mod q, exact or refused: the running product is split into
   20-bit int64 limbs, convolved as one stack by ``exact_convolve``, folded mod q;
@@ -23,12 +22,6 @@ from .errors import BudgetError
 
 MAX_TRANSFORM_LENGTH = 1 << 26
 FLOAT_EXACT_LIMIT = 2**53  # every integer below this is a float64
-
-# Measured on one core of a 2-core Intel Xeon VM, numpy 2.4: direct np.convolve
-# and the certified transform cost the same near 700 x 700 (0.45 ms each); at
-# 100 x 100 direct takes 0.03 ms against 0.22 ms, at 2003 x 2003 3.4 ms
-# against 0.6 ms.
-_DIRECT_OPS_LIMIT = 5 * 10**5
 
 # Percival, Math. Comp. 72 (2003), Thm. 5.1, with the sqrt(5)*eps complex
 # product bound of Brent-Percival-Zimmermann, Math. Comp. 76 (2007): an FFT
@@ -167,10 +160,6 @@ def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if bound >= FLOAT_EXACT_LIMIT:
         raise BudgetError(f"convolution values may reach {bound}, not below 2^53")
 
-    if rows.shape[1] * len(b) <= _DIRECT_OPS_LIMIT:
-        # direct path is exact in int64 whenever the certified bound is
-        return np.stack([np.convolve(row, b) for row in rows]).reshape(shape)
-
     full = 1 << (n_out - 1).bit_length()
     if full > MAX_TRANSFORM_LENGTH:
         raise BudgetError(
@@ -178,6 +167,7 @@ def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     n, h = _overlap_add(rows.shape[1], len(b), full)
     norms = float(np.linalg.norm(rows, axis=1).max()) * float(np.linalg.norm(b, axis=0))
+    # 0 at n = 1, a 1 x 1 product: one float multiply, exact below 2^53
     rounding = norms * 2.0**-53 * _ROUNDING_CONSTANT * math.log2(n)
     if rounding >= 0.5:
         raise BudgetError(f"FFT rounding error may reach {rounding:.3g}, not below 1/2")

@@ -159,14 +159,16 @@ def check_truncation(W: int) -> None:
 
 def truncated_singular_series(n: int, W: int) -> SingularSeriesValue:
     """sum_{q<=W} A(q; n), read off ``_live_tables``; the tail estimate is the
-    change when the truncation is doubled."""
+    change when the truncation is doubled.  The terms are added in ascending
+    q, as ``series_blocks`` adds them, so the bits equal ``series_batch``'s."""
     if n < 1:
         raise PreconditionError("target n must be >= 1")
     check_truncation(W)
-    terms = np.zeros(2 * W + 1)  # A(q; n) for q <= 2W; dead moduli stay 0
+    value = value2 = 0.0
     for table in _live_tables(2 * W):
-        terms[len(table)] = table[n % len(table)]
-    value, value2 = float(terms[1 : W + 1].sum()), float(terms[1:].sum())
+        value2 += float(table[n % len(table)])
+        if len(table) <= W:
+            value = value2
     return SingularSeriesValue(n=n, W=W, value=value, tail_estimate=abs(value2 - value))
 
 

@@ -400,7 +400,7 @@ def dissect_midpoints(pairs, halfwidth, exclude=()):
 def quad_nodes_per_segment(segments, density):
     """Composite 4-point Gauss nodes, weights and owners built one segment at
     a time, each segment's panel bounds from np.linspace."""
-    from circleforge.arcs import _GL4, _gauss_panels
+    from circleforge.arcints import _GL4, _gauss_panels
 
     nodes, weights, owners = [], [], []
     for lo, hi, idx in segments:

@@ -248,6 +248,20 @@ def test_exceptional_sum_grid_phase_guard():
             exceptional_sum_grid(ExceptionalSample(members=(3, member)), alphas)
 
 
+def test_exceptional_sum_grid_phases_at_the_member_limit():
+    # a member just below 2^26 over 40,000 float alphas, against e(-alpha n)
+    # from the exact rational alpha n mod 1: with the nearest integer taken off
+    # before the product by 2 pi, every value is within the stated 5e-8
+    n = 2**26 - 3
+    rng = np.random.default_rng(26)
+    alphas = np.concatenate([rng.random(30000), 1.0 - rng.random(10000) * 2.0**-20])
+    scale = 2**53  # every float alpha in [0, 1] is an integer over 2^53
+    frac = [(int(a * scale) * n) % scale / scale for a in alphas]
+    expect = np.exp(-2j * np.pi * np.array(frac))
+    got = exceptional_sum_grid(ExceptionalSample(members=(n,)), alphas)
+    assert np.abs(got - expect).max() < 5e-8
+
+
 def test_phase_kernels_independent_of_block_size(monkeypatch):
     # blocks down to one phase leave every row's bits as the same reduction
     # over the whole matrix gives them, for samples of 1, 2, 3 and 100 members
@@ -272,7 +286,8 @@ def test_phase_kernels_independent_of_block_size(monkeypatch):
         assert all(result == results[0] for result in results)
         for sample, got in zip(samples, results[0]):
             theta = np.angle(sample.coefficients()) / (2 * np.pi)
-            cycles = np.outer(x, -np.array(sample.members, dtype=float)) + theta
+            cycles = np.outer(x, -np.array(sample.members, dtype=float))
+            cycles = cycles - np.rint(cycles) + theta
             assert got == np.exp(np.multiply(cycles, 2j * np.pi)).sum(axis=1).tobytes()
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from circleforge import exactconv
 from circleforge.errors import BudgetError, PreconditionError
@@ -110,12 +110,33 @@ def test_exact_convolve_pieces_in_narrow_types():
             assert np.array_equal(got, np.convolve(row.astype(np.int64), b))
 
 
-_LAST_DIRECT_LEN_A = exactconv._DIRECT_OPS_LIMIT // 2000
+def test_exact_convolve_small_shapes_match_numpy():
+    # every product, down to 1 x 1, goes through the one certified transform;
+    # a has 0..40 columns, as one row and as stacks of 1..3 rows
+    rng = np.random.default_rng(82)
+    for len_a in range(41):
+        for len_b in range(1, 41):
+            b = rng.integers(0, 2**12 + 1, len_b)
+            for shape in ((len_a,), (1, len_a), (2, len_a), (3, len_a)):
+                a = rng.integers(0, 2**20, shape)
+                out = exact_convolve(a, b)
+                assert out.dtype == np.int64
+                assert out.shape == shape[:-1] + (len_a + len_b - 1 if len_a else 0,)
+                if len_a:  # np.convolve refuses an empty row
+                    for row, got in zip(np.atleast_2d(a), np.atleast_2d(out)):
+                        assert np.array_equal(got, np.convolve(row, b)), shape
+
+
+def test_exact_convolve_refuses_small_product_by_rounding_bound():
+    # the values stay below 2^53 (2^52 at most), but the norms 2^26 * 2^26 give
+    # a rounding bound of 16 at transform length 2: a small product is held to
+    # the same bound as a large one
+    assert convolution_value_bound(np.array([2**26, 0]), np.array([2**26])) < FLOAT_EXACT_LIMIT
+    with pytest.raises(BudgetError, match="rounding"):
+        exact_convolve([2**26, 0], [2**26])
 
 
 @settings(max_examples=40, deadline=None)
-@example(len_a=_LAST_DIRECT_LEN_A, len_b=2000, rows=3, bits=12, density=1.0, seed=0)
-@example(len_a=_LAST_DIRECT_LEN_A + 1, len_b=2000, rows=3, bits=12, density=1.0, seed=0)
 @given(
     len_a=st.integers(1, 6000),
     len_b=st.integers(1500, 6000),
@@ -125,9 +146,7 @@ _LAST_DIRECT_LEN_A = exactconv._DIRECT_OPS_LIMIT // 2000
     seed=st.integers(0, 2**32 - 1),
 )
 def test_exact_convolve_property(len_a, len_b, rows, bits, density, seed):
-    # lengths straddle the direct/transform threshold len_a * len_b =
-    # _DIRECT_OPS_LIMIT; the two examples are its last direct and first
-    # transform sizes.  Every row of a stack is convolved with the one b.
+    # every row of a stack is convolved with the one b
     rng = np.random.default_rng(seed)
     a, b = (
         rng.integers(0, 2**bits + 1, shape) * (rng.random(shape) < density)
@@ -170,7 +189,7 @@ def test_exact_convolve_certificate_rejects_one_corrupt_row(monkeypatch):
         exact_convolve(a, b)
 
 
-@pytest.mark.parametrize("pad", [0, 1000])  # direct path, transform path
+@pytest.mark.parametrize("pad", [0, 1000])  # short rows, long rows
 @pytest.mark.parametrize(
     "a, b", [([2**62, 2**62], [1, 1]), ([2**61] * 4, [2**61] * 4)]
 )
