@@ -14,7 +14,7 @@ from numbers import Integral
 
 import numpy as np
 
-from . import workers
+from . import sseries, workers
 from .errors import PreconditionError
 from .powersums import leading_constant
 from .repcount import check_range, check_single_target, rep_count_range, rep_count_single
@@ -152,20 +152,31 @@ def scan(X: int, psi: PsiSpec, W: int = DEFAULT_TRUNCATION, cache_dir=None) -> S
         lambda: rep_count_range(X, cache_dir=cache_dir).values,
         *series_blocks(X, W),
     ))
-    n = np.arange(X + 1, dtype=np.float64)
-    _, abs_errs, rel_errs = _errors(counts, series_w, n)
-    psi_vals = psi(n)
-    with np.errstate(divide="ignore"):
-        thresholds = np.where(psi_vals > 0, n / np.where(psi_vals > 0, psi_vals, 1.0), np.inf)
-    flags = abs_errs > thresholds
+    rel_errs = np.empty(X + 1)
+    flags = np.empty(X + 1, dtype=bool)
+    tails = series_2w  # |S_2W - S_W| overwrites S_2W, block by block
+
+    def fill(lo, hi):
+        n = np.arange(lo, hi, dtype=np.float64)
+        _, abs_err, rel_errs[lo:hi] = _errors(counts[lo:hi], series_w[lo:hi], n)
+        psi_vals = psi(n)
+        with np.errstate(divide="ignore"):
+            thresholds = np.where(psi_vals > 0, n / np.where(psi_vals > 0, psi_vals, 1.0), np.inf)
+        np.greater(abs_err, thresholds, out=flags[lo:hi])
+        np.subtract(tails[lo:hi], series_w[lo:hi], out=tails[lo:hi])
+        np.abs(tails[lo:hi], out=tails[lo:hi])
+
+    # each entry gets the same elementwise operations whatever the block
+    workers.blocks(fill, X + 1, sseries.SERIES_BLOCK)
     flags[0] = False
 
     E = int(flags[1:].sum())
     dyadic = []
     for lo, hi in _dyadic_intervals(X):
         dyadic.append((lo, hi, int(flags[lo + 1 : hi + 1].sum())))
-    qs = np.percentile(rel_errs[1:], [50, 90, 99])
     asym = rel_errs[PRE_ASYMPTOTIC_CUTOFF:] if X >= PRE_ASYMPTOTIC_CUTOFF else rel_errs[1:]
+    qs, median = workers.run((lambda: np.percentile(rel_errs[1:], [50, 90, 99]),
+                              lambda: np.median(asym)))
     return ScanReport(
         X=X,
         psi=psi.describe(),
@@ -173,11 +184,11 @@ def scan(X: int, psi: PsiSpec, W: int = DEFAULT_TRUNCATION, cache_dir=None) -> S
         E=E,
         dyadic_counts=tuple(dyadic),
         rel_err_quantiles={"50": float(qs[0]), "90": float(qs[1]), "99": float(qs[2])},
-        rel_err_median_asymptotic=float(np.median(asym)),
+        rel_err_median_asymptotic=float(median),
         exceptional_proportion=E / X,
         counts=counts,
         series=series_w,
-        tails=np.abs(series_2w - series_w),
+        tails=tails,
         flags=flags,
     )
 

@@ -34,7 +34,12 @@ TRUNCATION_BUDGET = 5000
 # float64 that stay in cache while every table is added; a table shorter than
 # _TILE is tiled up to it, since numpy's inner loop is slow on short rows
 SERIES_BLOCK = 2**16
-_TILE = 512
+_TILE = 1024
+# numpy (2.4) adds a table into a (rows, q) view through its buffered iterator,
+# at about half speed, whenever q <= bufsize / 2; the default bufsize is 8192,
+# and at 256 every tiled table takes the unbuffered loop (same bits: a
+# same-dtype add casts nothing)
+_ADD_BUFSIZE = 256
 
 
 @dataclass(frozen=True)
@@ -174,16 +179,22 @@ def truncated_singular_series(n: int, W: int) -> SingularSeriesValue:
 
 def _add_periodic(acc: np.ndarray, lo: int, tables) -> None:
     """acc[i] += table[(lo + i) % len(table)] in place, for each table in turn:
-    the part up to the next multiple of len(table), whole rows, the rest."""
+    the part up to the next multiple of len(table), whole rows, the rest.
+    The ufunc buffer is _ADD_BUFSIZE while it runs and is restored after; the
+    setting is per thread (errstate does not scope it before numpy 2.0)."""
     n = len(acc)
-    for table in tables:
-        q = len(table)
-        start, head = lo % q, min(-lo % q, n)
-        acc[:head] += table[start : start + head]
-        rows = (n - head) // q
-        tiles = acc[head : head + rows * q].reshape(rows, q)  # a view: adds in place
-        tiles += table
-        acc[head + rows * q :] += table[: n - head - rows * q]
+    old = np.setbufsize(_ADD_BUFSIZE)
+    try:
+        for table in tables:
+            q = len(table)
+            start, head = lo % q, min(-lo % q, n)
+            acc[:head] += table[start : start + head]
+            rows = (n - head) // q
+            tiles = acc[head : head + rows * q].reshape(rows, q)  # a view: adds in place
+            tiles += table
+            acc[head + rows * q :] += table[: n - head - rows * q]
+    finally:
+        np.setbufsize(old)
 
 
 def series_blocks(X: int, W: int) -> list:

@@ -16,6 +16,7 @@ import numpy as np
 
 from circleforge.errors import BudgetError, PreconditionError
 from circleforge.powersums import leading_constant
+from circleforge.scan import PRE_ASYMPTOTIC_CUTOFF
 from circleforge.sseries import _live_tables, series_term
 
 
@@ -107,6 +108,40 @@ def series_batch_tiled(X, W):
     snapshot = acc.copy()
     _add_periodic_whole_range(acc, live[cut:])
     return snapshot, acc
+
+
+def scan_report_whole(X, psi, counts, series_w, series_2w):
+    """The fields of scan's report over n = 0..X from the exact counts and
+    (S_W, S_2W), each by one whole-array numpy operation, in the order of the
+    operations scan makes per n-block, so the two agree bit for bit."""
+    n = np.arange(X + 1, dtype=np.float64)
+    main = leading_constant().value * series_w * n
+    abs_errs = np.abs(counts - main)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel_errs = np.where(main > 0, abs_errs / np.where(main > 0, main, 1.0), np.inf)
+    psi_vals = psi(n)
+    with np.errstate(divide="ignore"):
+        thresholds = np.where(psi_vals > 0, n / np.where(psi_vals > 0, psi_vals, 1.0), np.inf)
+    flags = abs_errs > thresholds
+    flags[0] = False
+    E = int(flags[1:].sum())
+    edges = [0, 1]
+    while edges[-1] < X:
+        edges.append(min(2 * edges[-1], X))
+    qs = np.percentile(rel_errs[1:], [50, 90, 99])
+    asym = rel_errs[PRE_ASYMPTOTIC_CUTOFF:] if X >= PRE_ASYMPTOTIC_CUTOFF else rel_errs[1:]
+    return dict(
+        E=E,
+        dyadic_counts=tuple((lo, hi, int(flags[lo + 1 : hi + 1].sum()))
+                            for lo, hi in zip(edges, edges[1:])),
+        rel_err_quantiles={"50": float(qs[0]), "90": float(qs[1]), "99": float(qs[2])},
+        rel_err_median_asymptotic=float(np.median(asym)),
+        exceptional_proportion=E / X,
+        counts=counts,
+        series=series_w,
+        tails=np.abs(series_2w - series_w),
+        flags=flags,
+    )
 
 
 def congruence_brute(q, n):

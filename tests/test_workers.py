@@ -1,7 +1,7 @@
 """The worker pool: results never depend on the worker count, one CPU starts
 no thread, and an error raised on a worker reaches the caller and the CLI.
-This holds for the pair lattices, the scan and its series blocks, the
-single-target count and the arc quadrature's blocks."""
+This holds for the pair lattices, the scan with its series and report
+blocks, the single-target count and the arc quadrature's blocks."""
 
 import contextlib
 import dataclasses
@@ -21,9 +21,10 @@ from circleforge import arcints, arcs, intmath, moments, repcount, sseries, work
 from circleforge.cli import main
 from circleforge.errors import BudgetError
 from circleforge.intmath import iroot, pair_reduce, pair_values, powers
-from circleforge.scan import PsiSpec, predict, scan
+from circleforge.scan import PRE_ASYMPTOTIC_CUTOFF, PsiSpec, predict, scan
 
-from oracles import concat_runs, pair_values_grid, rep_single_brute, series_batch_tiled
+from oracles import (concat_runs, pair_values_grid, rep_single_brute, scan_report_whole,
+                     series_batch_tiled)
 
 scanmod = sys.modules["circleforge.scan"]  # circleforge.scan is the function
 
@@ -340,14 +341,61 @@ def test_small_gather_blocks_against_range(monkeypatch, count):
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_series_blocks_match_whole_range_tiling(monkeypatch, block, count):
     # X + 1 entries below, at and across a block edge, and over several
-    # blocks; W = 403 = 13 * 31 is live, so the S_W cut falls on a table
+    # blocks; W = 403 = 13 * 31 is live, so the S_W cut falls on a table;
+    # at W = 1000 tables on both sides of _TILE are added (not at one entry
+    # a block, where 700 blocks of 435 tables would take seconds)
     monkeypatch.setattr(sseries, "SERIES_BLOCK", block)
     with worker_count(count):
         for X in {max(block - 2, 0), block - 1, block, 3 * block + 5, 700}:
-            for W in (1, 403):
+            for W in (1, 403, 1000) if block > 1 else (1, 403):
                 got = sseries.series_batch(X, W)
                 expect = series_batch_tiled(X, W)
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in expect], (X, W)
+
+
+def test_series_restores_the_ufunc_buffer():
+    # the series adds narrow numpy's ufunc buffer and put it back, on the
+    # calling thread, on a pool thread that calls series_batch, and on every
+    # pool thread that ran a block
+    def sizes():
+        before = np.getbufsize()
+        sseries.series_batch(5 * sseries.SERIES_BLOCK, 1000)
+        return before, np.getbufsize()
+
+    both = threading.Barrier(2)
+
+    def pool_size():
+        both.wait(timeout=HOLD_S)  # each of the two pool threads takes one
+        return np.getbufsize()
+
+    default = np.getbufsize()
+    with worker_count(3):
+        here = sizes()
+        there = workers._pool().submit(sizes).result()
+        after = [f.result() for f in [workers._pool().submit(pool_size) for _ in range(2)]]
+    assert here == there == (default, default)
+    assert after == [default, default]
+
+
+@pytest.mark.parametrize("block", [7, sseries.SERIES_BLOCK])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_scan_report_matches_whole_array_oracle(monkeypatch, block, count):
+    # X + 1 entries below, at and across a block edge, and X on both sides
+    # of the pre-asymptotic cutoff, which decides the median's range
+    monkeypatch.setattr(sseries, "SERIES_BLOCK", block)
+    psi, W = PsiSpec.parse("log"), 403
+
+    def bits(value):
+        return (value.dtype.str, value.tobytes()) if isinstance(value, np.ndarray) else value
+
+    with worker_count(count):
+        for X in (2 * block - 2, 2 * block - 1, 2 * block,
+                  PRE_ASYMPTOTIC_CUTOFF - 1, PRE_ASYMPTOTIC_CUTOFF):
+            report = scan(X, psi, W)
+            expect = scan_report_whole(X, psi, repcount.rep_count_range(X).values,
+                                       *series_batch_tiled(X, W))
+            got = {name: bits(getattr(report, name)) for name in expect}
+            assert got == {name: bits(value) for name, value in expect.items()}, X
 
 
 def test_series_builds_its_tables_once(monkeypatch):
