@@ -1,8 +1,9 @@
 """Exact integer helpers: k-th roots, trial-division factorisation, and the
-one enumerator of pair sums and differences, `pair_reduce`.  It writes each
-value band of a lattice as packed int64 keys, and a worker sorts the band and
-reduces it to runs of equal value, in chunks that end at run starts.  The key
-format stays in this module: callers see only (values, sums) runs."""
+enumerators of pair sums and differences, `pair_reduce`, and of quadruple
+sums, `quad_reduce`.  Each writes a lattice as packed int64 keys, and workers
+sort them and reduce them to runs of equal value, in chunks that end at run
+starts.  The key format stays in this module: callers see only (values, sums)
+runs."""
 
 import math
 from numbers import Integral
@@ -113,9 +114,7 @@ def pair_reduce(fn, a: np.ndarray, sign: int = 1, weights=None, limit: int | Non
     total = int(np.abs(top - rows).sum())
     double = 2 if sign == 1 else 1  # the triangle stands for both ordered pairs
     w_top = double * int(w.max(initial=1)) ** 2
-    bits = (w_top - 1).bit_length()
-    if total and not -(2**63) <= low << bits <= (high << bits) + w_top - 1 < 2**63:
-        raise BudgetError(f"pair values up to {high} with {bits} weight bits overflow int64 keys")
+    bits = _key_bits("pair", low, high, w_top) if total else (w_top - 1).bit_length()
 
     # band b holds the values in (bounds[b - 1], bounds[b]]; each bound is the
     # least value whose float count estimate reaches b / parts of the lattice
@@ -163,6 +162,71 @@ def pair_reduce(fn, a: np.ndarray, sign: int = 1, weights=None, limit: int | Non
         return fn(key_runs(band, bits))
 
     return workers.run(lambda band=band: reduce_band(band) for band in np.split(keys, ends[:-1]))
+
+
+def _key_bits(what: str, low: int, high: int, w_top: int) -> int:
+    """The weight bits of packed keys (value << bits) | (weight - 1) for values
+    in [low, high] and weights up to w_top; raises BudgetError if a key could
+    pass int64."""
+    bits = (w_top - 1).bit_length()
+    if not -(2**63) <= low << bits <= (high << bits) + w_top - 1 < 2**63:
+        raise BudgetError(f"{what} values up to {high} with {bits} weight bits overflow int64 keys")
+    return bits
+
+
+# weight - 1 of a sorted quadruple y1 <= y2 <= y3 <= y4, indexed by the
+# equalities [y1 = y2][y2 = y3][y3 = y4]: its number of orderings,
+# 24 / prod(m!) over the multiplicities m, is 24, 12, 6 (two pairs), 4 or 1
+_QUAD_CODE = np.array([[[23, 11], [11, 3]], [[11, 5], [3, 0]]], dtype=np.int64)
+
+
+def quad_reduce(fn, a: np.ndarray) -> list:
+    """[fn(runs) for each value part] over the sums a[i] + a[j] + a[k] + a[l]
+    of a strictly increasing int64 a, the parts in increasing order of value,
+    where runs yields (values, sums) as key_runs does: each distinct value
+    once, with its number of ordered quadruples.  Raises BudgetError if a key
+    could pass int64.
+
+    Each sorted quadruple i <= j <= k <= l is one key (value << 5) | (weight -
+    1), its weight its number of orderings, so n values give C(n + 3, 4) keys,
+    a third of the pairs of pair sums at large n.  With the pairs (c, d),
+    c <= d, in lexicographic order, the second pairs (k, l) of the first pairs
+    (i, j) are the suffix of pairs with c >= j, so the keys of each j are one
+    broadcast add, its cells cut by y1 = y2 (the last row) and y2 = y3 (the
+    leading second pairs (j, d)).
+
+    At PAIR_CHUNK keys per worker or more, the key array is partitioned in
+    place at equal-count cuts and each band sorted on its own worker, so no
+    second key array is allocated; the sorted array is then reduced in
+    value-disjoint parts, each cut at a run start, one per worker.
+    """
+    n = len(a)
+    first, last = (int(a[0]), int(a[-1])) if n else (0, 0)
+    bits = _key_bits("quadruple", 4 * first, 4 * last, 24)
+    shifted = a << bits
+    c, d = np.triu_indices(n)
+    pair, e3 = shifted[c] + shifted[d], (c == d).astype(np.intp)
+    # col[e1][e2]: each second pair's shifted sum plus the weight code of its
+    # quadruple when y1 = y2 is e1 and y2 = y3 is e2
+    col = [[pair + _QUAD_CODE[e1, e2][e3] for e2 in (0, 1)] for e1 in (0, 1)]
+    keys = np.empty(math.comb(n + 3, 4), dtype=np.int64)
+    pos = 0
+    for j in range(n):
+        s, lead = j * n - j * (j - 1) // 2, n - j  # the pairs (j, d) start the suffix
+        block = keys[pos : pos + (j + 1) * (len(pair) - s)].reshape(j + 1, -1)
+        head = shifted[: j + 1, None] + shifted[j]
+        for e1, rows in ((0, slice(0, j)), (1, slice(j, j + 1))):
+            np.add(head[rows], col[e1][1][s : s + lead], out=block[rows, :lead])
+            np.add(head[rows], col[e1][0][s + lead :], out=block[rows, lead:])
+        pos += block.size
+
+    bands = workers.WORKERS if len(keys) >= PAIR_CHUNK * workers.WORKERS else 1
+    cuts = [len(keys) * b // bands for b in range(1, bands)]
+    if cuts:
+        keys.partition(cuts)
+    workers.run(band.sort for band in np.split(keys, cuts))
+    parts = np.split(keys, np.searchsorted(keys, keys[cuts] >> bits << bits))  # at run starts
+    return workers.run(lambda part=part: fn(key_runs(part, bits)) for part in parts)
 
 
 def key_runs(keys: np.ndarray, bits: int):

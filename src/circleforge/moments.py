@@ -5,12 +5,17 @@ pair sums, the mixed cube/sixth-power correlation, the eighth moment of the
 sixth-power spectrum, cube-difference multiplicities and shifted-cube
 correlations against an arbitrary shift set.  Each is a count of
 coincidences among sums or differences x^k +- y^k on a P^2 lattice, and each
-lattice goes through the one enumerator ``intmath.pair_reduce``, which hands
-each value band's runs of equal value, (values, sums) one chunk at a time,
-to a reduction on the worker that sorted the band; ``pair_values`` lays those
-runs end to end.  No packed key reaches this module.  The exception is the
-pair-collision count, whose sums pass 2^63 from P6 = 1449 on; it sorts exact
-two-word (hi, lo) keys and reads their runs as plain sorted values.
+such lattice goes through the one pair enumerator ``intmath.pair_reduce``,
+which hands each value band's runs of equal value, (values, sums) one chunk
+at a time, to a reduction on the worker that sorted the band;
+``pair_values`` lays those runs end to end.  The eighth moment counts sums of
+four sixth powers through ``intmath.quad_reduce``, one key per sorted
+quadruple weighted by its number of orderings: a quadruple of distinct
+entries is one key, not one for each of its three splits into two pairs, so
+the keys are a third of the pairs of pair sums.  No packed key reaches this
+module.  The exception is the pair-collision count, whose sums pass 2^63 from
+P6 = 1449 on; it sorts exact two-word (hi, lo) keys and reads their runs as
+plain sorted values.
 """
 
 from dataclasses import dataclass
@@ -19,7 +24,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .intmath import iroot, key_runs, pair_reduce, pair_values, powers
+from .intmath import iroot, key_runs, pair_reduce, pair_values, powers, quad_reduce
 
 @dataclass(frozen=True)
 class MomentCount:
@@ -115,16 +120,15 @@ def count_cube_sixth_correlation(X: int) -> MomentCount:
 def sixth_power_eighth_moment(P6: int) -> MomentCount:
     """Solutions of y1^6 + ... + y4^6 = y5^6 + ... + y8^6 in [1, P6]^8.
 
-    Counted as the sum of squared quadruple-spectrum multiplicities; quadruple
-    sums are generated from the compressed pair spectrum.
+    Counted as the sum of squared quadruple-spectrum multiplicities, each
+    quadruple sum taken once per sorted quadruple with its number of orderings.
     """
     if P6 < 1:
         raise PreconditionError("bound P6 must be >= 1")
     if P6 > 200:
         raise BudgetError("eighth-moment budget is P6 <= 200")
-    uvals, ucounts = pair_values(powers(6, P6))
-    # the P6 budget bounds the keys: 20,100 pair sums give 2.02e8 (1.5 GiB)
-    total = sum(pair_reduce(lambda runs: sum(int(c @ c) for _, c in runs), uvals, weights=ucounts))
+    # the P6 budget bounds the keys: C(203, 4) = 68,685,050 (550 MB)
+    total = sum(quad_reduce(lambda runs: sum(int(c @ c) for _, c in runs), powers(6, P6)))
     return MomentCount(
         label="sixth_eighth_moment", parameters={"P6": P6}, count=total
     )
@@ -172,13 +176,15 @@ def shifted_cube_correlation(P3: int, shifts) -> MomentCount:
     if len(z) > 10**5:
         raise BudgetError("shift set budget is 10**5 entries")
     diagonal = P3 * len(z)
-    dvals, dcounts = pair_values(powers(3, P3), -1)
     off = 0
-    if len(z) > 1 and len(dvals) > 0:
+    if len(z) > 1:
+        # a match is a cube difference below P3^3 and a shift difference at
+        # most the spread; pair_values bounds both in exact integers, so no
+        # difference can wrap
+        limit = min(P3**3, values[-1] - values[0])
+        dvals, dcounts = pair_values(powers(3, P3), -1, limit=limit)
         if len(z) * len(z) <= 4 * 10**7:
-            # only differences below P3^3 can match a cube difference;
-            # pair_values bounds them in exact integers, so none can wrap
-            zvals, zcounts = pair_values(z, -1, limit=P3**3 - 1)
+            zvals, zcounts = pair_values(z, -1, limit=limit)
             _, ix, iz = np.intersect1d(dvals, zvals, assume_unique=True, return_indices=True)
             off = 2 * int(np.dot(dcounts[ix], zcounts[iz]))
         else:

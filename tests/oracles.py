@@ -290,6 +290,15 @@ def eighth_moment_brute(P6):
     return sum(c * c for c in tally.values())
 
 
+def eighth_moment_unique(P6):
+    """sum_v W(v)^2 over all P6^4 ordered sums y1^6 + ... + y4^6, reduced by
+    np.unique."""
+    u = np.arange(1, P6 + 1, dtype=np.int64) ** 6
+    pairs = (u[:, None] + u[None, :]).ravel()
+    _, counts = np.unique((pairs[:, None] + pairs[None, :]).ravel(), return_counts=True)
+    return int(counts @ counts)
+
+
 def pair_values_grid(a, sign=1, weights=None, limit=None):
     """Distinct values of a[i] + a[j] over all ordered pairs (sign=1), or of
     the positive a[i] - a[j] (sign=-1), at most limit, each with the sum of
@@ -338,14 +347,11 @@ def cube_multiplicity_brute(P3):
 
 
 def shifted_correlation_brute(P3, shifts):
-    count = 0
-    for x1 in range(1, P3 + 1):
-        for x2 in range(1, P3 + 1):
-            for n1 in shifts:
-                for n2 in shifts:
-                    if x1**3 + n1 == x2**3 + n2:
-                        count += 1
-    return count
+    """x1^3 + n1 = x2^3 + n2 counted over every x1, x2 and n1 in exact
+    integers, n2 looked up in the set of distinct shifts."""
+    members = set(shifts)
+    return sum(x1**3 + n1 - x2**3 in members
+               for x1 in range(1, P3 + 1) for x2 in range(1, P3 + 1) for n1 in shifts)
 
 
 def weyl_integral_midpoint(k, P, beta, nodes=10**6):

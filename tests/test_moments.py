@@ -1,10 +1,14 @@
+from collections import Counter
+from itertools import combinations_with_replacement
+from math import factorial, prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from circleforge import intmath
 from circleforge.errors import BudgetError, PreconditionError
-from circleforge.intmath import key_runs, pair_reduce, pair_values, powers
+from circleforge.intmath import key_runs, pair_reduce, pair_values, powers, quad_reduce
 from circleforge.moments import (
     _split_pair_sums,
     count_cube_sixth_correlation,
@@ -181,6 +185,24 @@ def test_enumeration_order_independence():
     assert shuffled == count_sixth_pair_collisions(P6).count
 
 
+def test_shifted_correlation_restricted_to_the_spread():
+    # the cube differences are built only up to min(P3^3, spread): spreads
+    # below and above P3^3 = 1000, and zero, one and two shifts
+    rng = np.random.default_rng(29)
+    cases = [[], [5], [5, 12], [5, 1005], [-(10**12), 10**12]]
+    cases += [sorted(rng.choice(top, 40, replace=False).tolist()) for top in (300, 999, 1001, 5000)]
+    for shifts in cases:
+        got = shifted_cube_correlation(10, shifts)
+        assert got.count == shifted_correlation_brute(10, shifts)
+    assert shifted_cube_correlation(10, [5, 12]).parts["off_diagonal"] == 2  # 12 - 5 = 2^3 - 1^3
+    # past 4e7 cells the join runs per difference: spreads below and above P3^3
+    for P3, top in ((20, 7000), (12, 10**5)):
+        shifts = sorted(rng.choice(top, 6400, replace=False).tolist())
+        got = shifted_cube_correlation(P3, shifts)
+        assert got.count == shifted_correlation_brute(P3, shifts)
+        assert got.parts["off_diagonal"] > 0
+
+
 def test_shifted_correlation_int64_edges():
     # 2^63 - 7 - (-2^63) wraps to 7 = 2^3 - 1^3 in int64; the true count has
     # no off-diagonal solution
@@ -217,6 +239,34 @@ def test_pair_values_matches_grid(lattice, sign, chunk):
     runs = concat_runs(run for band in bands for run in band)
     expect = pair_values_grid(a, sign, weights, limit)
     assert [r.tolist() for r in runs] == [v.tolist() for v in values] == [e.tolist() for e in expect]
+
+
+@pytest.mark.parametrize("chunk", [1, intmath.PAIR_CHUNK])
+def test_quad_reduce_against_sorted_quadruples(monkeypatch, chunk):
+    # far-apart values give one sorted quadruple per sum, so each run shows
+    # its weight alone; consecutive ones collide, negatives among them
+    monkeypatch.setattr(intmath, "PAIR_CHUNK", chunk)
+    weights = set()
+    for a in ([], [7], [1, 10, 100, 1000, 10**4], list(range(-4, 9))):
+        tally = Counter()
+        for quad in combinations_with_replacement(a, 4):
+            tally[sum(quad)] += 24 // prod(factorial(m) for m in Counter(quad).values())
+        runs = concat_runs(run for part in quad_reduce(list, np.array(a, dtype=np.int64))
+                           for run in part)
+        assert [r.tolist() for r in runs] == [sorted(tally), [tally[v] for v in sorted(tally)]]
+        if len(a) == 5:
+            weights = set(runs[1].tolist())
+    assert weights == {1, 4, 6, 12, 24}
+
+
+def test_quad_reduce_refuses_int64_overflow():
+    # a key is (4 a << 5) + weight - 1 for a one-value array
+    for a in (2**56 - 1, -(2**56)):
+        [[(values, sums)]] = quad_reduce(list, np.array([a], dtype=np.int64))
+        assert values.tolist() == [4 * a] and sums.tolist() == [1]
+    for a in (2**56, -(2**56) - 1):
+        with pytest.raises(BudgetError):
+            quad_reduce(list, np.array([a], dtype=np.int64))
 
 
 def test_pair_values_refuses_int64_overflow():

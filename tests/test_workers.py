@@ -23,8 +23,8 @@ from circleforge.errors import BudgetError
 from circleforge.intmath import iroot, pair_reduce, pair_values, powers
 from circleforge.scan import PRE_ASYMPTOTIC_CUTOFF, PsiSpec, predict, scan
 
-from oracles import (concat_runs, pair_values_grid, rep_single_brute, scan_report_whole,
-                     series_batch_tiled)
+from oracles import (concat_runs, eighth_moment_unique, pair_values_grid, rep_single_brute,
+                     scan_report_whole, series_batch_tiled)
 
 scanmod = sys.modules["circleforge.scan"]  # circleforge.scan is the function
 
@@ -122,6 +122,17 @@ def test_small_bands_against_grid(monkeypatch, count):
                 runs, _, values = _runs_and_values((a, sign, weights, limit))
                 expect = pair_values_grid(a, sign, weights, limit)
                 assert runs == values == [e.tolist() for e in expect]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_eighth_moment_against_unique(monkeypatch, chunk):
+    # the sorted quadruples partitioned into one band per worker, and each
+    # sorted band reduced in chunks of one or seven keys
+    expect = {P6: eighth_moment_unique(P6) for P6 in (7, 12, 30)}
+    monkeypatch.setattr(intmath, "PAIR_CHUNK", chunk)
+    for count in (1, 2, 3):
+        with worker_count(count):
+            assert {P6: moments.sixth_power_eighth_moment(P6).count for P6 in expect} == expect
 
 
 def _bench_sample(seed):
