@@ -38,7 +38,12 @@ from .powersums import gauss_sum, leading_constant
 QUAD_NODE_BUDGET = 5 * 10**5
 # survey panels per 1/sqrt(X)
 SURVEY_DENSITY = 40
-_GL4 = np.polynomial.legendre.leggauss(4)
+# np.polynomial.legendre.leggauss(4), bit for bit (a test checks it); the call
+# would import numpy.polynomial and run LAPACK's eigvalsh at package import
+_GL4 = (
+    np.array([-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526]),
+    np.array([0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357]),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +106,10 @@ def _dissect(pairs, halfwidth, exclude=()) -> list[tuple[float, float, int]]:
     ex_widths = np.array([halfwidth(q) for q, _ in exclude]) / 2
     ends = np.clip(np.concatenate([centers - widths, ex_centers - ex_widths,
                                    centers + widths, ex_centers + ex_widths]), 0.0, 1.0)
-    cuts = np.unique(np.concatenate([[0.0, 1.0], ends]))
+    # sorted and deduplicated as np.unique does, which in numpy 2.4 would
+    # import numpy.ma on its first call
+    cuts = np.sort(np.concatenate([[0.0, 1.0], ends]))
+    cuts = cuts[np.r_[True, cuts[1:] != cuts[:-1]]]
     first, last = np.searchsorted(cuts, ends).reshape(2, -1).tolist()
     owner = np.full(len(cuts) - 1, -1, dtype=np.int64)
     for i in range(len(pairs) - 1, -1, -1):

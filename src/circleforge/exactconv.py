@@ -45,7 +45,7 @@ _LIMB_BITS = 20
 
 
 def _block_size(n: int) -> int:
-    """ceil(sqrt(n)): 2^13 at n = MAX_TRANSFORM_LENGTH, below _eval_mod's 2^16."""
+    """ceil(sqrt(n)): 2^13 at n = MAX_TRANSFORM_LENGTH, below _eval_mod's 2^14."""
     return math.isqrt(max(n, 1) - 1) + 1
 
 
@@ -59,12 +59,17 @@ def _power_table(r: np.ndarray, count: int, p: int) -> np.ndarray:
 
 def _eval_mod(arrays, r: np.ndarray, p: int, block: int):
     """Yield sum_i x[j, i] r[k]**i mod p for every row j and point k, for each
-    2-D int64 x in arrays of at most block**2 columns (p < 2^31, block <= 2^16).
+    2-D nonnegative integer x in arrays of at most block**2 columns
+    (p = 2^31 - 1, block <= 2^14).
 
-    Each x, reduced mod p once, is cut into blocks; one int64 matmul against
-    r**0..r**(block-1), split into 16-bit halves, sums every block: products
-    are below 2^31 * 2^16 = 2^47, so sums of at most 2^16 stay below 2^63.  The
-    block sums are combined with the powers of r**block, products below 2^62.
+    Each int64 x is folded once, to (x & p) + (x >> 31), which is x mod p
+    since 2^31 = 1 mod p and is below 2^31 + 2^32 < 2^33; a narrower x, below
+    2^32, is copied as it is.  The result is cut into blocks; one int64 matmul
+    against r**0..r**(block-1), split into 16-bit halves, sums every block:
+    products are below 2^33 * 2^16 = 2^49, so sums of at most 2^14 stay below
+    2^63 (at most 2^13, below 2^62, for the blocks _block_size gives).  The
+    block sums are reduced and combined with the powers of r**block, products
+    below 2^62.
     """
     k, inner = len(r), _power_table(r, block, p)
     halves = np.concatenate([inner & 0xFFFF, inner >> 16], axis=1)
@@ -72,7 +77,12 @@ def _eval_mod(arrays, r: np.ndarray, p: int, block: int):
     for x in arrays:
         blocks = -(-x.shape[1] // block)
         padded = np.zeros((len(x), blocks * block), dtype=np.int64)
-        np.remainder(x, p, out=padded[:, : x.shape[1]], dtype=np.int64)
+        folded = padded[:, : x.shape[1]]
+        if x.dtype.itemsize < 8:
+            np.copyto(folded, x)
+        else:
+            np.right_shift(x, 31, out=folded)
+            folded += x & p
         split = padded.reshape(-1, block) @ halves
         sums = (split[:, :k] % p + (split[:, k:] % p << 16)) % p
         yield (sums.reshape(len(x), blocks, k) * outer[:blocks] % p).sum(axis=1) % p
@@ -175,7 +185,8 @@ def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # rounded and added into c at their offset: the rounding bound holds per
     # piece, whose norm is at most its row's, and sums of exact integers below
     # 2^53 stay exact.  c is made after the first inverse, so with one piece
-    # it never sits beside a transform's scratch.
+    # it never sits beside a transform's scratch; the first piece is cast
+    # straight into c, and only the columns past it are zeroed.
     fb, spectrum = (np.empty((k, n // 2 + 1), dtype=complex) for k in (1, len(rows)))
     piece = np.empty((len(rows), n))
     np.copyto(piece[:1, : len(b)], b)
@@ -186,9 +197,12 @@ def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.fft.rfft(piece[:, :w], n, axis=1, out=spectrum)
         spectrum *= fb
         piece = np.rint(np.fft.irfft(spectrum, n, axis=1, out=piece), out=piece)
-        if not lo:
-            c = np.zeros((len(rows), n_out), dtype=np.int64)
-        np.add(c[:, lo:hi], piece[:, : hi - lo], out=c[:, lo:hi], casting="unsafe")
+        if lo:
+            np.add(c[:, lo:hi], piece[:, : hi - lo], out=c[:, lo:hi], casting="unsafe")
+        else:
+            c = np.empty((len(rows), n_out), dtype=np.int64)
+            np.copyto(c[:, :hi], piece[:, :hi], casting="unsafe")
+            c[:, hi:] = 0
     del fb, spectrum, piece
 
     p, block = _CERT_PRIME, _block_size(n_out)

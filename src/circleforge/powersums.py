@@ -87,6 +87,16 @@ def residue_histogram(k: int, q: int) -> np.ndarray:
     return np.bincount(power_residues(k, q), minlength=q)
 
 
+def residue_histograms(q: int) -> np.ndarray:
+    """(3, q) array whose rows are ``residue_histogram(k, q)`` for k = 2, 3, 6,
+    from one chain of modular products and one bincount."""
+    r = np.arange(q, dtype=np.int64)
+    r2 = r * r % q
+    r3 = r2 * r % q
+    offsets = np.stack([r2, r3 + q, r3 * r3 % q + 2 * q])
+    return np.bincount(offsets.ravel(), minlength=3 * q).reshape(3, q)
+
+
 @lru_cache(maxsize=16)
 def _unity_roots(q: int) -> np.ndarray:
     table = np.exp(2j * np.pi * np.arange(q) / q)

@@ -23,17 +23,18 @@ from . import workers
 from .errors import BudgetError, PreconditionError
 from .exactconv import cyclic_histogram_convolution
 from .intmath import factorize
-from .powersums import gauss_sum_table, residue_histogram
+from .powersums import residue_histograms
 
 # cost bounds: exact congruence spectra and per-q term tables are O(q log q)
 # to O(q^1.6); these stops keep single calls interactive
 CONGRUENCE_BUDGET = 10**4
 TERM_BUDGET = 10**5
 TRUNCATION_BUDGET = 5000
-# the range series is filled in n-blocks of SERIES_BLOCK entries, 512 KiB of
-# float64 that stay in cache while every table is added; a table shorter than
-# _TILE is tiled up to it, since numpy's inner loop is slow on short rows
-SERIES_BLOCK = 2**16
+# the range series is filled in n-blocks of SERIES_BLOCK entries, 1 MiB of
+# float64 that stays in a 2 MiB L2 cache while every table is added; a table
+# shorter than _TILE is tiled up to it, since numpy's inner loop is slow on
+# short rows
+SERIES_BLOCK = 2**17
 _TILE = 1024
 # numpy (2.4) adds a table into a (rows, q) view through its buffered iterator,
 # at about half speed, whenever q <= bufsize / 2; the default bufsize is 8192,
@@ -64,11 +65,19 @@ class CongruenceCount:
     count: int
 
 
+@lru_cache(maxsize=1)  # _live_tables tests a prime power, then builds its table
+def _histograms(q: int) -> np.ndarray:
+    hists = residue_histograms(q)
+    hists.setflags(write=False)
+    return hists
+
+
 def _term_table_complex(q: int) -> np.ndarray:
-    """A(q; n mod q) for all residues n, before discarding the imaginary part."""
-    s2 = gauss_sum_table(2, q)
-    s3 = gauss_sum_table(3, q)
-    s6 = gauss_sum_table(6, q)
+    """A(q; n mod q) for all residues n, before discarding the imaginary part.
+
+    The Gauss sums S_k(q, .) = conj(DFT of the histogram of r^k mod q) of
+    k = 2, 3, 6 come from one transform call over the three stacked rows."""
+    s2, s3, s6 = np.conj(np.fft.fft(_histograms(q), axis=1))
     weights = s2**2 * s3**2 * s6**2 / float(q) ** 6
     weights[np.gcd(np.arange(q), q) != 1] = 0.0
     return np.fft.fft(weights)
@@ -93,8 +102,8 @@ def series_term(q: int, n: int) -> SeriesTerm:
 @lru_cache(maxsize=512)
 def _congruence_spectrum(q: int) -> tuple:
     """M_n(q) for every residue n, as exact integers."""
-    hists = [residue_histogram(k, q) for k in (2, 2, 3, 3, 6, 6)]
-    return tuple(cyclic_histogram_convolution(hists, q))
+    h2, h3, h6 = residue_histograms(q)
+    return tuple(cyclic_histogram_convolution([h2, h2, h3, h3, h6, h6], q))
 
 
 def congruence_count(q: int, n: int) -> CongruenceCount:
@@ -128,8 +137,8 @@ def _vanishes(q: int, p: int) -> bool:
     degree is below q, so it is zero exactly when Phi_q(x) = sum_j x^(j q / p)
     divides it, that is when the histogram has period q / p.
     """
-    rows = (residue_histogram(k, q).reshape(p, q // p) for k in (2, 3, 6))
-    return any((r == r[0]).all() for r in rows)
+    rows = _histograms(q).reshape(3, p, q // p)
+    return bool((rows == rows[:, :1]).all(axis=(1, 2)).any())
 
 
 @lru_cache(maxsize=2)  # 70 MiB of tables at the top truncation, W = 5000

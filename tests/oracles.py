@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from circleforge.errors import BudgetError, PreconditionError
-from circleforge.powersums import leading_constant
+from circleforge.intmath import factorize
+from circleforge.powersums import gauss_sum_table, leading_constant, residue_histogram
 from circleforge.scan import PRE_ASYMPTOTIC_CUTOFF
 from circleforge.sseries import _live_tables, series_term
 
@@ -75,6 +76,33 @@ def series_term_direct(q, n):
         s2, s3, s6 = (gauss_direct(k, q, a) for k in (2, 3, 6))
         total += s2**2 * s3**2 * s6**2 * np.exp(-2j * np.pi * n * a / q) / q**6
     return total.real
+
+
+def term_table_per_row(q):
+    """A(q; n mod q) for all residues n, complex, from one transform call per
+    Gauss-sum row: the float operations of the stacked transform it checks."""
+    s2, s3, s6 = (gauss_sum_table(k, q) for k in (2, 3, 6))
+    weights = s2**2 * s3**2 * s6**2 / float(q) ** 6
+    weights[np.gcd(np.arange(q), q) != 1] = 0.0
+    return np.fft.fft(weights)
+
+
+def live_tables_per_row(top):
+    """The live tables for q <= top, in ascending q, built as _live_tables
+    builds them, but each prime power tested per exponent on its own
+    histogram and its table taken from term_table_per_row."""
+    tables = {1: np.ones(1)}
+    for q in range(2, top + 1):
+        p, h = factorize(q)[0]
+        ppow, rest = p**h, q // p**h
+        if ppow == q:
+            rows = (residue_histogram(k, q).reshape(p, q // p) for k in (2, 3, 6))
+            if not any((r == r[0]).all() for r in rows):
+                tables[q] = term_table_per_row(q).real
+        elif ppow in tables and rest in tables:
+            idx = np.arange(q)
+            tables[q] = tables[ppow][idx % ppow] * tables[rest][idx % rest]
+    return list(tables.values())
 
 
 def series_sum_literal(n, W):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +21,7 @@ from circleforge.arcs import (
     weyl_integral_batch,
     weyl_sum,
 )
+import circleforge
 from circleforge import arcints, arcs
 from circleforge.arcints import (
     major_arc_error_survey,
@@ -597,6 +601,31 @@ def test_quad_nodes_match_per_segment_layout(annulus, level, X, density):
     expect = quad_nodes_per_segment(segments, density)
     assert [a.dtype for a in got] == [a.dtype for a in expect]
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
+
+
+def test_gauss_rule_is_legendre_four_point():
+    # the literals of _GL4 are, bit for bit, what leggauss(4) returns
+    expect = np.polynomial.legendre.leggauss(4)
+    assert all(np.array_equal(got, ref) for got, ref in zip(arcints._GL4, expect))
+
+
+def test_quadrature_leaves_numpy_ma_unimported():
+    # a plain np.unique imports numpy.ma on its first call (numpy 2.4), 5-6 ms
+    # inside the timed integrals; the golden-size CLI integrals import none
+    script = """
+import sys
+from circleforge import cli
+codes = [cli.main(argv.split()) for argv in (
+    "arcs --op major-integral --n 5000 --limit 10000 --trunc 3",
+    "arcs --op pruned --limit 1000 --Q 8 --sample 10 --seed 3",
+)]
+print(codes, "numpy.ma" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(circleforge.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[0, 0] False"
 
 
 def test_exceptional_sum():

@@ -11,6 +11,8 @@ from circleforge.powersums import (
     gauss_sum_table,
     leading_constant,
     majorant_ratio_survey,
+    residue_histogram,
+    residue_histograms,
 )
 from oracles import gauss_direct, primes_up_to
 
@@ -85,6 +87,13 @@ def test_table_matches_pointwise():
         for a in range(1, q + 1):
             if math.gcd(a, q) == 1:
                 assert abs(table[a % q] - gauss_sum(6, q, a).value) < 1e-9
+
+
+def test_stacked_histograms_match_one_per_exponent():
+    for q in [1, 2, 3, 4, 7, 9, 64, 729, 1000, 9973, 10**5]:
+        expect = np.stack([residue_histogram(k, q) for k in (2, 3, 6)])
+        got = residue_histograms(q)
+        assert got.dtype == expect.dtype and np.array_equal(got, expect), q
 
 
 def test_majorant_examples():

@@ -204,32 +204,57 @@ def test_exact_convolve_refuses_sums_beyond_int64(a, b, pad):
 
 
 def test_block_evaluator_matches_horner():
+    # int64 entries up to 2^63 - 1 (folded mod p once), int16 and int32 rows
+    # (copied unreduced), at the block of length 2^21 and at the largest
+    # block, the one of MAX_TRANSFORM_LENGTH
     p = exactconv._CERT_PRIME
     B = exactconv._block_size(2**21)
+    top_block = exactconv._block_size(exactconv.MAX_TRANSFORM_LENGTH)
     rng = np.random.default_rng(80)
     points = np.array([1, 2, p - 1, rng.integers(3, p - 1)])
-    extremes = np.array([0, p - 1, p, 2**53 - 1])
-    for length in (1, B - 1, B, B + 1, 3 * B + 7, 2**21 - 3):
+    top = 2**63 - 1
+    extremes = np.array([0, p - 1, p, 2**31, 2**53 - 1, 2**62, top - p, top])
+    cases = [(B, n) for n in (1, B - 1, B, B + 1, 3 * B + 7, 2**21 - 3)]
+    cases += [(top_block, n) for n in (top_block, top_block + 1, 2 * top_block + 5)]
+    for block, length in cases:
         rows = np.stack([
-            extremes[rng.integers(0, 4, length)],
-            rng.integers(0, 2**53, length),
+            extremes[rng.integers(0, len(extremes), length)],
+            rng.integers(0, top, length, endpoint=True),
+            np.full(length, top),
         ])
+        narrow = [rng.integers(0, np.iinfo(t).max, (2, length), dtype=t, endpoint=True)
+                  for t in (np.int16, np.int32)]
         if length > 3 * B + 7:
-            rows = rows[:1]  # the Horner reference is slow at this length
-        (values,) = exactconv._eval_mod([rows], points, p, B)
-        expected = [[poly_mod_horner(row, int(r), p) for r in points] for row in rows.tolist()]
-        assert values.tolist() == expected
+            rows, narrow = rows[:1], []  # the Horner reference is slow at this length
+        for x in [rows] + narrow:
+            (values,) = exactconv._eval_mod([x], points, p, block)
+            expected = [[poly_mod_horner(row, int(r), p) for r in points] for row in x.tolist()]
+            assert values.tolist() == expected, (x.dtype, block, length)
 
 
 def test_block_size_rule_within_matmul_headroom():
-    # block sums stay below 2^63 only for blocks of at most 2^16 coefficients,
-    # and a row of n coefficients must fit in block**2 of them
+    # folded entries are below 2^33, so block sums stay below 2^63 only for
+    # blocks of at most 2^14 coefficients, and a row of n coefficients must
+    # fit in block**2 of them
     sizes = sorted({(1 << e) + d for e in range(27) for d in (-1, 0, 1)} - {0})
     sizes = [n for n in sizes if n <= exactconv.MAX_TRANSFORM_LENGTH]
     blocks = [exactconv._block_size(n) for n in sizes]
-    assert blocks == sorted(blocks) and max(blocks) <= 2**16
+    assert blocks == sorted(blocks) and max(blocks) <= 2**14
     for n, block in zip(sizes, blocks):
         assert block**2 >= n > (block - 1) ** 2
+
+
+def test_single_piece_matches_several_pieces(monkeypatch):
+    # one piece is cast straight into the output; forced through pieces of
+    # 1097 columns at length 4096, the same product adds them at offsets
+    rng = np.random.default_rng(84)
+    a = rng.integers(0, 2**14, (3, 3000))
+    b = rng.integers(0, 2**14, 3000)
+    assert exactconv._overlap_add(3000, 3000, 8192) == (8192, 3000)
+    whole = exact_convolve(a, b)
+    monkeypatch.setattr(exactconv, "_overlap_add", lambda width, m, full: (4096, 4096 - m + 1))
+    assert np.array_equal(exact_convolve(a, b), whole)
+    assert np.array_equal(exact_convolve(a[1], b), whole[1])
 
 
 def test_exact_convolve_refuses_by_rounding_bound():

@@ -25,9 +25,11 @@ from circleforge.sseries import (
 from oracles import (
     congruence_brute,
     cyclic_convolution_kronecker,
+    live_tables_per_row,
     prime_powers_up_to,
     series_sum_literal,
     series_term_direct,
+    term_table_per_row,
 )
 
 
@@ -298,6 +300,23 @@ def test_batch_and_single_targets_share_one_table_set():
     after = _live_tables.cache_info()
     assert after.misses == before.misses
     assert after.hits == before.hits + X
+
+
+def test_stacked_transform_keeps_every_table_bit():
+    # one transform call over the three stacked histograms gives the bits of
+    # one call per Gauss-sum row: every q <= 2000, and a sample up to the budget
+    rng = np.random.default_rng(30)
+    sample = [int(q) for q in rng.integers(2001, sseries.TERM_BUDGET + 1, 12)]
+    for q in list(range(1, 2001)) + sample + [sseries.TERM_BUDGET]:
+        assert np.array_equal(_term_table_complex(q), term_table_per_row(q)), q
+
+
+@pytest.mark.parametrize("W", [1, 7, 1000])
+def test_live_tables_match_per_row_build(W):
+    live, expect = _live_tables(2 * W), live_tables_per_row(2 * W)
+    assert len(live) == len(expect)
+    for table, ref in zip(live, expect):
+        assert len(table) == len(ref) and np.array_equal(table, ref), len(ref)
 
 
 def test_live_tables_are_the_nonvanishing_terms():

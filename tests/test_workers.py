@@ -348,11 +348,11 @@ def test_small_gather_blocks_against_range(monkeypatch, count):
             assert repcount.rep_count_single(n) == values[n]
 
 
-@pytest.mark.parametrize("block", [1, 7, sseries.SERIES_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, 2**16, sseries.SERIES_BLOCK])
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_series_blocks_match_whole_range_tiling(monkeypatch, block, count):
     # X + 1 entries below, at and across a block edge, and over several
-    # blocks; W = 403 = 13 * 31 is live, so the S_W cut falls on a table;
+    # blocks, with blocks of 64 Ki entries as well as the default size; W = 403 = 13 * 31 is live, so the S_W cut falls on a table;
     # at W = 1000 tables on both sides of _TILE are added (not at one entry
     # a block, where 700 blocks of 435 tables would take seconds)
     monkeypatch.setattr(sseries, "SERIES_BLOCK", block)
@@ -388,11 +388,12 @@ def test_series_restores_the_ufunc_buffer():
     assert after == [default, default]
 
 
-@pytest.mark.parametrize("block", [7, sseries.SERIES_BLOCK])
+@pytest.mark.parametrize("block", [7, 2**16, sseries.SERIES_BLOCK])
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_scan_report_matches_whole_array_oracle(monkeypatch, block, count):
-    # X + 1 entries below, at and across a block edge, and X on both sides
-    # of the pre-asymptotic cutoff, which decides the median's range
+    # X + 1 entries below, at and across a block edge (of 64 Ki entries as
+    # well as of the default size), and X on both sides of the
+    # pre-asymptotic cutoff, which decides the median's range
     monkeypatch.setattr(sseries, "SERIES_BLOCK", block)
     psi, W = PsiSpec.parse("log"), 403
 
