@@ -1,9 +1,12 @@
 """Exact integer helpers: k-th roots, trial-division factorisation, and the
 enumerators of pair sums and differences, `pair_reduce`, and of quadruple
-sums, `quad_reduce`.  Each writes a lattice as packed int64 keys, and workers
-sort them and reduce them to runs of equal value, in chunks that end at run
-starts.  The key format stays in this module: callers see only (values, sums)
-runs."""
+sums, `quad_reduce`.  Each writes a lattice as packed int64 keys (the calling
+thread writes the pair bands; each worker writes its own share of the
+quadruple blocks), and workers sort them and reduce them with `key_runs` to
+runs of equal value, in chunks that end at run starts.  `key_runs` finds run
+starts in one comparison per chunk and, where few keys repeat a value, folds
+only the repeated keys.  The key format stays in this module: callers see
+only (values, sums) runs."""
 
 import math
 from numbers import Integral
@@ -60,6 +63,13 @@ def factorize(n: int) -> list[tuple[int, int]]:
         out.append((n, 1))
     return out
 
+
+# numpy (2.4) adds into a (rows, q) view through its buffered iterator, at
+# about half speed and with a fresh buffer of some 138 KB, whenever q <=
+# bufsize / 2; the default bufsize is 8192, and at 256 nearly every row add
+# takes the unbuffered loop (same bits: a same-dtype add casts nothing).  The
+# setting is per thread, so each caller sets it and restores it after.
+ADD_BUFSIZE = 256
 
 # keys per run-reduction chunk, whose temporaries stay at a few MiB beside the
 # full key array, and per worker at least in a lattice cut into value bands
@@ -195,9 +205,11 @@ def quad_reduce(fn, a: np.ndarray) -> list:
     broadcast add, its cells cut by y1 = y2 (the last row) and y2 = y3 (the
     leading second pairs (j, d)).
 
-    At PAIR_CHUNK keys per worker or more, the key array is partitioned in
-    place at equal-count cuts and each band sorted on its own worker, so no
-    second key array is allocated; the sorted array is then reduced in
+    At PAIR_CHUNK keys per worker or more, each worker writes the blocks of
+    one contiguous share of the j, about an equal share of the keys, into
+    the one key array; the array is then partitioned in place at
+    equal-count cuts and each band sorted on its own worker, so no second
+    key array is allocated; the sorted array is then reduced in
     value-disjoint parts, each cut at a run start, one per worker.
     """
     n = len(a)
@@ -209,19 +221,31 @@ def quad_reduce(fn, a: np.ndarray) -> list:
     # col[e1][e2]: each second pair's shifted sum plus the weight code of its
     # quadruple when y1 = y2 is e1 and y2 = y3 is e2
     col = [[pair + _QUAD_CODE[e1, e2][e3] for e2 in (0, 1)] for e1 in (0, 1)]
+    # the block of j holds (j + 1) rows of the n - j + 1 choose 2 second
+    # pairs with c >= j, and ends where the keys of j' <= j end
+    middle = np.arange(n, dtype=np.int64)
+    ends = np.cumsum((middle + 1) * (n - middle) * (n - middle + 1) // 2)
     keys = np.empty(math.comb(n + 3, 4), dtype=np.int64)
-    pos = 0
-    for j in range(n):
-        s, lead = j * n - j * (j - 1) // 2, n - j  # the pairs (j, d) start the suffix
-        block = keys[pos : pos + (j + 1) * (len(pair) - s)].reshape(j + 1, -1)
-        head = shifted[: j + 1, None] + shifted[j]
-        for e1, rows in ((0, slice(0, j)), (1, slice(j, j + 1))):
-            np.add(head[rows], col[e1][1][s : s + lead], out=block[rows, :lead])
-            np.add(head[rows], col[e1][0][s + lead :], out=block[rows, lead:])
-        pos += block.size
 
+    def fill(lo, hi):
+        old = np.setbufsize(ADD_BUFSIZE)
+        try:
+            for j in range(lo, hi):
+                s, lead = j * n - j * (j - 1) // 2, n - j  # the pairs (j, d) start the suffix
+                block = keys[ends[j] - (j + 1) * (len(pair) - s) : ends[j]].reshape(j + 1, -1)
+                head = shifted[: j + 1, None] + shifted[j]
+                for e1, rows in ((0, slice(0, j)), (1, slice(j, j + 1))):
+                    np.add(head[rows], col[e1][1][s : s + lead], out=block[rows, :lead])
+                    np.add(head[rows], col[e1][0][s + lead :], out=block[rows, lead:])
+        finally:
+            np.setbufsize(old)
+
+    # each worker fills one run of middle indices j holding about an equal
+    # share of the keys; a block's adds are long enough to release the GIL
     bands = workers.WORKERS if len(keys) >= PAIR_CHUNK * workers.WORKERS else 1
     cuts = [len(keys) * b // bands for b in range(1, bands)]
+    shares = [0, *np.searchsorted(ends, cuts).tolist(), n]
+    workers.run(lambda lo=lo, hi=hi: fill(lo, hi) for lo, hi in zip(shares, shares[1:]))
     if cuts:
         keys.partition(cuts)
     workers.run(band.sort for band in np.split(keys, cuts))
@@ -233,17 +257,49 @@ def key_runs(keys: np.ndarray, bits: int):
     """Yield (values, sums) over sorted packed keys, one chunk of about
     PAIR_CHUNK keys at a time: each distinct value once, in increasing order,
     with the sum of its weights (with bits = 0, plain sorted values and their
-    run lengths).  Each chunk ends at the start of a run, so no run crosses
-    two chunks and no array of full length is built besides the keys."""
+    run lengths, where a chunk with no repeats yields a view of the keys as
+    its values).  Each chunk ends at the start of a run, so no run crosses
+    two chunks and no array of full length is built besides the keys.
+
+    A key starts a run when it passes its predecessor with every weight bit
+    set.  In a chunk where at most one key in 32 repeats a value (the moment
+    lattices), every key keeps its weight, the repeated keys alone are folded
+    into the first key of their run, and the run starts are kept; otherwise
+    (the square-pair sums) a run's weight is read off prefix sums of the
+    weights at the run starts."""
+    mask = (1 << bits) - 1
     cuts = np.searchsorted(keys, keys[PAIR_CHUNK::PAIR_CHUNK] >> bits << bits)
     for chunk in np.split(keys, cuts):
-        if len(chunk):
-            values = chunk >> bits
-            starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
-            sums = np.diff(starts, append=len(chunk))
-            if bits:
-                sums += np.add.reduceat(chunk & ((1 << bits) - 1), starts)
-            yield values[starts], sums
+        if not len(chunk):
+            continue
+        first = np.empty(len(chunk), dtype=bool)
+        first[0] = True
+        np.greater(chunk[1:], chunk[:-1] | mask if bits else chunk[:-1], out=first[1:])
+        repeats = len(chunk) - np.count_nonzero(first)
+        if repeats * 32 > len(chunk):
+            starts = np.flatnonzero(first)
+            runs = chunk[starts]
+            if bits:  # a run's weight is the difference of two prefix sums
+                prefix = np.zeros(len(chunk) + 1, dtype=np.int64)
+                weights = np.bitwise_and(chunk, mask, out=prefix[1:])
+                weights += 1
+                np.cumsum(weights, out=weights)
+                sums = np.diff(prefix[np.append(starts, len(chunk))])
+            else:
+                sums = np.diff(starts, append=len(chunk))
+        else:
+            runs = chunk[first] if repeats else chunk
+            sums = runs & mask
+            sums += 1
+            if repeats:
+                # the repeated keys of one run are consecutive, and those of
+                # two runs are parted by a run start; once the repeats are
+                # dropped, a run's start sits one place before its first
+                # repeat, less the number of repeats before that
+                rep = np.flatnonzero(~first)
+                lead = np.flatnonzero(np.diff(rep, prepend=-2) != 1)
+                sums[rep[lead] - 1 - lead] += np.add.reduceat((chunk[rep] & mask) + 1, lead)
+        yield (runs >> bits if bits else runs), sums
 
 
 def pair_values(a: np.ndarray, sign: int = 1, weights=None, limit: int | None = None):

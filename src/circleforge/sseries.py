@@ -22,7 +22,7 @@ import numpy as np
 from . import workers
 from .errors import BudgetError, PreconditionError
 from .exactconv import cyclic_histogram_convolution
-from .intmath import factorize
+from .intmath import ADD_BUFSIZE, factorize
 from .powersums import residue_histograms
 
 # cost bounds: exact congruence spectra and per-q term tables are O(q log q)
@@ -35,12 +35,7 @@ TRUNCATION_BUDGET = 5000
 # shorter than _TILE is tiled up to it, since numpy's inner loop is slow on
 # short rows
 SERIES_BLOCK = 2**17
-_TILE = 1024
-# numpy (2.4) adds a table into a (rows, q) view through its buffered iterator,
-# at about half speed, whenever q <= bufsize / 2; the default bufsize is 8192,
-# and at 256 every tiled table takes the unbuffered loop (same bits: a
-# same-dtype add casts nothing)
-_ADD_BUFSIZE = 256
+_TILE = 1024  # at least ADD_BUFSIZE: every tiled table takes the unbuffered add
 
 
 @dataclass(frozen=True)
@@ -189,10 +184,10 @@ def truncated_singular_series(n: int, W: int) -> SingularSeriesValue:
 def _add_periodic(acc: np.ndarray, lo: int, tables) -> None:
     """acc[i] += table[(lo + i) % len(table)] in place, for each table in turn:
     the part up to the next multiple of len(table), whole rows, the rest.
-    The ufunc buffer is _ADD_BUFSIZE while it runs and is restored after; the
+    The ufunc buffer is ADD_BUFSIZE while it runs and is restored after; the
     setting is per thread (errstate does not scope it before numpy 2.0)."""
     n = len(acc)
-    old = np.setbufsize(_ADD_BUFSIZE)
+    old = np.setbufsize(ADD_BUFSIZE)
     try:
         for table in tables:
             q = len(table)

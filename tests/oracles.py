@@ -344,6 +344,17 @@ def pair_values_grid(a, sign=1, weights=None, limit=None):
     return distinct, mult
 
 
+def key_runs_unique(keys, bits):
+    """(values, sums) of sorted packed keys (value << bits) | (weight - 1):
+    each distinct value by np.unique, with its number of keys plus the sum of
+    their weight codes."""
+    keys = np.asarray(keys, dtype=np.int64)
+    values, inverse, counts = np.unique(keys >> bits, return_inverse=True, return_counts=True)
+    sums = counts.astype(np.int64)
+    np.add.at(sums, inverse, keys & ((1 << bits) - 1))
+    return values, sums
+
+
 def concat_runs(chunks):
     """The (values, sums) chunks of a run reduction laid end to end, as two
     int64 arrays, after checking that no chunk is empty and that the values

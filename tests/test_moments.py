@@ -23,6 +23,7 @@ from oracles import (
     cube_multiplicity_brute,
     cube_sixth_correlation_brute,
     eighth_moment_brute,
+    key_runs_unique,
     pair_collision_brute,
     pair_values_grid,
     shifted_correlation_brute,
@@ -272,6 +273,42 @@ def test_quad_reduce_refuses_int64_overflow():
 def test_pair_values_refuses_int64_overflow():
     with pytest.raises(BudgetError):
         pair_values(powers(6, 1200))  # sums near 6e18 leave no room for a weight bit
+
+
+def _packed_keys(rng, bits):
+    """Sorted packed keys (value << bits) | code with random weight codes:
+    distinct values, one value in a hundred repeated, one value throughout,
+    runs of up to 59 keys, and distinct values beside long runs."""
+    distinct = np.sort(rng.choice(np.arange(-5000, 5000), 2000, replace=False))
+    few = np.r_[distinct, rng.choice(distinct, 20, replace=False)]
+    long_runs = np.repeat(np.arange(-20, 20) * 3, rng.integers(1, 60, 40))
+    for values in (distinct, few, np.full(300, -7), long_runs,
+                   np.r_[distinct[:500], long_runs + 10**4]):
+        yield np.sort((values << bits) | rng.integers(0, 1 << bits, len(values)))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 16, 256])
+@pytest.mark.parametrize("bits", [0, 5])
+def test_key_runs_against_unique(monkeypatch, bits, chunk):
+    # every chunk against np.unique; a chunk where at most one key in 32
+    # repeats a value folds its repeats into their run's first key, and any
+    # other reads each run's weight off prefix sums: both are taken, and at
+    # 256-key chunks the fold meets repeats
+    monkeypatch.setattr(intmath, "PAIR_CHUNK", chunk)
+    rng = np.random.default_rng([bits, chunk])
+    taken = set()
+    for keys in _packed_keys(rng, bits):
+        chunks = list(key_runs(keys, bits))
+        values, sums = concat_runs(chunks)
+        expect_values, expect_sums = key_runs_unique(keys, bits)
+        assert values.tolist() == expect_values.tolist() and sums.tolist() == expect_sums.tolist()
+        counts = dict(zip(*(part.tolist() for part in np.unique(keys >> bits, return_counts=True))))
+        for chunk_values, _ in chunks:
+            length = sum(counts[v] for v in chunk_values.tolist())
+            repeats = length - len(chunk_values)
+            taken.add(("fold" if repeats * 32 <= length else "prefix", repeats > 0))
+    assert taken >= {("prefix", True), ("fold", False)}
+    assert (("fold", True) in taken) == (chunk == 256)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 7])

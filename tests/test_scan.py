@@ -1,12 +1,19 @@
 import dataclasses
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import circleforge
 from circleforge.cli import main
 from circleforge.errors import PreconditionError
 from circleforge.powersums import leading_constant
-from circleforge.scan import PsiSpec, predict, record_columns, scan
+from circleforge.scan import PsiSpec, median, percentiles, predict, record_columns, scan
 from circleforge.sseries import truncated_singular_series
 from circleforge.repcount import rep_count_single
 
@@ -153,3 +160,40 @@ def test_series_stability_feeding_predictions():
         if abs(r1.rel_err - r2.rel_err) <= 0.01:
             stable += 1
     assert stable >= 0.95 * len(ns)
+
+
+def _bits(value):
+    value = np.asarray(value)
+    return value.dtype.str, value.shape, value.tobytes()
+
+
+_entries = st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, -math.inf, math.nan, 1e300]) | st.floats()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_entries, min_size=1, max_size=12), st.lists(st.floats(0, 100), max_size=4))
+def test_quantile_helpers_match_numpy(entries, q):
+    # lengths 1 and 2, odd and even, with infinities, NaNs and ties (repeats
+    # and both zeros); inf - inf and inf * 0 make NaNs inside the
+    # interpolation as numpy's own do
+    a = np.array(entries)
+    q = [50, 90, 99, *q]
+    with np.errstate(invalid="ignore"):
+        assert _bits(percentiles(a, q)) == _bits(np.percentile(a, q))
+        assert _bits(median(a)) == _bits(np.median(a))
+
+
+def test_scan_leaves_numpy_ma_unimported():
+    # np.percentile and np.median import numpy.ma on first use (numpy 2.4),
+    # 5-6 ms inside every timed scan
+    script = """
+import sys
+from circleforge.scan import PsiSpec, scan
+report = scan(10**4, PsiSpec.parse("log"), 100)
+print(report.E > 0, "numpy.ma" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(circleforge.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "True False"

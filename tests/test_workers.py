@@ -6,6 +6,7 @@ blocks, the single-target count and the arc quadrature's blocks."""
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -135,6 +136,33 @@ def test_eighth_moment_against_unique(monkeypatch, chunk):
             assert {P6: moments.sixth_power_eighth_moment(P6).count for P6 in expect} == expect
 
 
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_quad_reduce_temporaries_are_bounded(monkeypatch, count):
+    # 1,024-key chunks put the 123,410 keys of P6 = 40 over the pool: each
+    # worker writes its share of the fill into the one key array and sorts
+    # its band in place, so besides the keys a call holds small per-block
+    # temporaries and the reduction of one chunk per worker
+    monkeypatch.setattr(intmath, "PAIR_CHUNK", 1 << 10)
+    sixths = powers(6, 40)
+    key_bytes = 8 * math.comb(len(sixths) + 3, 4)
+    chunk_bytes = 8 * 8 * intmath.PAIR_CHUNK
+
+    def squares(runs):
+        return sum(int(c @ c) for _, c in runs)
+
+    with worker_count(count):
+        expect = intmath.quad_reduce(squares, sixths)
+        tracemalloc.start()
+        try:
+            assert intmath.quad_reduce(squares, sixths) == expect
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(expect) == count
+    assert sum(expect) == moments.sixth_power_eighth_moment(40).count
+    assert peak <= 1.1 * key_bytes + count * chunk_bytes, peak / key_bytes
+
+
 def _bench_sample(seed):
     members = np.random.default_rng(seed).choice(np.arange(1, 10**4 + 1), 100, replace=False)
     return arcs.ExceptionalSample(members=tuple(int(v) for v in members))
@@ -255,6 +283,7 @@ def test_one_worker_starts_no_thread():
 
 def test_more_workers_than_cores_under_fast_switching(monkeypatch):
     # disjoint slices of one key array sorted and reduced by six threads,
+    # disjoint shares of the quadruple key fill written by six threads,
     # disjoint row blocks of each arc kernel's output, and disjoint value
     # windows and gather sums of a single target written by six threads,
     # with a switch interval that interleaves them
@@ -264,6 +293,7 @@ def test_more_workers_than_cores_under_fast_switching(monkeypatch):
         runs, _, values = _runs_and_values(case)
         kernels = _bytes(_arc_kernels())
         single = repcount.rep_count_single(3_141_592)
+        eighth = moments.sixth_power_eighth_moment(40).count
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -272,6 +302,7 @@ def test_more_workers_than_cores_under_fast_switching(monkeypatch):
             got_runs, bands, got_values = _runs_and_values(case)
             got_kernels = _bytes(_arc_kernels())
             got_single = repcount.rep_count_single(3_141_592)
+            got_eighth = moments.sixth_power_eighth_moment(40).count
             assert time.perf_counter() - start < 30
     finally:
         sys.setswitchinterval(interval)
@@ -279,6 +310,7 @@ def test_more_workers_than_cores_under_fast_switching(monkeypatch):
     assert got_runs == runs == got_values == values
     assert got_kernels == kernels
     assert got_single == single
+    assert got_eighth == eighth
 
 
 HOLD_S = 30  # the longest a held pool thread waits before it lets go
@@ -386,6 +418,24 @@ def test_series_restores_the_ufunc_buffer():
         after = [f.result() for f in [workers._pool().submit(pool_size) for _ in range(2)]]
     assert here == there == (default, default)
     assert after == [default, default]
+
+
+def test_quad_fill_restores_the_ufunc_buffer(monkeypatch):
+    # each share of the quadruple key fill narrows numpy's ufunc buffer on
+    # its own thread and puts it back
+    monkeypatch.setattr(intmath, "PAIR_CHUNK", 16)
+    both = threading.Barrier(2)
+
+    def pool_size():
+        both.wait(timeout=HOLD_S)  # each of the two pool threads takes one
+        return np.getbufsize()
+
+    default = np.getbufsize()
+    with worker_count(3):
+        assert moments.sixth_power_eighth_moment(12).count == eighth_moment_unique(12)
+        here = np.getbufsize()
+        after = [f.result() for f in [workers._pool().submit(pool_size) for _ in range(2)]]
+    assert [here, *after] == [default] * 3
 
 
 @pytest.mark.parametrize("block", [7, 2**16, sseries.SERIES_BLOCK])
