@@ -33,8 +33,8 @@ from .powersums import gauss_sum, leading_constant
 # 2-core Xeon VM the largest singular integral admitted, 499,968 fine nodes at
 # --n 10**6 --limit 10**6 --trunc 7812, takes 0.8 s and peaks at 144 MiB as a
 # fresh CLI process (1.2 s on one core); 4.9e5 fine nodes take 0.85 s and
-# 220 MiB in major_arc_integral(5000, 10**4, 6, grid=428), 2.0 s and 170 MiB in
-# the pruned integral at X = 10**4, Q = 16, 100 members (grid=263)
+# 220 MiB in major_arc_integral(5000, 10**4, 6, grid=428), 1.2-1.4 s and
+# 174 MiB in the pruned integral at X = 10**4, Q = 16, 100 members (grid=263)
 QUAD_NODE_BUDGET = 5 * 10**5
 # survey panels per 1/sqrt(X)
 SURVEY_DENSITY = 40

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import workers
 from .errors import BudgetError, PreconditionError
+from .intmath import ADD_BUFSIZE
 from .powersums import _check_exponent, _phase_sum, gauss_sum, powers_mod
 
 KIND_MAJOR = "major"
@@ -28,11 +29,18 @@ KIND_MINOR = "minor"
 WEYL_POINT_BUDGET = 10**7
 # complex entries of one block of exponentials, or offsets of v_k (1 MiB):
 # the pool fills the blocks, and at 10**6 entries (16 MB) their temporaries took
-# the benchmark's quadrature task to a peak of 82 MiB rather than 50
+# the benchmark's quadrature task to a peak of 82 MiB rather than 50.  The
+# exceptional sum's phase tables hold at most as much per worker
 PHASE_BLOCK = 2**16
 # largest |x| of a float phase grid e(alpha x), alpha in [0, 1]: each product
 # alpha x is then rounded by at most 2^26 * 2^-53 = 2^-27 cycles
 PHASE_INTEGER_LIMIT = 2**26
+# most bits of one digit level of the exceptional sum's phase tables: a level
+# holds 2^w <= 32 entries per node, built from one exponential by doubling
+# products.  For members in [1, 10^4] (three levels of 5 bits) K over the
+# benchmark's 28,288 pruned nodes took 19.6 ms of one core, against 22.0 ms
+# at 4 bits (four levels of 16 entries) and 22.7 ms at 7 (two of 128)
+DIGIT_BITS = 5
 
 
 @dataclass(frozen=True)
@@ -306,34 +314,129 @@ def exceptional_sum(sample: ExceptionalSample, alpha) -> complex:
     return complex(exceptional_sum_grid(sample, np.array([float(alpha)]))[0])
 
 
+def _unit_exp(cycles: np.ndarray, dest: np.ndarray) -> None:
+    """dest = e(-cycles) in the complex array dest, in place: the phase goes to
+    its imaginary part, so no call casts or buffers."""
+    dest.real = 0.0
+    np.multiply(cycles, -2 * np.pi, out=dest.imag)
+    np.exp(dest, out=dest)
+
+
 def exceptional_sum_grid(sample: ExceptionalSample, alphas: np.ndarray) -> np.ndarray:
-    """K over a float grid of alpha in [0, 1], in blocks of about PHASE_BLOCK
-    phases on the worker pool, each row summed by numpy.  eta_n is taken as
-    e(theta_n), theta_n = angle(eta_n) / 2 pi, within the sample's 1e-12 of it,
-    and folded into the phase theta_n - alpha n.  Refused with BudgetError
-    unless max|n| <= 2^26: the product alpha n, at most 2^26 in size, is then
-    rounded by at most 2^-28 cycles, half a unit in the last place below 2^26.
-    Taking off its nearest integer is exact; adding theta_n to the remainder,
-    both at most 1/2, and the product by 2 pi, below 2 pi, add less than 2^-49
-    radians.  So each phase is within 2 pi 2^-28 + 2^-49 < 2.4e-8 radians, and K
-    within 2.4e-8 Z + 1e-12 Z, below 5e-8 Z for Z members, up to the rounding
-    of the exponentials and their sum."""
+    """K over a float grid of alpha, from power-of-two phase tables.
+
+    Each member is n = o + sum_k d_k 2^(w k), 0 <= d_k < 2^w, with o = min(n),
+    over L = ceil(b / DIGIT_BITS) levels for a span max(n) - o of b bits (at
+    least 1) and w = ceil(b / L) <= DIGIT_BITS.  At each node, level k reduces
+    beta_k = 2^(w k) alpha mod 1 exactly (a power-of-two scaling, then the
+    removal of its nearest integer) and tabulates T_k[d] = e(-d beta_k) from
+    the one exponential T_k[1] by doubling products: T_k[2m] = T_k[m] T_k[m]
+    and T_k[m + j] = T_k[j] T_k[m] for j < m.  A member's term is the product
+    of eta_n, taken as e(theta_n), theta_n = angle(eta_n) / 2 pi, within the
+    sample's 1e-12 of it, and its L entries.  The terms are summed by a
+    halving tree in sample order and multiplied by e(-o alpha), whose phase
+    comes from alpha mod 1 = (h + l) 2^-26, h = rint(2^26 (alpha mod 1)):
+    o h 2^-26 is exact and reduced exactly, o l 2^-26 (at most 1/2) is
+    rounded once, and so is their sum before its exact reduction.  No product
+    alpha n is rounded, and a value depends only on its own node.  The nodes
+    run in blocks on the worker pool, and each run of blocks has one scratch
+    whose complex buffers hold at most PHASE_BLOCK entries (1 MiB, or one
+    node's worth where that is more), half of the 2 MiB that a block of the
+    float phase matrix once allocated.
+
+    With u = 2^-53, to first order: an exponential e(-beta), |beta| <= 1/2,
+    errs by at most (2 pi + sqrt 2) u (the phase product, then cos and sin),
+    and a complex product by sqrt 5 u, so T_k[d] errs by at most 10 d u, and
+    a member's term by 10 (sum_k d_k) u + (2 pi + sqrt 2) u + sqrt 5 L u.  The
+    phase of e(-o alpha), below 1 cycle, errs by at most 1.5 u cycles, so
+    that factor errs by (6 pi + sqrt 2) u and its product by sqrt 5 u; the
+    halving tree has depth ceil(log2 Z).  So over Z members K is within
+    (10 L (2^w - 1) + 2.3 L + 31 + 1.5 ceil(log2 Z)) u Z, plus 1e-12 Z for
+    eta: 1.1e-13 Z for 100 members in [1, 10^4] (L = 3, w = 5), and below
+    2.2e-13 Z for any admitted sample of up to 2^20 members (L <= 6).
+    Against exact rational phases, the benchmark's 100 members erred by at
+    most 1.6e-15 per member over its 28,288 pruned nodes, where one rounded
+    product alpha n per member erred by 5.0e-13, and 100 members just below
+    2^26 by 1.6e-15 against 3.5e-9.  Refused with BudgetError unless
+    max|n| <= 2^26, which keeps |o h| <= 2^52 and so exact."""
     top = max((abs(int(m)) for m in sample.members), default=0)
     if top > PHASE_INTEGER_LIMIT:
         raise BudgetError(
             f"a sample member of {top.bit_length()} bits exceeds 2^26 for a float phase grid"
         )
-    members = np.asarray(sample.members, dtype=np.float64)
-    theta = np.angle(sample.coefficients()) / (2 * np.pi)
     alphas = np.asarray(alphas, dtype=np.float64)
+    if not sample.size:
+        return np.zeros(len(alphas), dtype=complex)
+    members = np.array(sample.members, dtype=np.int64)
+    origin = int(members.min())
+    # e(-o alpha) for every node, in place in out: its real and imaginary
+    # parts hold h and l, and fmod by 1 is exact
     out = np.empty(len(alphas), dtype=complex)
+    high, low = out.real, out.imag
+    np.fmod(alphas, 1.0, out=low)
+    low *= 2.0**26
+    np.rint(low, out=high)
+    low -= high
+    high *= origin * 2.0**-26
+    np.fmod(high, 1.0, out=high)
+    low *= origin * 2.0**-26
+    low += high
+    np.fmod(low, 1.0, out=low)
+    _unit_exp(low, out)
+    offsets = members - origin
+    bits = max(1, int(offsets.max()).bit_length())
+    levels = -(-bits // DIGIT_BITS)
+    width = -(-bits // levels)
+    size, count = 1 << width, len(members)
+    # the tables stack as (digit, level, node): level k's entry for digit d
+    # is row d * levels + k of the stack flattened to two axes
+    rows_at = [(offsets >> (width * k) & (size - 1)) * levels + k for k in range(levels)]
+    scales = np.array([2.0 ** (width * k) for k in range(levels)])[:, None]
+    eta = None if sample.eta is None else np.exp(1j * np.angle(sample.coefficients()))[:, None]
+    step = max(1, min(len(alphas), PHASE_BLOCK // (size * levels + 2 * count)))
+    # per node: the tables, the terms, one gathered level, beta and a spare
+    shapes = (((size, levels), complex), ((count,), complex), ((count,), complex),
+              ((2, levels), np.float64))
 
-    def fill(lo, hi):
-        cycles = np.outer(alphas[lo:hi], -members)
-        cycles -= np.rint(cycles)
-        cycles += theta
-        phases = np.multiply(cycles, 2j * np.pi)
-        out[lo:hi] = np.exp(phases, out=phases).sum(axis=1)
+    def scratch():
+        return [np.empty(math.prod(shape) * step, dtype=kind) for shape, kind in shapes]
 
-    workers.blocks(fill, len(alphas), max(1, PHASE_BLOCK // max(1, len(members))))
+    def fill(lo, hi, buffers):
+        b = hi - lo
+        table, terms, gathered, (beta, spare) = (
+            buffer[: math.prod(shape) * b].reshape(*shape, b)
+            for buffer, (shape, _) in zip(buffers, shapes)
+        )
+        old = np.setbufsize(ADD_BUFSIZE)  # the broadcast products buffer at most 4 KiB
+        try:
+            np.multiply(alphas[lo:hi], scales, out=beta)  # exact
+            beta -= np.rint(beta, out=spare)
+            table[0] = 1.0
+            _unit_exp(beta, table[1])
+            m = 1
+            while m < size - 1:
+                end = min(2 * m + 1, size)
+                np.multiply(table[1 : end - m], table[m], out=table[m + 1 : end])
+                m *= 2
+            flat = table.reshape(size * levels, b)
+            np.take(flat, rows_at[0], axis=0, out=terms if eta is None else gathered, mode="clip")
+            if eta is not None:
+                np.multiply(gathered, eta, out=terms)
+            for k in range(1, levels):
+                np.take(flat, rows_at[k], axis=0, out=gathered, mode="clip")
+                terms *= gathered  # two members or more: never one number in place
+            n = count
+            while n > 1:
+                half = n // 2
+                terms[:half] += terms[n - half : n]
+                n -= half
+            # into a row of its own: numpy multiplies a single complex number
+            # in place by its scalar loop, whose last bits differ from its
+            # vector loop's, and a block may be one node
+            np.multiply(out[lo:hi], terms[0], out=gathered[0])
+            out[lo:hi] = gathered[0]
+        finally:
+            np.setbufsize(old)
+
+    workers.blocks(fill, len(alphas), step, scratch)
     return out

@@ -63,18 +63,21 @@ def run(calls) -> list:
     return [got[0], *(r.result() if r is f else r for r, f in zip(got[1:], futures))]
 
 
-def blocks(fill, n: int, step: int) -> None:
+def blocks(fill, n: int, step: int, scratch=None) -> None:
     """fill(lo, hi) for every block [lo, hi) of `step` rows that covers range(n)
     (the last may be shorter), the blocks handed to `run` as contiguous runs,
-    one per worker.  The blocks depend only on n and step, never on WORKERS."""
+    one per worker.  The blocks depend only on n and step, never on WORKERS.
+    With `scratch`, each run calls scratch() once, on its own thread, and
+    passes the result to each of its blocks as fill(lo, hi, buffers)."""
     edges = [*range(0, n, step), n]
     count = len(edges) - 1
     parts = min(WORKERS, count)
 
     def part(i):
         def call():
+            extra = () if scratch is None else (scratch(),)
             for j in range(count * i // parts, count * (i + 1) // parts):
-                fill(edges[j], edges[j + 1])
+                fill(edges[j], edges[j + 1], *extra)
         return call
 
     run(part(i) for i in range(parts))

@@ -37,6 +37,8 @@ from circleforge.powersums import leading_constant
 from oracles import (
     dissect_midpoints,
     exceptional_sum_direct,
+    exceptional_sum_exact_phases,
+    exceptional_sum_float_phases,
     least_peak_arc_scan,
     quad_nodes_per_segment,
     two_density_two_calls,
@@ -252,10 +254,23 @@ def test_exceptional_sum_grid_phase_guard():
             exceptional_sum_grid(ExceptionalSample(members=(3, member)), alphas)
 
 
+def _k_bound(members):
+    """The stated bound on K's error over these members,
+    (10 L (2^w - 1) + 2.3 L + 31 + 1.5 ceil(log2 Z)) u Z for L digit levels of
+    w bits over their span, plus 8 u Z for the exact-phase oracle's rounding."""
+    bits = max(1, (max(members) - min(members)).bit_length())
+    levels = -(-bits // arcs.DIGIT_BITS)
+    width = -(-bits // levels)
+    size = len(members)
+    terms = 10 * levels * (2**width - 1) + 2.3 * levels + 39 + 1.5 * math.ceil(math.log2(size))
+    return terms * 2.0**-53 * size
+
+
 def test_exceptional_sum_grid_phases_at_the_member_limit():
     # a member just below 2^26 over 40,000 float alphas, against e(-alpha n)
-    # from the exact rational alpha n mod 1: with the nearest integer taken off
-    # before the product by 2 pi, every value is within the stated 5e-8
+    # from the exact rational alpha n mod 1: no product alpha n is rounded, so
+    # every value is within the stated bound, where the float-phase formula's
+    # rounded products (up to 2^-28 cycles) miss it by far
     n = 2**26 - 3
     rng = np.random.default_rng(26)
     alphas = np.concatenate([rng.random(30000), 1.0 - rng.random(10000) * 2.0**-20])
@@ -263,13 +278,48 @@ def test_exceptional_sum_grid_phases_at_the_member_limit():
     frac = [(int(a * scale) * n) % scale / scale for a in alphas]
     expect = np.exp(-2j * np.pi * np.array(frac))
     got = exceptional_sum_grid(ExceptionalSample(members=(n,)), alphas)
-    assert np.abs(got - expect).max() < 5e-8
+    assert np.abs(got - expect).max() <= _k_bound((n,))
+    assert np.abs(exceptional_sum_float_phases((n,), alphas) - expect).max() > 1e-9
+
+
+def _edge_samples(rng):
+    """Samples at every digit-level edge of the span (0, 2^r - 1, 2^r, ... for
+    r = DIGIT_BITS, and 2^7 - 1, 2^7, 2^14, 2^26), of 1, 2, 3 and 100 members
+    in shuffled order and anywhere in [-2^26, 2^26], and with members at
+    +-(2^26 - 3) and below 0."""
+    r = arcs.DIGIT_BITS
+    spans = {0, 2**7 - 1, 2**7, 2**14, 2**26}
+    spans |= {2 ** (r * k) + e for k in range(1, 26 // r + 1) for e in (-1, 0)}
+    member_sets = [(-(2**26 - 3), 2**26 - 3), (-(2**26 - 3), -5, 7, 2**26 - 3),
+                   tuple(int(v) for v in rng.choice(np.arange(-(10**4), 0), 100, replace=False))]
+    for span in sorted(spans):
+        low = int(rng.integers(-(2**26), 2**26 - span + 1))
+        for size in (1,) if span == 0 else (2, 3, 100):
+            inner = set()
+            while len(inner) < min(size, span + 1) - 2:
+                inner.add(low + int(rng.integers(1, span)))
+            members = [low, *inner, low + span][:size]
+            member_sets.append(tuple(int(v) for v in rng.permutation(members)))
+    for members in member_sets:
+        yield ExceptionalSample(members)
+        yield ExceptionalSample(members, tuple(np.exp(2j * np.pi * rng.random(len(members)))))
+
+
+def test_exceptional_sum_grid_within_its_bound_at_the_digit_edges():
+    rng = np.random.default_rng(33)
+    alphas = np.concatenate([[0.0, 3 * 2.0**-60, 1e-7, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0],
+                             rng.random(60)])
+    for sample in _edge_samples(rng):
+        expect = exceptional_sum_exact_phases(sample.members, alphas, sample.eta)
+        got = exceptional_sum_grid(sample, alphas)
+        assert np.abs(got - expect).max() <= _k_bound(sample.members), sample.members
 
 
 def test_phase_kernels_independent_of_block_size(monkeypatch):
     # blocks down to one phase leave every row's bits as the same reduction
     # over the whole matrix gives them, for samples of 1, 2, 3 and 100 members
-    # with and without coefficients
+    # with and without coefficients; K is within its stated bound of exact
+    # rational phases
     rng = np.random.default_rng(10)
     samples = []
     for size in (1, 2, 3, 100):
@@ -289,10 +339,8 @@ def test_phase_kernels_independent_of_block_size(monkeypatch):
                             weyl_sum_grid(3, 21, x).tobytes()])
         assert all(result == results[0] for result in results)
         for sample, got in zip(samples, results[0]):
-            theta = np.angle(sample.coefficients()) / (2 * np.pi)
-            cycles = np.outer(x, -np.array(sample.members, dtype=float))
-            cycles = cycles - np.rint(cycles) + theta
-            assert got == np.exp(np.multiply(cycles, 2j * np.pi)).sum(axis=1).tobytes()
+            expect = exceptional_sum_exact_phases(sample.members, x, sample.eta)
+            assert np.abs(np.frombuffer(got, dtype=complex) - expect).max() <= _k_bound(sample.members)
 
 
 SMALL_INTEGRALS = (

@@ -194,7 +194,7 @@ def _arc_kernels():
     # offsets of up to 200 cycles, over a quarter of them on the series side of z = 8
     betas = rng.random(150_001) ** 4 * 2e-4
     return (
-        arcs.exceptional_sum_grid(_bench_sample(1), alphas),  # 31 blocks of 654 rows
+        arcs.exceptional_sum_grid(_bench_sample(1), alphas),  # 91 blocks of 221 rows
         arcints.weyl_sum_grid(2, 100, rng.random(100_001)),  # 5 blocks of 21,845 columns
         arcints.weyl_sum_grid(6, 4, alphas),  # 3 blocks of 9,362 columns
         arcs.weyl_integral_batch(2, 1000, betas),  # 3 blocks of 65,536 offsets
@@ -511,6 +511,53 @@ def test_blocks_cut_independent_of_worker_count(count):
             seen = []
             workers.blocks(lambda lo, hi: seen.append((lo, hi)), n, step)
             assert sorted(seen) == expect
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_exceptional_sum_grid_peak_memory(count):
+    # K at the benchmark's size: 100 members over the pruned integral's nodes
+    # at both densities.  With its phase matrix in blocks of PHASE_BLOCK
+    # phases, tracemalloc saw peaks of 2,162,084, 3,868,908 and 5,442,804
+    # bytes at 1, 2 and 3 workers; the phase tables hold the output and one
+    # scratch of at most PHASE_BLOCK complex entries per worker
+    segments = arcints._annulus(16, 10**4)[1]
+    nodes = np.concatenate([arcints._quad_nodes(segments, f * 10**4)[0] for f in (10, 20)])
+    sample = _bench_sample(2)
+    with worker_count(count):
+        arcs.exceptional_sum_grid(sample, nodes)  # the pool is started
+        tracemalloc.start()
+        try:
+            arcs.exceptional_sum_grid(sample, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= {1: 2_162_084, 2: 3_868_908, 3: 5_442_804}[count]
+    assert peak <= 16 * len(nodes) + count * (16 * arcs.PHASE_BLOCK + 2**15)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_blocks_make_one_scratch_per_run(count):
+    # each run of blocks calls scratch() once, on the thread that fills them,
+    # and passes the same object to each of its blocks
+    made, filled = {}, []
+
+    def scratch():
+        token = object()
+        made[token] = threading.get_ident()
+        return token
+
+    def fill(lo, hi, token):
+        filled.append((lo, hi, token, threading.get_ident()))
+
+    with worker_count(count):
+        workers.blocks(fill, 1000, 6, scratch)
+    assert len(made) == count
+    assert sorted((lo, hi) for lo, hi, _, _ in filled) == [
+        (lo, min(lo + 6, 1000)) for lo in range(0, 1000, 6)]
+    for lo, hi, token, thread in filled:
+        assert made[token] == thread
+    runs = [sorted(lo for lo, _, t, _ in filled if t is token) for token in made]
+    assert all(run == list(range(run[0], run[-1] + 1, 6)) for run in runs)
 
 
 @pytest.mark.parametrize("count", [1, 2])
