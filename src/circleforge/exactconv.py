@@ -80,9 +80,10 @@ def _eval_mod(arrays, r: np.ndarray, p: int, block: int):
         folded = padded[:, : x.shape[1]]
         if x.dtype.itemsize < 8:
             np.copyto(folded, x)
-        else:
+        else:  # (x & p) + (x >> 31) = x - p (x >> 31), with no temporary
             np.right_shift(x, 31, out=folded)
-            folded += x & p
+            folded *= -p
+            folded += x
         split = padded.reshape(-1, block) @ halves
         sums = (split[:, :k] % p + (split[:, k:] % p << 16)) % p
         yield (sums.reshape(len(x), blocks, k) * outer[:blocks] % p).sum(axis=1) % p
@@ -181,29 +182,50 @@ def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rounding = norms * 2.0**-53 * _ROUNDING_CONSTANT * math.log2(n)
     if rounding >= 0.5:
         raise BudgetError(f"FFT rounding error may reach {rounding:.3g}, not below 1/2")
-    # piece by piece, h columns are cast into `piece`, convolved at length n,
-    # rounded and added into c at their offset: the rounding bound holds per
-    # piece, whose norm is at most its row's, and sums of exact integers below
-    # 2^53 stay exact.  c is made after the first inverse, so with one piece
-    # it never sits beside a transform's scratch; the first piece is cast
-    # straight into c, and only the columns past it are zeroed.
-    fb, spectrum = (np.empty((k, n // 2 + 1), dtype=complex) for k in (1, len(rows)))
-    piece = np.empty((len(rows), n))
-    np.copyto(piece[:1, : len(b)], b)
-    np.fft.rfft(piece[:1, : len(b)], n, axis=1, out=fb)
-    for lo in range(0, rows.shape[1], h):
-        w, hi = min(h, rows.shape[1] - lo), min(n_out, lo + n)
-        np.copyto(piece[:, :w], rows[:, lo : lo + w])
-        np.fft.rfft(piece[:, :w], n, axis=1, out=spectrum)
-        spectrum *= fb
-        piece = np.rint(np.fft.irfft(spectrum, n, axis=1, out=piece), out=piece)
-        if lo:
-            np.add(c[:, lo:hi], piece[:, : hi - lo], out=c[:, lo:hi], casting="unsafe")
-        else:
-            c = np.empty((len(rows), n_out), dtype=np.int64)
-            np.copyto(c[:, :hi], piece[:, :hi], casting="unsafe")
-            c[:, hi:] = 0
-    del fb, spectrum, piece
+    if h == rows.shape[1]:
+        # one piece: b and the rows are transformed straight into the two
+        # spectra, and the inverse is written over b's spectrum, free after
+        # the product, seen as rows of 2 (n // 2 + 1) floats.  Those are
+        # rounded and cast to int64 in place, on one contiguous 1-D view
+        # (where numpy's cast reads each entry before it writes it), so no
+        # third buffer of the output's size is made.
+        fb, spectrum = (np.empty((len(rows), n // 2 + 1), dtype=complex) for _ in range(2))
+        np.fft.rfft(b, n, out=fb[0])
+        np.fft.rfft(rows, n, axis=1, out=spectrum)
+        spectrum *= fb[:1]
+        flat = fb.view(np.float64)
+        np.fft.irfft(spectrum, n, axis=1, out=flat[:, :n])
+        del spectrum
+        flat[:, n:] = 0
+        flat = flat.reshape(-1)
+        np.rint(flat, out=flat)
+        c = flat.view(np.int64)
+        np.copyto(c, flat, casting="unsafe")
+        c = c.reshape(len(rows), -1)[:, :n_out]
+        del fb
+    else:
+        # piece by piece, h columns are cast into `piece`, convolved at length
+        # n, rounded and added into c at their offset: the rounding bound
+        # holds per piece, whose norm is at most its row's, and sums of exact
+        # integers below 2^53 stay exact.  The first piece is cast straight
+        # into c, and only the columns past it are zeroed.
+        fb, spectrum = (np.empty((k, n // 2 + 1), dtype=complex) for k in (1, len(rows)))
+        piece = np.empty((len(rows), n))
+        np.copyto(piece[:1, : len(b)], b)
+        np.fft.rfft(piece[:1, : len(b)], n, axis=1, out=fb)
+        for lo in range(0, rows.shape[1], h):
+            w, hi = min(h, rows.shape[1] - lo), min(n_out, lo + n)
+            np.copyto(piece[:, :w], rows[:, lo : lo + w])
+            np.fft.rfft(piece[:, :w], n, axis=1, out=spectrum)
+            spectrum *= fb
+            piece = np.rint(np.fft.irfft(spectrum, n, axis=1, out=piece), out=piece)
+            if lo:
+                np.add(c[:, lo:hi], piece[:, : hi - lo], out=c[:, lo:hi], casting="unsafe")
+            else:
+                c = np.empty((len(rows), n_out), dtype=np.int64)
+                np.copyto(c[:, :hi], piece[:, :hi], casting="unsafe")
+                c[:, hi:] = 0
+        del fb, spectrum, piece
 
     p, block = _CERT_PRIME, _block_size(n_out)
     r = np.random.default_rng().integers(1, p, _CERT_POINTS)

@@ -1,12 +1,13 @@
 """Exact integer helpers: k-th roots, trial-division factorisation, and the
 enumerators of pair sums and differences, `pair_reduce`, and of quadruple
-sums, `quad_reduce`.  Each writes a lattice as packed int64 keys (the calling
-thread writes the pair bands; each worker writes its own share of the
-quadruple blocks), and workers sort them and reduce them with `key_runs` to
-runs of equal value, in chunks that end at run starts.  `key_runs` finds run
-starts in one comparison per chunk and, where few keys repeat a value, folds
-only the repeated keys.  The key format stays in this module: callers see
-only (values, sums) runs."""
+sums, `quad_reduce`.  Each cuts its lattice into value windows of about
+WINDOW_KEYS packed int64 keys, with every window's bounds and every row's
+cells per window found in one pass in exact integers; each worker writes,
+sorts and reduces one window at a time with `key_runs` to runs of equal
+value, in chunks that end at run starts, so no call holds a whole lattice.
+`key_runs` finds run starts in one comparison per chunk and, where few keys
+repeat a value, folds only the repeated keys.  The key format stays in this
+module: callers see only (values, sums) runs."""
 
 import math
 from numbers import Integral
@@ -71,9 +72,17 @@ def factorize(n: int) -> list[tuple[int, int]]:
 # setting is per thread, so each caller sets it and restores it after.
 ADD_BUFSIZE = 256
 
-# keys per run-reduction chunk, whose temporaries stay at a few MiB beside the
-# full key array, and per worker at least in a lattice cut into value bands
-PAIR_CHUNK = 1 << 18
+# keys per run-reduction chunk and per fill chunk of a value window, whose
+# temporaries stay a few hundred KiB per worker; a lattice of fewer keys per
+# worker is one window, on the calling thread
+PAIR_CHUNK = 1 << 16
+
+# keys per value window of a lattice, at most on average: each worker writes,
+# sorts and reduces one window (up to 8 MiB of keys) at a time in one buffer
+WINDOW_KEYS = 1 << 20
+
+# sampled cells per window; the window bounds are quantiles of the sample
+_SAMPLE_PER_WINDOW = 1 << 11
 
 
 def powers(k: int, P: int) -> np.ndarray:
@@ -84,9 +93,9 @@ def powers(k: int, P: int) -> np.ndarray:
 
 
 def pair_reduce(fn, a: np.ndarray, sign: int = 1, weights=None, limit: int | None = None) -> list:
-    """[fn(runs) for each value band] over the pair lattice of a strictly
-    increasing int64 a, the bands in increasing order of value, where runs
-    yields (values, sums) as key_runs does: each distinct value of the band
+    """[fn(runs) for each value window] over the pair lattice of a strictly
+    increasing int64 a, the windows in increasing order of value, where runs
+    yields (values, sums) as key_runs does: each distinct value of the window
     once, in increasing order, with the sum of its weights.
 
     sign=1 takes the triangle a[i] + a[j], i <= j, with weight w[i] w[j]
@@ -97,81 +106,51 @@ def pair_reduce(fn, a: np.ndarray, sign: int = 1, weights=None, limit: int | Non
     excluded pair can wrap into range.  Raises BudgetError if a key could
     pass int64.
 
-    The lattice is cut into value bands, one per worker, or one band on the
-    calling thread below PAIR_CHUNK keys per worker: each band's cells are
-    found per row in exact integers, as the limit is, so its size is known
-    before any key is built.  Each band is written row by row into its own
-    slice of one array of packed keys (value << bits) | (weight - 1), and each
-    worker sorts and reduces one slice; the bands are value-disjoint, so no
-    run of equal values crosses two of them.
+    Each row holds cells of increasing value, as _windows needs: for sign=1
+    row i holds the cells j > i and a second row the diagonal j = i; for
+    sign=-1 row i holds the cells j < i from the largest j down, read from
+    the reversed source -a[::-1].  A key is (value << bits) | (weight - 1).
     """
     n = len(a)
     w = np.ones(n, dtype=np.int64) if weights is None else np.asarray(weights, dtype=np.int64)
     first, last = (int(a[0]), int(a[-1])) if n else (0, 0)
     low, high = (2 * first, 2 * last) if sign == 1 else (1, last - first)
     high = high if limit is None else min(high, limit)
-    rows, exact = np.arange(n), a.astype(object)
-
-    def edge(bound, values=exact):
-        """Per row, the column where the cells of value <= bound end (sign=1)
-        or begin (sign=-1): exact for the object array of a, an estimate for
-        its floats."""
-        if sign == 1:
-            return np.maximum(rows, np.searchsorted(values, bound - values, "right"))
-        return np.minimum(rows, np.searchsorted(values, values - bound, "left"))
-
-    top = edge(high)
-    total = int(np.abs(top - rows).sum())
     double = 2 if sign == 1 else 1  # the triangle stands for both ordered pairs
     w_top = double * int(w.max(initial=1)) ** 2
+    # a row's cell of value <= bound is a source value <= bound - row value;
+    # the bounds, those needles and -a are int64 unless a spans nearly all of
+    # it, and then the values are held as Python ints
+    wide = first == -(2**63) or not (-(2**63) <= min(low, high) - last
+                                     and max(high, high - first) < 2**63)
+    exact = a.astype(object) if wide else a
+    i = np.arange(n)
+    if sign == 1:
+        row_a, source_a = np.concatenate([exact, exact]), exact
+        row_lo, row_hi = np.concatenate([i + 1, i]), np.concatenate([np.full(n, n), i + 1])
+    else:
+        row_a, source_a, row_lo, row_hi = exact, -exact[::-1], n - i, np.full(n, n)
+
+    def edge(bounds):
+        """Per bound and row, the end of the row's cells of value <= bound."""
+        needles = np.array(bounds, dtype=row_a.dtype)[:, None] - row_a
+        return np.clip(source_a.searchsorted(needles, "right"), row_lo, row_hi)
+
+    top = edge([high])[0]
+    total = int((top - row_lo).sum())
     bits = _key_bits("pair", low, high, w_top) if total else (w_top - 1).bit_length()
-
-    # band b holds the values in (bounds[b - 1], bounds[b]]; each bound is the
-    # least value whose float count estimate reaches b / parts of the lattice
-    parts = workers.WORKERS if total >= PAIR_CHUNK * workers.WORKERS else 1
-    floats, bounds = a.astype(np.float64), [low]
-    for b in range(1, parts):
-        lo, hi = bounds[-1], high
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if parts * int(np.abs(edge(mid, floats) - rows).sum()) < b * total:
-                lo = mid + 1
-            else:
-                hi = mid
-        bounds.append(lo)
-    edges = [rows, *(edge(v) for v in bounds[1:]), top]
-    # row i of a band keeps the columns [start[i], stop[i])
-    bands = [(e0, e1) if sign == 1 else (e1, e0) for e0, e1 in zip(edges, edges[1:])]
-    ends = np.cumsum([int((stop - start).sum()) for start, stop in bands])
-
-    # key = (a[i] << bits) +- (a[j] << bits) + weight - 1, computed only for
-    # the cells of a row's range, so every sum is a key that fits; unit
-    # weights fold into the row term
+    # key = (a[i] << bits) +- (a[j] << bits) + weight - 1, the row term and
+    # the source term each wrapping alike in int64, so every key that fits
+    # is exact; unit weights fold into the row term
     shifted = a << bits
-    head = shifted + (double - 1 if weights is None else -1)
-    op = np.add if sign == 1 else np.subtract
-
-    # the bands are written in turn on this thread: a row is one short ufunc
-    # call, and two threads would pass the GIL back and forth between them;
-    # each sort releases it for its whole length
-    keys = np.empty(int(ends[-1]), dtype=np.int64)
-    pos = 0
-    for start, stop in bands:
-        for i in np.flatnonzero(stop > start).tolist():
-            s, e = int(start[i]), int(stop[i])
-            row = keys[pos : pos + e - s]
-            op(head[i], shifted[s:e], out=row)
-            if weights is not None:
-                row += double * w[i] * w[s:e]
-            if sign == 1 and s == i:
-                row[0] -= w[i] ** 2
-            pos += e - s
-
-    def reduce_band(band):
-        band.sort()
-        return fn(key_runs(band, bits))
-
-    return workers.run(lambda band=band: reduce_band(band) for band in np.split(keys, ends[:-1]))
+    if sign == 1:
+        head = np.concatenate([shifted + (weights is None), shifted])
+        product = (np.concatenate([double * w, w]), w)
+    else:
+        head, product = shifted, (w, w[::-1])
+        shifted = np.negative(shifted[::-1])
+    return _windows(fn, bits, head, shifted, row_lo, top, edge,
+                    None if weights is None else product)
 
 
 def _key_bits(what: str, low: int, high: int, w_top: int) -> int:
@@ -184,82 +163,164 @@ def _key_bits(what: str, low: int, high: int, w_top: int) -> int:
     return bits
 
 
+def _ragged(lo: np.ndarray, counts: np.ndarray, step: int = 1) -> np.ndarray:
+    """The positions lo[r] + step * t, t < counts[r], row after row."""
+    starts = np.cumsum(counts) - counts
+    cells = np.repeat(lo - step * starts, counts)
+    cells += np.arange(0, step * len(cells), step)
+    return cells
+
+
+def _cells(keys, head, source, lo, hi, product=None) -> np.ndarray:
+    """keys[:size] := the keys head[r] + source[k], k in [lo[r], hi[r]), row
+    after row, plus scale[r] * factor[k] - 1 with product = (scale, factor).
+    They are written in runs of rows of about PAIR_CHUNK cells, so the index
+    temporaries stay small whatever the window's size."""
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    keys = keys[: int(ends[-1]) if len(ends) else 0]
+    cuts = np.searchsorted(ends, np.arange(PAIR_CHUNK, len(keys), PAIR_CHUNK)) + 1
+    for r0, r1 in zip([0, *cuts.tolist()], [*cuts.tolist(), len(counts)]):
+        if r0 >= r1:
+            continue
+        out = keys[ends[r0] - counts[r0] : ends[r1 - 1]]
+        cells = _ragged(lo[r0:r1], counts[r0:r1])
+        np.take(source, cells, out=out, mode="clip")
+        out += np.repeat(head[r0:r1], counts[r0:r1])
+        if product is not None:
+            scale, factor = product
+            out += np.repeat(scale[r0:r1], counts[r0:r1]) * factor[cells] - 1
+    return keys
+
+
+def _sample_bounds(bits: int, head, source, row_lo, row_hi, parts: int) -> list:
+    """The distinct values at the w / parts quantiles, 0 < w < parts, of every
+    step-th cell of every step-th row, about _SAMPLE_PER_WINDOW cells per
+    part."""
+    step = max(1, math.isqrt(int((row_hi - row_lo).sum()) // (_SAMPLE_PER_WINDOW * parts)))
+    rows = np.arange(0, len(head), step)
+    counts = np.maximum(0, -(-(row_hi[rows] - row_lo[rows]) // step))
+    sample = source[_ragged(row_lo[rows], counts, step)]
+    sample += np.repeat(head[rows], counts)
+    sample >>= bits
+    sample.sort()
+    return np.unique(sample[len(sample) * np.arange(1, parts) // parts]).tolist()
+
+
+def _windows(fn, bits: int, head, source, row_lo, row_hi, edge, product=None) -> list:
+    """[fn(key_runs(keys, bits)) for each value window] of a lattice whose row
+    r holds the keys head[r] + source[k], k in [row_lo[r], row_hi[r]) (with
+    product, as _cells adds it), in increasing order of value (key >> bits).
+
+    The windows are the value ranges (b[w], b[w + 1]]: one window below
+    PAIR_CHUNK keys per worker, else the least multiple of WORKERS windows of
+    at most WINDOW_KEYS keys each on average.  Their bounds are the quantiles
+    of a strided sample of the cells, and edge(bounds), an array of one row
+    per bound, gives each row's end of its cells of value <= each bound.  So
+    all window bounds and every row's cells per window come from one pass in
+    exact integers, and each window's size is known before its keys are
+    built.  Each worker writes, sorts and reduces a contiguous run of
+    windows, one at a time; the windows are value-disjoint, so no run of
+    equal values crosses two of them.
+    """
+    total, count = int((row_hi - row_lo).sum()), workers.WORKERS
+    parts = 1 if total < PAIR_CHUNK * count else count * -(-total // (count * WINDOW_KEYS))
+    bounds = _sample_bounds(bits, head, source, row_lo, row_hi, parts) if parts > 1 else []
+    edges = [row_lo, *edge(bounds), row_hi] if bounds else [row_lo, row_hi]
+    results = [None] * (len(edges) - 1)
+    sizes = [int((hi - lo).sum()) for lo, hi in zip(edges, edges[1:])]
+
+    def window(w, _, keys):
+        keys = _cells(keys, head, source, edges[w], edges[w + 1], product)
+        keys.sort()
+        results[w] = fn(key_runs(keys, bits))
+
+    # one key buffer per worker, for each of its windows in turn
+    workers.blocks(window, len(results), 1, lambda: np.empty(max(sizes), dtype=np.int64))
+    return results
+
+
 # weight - 1 of a sorted quadruple y1 <= y2 <= y3 <= y4, indexed by the
 # equalities [y1 = y2][y2 = y3][y3 = y4]: its number of orderings,
 # 24 / prod(m!) over the multiplicities m, is 24, 12, 6 (two pairs), 4 or 1
 _QUAD_CODE = np.array([[[23, 11], [11, 3]], [[11, 5], [3, 0]]], dtype=np.int64)
 
 
+def _quad_source(a: np.ndarray, bits: int):
+    """(source, start, size): segment j, at start[j] of length size[j], holds
+    the keys ((a[c] + a[d]) << bits) + code of the pairs j <= c <= d, sorted,
+    each code the weight - 1 of a quadruple with y1 < y2, y2 = y3 as c = j
+    and y3 = y4 as c = d; the second half of source repeats the segments,
+    coded for y1 = y2."""
+    n = len(a)
+    c, d = np.triu_indices(n)
+    sums = a[c] + a[d]
+    order = np.argsort(sums)
+    c, e3, keyed = c[order], (c == d)[order], sums[order] << bits
+    code = _QUAD_CODE.reshape(2, 4)  # by [y1 = y2][2 [y2 = y3] + [y3 = y4]]
+    size = (n - np.arange(n)) * (n - np.arange(n) + 1) // 2
+    start = np.cumsum(size) - size
+    half = int(size.sum())
+    source = np.empty(2 * half, dtype=np.int64)
+    for j in range(n):
+        kept = np.flatnonzero(c >= j)
+        pair_code = 2 * (c[kept] == j) + e3[kept]
+        for copy, codes in enumerate(code):
+            at = copy * half + start[j]
+            np.add(keyed[kept], codes[pair_code], out=source[at : at + size[j]])
+    return source, start, size
+
+
 def quad_reduce(fn, a: np.ndarray) -> list:
-    """[fn(runs) for each value part] over the sums a[i] + a[j] + a[k] + a[l]
-    of a strictly increasing int64 a, the parts in increasing order of value,
-    where runs yields (values, sums) as key_runs does: each distinct value
-    once, with its number of ordered quadruples.  Raises BudgetError if a key
-    could pass int64.
+    """[fn(runs) for each value window] over the sums a[i] + a[j] + a[k] +
+    a[l] of a strictly increasing int64 a, the windows in increasing order of
+    value, where runs yields (values, sums) as key_runs does: each distinct
+    value once, with its number of ordered quadruples.  Raises BudgetError if
+    a key could pass int64.
 
-    Each sorted quadruple i <= j <= k <= l is one key (value << 5) | (weight -
+    Each sorted quadruple i <= j <= c <= d is one key (value << 5) | (weight -
     1), its weight its number of orderings, so n values give C(n + 3, 4) keys,
-    a third of the pairs of pair sums at large n.  With the pairs (c, d),
-    c <= d, in lexicographic order, the second pairs (k, l) of the first pairs
-    (i, j) are the suffix of pairs with c >= j, so the keys of each j are one
-    broadcast add, its cells cut by y1 = y2 (the last row) and y2 = y3 (the
-    leading second pairs (j, d)).
-
-    At PAIR_CHUNK keys per worker or more, each worker writes the blocks of
-    one contiguous share of the j, about an equal share of the keys, into
-    the one key array; the array is then partitioned in place at
-    equal-count cuts and each band sorted on its own worker, so no second
-    key array is allocated; the sorted array is then reduced in
-    value-disjoint parts, each cut at a run start, one per worker.
+    a third of the pairs of pair sums at large n.  Row (i, j), i <= j, holds
+    the second pairs (c, d), j <= c <= d, in increasing order of value: the
+    segment j of _quad_source, 2 C(n + 2, 3) keys for all rows, so one search
+    in segment j gives the end of the cells of value <= a bound of every row
+    (i, j), as _windows needs.
     """
     n = len(a)
     first, last = (int(a[0]), int(a[-1])) if n else (0, 0)
     bits = _key_bits("quadruple", 4 * first, 4 * last, 24)
-    shifted = a << bits
-    c, d = np.triu_indices(n)
-    pair, e3 = shifted[c] + shifted[d], (c == d).astype(np.intp)
-    # col[e1][e2]: each second pair's shifted sum plus the weight code of its
-    # quadruple when y1 = y2 is e1 and y2 = y3 is e2
-    col = [[pair + _QUAD_CODE[e1, e2][e3] for e2 in (0, 1)] for e1 in (0, 1)]
-    # the block of j holds (j + 1) rows of the n - j + 1 choose 2 second
-    # pairs with c >= j, and ends where the keys of j' <= j end
-    middle = np.arange(n, dtype=np.int64)
-    ends = np.cumsum((middle + 1) * (n - middle) * (n - middle + 1) // 2)
-    keys = np.empty(math.comb(n + 3, 4), dtype=np.int64)
+    source, start, size = _quad_source(a, bits)
+    # rows (i, j), i <= j, ordered by j, then i
+    jj, ii = np.tril_indices(n)
+    start, size = start[jj], size[jj]
+    row_lo = start + (ii == jj) * (len(source) // 2)
+    heads = a[ii] + a[jj]
 
-    def fill(lo, hi):
-        old = np.setbufsize(ADD_BUFSIZE)
-        try:
-            for j in range(lo, hi):
-                s, lead = j * n - j * (j - 1) // 2, n - j  # the pairs (j, d) start the suffix
-                block = keys[ends[j] - (j + 1) * (len(pair) - s) : ends[j]].reshape(j + 1, -1)
-                head = shifted[: j + 1, None] + shifted[j]
-                for e1, rows in ((0, slice(0, j)), (1, slice(j, j + 1))):
-                    np.add(head[rows], col[e1][1][s : s + lead], out=block[rows, :lead])
-                    np.add(head[rows], col[e1][0][s + lead :], out=block[rows, lead:])
-        finally:
-            np.setbufsize(old)
+    def edge(bounds):
+        """Per bound and row, the end of the row's cells of value <= bound:
+        the second pairs of value <= bound - a[i] - a[j], clipped to the
+        segment's values so the search key fits."""
+        out = np.empty((len(bounds), len(heads)), dtype=np.intp)
+        bounds = np.array(bounds, dtype=np.int64)[:, None]
+        for j in range(n):
+            rows = slice(j * (j + 1) // 2, (j + 1) * (j + 2) // 2)
+            segment = source[start[rows.start] : start[rows.start] + size[rows.start]]
+            rest = np.clip(bounds - heads[rows], 2 * first - 1, 2 * last)
+            out[:, rows] = segment.searchsorted((rest << bits) | ((1 << bits) - 1), "right")
+        out += row_lo
+        return out
 
-    # each worker fills one run of middle indices j holding about an equal
-    # share of the keys; a block's adds are long enough to release the GIL
-    bands = workers.WORKERS if len(keys) >= PAIR_CHUNK * workers.WORKERS else 1
-    cuts = [len(keys) * b // bands for b in range(1, bands)]
-    shares = [0, *np.searchsorted(ends, cuts).tolist(), n]
-    workers.run(lambda lo=lo, hi=hi: fill(lo, hi) for lo, hi in zip(shares, shares[1:]))
-    if cuts:
-        keys.partition(cuts)
-    workers.run(band.sort for band in np.split(keys, cuts))
-    parts = np.split(keys, np.searchsorted(keys, keys[cuts] >> bits << bits))  # at run starts
-    return workers.run(lambda part=part: fn(key_runs(part, bits)) for part in parts)
+    return _windows(fn, bits, heads << bits, source, row_lo, row_lo + size, edge)
 
 
 def key_runs(keys: np.ndarray, bits: int):
     """Yield (values, sums) over sorted packed keys, one chunk of about
     PAIR_CHUNK keys at a time: each distinct value once, in increasing order,
     with the sum of its weights (with bits = 0, plain sorted values and their
-    run lengths, where a chunk with no repeats yields a view of the keys as
-    its values).  Each chunk ends at the start of a run, so no run crosses
-    two chunks and no array of full length is built besides the keys.
+    run lengths).  Each chunk ends at the start of a run, so no run crosses
+    two chunks and no array of full length is built besides the keys.  The
+    arrays yielded are never views of the keys, so a caller may keep them
+    after the keys are written over.
 
     A key starts a run when it passes its predecessor with every weight bit
     set.  In a chunk where at most one key in 32 repeats a value (the moment
@@ -299,7 +360,7 @@ def key_runs(keys: np.ndarray, bits: int):
                 rep = np.flatnonzero(~first)
                 lead = np.flatnonzero(np.diff(rep, prepend=-2) != 1)
                 sums[rep[lead] - 1 - lead] += np.add.reduceat((chunk[rep] & mask) + 1, lead)
-        yield (runs >> bits if bits else runs), sums
+        yield (runs >> bits if bits else runs.copy() if runs is chunk else runs), sums
 
 
 def pair_values(a: np.ndarray, sign: int = 1, weights=None, limit: int | None = None):

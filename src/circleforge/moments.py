@@ -6,16 +6,17 @@ sixth-power spectrum, cube-difference multiplicities and shifted-cube
 correlations against an arbitrary shift set.  Each is a count of
 coincidences among sums or differences x^k +- y^k on a P^2 lattice, and each
 such lattice goes through the one pair enumerator ``intmath.pair_reduce``,
-which hands each value band's runs of equal value, (values, sums) one chunk
-at a time, to a reduction on the worker that sorted the band;
-``pair_values`` lays those runs end to end.  The eighth moment counts sums of
-four sixth powers through ``intmath.quad_reduce``, one key per sorted
+which hands each value window's runs of equal value, (values, sums) one
+chunk at a time, to a reduction on the worker that wrote and sorted the
+window; ``pair_values`` lays those runs end to end.  The eighth moment counts
+sums of four sixth powers through ``intmath.quad_reduce``, one key per sorted
 quadruple weighted by its number of orderings: a quadruple of distinct
 entries is one key, not one for each of its three splits into two pairs, so
-the keys are a third of the pairs of pair sums.  No packed key reaches this
-module.  The exception is the pair-collision count, whose sums pass 2^63 from
-P6 = 1449 on; it sorts exact two-word (hi, lo) keys and reads their runs as
-plain sorted values.
+the keys are a third of the pairs of pair sums.  Both cut their lattice into
+value windows of about ``intmath.WINDOW_KEYS`` keys, so no call holds a
+whole key array.  No packed key reaches this module.  The exception is the
+pair-collision count, whose sums pass 2^63 from P6 = 1449 on; it sorts exact
+two-word (hi, lo) keys and reads their runs as plain sorted values.
 """
 
 from dataclasses import dataclass
@@ -125,9 +126,11 @@ def sixth_power_eighth_moment(P6: int) -> MomentCount:
     """
     if P6 < 1:
         raise PreconditionError("bound P6 must be >= 1")
-    if P6 > 200:
-        raise BudgetError("eighth-moment budget is P6 <= 200")
-    # the P6 budget bounds the keys: C(203, 4) = 68,685,050 (550 MB)
+    if P6 > 300:
+        raise BudgetError("eighth-moment budget is P6 <= 300")
+    # the keys go through value windows, and the lattice holds 2 C(P6 + 2, 3)
+    # source keys (72 MB at 300): at P6 = 300, C(303, 4) = 349,707,150 keys
+    # in 334 windows, the CLI took 4.6-5.1 s and 254 MiB on a 2-core VM
     total = sum(quad_reduce(lambda runs: sum(int(c @ c) for _, c in runs), powers(6, P6)))
     return MomentCount(
         label="sixth_eighth_moment", parameters={"P6": P6}, count=total

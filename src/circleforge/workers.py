@@ -2,21 +2,25 @@
 
 WORKERS is the size of the process's CPU affinity mask, read once at import;
 nothing else sets it.  The pool is created on the first call that needs it and
-holds WORKERS - 1 threads.  One rule, in `run`, decides where a call runs: the
-calling thread runs the first call, then takes back and runs each call that no
-worker has started, and waits only on calls already running, so no caller, on
-the pool or off it, waits on queued work.  With one CPU every call runs
-inline, in order, and no thread is ever started.  The calls spend their time
+holds WORKERS - 1 threads that take calls off one queue.SimpleQueue (no
+concurrent.futures, whose import brings in logging).  One rule, in `run`,
+decides where a call runs: the calling thread runs the first call, then takes
+back and runs each call that no worker has started, and waits only on calls
+already running, so no caller, on the pool or off it, waits on queued work.
+With one CPU every call runs inline, in order, and no thread is ever
+started.  The calls spend their time
 in numpy kernels (sorts, ufuncs, FFTs) that release the GIL, and no result
 depends on WORKERS.
 
 `blocks` cuts n rows of work into fixed blocks, laid out by the row count and
 block size alone, and each worker fills one contiguous run of them.  It serves
 the arc quadrature's dense kernels and the counts, whose value windows of the
-cube/sixth spectrum and blocks of square-pair rows it hands out.
+cube/sixth spectrum and of the lattices, and blocks of square-pair rows, it
+hands out.
 """
 
 import os
+import queue
 import threading
 
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -25,15 +29,75 @@ _executor = None
 _lock = threading.Lock()
 
 
-def _pool():
-    global _executor
-    # imported on first use: concurrent.futures would add about 6 ms to
-    # every import of the package, pool or not
-    from concurrent.futures import ThreadPoolExecutor
+class _Call:
+    """A call queued on the pool, run by whichever thread claims it first: a
+    pool thread, or the thread that queued it, taking it back.  `done` is set
+    once it has run on the pool, or at once when it is taken back."""
 
+    def __init__(self, fn):
+        self.fn, self.done, self._claim = fn, threading.Event(), threading.Lock()
+        self._value = self._error = None
+
+    def take_back(self) -> bool:
+        """True if no pool thread has started the call, which is then the
+        caller's to run."""
+        if self._claim.acquire(blocking=False):
+            self.done.set()
+            return True
+        return False
+
+    def run(self) -> None:
+        """Run the call on a pool thread, unless it was taken back."""
+        if not self._claim.acquire(blocking=False):
+            return
+        try:
+            self._value = self.fn()
+        except BaseException as exc:
+            self._error = exc
+        finally:
+            self.done.set()
+
+    def result(self, timeout=None):
+        """The call's value, or its error raised, once it has run."""
+        if not self.done.wait(timeout):
+            raise TimeoutError("pool call still running")
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+class _Pool:
+    """WORKERS - 1 daemon threads that take calls off one queue."""
+
+    def __init__(self, size: int):
+        self._queue = queue.SimpleQueue()
+        self._threads = [threading.Thread(target=self._work, name=f"circleforge_{i}", daemon=True)
+                         for i in range(size)]
+        for thread in self._threads:
+            thread.start()
+
+    def _work(self):
+        while (call := self._queue.get()) is not None:
+            call.run()
+            del call  # an idle thread holds no call's closure or result
+
+    def submit(self, fn) -> _Call:
+        call = _Call(fn)
+        self._queue.put(call)
+        return call
+
+    def shutdown(self) -> None:
+        for _ in self._threads:
+            self._queue.put(None)
+        for thread in self._threads:
+            thread.join()
+
+
+def _pool() -> _Pool:
+    global _executor
     with _lock:
         if _executor is None:
-            _executor = ThreadPoolExecutor(WORKERS - 1, "circleforge")
+            _executor = _Pool(WORKERS - 1)
         return _executor
 
 
@@ -44,23 +108,18 @@ def run(calls) -> list:
     calls = list(calls)
     if WORKERS < 2 or len(calls) < 2:
         return [call() for call in calls]
-    from concurrent.futures import wait
-
-    futures = [_pool().submit(call) for call in calls[1:]]
-    got = []  # cancel() takes back only a call that no worker has started
+    queued = [_pool().submit(call) for call in calls[1:]]
     try:
-        got.append(calls[0]())
-        for call, future in zip(calls[1:], futures):
-            got.append(call() if future.cancel() else future)
+        got = [calls[0]()]
+        got += [call() if job.take_back() else job for call, job in zip(calls[1:], queued)]
     except BaseException:
-        for future in futures:
-            future.cancel()
+        for job in queued:
+            job.take_back()
         raise
     finally:
-        # wait counts a cancelled future as done only once a pool thread
-        # dequeues it, so it gets the running ones alone
-        wait([future for future in futures if not future.cancelled()])
-    return [got[0], *(r.result() if r is f else r for r, f in zip(got[1:], futures))]
+        for job in queued:  # set at once for a call taken back
+            job.done.wait()
+    return [got[0], *(r.result() if r is job else r for r, job in zip(got[1:], queued))]
 
 
 def blocks(fill, n: int, step: int, scratch=None) -> None:

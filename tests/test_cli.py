@@ -324,7 +324,7 @@ _BUDGET_PLUS_ONE = [
       "--trunc", "1001"), "precondition"),
     (("moments", "--moment", "pair-collisions", "--P", "3001"), "budget"),
     (("moments", "--moment", "cube-sixth", "--limit", str(10**8 + 1)), "budget"),
-    (("moments", "--moment", "eighth", "--P", "201"), "budget"),
+    (("moments", "--moment", "eighth", "--P", "301"), "budget"),
     (("moments", "--moment", "multiplicity", "--P", "10001"), "budget"),
     (("moments", "--moment", "shifted", "--P", "10001", "--limit", "100"), "budget"),
     (("moments", "--moment", "shifted", "--P", "10", "--limit", str(10**6),

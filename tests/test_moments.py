@@ -90,7 +90,7 @@ def test_eighth_moment_examples():
     for P6 in (3, 4, 6):
         assert sixth_power_eighth_moment(P6).count == eighth_moment_brute(P6)
     with pytest.raises(BudgetError):
-        sixth_power_eighth_moment(201)
+        sixth_power_eighth_moment(301)
 
 
 def test_eighth_moment_slopes():

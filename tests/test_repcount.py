@@ -127,6 +127,30 @@ def test_exact_convolve_small_shapes_match_numpy():
                         assert np.array_equal(got, np.convolve(row, b)), shape
 
 
+def test_one_piece_convolution_holds_two_spectra():
+    # the scan's count at X = 10^6, g (int16) with the square-pair spectrum,
+    # in one piece at length n = 2^21: only b's spectrum and the rows' are
+    # live, the inverse is rounded and cast to int64 inside b's, and each
+    # forward transform casts its input row to float64 on the way in.  With
+    # the staging buffers for the piece and the int64 output, and the
+    # certificate's fold through a temporary, tracemalloc saw 66,332,728
+    # bytes here
+    X, n = 10**6, 1 << 21
+    g = _cube_sixth_spectrum(iroot(X, 3), iroot(X, 6), X)
+    sq = pair_spectrum(2, iroot(X, 2)).counts[: X + 1].copy()
+    exact_convolve(g, sq)
+    tracemalloc.start()
+    try:
+        out = exact_convolve(g, sq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 16 * (n // 2 + 1) + 8 * (X + 1) + 2**16, peak
+    assert out.shape == (2 * X + 1,)
+    for m in (6, 777_777, X):
+        assert out[m] == rep_count_single(m)
+
+
 def test_exact_convolve_refuses_small_product_by_rounding_bound():
     # the values stay below 2^53 (2^52 at most), but the norms 2^26 * 2^26 give
     # a rounding bound of 16 at transform length 2: a small product is held to

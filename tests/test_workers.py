@@ -13,6 +13,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from circleforge.errors import BudgetError
 from circleforge.intmath import iroot, pair_reduce, pair_values, powers
 from circleforge.scan import PRE_ASYMPTOTIC_CUTOFF, PsiSpec, predict, scan
 
-from oracles import (concat_runs, eighth_moment_unique, pair_values_grid, rep_single_brute,
-                     scan_report_whole, series_batch_tiled)
+from oracles import (concat_runs, cube_multiplicity_brute, eighth_moment_unique, pair_values_grid,
+                     rep_single_brute, scan_report_whole, series_batch_tiled,
+                     shifted_correlation_brute)
 
 scanmod = sys.modules["circleforge.scan"]  # circleforge.scan is the function
 
@@ -81,12 +83,28 @@ def test_pair_reduce_independent_of_worker_count():
             assert runs == expect_runs == values == expect_values
 
 
+def _window_sizes(monkeypatch):
+    """The key count of each value window the lattices write, in order of
+    writing, recorded by a spy on intmath._cells."""
+    sizes = []
+    cells = intmath._cells
+
+    def spy(keys, head, source, lo, hi, product=None):
+        sizes.append(int((hi - lo).sum()))
+        return cells(keys, head, source, lo, hi, product)
+
+    monkeypatch.setattr(intmath, "_cells", spy)
+    return sizes
+
+
 @pytest.mark.parametrize("count", [1, 2])
-def test_pair_reduce_temporaries_are_bounded(count):
-    # each row is written straight into the key array, and each worker sorts
-    # its band in place: besides the keys, a call holds per-row temporaries,
-    # the band edges, and the reduction of one chunk per worker, at most eight
-    # int64 arrays of PAIR_CHUNK entries (about 6.6 at one worker, 7.8 at two)
+def test_pair_reduce_temporaries_are_bounded(monkeypatch, count):
+    # each worker writes its windows one at a time into one buffer of the
+    # largest window's keys, sorts it in place and reduces it a chunk at a
+    # time: besides that buffer, a call holds per-row edges and the fill and
+    # reduction temporaries of one chunk per worker, at most eight int64
+    # arrays of PAIR_CHUNK entries, never the whole key array
+    sizes = _window_sizes(monkeypatch)
     cubes = powers(3, 1500)
     sixths, mult = pair_values(powers(6, 60))
     chunk_bytes = 8 * 8 * intmath.PAIR_CHUNK
@@ -97,15 +115,17 @@ def test_pair_reduce_temporaries_are_bounded(count):
     with worker_count(count):
         for case in ((cubes, 1), (cubes, -1), (sixths, 1, mult)):
             n = len(case[0])
-            key_bytes = 8 * (n * (n + 1) // 2 if case[1] == 1 else n * (n - 1) // 2)
+            keys = n * (n + 1) // 2 if case[1] == 1 else n * (n - 1) // 2
             expect = pair_reduce(squares, *case)
+            sizes.clear()
             tracemalloc.start()
             try:
                 assert pair_reduce(squares, *case) == expect
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 1.1 * key_bytes + count * chunk_bytes
+            assert len(sizes) >= 2 and sum(sizes) == keys
+            assert peak <= count * (8 * max(sizes) + chunk_bytes)
 
 
 @pytest.mark.parametrize("count", [2, 3])
@@ -138,13 +158,19 @@ def test_eighth_moment_against_unique(monkeypatch, chunk):
 
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_quad_reduce_temporaries_are_bounded(monkeypatch, count):
-    # 1,024-key chunks put the 123,410 keys of P6 = 40 over the pool: each
-    # worker writes its share of the fill into the one key array and sorts
-    # its band in place, so besides the keys a call holds small per-block
-    # temporaries and the reduction of one chunk per worker
+    # 2^15-key windows cut the 123,410 keys of P6 = 40 into one result per
+    # window, over the pool: each worker writes, sorts and reduces one
+    # window at a time in its own buffer, so besides the lattice (the
+    # quadruple source of 2 C(42, 3) keys, and per row (i, j) its end at
+    # every window bound and a few more int64) a call holds one window and
+    # the temporaries of one chunk per worker, never the whole key array
     monkeypatch.setattr(intmath, "PAIR_CHUNK", 1 << 10)
+    monkeypatch.setattr(intmath, "WINDOW_KEYS", 1 << 15)
+    sizes = _window_sizes(monkeypatch)
     sixths = powers(6, 40)
-    key_bytes = 8 * math.comb(len(sixths) + 3, 4)
+    keys = math.comb(len(sixths) + 3, 4)
+    windows = count * -(-keys // (count * intmath.WINDOW_KEYS))
+    lattice_bytes = 16 * math.comb(42, 3) + 8 * (windows + 12) * math.comb(41, 2)
     chunk_bytes = 8 * 8 * intmath.PAIR_CHUNK
 
     def squares(runs):
@@ -152,15 +178,76 @@ def test_quad_reduce_temporaries_are_bounded(monkeypatch, count):
 
     with worker_count(count):
         expect = intmath.quad_reduce(squares, sixths)
+        sizes.clear()
         tracemalloc.start()
         try:
             assert intmath.quad_reduce(squares, sixths) == expect
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert len(expect) == count
+    assert len(expect) == len(sizes) == windows and sum(sizes) == keys
     assert sum(expect) == moments.sixth_power_eighth_moment(40).count
-    assert peak <= 1.1 * key_bytes + count * chunk_bytes, peak / key_bytes
+    assert peak <= count * (8 * max(sizes) + chunk_bytes) + lattice_bytes, peak
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_benchmark_moments_peak_at_their_windows(monkeypatch, count):
+    # the scan task's eighth moment and cube differences, 4,421,275 and
+    # 4,498,500 keys, peaked at 54.6 and 51.5 MiB under tracemalloc (two
+    # workers) with each lattice in one key array.  Now each peaks at the
+    # in-flight window bytes, one buffer of the largest window per worker,
+    # plus one chunk's fill and reduction per worker, and the lattice: the
+    # eighth moment's quadruple source of 2 C(102, 3) keys, and per row its
+    # end at every window bound and a few more int64
+    sizes = _window_sizes(monkeypatch)
+    chunk_bytes = 8 * 8 * intmath.PAIR_CHUNK
+    cases = ((lambda: moments.sixth_power_eighth_moment(100), 4_421_275, math.comb(101, 2),
+              16 * math.comb(102, 3)),
+             (lambda: moments.cube_multiplicity(3000), 4_498_500, 3000, 0))
+    with worker_count(count):
+        for run, keys, rows, source_bytes in cases:
+            run()
+            sizes.clear()
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sum(sizes) == keys and max(sizes) <= intmath.WINDOW_KEYS
+            lattice_bytes = source_bytes + 8 * (len(sizes) + 12) * rows
+            assert peak <= count * (8 * max(sizes) + chunk_bytes) + lattice_bytes, peak
+
+
+@pytest.mark.parametrize("budget", [1, 7, 2**10, intmath.WINDOW_KEYS])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_results_independent_of_window_budget(monkeypatch, budget, count):
+    # 16-key chunks put lattices of a few dozen values into windows, down to
+    # about one distinct value each at a one-key budget, with limits,
+    # weights and negative values on both sides of every window edge; every
+    # count matches its oracle, so all budgets and worker counts agree
+    monkeypatch.setattr(intmath, "PAIR_CHUNK", 16)
+    monkeypatch.setattr(intmath, "WINDOW_KEYS", budget)
+    sizes = _window_sizes(monkeypatch)
+    rng = np.random.default_rng(35)
+    shifts = sorted(rng.choice(np.arange(-3000, 3000), 40, replace=False).tolist())
+    with worker_count(count):
+        for _ in range(8):
+            a = np.unique(rng.integers(-60, 200, rng.integers(1, 40)))
+            weights = rng.integers(1, 9, len(a)) if rng.random() < 0.5 else None
+            limit = int(rng.integers(-150, 450)) if rng.random() < 0.5 else None
+            for sign in (1, -1):
+                runs, _, values = _runs_and_values((a, sign, weights, limit))
+                assert runs == values == [e.tolist() for e in
+                                          pair_values_grid(a, sign, weights, limit)]
+        sizes.clear()
+        multiplicity = moments.cube_multiplicity(60)
+        assert len(sizes) >= (200 if budget < 10 else count)
+        got = (multiplicity.members.tolist(), multiplicity.max_multiplicity,
+               moments.shifted_cube_correlation(12, shifts).count,
+               moments.sixth_power_eighth_moment(12).count)
+    assert got == (*cube_multiplicity_brute(60), shifted_correlation_brute(12, shifts),
+                   eighth_moment_unique(12))
 
 
 def _bench_sample(seed):
@@ -267,6 +354,43 @@ print(arcs.exceptional_sum_grid(sample, nodes).tobytes().hex())
         outputs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                       capture_output=True, text=True).stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_pool_imports_neither_logging_nor_futures():
+    # the pool is threads and one queue.SimpleQueue: concurrent.futures
+    # imports logging, which took 4.8-7.5 ms inside the first pooled call
+    script = """
+import sys
+from circleforge import workers
+workers.WORKERS = 3
+assert workers.run([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
+assert workers._executor is not None
+print(sorted(name for name in ("logging", "concurrent.futures") if name in sys.modules))
+"""
+    src = os.path.dirname(os.path.dirname(circleforge.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=HOLD_S).stdout
+    assert out == "[]\n"
+
+
+def test_idle_pool_thread_holds_no_call():
+    # a pool thread lets go of each call once it has run: holding the last
+    # one kept its closure and result alive until the next pooled call (a
+    # single target's whole spectrum g, 12 MiB on the predict task's peak)
+    class Token:
+        pass
+
+    token = Token()
+    ref = weakref.ref(token)
+    with worker_count(2):
+        job = workers._pool().submit(lambda token=token: token)
+        assert job.result(timeout=HOLD_S) is token
+        del token, job
+        deadline = time.perf_counter() + HOLD_S
+        while ref() is not None and time.perf_counter() < deadline:
+            time.sleep(0.01)
+        assert ref() is None
 
 
 def test_one_worker_starts_no_thread():
