@@ -29,10 +29,12 @@ from .errors import BudgetError, PreconditionError
 from .scan import (DEFAULT_TRUNCATION, PredictionRecord, PsiSpec, predict as predict_target,
                    record_columns, scan as run_scan)
 
-# error class: (stderr kind, exit code); OSError is an unusable --out or --cache-dir path
+# error class: (stderr kind, exit code); OSError is an unusable --out or --cache-dir path,
+# MemoryError a request larger than the memory the process may use
 EXIT_CODES = {
     PreconditionError: ("precondition", 2),
     BudgetError: ("budget", 3),
+    MemoryError: ("budget", 3),
     OSError: ("io", 2),
 }
 
@@ -319,10 +321,11 @@ def main(argv=None) -> int:
         return 0
     except tuple(EXIT_CODES) as exc:
         kind, code = next(v for cls, v in EXIT_CODES.items() if isinstance(exc, cls))
+        message = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
         if fmt == "csv":
-            sys.stderr.write(f"error,{kind},{json.dumps(str(exc))}\n")
+            sys.stderr.write(f"error,{kind},{json.dumps(message)}\n")
         else:
-            sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
+            sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
         return code
 
 

@@ -2,12 +2,16 @@
 
 Two tools live here:
 
-* ``exact_convolve`` — linear convolution of each nonnegative int64 row of `a`
-  with one row `b`, of any size, through float64 FFTs rounded to integers, by
-  overlap-add in pieces at the power-of-two length that transforms least, run
-  only when per-row a-priori bounds keep every value below 2^53 and the
-  rounding error below 1/2, and returned only when a random-point certificate
-  modulo a prime holds for every row.  Otherwise the call is refused.
+* ``exact_convolve`` — linear convolution of each nonnegative integer row of
+  `a` with one row `b`, of any size, through float64 FFTs rounded to integers,
+  optionally only its first `length` entries.  Both sides are cut into pieces
+  at the power-of-two length whose transforms and spectral products cost
+  least; output block m is one inverse transform of the sum over i + j = m of
+  the piece spectra, and only the blocks that start below the length are
+  formed.  It runs only when per-row a-priori bounds keep every value below
+  2^53 and every block's rounding error below 1/2, and returns only when a
+  random-point certificate modulo a prime holds for every block of every row.
+  Otherwise the call is refused.
 * ``cyclic_histogram_convolution`` — cyclic convolution of several residue
   histograms mod q, exact or refused: the running product is split into
   20-bit int64 limbs, convolved as one stack by ``exact_convolve``, folded mod q;
@@ -15,11 +19,15 @@ Two tools live here:
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
+from . import workers
 from .errors import BudgetError
 
+# the longest transform: it keeps the certificate's blocks (_block_size) at
+# 2^13 coefficients, within _eval_mod's matmul headroom
 MAX_TRANSFORM_LENGTH = 1 << 26
 FLOAT_EXACT_LIMIT = 2**53  # every integer below this is a float64
 
@@ -29,13 +37,30 @@ FLOAT_EXACT_LIMIT = 2**53  # every integer below this is a float64
 #   |a|_2 |b|_2 ((1+eps)^(3n) (1+sqrt(5) eps)^(3n+1) (1+beta)^(3n) - 1),
 # about |a|_2 |b|_2 eps (3n + sqrt(5)(3n+1) + 3n beta/eps).  With twiddle
 # errors beta <= 2 eps that is below 18 n eps |a|_2 |b|_2; the constant 32
-# leaves room for the real-input packing of rfft/irfft and for rounding in the
-# float evaluation of the norms.
+# leaves room for the real-input packing of rfft/irfft, for the sum of a
+# block's spectral products and for rounding in the float evaluation of the
+# norms.
 _ROUNDING_CONSTANT = 32
-# a transform call costs about 2^13 more units of n log2(n): 11 us for an
-# overlap-add piece of length 2^6, at 0.54 ns a unit (one core of a 2-core
-# Intel Xeon VM, numpy 2.4)
-_CALL_COST = 2**13
+# the cost model of _plan, in units of n log2(n) of one transform row, about
+# 0.6-0.9 ns on one core of a 2-core Intel Xeon VM (numpy 2.4, 2 MiB of L2
+# cache a core): past 2^_CACHE_LOG entries, where a row and its spectrum
+# outgrow that cache, each doubling adds _SPILL_COST units an entry (1.1-1.55
+# ns a unit from 2^21 to 2^25 there); a piece or block costs _CALL_COST units
+# of calls around its transforms (about 50 us); a spectral product, one
+# complex multiply and add over spectra read from memory, _PRODUCT_COST units
+# an entry; and the certificate _CERT_COST units a coefficient it evaluates
+_CACHE_LOG = 17
+_SPILL_COST = 3
+_CALL_COST = 2**16
+_PRODUCT_COST = 6
+_CERT_COST = 6
+# columns of the spectra that one round of products takes at a time
+_PRODUCT_TILE = 2**13
+# the pool takes the pieces and blocks of transforms of at least this length;
+# shorter ones, whose queueing costs more than they do, and one-piece
+# products, whose two forward transforms would each cast a whole input to
+# float64 at once, run on the calling thread
+_POOL_LENGTH = 2**16
 _CERT_PRIME = 2**31 - 1
 _CERT_POINTS = 2
 # cyclic_histogram_convolution: for residue histograms of r^2, r^3 and r^6
@@ -58,9 +83,9 @@ def _power_table(r: np.ndarray, count: int, p: int) -> np.ndarray:
 
 
 def _eval_mod(arrays, r: np.ndarray, p: int, block: int):
-    """Yield sum_i x[j, i] r[k]**i mod p for every row j and point k, for each
-    2-D nonnegative integer x in arrays of at most block**2 columns
-    (p = 2^31 - 1, block <= 2^14).
+    """Yield sum_i x[..., i] r[k]**i mod p, of shape x.shape[:-1] + (len(r),),
+    for each nonnegative integer x in arrays, of at least 2 dimensions and at
+    most block**2 entries along the last (p = 2^31 - 1, block <= 2^14).
 
     Each int64 x is folded once, to (x & p) + (x >> 31), which is x mod p
     since 2^31 = 1 mod p and is below 2^31 + 2^32 < 2^33; a narrower x, below
@@ -75,9 +100,9 @@ def _eval_mod(arrays, r: np.ndarray, p: int, block: int):
     halves = np.concatenate([inner & 0xFFFF, inner >> 16], axis=1)
     outer = _power_table(inner[-1] * r % p, block, p)
     for x in arrays:
-        blocks = -(-x.shape[1] // block)
-        padded = np.zeros((len(x), blocks * block), dtype=np.int64)
-        folded = padded[:, : x.shape[1]]
+        lead, blocks = x.shape[:-1], -(-x.shape[-1] // block)
+        padded = np.zeros(lead + (blocks * block,), dtype=np.int64)
+        folded = padded[..., : x.shape[-1]]
         if x.dtype.itemsize < 8:
             np.copyto(folded, x)
         else:  # (x & p) + (x >> 31) = x - p (x >> 31), with no temporary
@@ -85,8 +110,9 @@ def _eval_mod(arrays, r: np.ndarray, p: int, block: int):
             folded *= -p
             folded += x
         split = padded.reshape(-1, block) @ halves
+        del padded, folded
         sums = (split[:, :k] % p + (split[:, k:] % p << 16)) % p
-        yield (sums.reshape(len(x), blocks, k) * outer[:blocks] % p).sum(axis=1) % p
+        yield (sums.reshape(lead + (blocks, k)) * outer[:blocks] % p).sum(axis=-2) % p
 
 
 def _row_sums(x: np.ndarray) -> list[int]:
@@ -108,18 +134,83 @@ def convolution_value_bound(a: np.ndarray, b: np.ndarray) -> int:
     return max(min(sa * mb, sb * int(ma)) for sa, ma in zip(_row_sums(rows), rows.max(axis=1)))
 
 
-def _overlap_add(width: int, m: int, full: int) -> tuple[int, int]:
-    """(n, h) for overlap-add: rows of `width` entries are cut into pieces of
-    h columns, each convolved with the m entries of b at a power of two
-    n >= h + m - 1.  n runs from the least power of two >= m up to `full`,
-    which takes a row in one piece, and is the one whose transforms (b once,
-    each piece forward and back) cost least, n log2(n) + _CALL_COST each."""
-    def cost(n):
-        pieces = -(-width // min(width, n - m + 1))
-        return (2 * pieces + 1) * (n * (n.bit_length() - 1) + _CALL_COST)
+def _pairs(ka: int, kb: int, m: int) -> int:
+    """#{(i, j) : i < ka, j < kb, i + j < m}, by inclusion and exclusion."""
+    return sum(t * (t + 1) // 2 * sign for t, sign in
+               ((m, 1), (m - ka, -1), (m - kb, -1), (m - ka - kb, 1)) if t > 0)
 
-    n = min((1 << e for e in range((m - 1).bit_length(), full.bit_length())), key=cost)
-    return n, min(width, n - m + 1)
+
+def _counts(width: int, nb: int, length: int, h: int, whole: bool) -> tuple[int, int, int]:
+    """(ka, kb, blocks): the pieces of a row of `width` columns and of b's nb
+    entries (one when `whole`, else pieces of h), and the output blocks at
+    offsets m h below `length`.  For inputs no longer than the length no piece
+    is idle: ka, kb <= blocks."""
+    ka, kb = -(-width // h), 1 if whole else -(-nb // h)
+    return ka, kb, min(ka + kb - 1, -(-length // h))
+
+
+def _plan(width: int, nb: int, length: int, rows: int) -> tuple[int, int, bool]:
+    """(L, h, whole) for `rows` rows of `width` columns and a b of nb entries,
+    the first `length` entries of their products: the rows are cut into
+    pieces of h columns, b stays whole (`whole`, and h + nb - 1 <= L) or is
+    cut into pieces of h too (2 h - 1 <= L), and every piece is transformed
+    at the power of two L, at most `top`, the least that holds the whole
+    product (or MAX_TRANSFORM_LENGTH).  The candidates are b whole at every
+    L >= nb, with h = L - nb + 1, and both cut at every L < 2 nb down to
+    top / 64, with h = L / 2.  The one whose transforms (each piece forward,
+    each block back, L log2(L) a row, more past the cache, and _CALL_COST a
+    piece or block), spectral products (_PRODUCT_COST an entry) and
+    certificate (_CERT_COST a coefficient of a piece or block) cost least is
+    taken: it depends on the sizes alone."""
+    def cost(L, h, whole):
+        ka, kb, m = _counts(width, nb, length, h, whole)
+        log, span = L.bit_length() - 1, h + (nb if whole else h) - 1
+        row = L * (log + _SPILL_COST * max(0, log - _CACHE_LOG))
+        pairs = m if whole else _pairs(ka, kb, m)
+        return ((rows * (ka + m) + kb) * row + (ka + kb + m) * _CALL_COST
+                + rows * pairs * (L // 2 + 1) * _PRODUCT_COST
+                + (rows * (width + m * span) + nb) * _CERT_COST), (L, h, whole)
+
+    top = min(1 << (width + nb - 2).bit_length(), MAX_TRANSFORM_LENGTH)
+    plans = [cost(1 << e, min(width, (1 << e) - nb + 1), True)
+             for e in range((nb - 1).bit_length(), top.bit_length())]
+    plans += [cost(1 << e, 1 << (e - 1), False)
+              for e in range(max(1, top.bit_length() - 7), min(top, 2 * nb - 1).bit_length())]
+    return min(plans)[1]
+
+
+def _pieces(x: np.ndarray, h: int) -> list[np.ndarray]:
+    """The rows of a 2-D x cut into pieces of h columns, as views: the whole
+    pieces as one (rows, k, h) array and a last, shorter piece as (rows, 1, w)."""
+    k = x.shape[1] // h
+    views = [x[:, : k * h].reshape(len(x), k, h)] if k else []
+    return views + ([x[:, k * h :][:, None]] if x.shape[1] > k * h else [])
+
+
+def _block_sums(x: np.ndarray, y: np.ndarray, blocks: int, p: int = 0) -> np.ndarray:
+    """The sums over i + j = m of x[:, i] * y[j], for every block m < blocks,
+    of x of shape (rows, ka, ...) and y of (kb, ...); mod p when p is given,
+    reduced after each product (below 2^62 for entries below p < 2^31)."""
+    sums = np.zeros((len(x), blocks) + x.shape[2:], dtype=x.dtype)
+    for i in range(x.shape[1]):
+        j = min(len(y), blocks - i)
+        sums[:, i : i + j] += x[:, i, None] * y[:j]
+        if p:
+            sums[:, i : i + j] %= p
+    return sums
+
+
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    """Per-piece values of the views of _pieces, joined along the piece axis."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def _block_norms(a_parts: list[np.ndarray], b_parts: list[np.ndarray], blocks: int) -> np.ndarray:
+    """sum_{i+j=m} |a_i|_2 |b_j|_2 for every row and every block m < blocks,
+    of the pieces a_i of the rows and b_j of b, as _pieces cuts them."""
+    norms_a, norms_b = (_join([np.linalg.norm(v, axis=-1) for v in parts])
+                        for parts in (a_parts, b_parts))
+    return _block_sums(norms_a, norms_b[0], blocks)
 
 
 def _int64(x, message: str, narrow: bool = False) -> np.ndarray:
@@ -135,105 +226,141 @@ def _int64(x, message: str, narrow: bool = False) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=x.dtype if keep else np.int64)
 
 
-def exact_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def exact_convolve(a: np.ndarray, b: np.ndarray, length: int | None = None) -> np.ndarray:
     """Exact linear convolution of nonnegative integer arrays, int64 output.
 
-    `a` is one row or a 2-D stack of rows, each convolved with the row `b`
-    (transformed once).  Raises BudgetError, rather than return a possibly
-    wrong result, when the value bound of any row reaches 2^53, when the
-    least power of two that holds the output exceeds MAX_TRANSFORM_LENGTH
-    (the rows are transformed in pieces of at most that length), when the
-    a-priori rounding bound of the float FFT, taken with the largest row norm,
-    reaches 1/2 (all before any transform), or when any rounded row fails its
-    certificate.
+    `a` is one row or a 2-D stack of rows, each convolved with the row `b`;
+    with `length`, only the first `length` entries of each product are formed
+    and returned (all of them when it is longer).  Raises BudgetError, rather
+    than return a possibly wrong result, when the value bound of any row
+    reaches 2^53, when the a-priori rounding bound of any output block
+    reaches 1/2 (both before any transform), or when any block of any row
+    fails its certificate.
 
-    The certificate evaluates b and every row a_j and c_j at _CERT_POINTS
-    points r drawn uniformly from [1, p) with p = 2^31 - 1 and fresh entropy,
-    and checks a_j(r) b(r) = c_j(r) mod p for every row at every point.  If c_j
-    differs from a_j * b by an error whose reduction mod p is nonzero (every
-    error smaller than p in size is), the difference is a nonzero polynomial of
-    degree below N = len(c_j), with fewer than N roots mod p, so a wrong row
-    passes with probability at most (N/p)^_CERT_POINTS.  The evaluation is
-    O(N) per row, with power tables of about 2 sqrt(N) entries (_eval_mod).
+    The rows, and b unless it is short enough to stay whole, are cut into
+    pieces a_i and b_j of h columns, read in their own integer types and
+    transformed at one power of two L (_plan); output block m, the product
+    Q_m = sum_{i+j=m} a_i * b_j, is the inverse transform of the sum of the
+    spectral products, rounded, and added into the output at offset m h.
+    Columns of a or b at or past `length` add nothing below it, so they are
+    never read, and only the blocks with m h < length are formed.  One piece
+    on each side is a single transform of a row and one of b; b whole is
+    overlap-add.
+
+    The certificate evaluates every piece a_i, b_j and every block Q_m at
+    _CERT_POINTS points r drawn uniformly from [1, p) with p = 2^31 - 1 and
+    fresh entropy, and checks Q_m(r) = sum_{i+j=m} a_i(r) b_j(r) mod p for
+    every block of every row at every point.  If a block differs from its
+    product by an error whose reduction mod p is nonzero (every error smaller
+    than p in size is), the difference is a nonzero polynomial of degree
+    below N, the block's length, with fewer than N roots mod p, so a wrong
+    block passes with probability at most (N/p)^_CERT_POINTS.  The
+    evaluations cost O(N) a block and O(h) a piece, about 4 times the output
+    length in all, with power tables of about 2 sqrt(N) entries (_eval_mod).
     """
     message = "exact_convolve expects nonnegative integer inputs, a 1-D or 2-D and b 1-D"
-    # a narrow `a` (the int16 spectrum g) is read only through int64 and
-    # float64 operations, so it is not copied to int64
-    a, b = _int64(a, message, narrow=True), _int64(b, message)
+    # the pieces are read through views in the inputs' own integer types (the
+    # int16 spectrum g among them); each transform casts its piece on the way in
+    a, b = _int64(a, message, narrow=True), _int64(b, message, narrow=True)
     if a.ndim not in (1, 2) or b.ndim != 1 or a.min(initial=0) < 0 or b.min(initial=0) < 0:
         raise ValueError(message)
-    rows, shape = np.atleast_2d(a), a.shape[:-1] + (-1,)
-    if rows.size == 0 or len(b) == 0:
-        return np.zeros(a.shape[:-1] + (0,), dtype=np.int64)
-    n_out = rows.shape[1] + len(b) - 1
+    rows, lead = np.atleast_2d(a), a.shape[:-1]
+    n_out = rows.shape[1] + len(b) - 1 if rows.size and len(b) else 0
+    if length is not None:
+        if length < 0:
+            raise ValueError("length must be nonnegative")
+        n_out = min(n_out, length)
+    if n_out == 0:
+        return np.zeros(lead + (0,), dtype=np.int64)
+    rows, b = rows[:, :n_out], b[:n_out]
+    width, nb, count = rows.shape[1], len(b), len(rows)
 
     bound = convolution_value_bound(rows, b)
     if bound >= FLOAT_EXACT_LIMIT:
         raise BudgetError(f"convolution values may reach {bound}, not below 2^53")
 
-    full = 1 << (n_out - 1).bit_length()
-    if full > MAX_TRANSFORM_LENGTH:
-        raise BudgetError(
-            f"transform length {full} exceeds supported maximum {MAX_TRANSFORM_LENGTH}"
-        )
-    n, h = _overlap_add(rows.shape[1], len(b), full)
-    norms = float(np.linalg.norm(rows, axis=1).max()) * float(np.linalg.norm(b, axis=0))
-    # 0 at n = 1, a 1 x 1 product: one float multiply, exact below 2^53
-    rounding = norms * 2.0**-53 * _ROUNDING_CONSTANT * math.log2(n)
+    L, h, whole = _plan(width, nb, n_out, count)
+    a_parts, b_parts = _pieces(rows, h), _pieces(b[None, :], nb if whole else h)
+    ka, kb, blocks = _counts(width, nb, n_out, h, whole)
+    span = h + (nb if whole else h) - 1  # a block's length, at most L
+    # The transform of block m sums the spectral products of its pairs, so by
+    # the bound above, applied pair by pair, it errs by at most the constant
+    # times eps log2(L) sum_{i+j=m} |a_i|_2 |b_j|_2.  By Cauchy-Schwarz that
+    # sum is at most (sum_i |a_i|^2)^(1/2) (sum_j |b_j|^2)^(1/2) = |a|_2 |b|_2,
+    # and L is at most the one-piece length, so no block's bound exceeds the
+    # bound of the row in one piece.  At L = 1, a 1 x 1 product, it is 0: one
+    # float multiply, exact below 2^53.
+    norms = _block_norms(a_parts, b_parts, blocks)
+    rounding = float(norms.max()) * 2.0**-53 * _ROUNDING_CONSTANT * math.log2(L)
     if rounding >= 0.5:
         raise BudgetError(f"FFT rounding error may reach {rounding:.3g}, not below 1/2")
-    if h == rows.shape[1]:
-        # one piece: b and the rows are transformed straight into the two
-        # spectra, and the inverse is written over b's spectrum, free after
-        # the product, seen as rows of 2 (n // 2 + 1) floats.  Those are
-        # rounded and cast to int64 in place, on one contiguous 1-D view
-        # (where numpy's cast reads each entry before it writes it), so no
-        # third buffer of the output's size is made.
-        fb, spectrum = (np.empty((len(rows), n // 2 + 1), dtype=complex) for _ in range(2))
-        np.fft.rfft(b, n, out=fb[0])
-        np.fft.rfft(rows, n, axis=1, out=spectrum)
-        spectrum *= fb[:1]
-        flat = fb.view(np.float64)
-        np.fft.irfft(spectrum, n, axis=1, out=flat[:, :n])
-        del spectrum
-        flat[:, n:] = 0
-        flat = flat.reshape(-1)
-        np.rint(flat, out=flat)
-        c = flat.view(np.int64)
-        np.copyto(c, flat, casting="unsafe")
-        c = c.reshape(len(rows), -1)[:, :n_out]
-        del fb
-    else:
-        # piece by piece, h columns are cast into `piece`, convolved at length
-        # n, rounded and added into c at their offset: the rounding bound
-        # holds per piece, whose norm is at most its row's, and sums of exact
-        # integers below 2^53 stay exact.  The first piece is cast straight
-        # into c, and only the columns past it are zeroed.
-        fb, spectrum = (np.empty((k, n // 2 + 1), dtype=complex) for k in (1, len(rows)))
-        piece = np.empty((len(rows), n))
-        np.copyto(piece[:1, : len(b)], b)
-        np.fft.rfft(piece[:1, : len(b)], n, axis=1, out=fb)
-        for lo in range(0, rows.shape[1], h):
-            w, hi = min(h, rows.shape[1] - lo), min(n_out, lo + n)
-            np.copyto(piece[:, :w], rows[:, lo : lo + w])
-            np.fft.rfft(piece[:, :w], n, axis=1, out=spectrum)
-            spectrum *= fb
-            piece = np.rint(np.fft.irfft(spectrum, n, axis=1, out=piece), out=piece)
-            if lo:
-                np.add(c[:, lo:hi], piece[:, : hi - lo], out=c[:, lo:hi], casting="unsafe")
-            else:
-                c = np.empty((len(rows), n_out), dtype=np.int64)
-                np.copyto(c[:, :hi], piece[:, :hi], casting="unsafe")
-                c[:, hi:] = 0
-        del fb, spectrum, piece
 
-    p, block = _CERT_PRIME, _block_size(n_out)
+    # each piece of the rows is transformed into its row of A, each of b into
+    # its row of fb; A has a row for every block, which the products fill
+    run = workers.run if L >= _POOL_LENGTH and blocks > 1 else lambda calls: [c() for c in calls]
+    A = np.empty((count, blocks, L // 2 + 1), dtype=complex)
+    fb = np.empty((max(kb, count * blocks), L // 2 + 1), dtype=complex)
+    run([partial(np.fft.rfft, x, L, out=A[:, i])
+         for i, x in enumerate(v[:, j] for v in a_parts for j in range(v.shape[1]))]
+        + [partial(np.fft.rfft, x, L, out=fb[j])
+           for j, x in enumerate(v[0, j] for v in b_parts for j in range(v.shape[1]))])
+
+    if kb == 1:
+        A *= fb[0]
+    else:
+        # descending m, Q_m is written over A_m, which no later (lower) block
+        # reads; columns are independent, so the tiles may go to any worker
+        def products(lo, hi, scratch):
+            acc, term = (s[:, : hi - lo] for s in scratch)
+            for m in range(blocks - 1, -1, -1):
+                others = range(max(0, m - kb + 1), min(m, ka))  # i < m, j = m - i
+                for n, i in enumerate(others):
+                    np.multiply(A[:, i, lo:hi], fb[m - i, lo:hi], out=term if n else acc)
+                    if n:
+                        acc += term
+                own = A[:, m, lo:hi]
+                if m < ka:
+                    own *= fb[0, lo:hi]
+                    if others:
+                        own += acc
+                else:
+                    np.copyto(own, acc)
+
+        workers.blocks(products, L // 2 + 1, _PRODUCT_TILE,
+                       scratch=lambda: np.empty((2, count, _PRODUCT_TILE), dtype=complex))
+
+    # the inverse of block m is written over fb, free after the products, seen
+    # as rows of 2 (L // 2 + 1) floats, then rounded, and cast to int64 in
+    # place row by contiguous row (where numpy's cast reads each entry before
+    # it writes it)
+    out = fb.view(np.float64)[: count * blocks].reshape(count, blocks, -1)
+
+    def inverse(m):
+        def call():
+            block = np.fft.irfft(A[:, m], L, out=out[:, m, :L])
+            np.rint(block, out=block)
+            for row in block:
+                np.copyto(row.view(np.int64), row, casting="unsafe")
+        return call
+
+    run([inverse(m) for m in range(blocks)])
+    del A
+    q = out.view(np.int64)[..., :span]
+
+    p = _CERT_PRIME
     r = np.random.default_rng().integers(1, p, _CERT_POINTS)
-    va, vb, vc = _eval_mod((rows, b[None, :], c), r, p, block)
-    for j, k in np.argwhere(va * vb % p != vc)[:1]:
+    *values, vq = _eval_mod([*a_parts, *b_parts, q], r, p, _block_size(span))
+    va, vb = _join(values[: len(a_parts)]), _join(values[len(a_parts) :])
+    for j, m, k in np.argwhere(_block_sums(va, vb[0], blocks, p) != vq)[:1]:
         raise BudgetError(f"float transform result failed its certificate mod {p} "
-                          f"in row {j} at r={r[k]}")
-    return c.reshape(shape)
+                          f"in row {j}, block {m}, at r={r[k]}")
+
+    c = np.zeros((count, n_out), dtype=np.int64)
+    for m in range(blocks):
+        lo = m * h
+        hi = min(n_out, lo + span)
+        c[:, lo:hi] += q[:, m, : hi - lo]
+    return c.reshape(lead + (n_out,))
 
 
 def cyclic_histogram_convolution(histograms, q: int) -> list[int]:

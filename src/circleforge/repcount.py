@@ -25,7 +25,9 @@ from .powersums import _check_exponent
 
 PAIR_INDEX_BUDGET = 2 * 10**8  # entries in a pair spectrum
 SINGLE_TARGET_BUDGET = 2 * 10**8  # practical memory ceiling for one target
-RANGE_BUDGET = 3 * 10**7  # keeps the float FFT within its 2**26 length cap
+# a memory budget: scan(3e7) peaks near 2 GiB; the range product is formed in
+# pieces below X + 1, so no transform length limits X any more
+RANGE_BUDGET = 3 * 10**7
 GATHER_BLOCK = 2**15  # entries of g that one block of rep_count_single gathers
 
 SPECTRUM_MAGIC = b"WSPC2"
@@ -223,14 +225,14 @@ def rep_count_single(n: int) -> int:
 
 
 def rep_count_range(X: int, cache_dir: str | None = None) -> RangeCounts:
-    """Exact R(n) for every n <= X via one exact convolution."""
+    """Exact R(n) for every n <= X via one exact convolution, of which only
+    the first X + 1 entries are formed."""
     check_range(X)
     P2, P3, P6 = iroot(X, 2), iroot(X, 3), iroot(X, 6)
     # a copy, so the spectrum, twice as long, is freed before the transforms
     sq_trunc = _cached_pair_spectrum(2, P2, cache_dir).counts[: X + 1].copy()
     g = _cube_sixth_spectrum(P3, P6, X)
-    # a copy, so the unused upper half of the linear convolution is freed
-    values = exact_convolve(g, sq_trunc)[: X + 1].copy()
+    values = exact_convolve(g, sq_trunc, X + 1)
     if X >= 6 and values[:6].any():
         raise AssertionError("convolution produced counts below the minimum value 6")
     return RangeCounts(X=X, values=values)

@@ -8,7 +8,8 @@ decides where a call runs: the calling thread runs the first call, then takes
 back and runs each call that no worker has started, and waits only on calls
 already running, so no caller, on the pool or off it, waits on queued work.
 With one CPU every call runs inline, in order, and no thread is ever
-started.  The calls spend their time
+started; so do they when the system refuses to start any pool thread.  The
+calls spend their time
 in numpy kernels (sorts, ufuncs, FFTs) that release the GIL, and no result
 depends on WORKERS.
 
@@ -67,14 +68,21 @@ class _Call:
 
 
 class _Pool:
-    """WORKERS - 1 daemon threads that take calls off one queue."""
+    """Up to WORKERS - 1 daemon threads that take calls off one queue: as
+    many as the system lets start.  A refused start (RuntimeError, "can't
+    start new thread", as under an address-space limit) ends the pool there;
+    with no thread, every call runs on the calling thread."""
 
     def __init__(self, size: int):
         self._queue = queue.SimpleQueue()
-        self._threads = [threading.Thread(target=self._work, name=f"circleforge_{i}", daemon=True)
-                         for i in range(size)]
-        for thread in self._threads:
-            thread.start()
+        self._threads = []
+        for i in range(size):
+            thread = threading.Thread(target=self._work, name=f"circleforge_{i}", daemon=True)
+            try:
+                thread.start()
+            except RuntimeError:
+                break
+            self._threads.append(thread)
 
     def _work(self):
         while (call := self._queue.get()) is not None:
@@ -106,9 +114,10 @@ def run(calls) -> list:
     calling thread unless a pool thread started it first; an error raised by
     any call is raised here once no call is left running."""
     calls = list(calls)
-    if WORKERS < 2 or len(calls) < 2:
+    pool = _pool() if WORKERS > 1 and len(calls) > 1 else None
+    if pool is None or not pool._threads:
         return [call() for call in calls]
-    queued = [_pool().submit(call) for call in calls[1:]]
+    queued = [pool.submit(call) for call in calls[1:]]
     try:
         got = [calls[0]()]
         got += [call() if job.take_back() else job for call, job in zip(calls[1:], queued)]

@@ -1,12 +1,17 @@
 import dataclasses
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circleforge import repcount
 from circleforge.arcints import QUAD_NODE_BUDGET
 from circleforge.arcs import WEYL_POINT_BUDGET
 from circleforge.cli import ARC_OPS, COMMANDS, MOMENTS, main
@@ -301,6 +306,35 @@ def test_singular_integral_budget_on_trunc(capsys):
             assert json.loads(err)["error"] == "budget"
         else:
             assert err == "" and json.loads(out)["grid_points"] == 240_000
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    # a MemoryError is a budget refusal: exit 3, one stderr line, in both formats
+    def no_room(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(repcount, "exact_convolve", no_room)
+    for fmt, line in (("json", json.dumps({"error": "budget", "message": "out of memory"})),
+                      ("csv", 'error,budget,"out of memory"')):
+        code, out, err = run_cli(capsys, "count", "--limit", "1000", "--format", fmt)
+        assert (code, out, err) == (3, "", line + "\n")
+
+
+def test_scan_under_an_address_space_limit_exits_3():
+    # scan(10^7) needs about 740 MiB of memory; limited to 512 MiB of address
+    # space (in the child only), its first allocation that does not fit
+    # raises MemoryError, which the CLI reports as a budget refusal
+    limit = 512 * 2**20
+    src = os.path.dirname(os.path.dirname(repcount.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "circleforge.cli", "scan", "--limit", "10000000"],
+        capture_output=True, text=True, env=env, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert json.loads(proc.stderr)["error"] == "budget"
 
 
 # every integer budget a handler reaches, each at the budget plus one, with the

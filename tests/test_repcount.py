@@ -94,20 +94,38 @@ def test_exact_convolve_transform_path():
         assert via_transform[idx] == np.dot(a[js], b[idx - js])
 
 
-def test_exact_convolve_pieces_in_narrow_types():
-    # rows cut into several overlap-add pieces, read in their own integer
-    # types (the int16 spectrum g is never copied to int64), give
-    # np.convolve's result
+def _force_pieces(monkeypatch, k, whole=False):
+    """Make exact_convolve cut its rows into k pieces, and b into pieces of
+    the same width too unless `whole`, at the least power of two that holds
+    a block."""
+    def plan(width, nb, length, rows):
+        h = -(-width // k)
+        if not whole and nb <= h:
+            return (1 << (h + nb - 2).bit_length(), h, True)
+        return (1 << (h + (nb if whole else h) - 2).bit_length(), h, whole)
+    monkeypatch.setattr(exactconv, "_plan", plan)
+
+
+def test_exact_convolve_pieces_in_narrow_types(monkeypatch):
+    # rows cut into several pieces, with b whole (overlap-add, the chooser's
+    # pick for this shape) and with b cut too, read in their own integer types
+    # (the int16 spectrum g is never copied to int64), give np.convolve's result
     rng = np.random.default_rng(81)
-    b = rng.integers(0, 1000, 3000)
     width = 50000
-    n, h = exactconv._overlap_add(width, len(b), 1 << (width + len(b) - 2).bit_length())
-    assert h < width and n >= h + len(b) - 1
+    L, h, whole = exactconv._plan(width, 3000, width + 2999, 2)
+    assert whole and h < width and L >= h + 3000 - 1
     for dtype in (np.uint8, np.int16, np.int32, np.uint32, np.int64):
         a = rng.integers(0, 100, (2, width)).astype(dtype)
-        out = exact_convolve(a, b)
-        for row, got in zip(a, out):
-            assert np.array_equal(got, np.convolve(row.astype(np.int64), b))
+        for b in (rng.integers(0, 1000, 3000), rng.integers(0, 1000, 30000).astype(dtype)):
+            expect = [np.convolve(row.astype(np.int64), b.astype(np.int64)) for row in a]
+            for k in (None, 3):
+                with monkeypatch.context() as patch:
+                    if k:
+                        _force_pieces(patch, k)
+                    out = exact_convolve(a, b)
+                assert out.dtype == np.int64
+                for got, want in zip(out, expect):
+                    assert np.array_equal(got, want), (dtype, len(b), k)
 
 
 def test_exact_convolve_small_shapes_match_numpy():
@@ -269,16 +287,116 @@ def test_block_size_rule_within_matmul_headroom():
 
 
 def test_single_piece_matches_several_pieces(monkeypatch):
-    # one piece is cast straight into the output; forced through pieces of
-    # 1097 columns at length 4096, the same product adds them at offsets
+    # one piece is a single transform of each side; forced through k pieces,
+    # of b whole (overlap-add) or of both sides, the same product is summed
+    # block by block and added at offsets, whole or truncated
     rng = np.random.default_rng(84)
     a = rng.integers(0, 2**14, (3, 3000))
     b = rng.integers(0, 2**14, 3000)
-    assert exactconv._overlap_add(3000, 3000, 8192) == (8192, 3000)
+    assert exactconv._plan(3000, 3000, 5999, 3) == (8192, 3000, True)
     whole = exact_convolve(a, b)
-    monkeypatch.setattr(exactconv, "_overlap_add", lambda width, m, full: (4096, 4096 - m + 1))
-    assert np.array_equal(exact_convolve(a, b), whole)
-    assert np.array_equal(exact_convolve(a[1], b), whole[1])
+    for k, b_whole in ((2, True), (3, True), (2, False), (3, False), (8, False)):
+        with monkeypatch.context() as patch:
+            _force_pieces(patch, k, b_whole)
+            assert np.array_equal(exact_convolve(a, b), whole)
+            assert np.array_equal(exact_convolve(a[1], b), whole[1])
+            assert np.array_equal(exact_convolve(a, b, 3001), whole[:, :3001])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    len_a=st.integers(1, 3000),
+    len_b=st.integers(1, 3000),
+    rows=st.integers(0, 3),
+    where=st.sampled_from(["below", "at", "above"]),
+    dtype=st.sampled_from([np.uint8, np.int16, np.int32, np.int64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_truncated_product_matches_numpy(len_a, len_b, rows, where, dtype, seed):
+    # the first `length` entries of each product, for a length below, at and
+    # above the whole product's, of one row (rows = 0) or a stack
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2**7, (max(rows, 1), len_a)).astype(dtype)
+    b = rng.integers(0, 2**7, len_b).astype(dtype)
+    full = len_a + len_b - 1
+    length = {"below": int(rng.integers(0, full)), "at": full, "above": full + 17}[where]
+    out = exact_convolve(a[0] if rows == 0 else a, b, length)
+    assert out.dtype == np.int64
+    assert out.shape == ((min(length, full),) if rows == 0 else (rows, min(length, full)))
+    for row, got in zip(a, np.atleast_2d(out)):
+        assert np.array_equal(got, np.convolve(row.astype(np.int64), b)[:length])
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_range_product_independent_of_pieces_and_workers(monkeypatch, count):
+    # the scan's product, g with the square-pair spectrum cut at X + 1, at
+    # transform lengths the pool takes: the counts are the same bytes for
+    # any number of pieces and any worker count
+    X = 2 * 10**5
+    g = _cube_sixth_spectrum(iroot(X, 3), iroot(X, 6), X)
+    sq = pair_spectrum(2, iroot(X, 2)).counts[: X + 1].copy()
+    expect = rep_count_range(X).values
+    with worker_count(count):
+        assert np.array_equal(exact_convolve(g, sq, X + 1), expect)
+        for k in (1, 2, 3, 8):
+            with monkeypatch.context() as patch:
+                _force_pieces(patch, k)
+                assert np.array_equal(exact_convolve(g, sq, X + 1), expect), k
+
+
+@pytest.mark.parametrize("block", ["bottom", "top"])
+def test_certificate_checks_every_block(monkeypatch, block):
+    # one corrupted entry in the first or in the last of 5 output blocks of a
+    # truncated product is refused
+    rng = np.random.default_rng(85)
+    a, b = rng.integers(0, 100, 40000), rng.integers(0, 100, 40000)
+    _force_pieces(monkeypatch, 5)
+    irfft, calls = np.fft.irfft, []
+
+    def corrupt_irfft(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        calls.append(len(calls))
+        if len(calls) == (1 if block == "bottom" else 5):
+            out[..., 777] += 1.0
+        return out
+
+    monkeypatch.setattr(exactconv.np.fft, "irfft", corrupt_irfft)
+    with worker_count(1):
+        with pytest.raises(BudgetError, match="certificate"):
+            exact_convolve(a, b, 40000)
+    assert len(calls) == 5
+
+
+def test_block_rounding_bound_within_one_piece_bound():
+    # by Cauchy-Schwarz, sum_{i+j=m} |a_i| |b_j| <= |a| |b| for every block
+    rng = np.random.default_rng(86)
+    for _ in range(200):
+        rows, width, nb = (int(v) for v in rng.integers(1, [4, 400, 400]))
+        a = rng.integers(0, 2**20, (rows, width)) * (rng.random((rows, width)) < 0.3)
+        b = rng.integers(0, 2**20, nb)
+        h = int(rng.integers(1, width + 1))
+        whole = nb <= h or bool(rng.integers(2))
+        parts = exactconv._pieces(a, h), exactconv._pieces(b[None, :], nb if whole else h)
+        blocks = exactconv._counts(width, nb, width + nb - 1, h, whole)[2]
+        bound = exactconv._block_norms(*parts, blocks).max(axis=1)
+        one_piece = np.linalg.norm(a, axis=1) * np.linalg.norm(b)
+        assert (bound <= one_piece * (1 + 1e-12)).all()
+
+
+def test_range_count_memory_below_the_whole_product():
+    # rep_count_range(10**6) forms only the blocks below X + 1, and returns
+    # them assembled in the output; the whole product's one piece at 2^21,
+    # with its upper half dropped by a copy, peaked at 51,560,968 bytes here
+    X = 10**6
+    rep_count_range(X)
+    tracemalloc.start()
+    try:
+        values = rep_count_range(X).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (X + 1,)
+    assert peak <= 51_560_968, peak
 
 
 def test_exact_convolve_refuses_by_rounding_bound():

@@ -624,6 +624,38 @@ def test_worker_error_reaches_caller():
     assert raised == [50]
 
 
+def test_memory_error_on_a_worker_reaches_caller():
+    # the caller's own call waits until the pool has started the failing one
+    started, where = threading.Event(), []
+
+    def fail():
+        where.append(threading.current_thread() is threading.main_thread())
+        started.set()
+        raise MemoryError("no room on a worker")
+
+    with worker_count(2):
+        with pytest.raises(MemoryError, match="no room on a worker"):
+            workers.run([lambda: started.wait(HOLD_S), fail])
+    assert where == [False]
+
+
+def test_refused_thread_start_runs_calls_here(monkeypatch):
+    # CPython's Thread.start raises RuntimeError("can't start new thread")
+    # when the system refuses a thread, as under an address-space limit; the
+    # pool then has no thread, and every call runs on the calling thread
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    expect = _scan_arrays()
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    with worker_count(2):
+        before = threading.active_count()
+        assert workers.run([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
+        assert _scan_arrays() == expect
+        assert workers._executor._threads == []
+        assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_blocks_cut_independent_of_worker_count(count):
     # blocks of `step` rows, the last holding what is left
