@@ -1,15 +1,19 @@
 """Exact representation counts R(n) for n = x1^2+x2^2+x3^3+x4^3+x5^6+x6^6
 with positive integers x_i.
 
-Both paths share one exact integer cube/sixth spectrum g, filled in one
-value window per worker.  A single target sums g[n - x^2 - y^2] over the
-square pairs in 2-D blocks of rows x, handed out by `workers.blocks`; a full
-range convolves g with the square-pair spectrum through the exact transform
-backend.  Tuples are ordered and every variable starts at 1, so the least
-representable value is 6.
+Both paths read the exact integer cube/sixth spectrum g, filled by one
+primitive, _fill_spectrum, one value window at a time into a buffer it is
+given.  A full range fills all of g, one window per worker, and convolves it
+with the square-pair spectrum through the exact transform backend.  A single
+target never holds all of g: its windows, of a length fixed by n, are handed
+out by `workers.blocks`, and each is filled into its run's one buffer and
+summed over the square pairs of its annulus in 2-D blocks of rows x.  Tuples
+are ordered and every variable starts at 1, so the least representable value
+is 6.
 """
 
 import hashlib
+import math
 import os
 import struct
 import tempfile
@@ -17,18 +21,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import workers
+from . import intmath, workers
 from .errors import BudgetError, PreconditionError
 from .exactconv import FLOAT_EXACT_LIMIT, exact_convolve
-from .intmath import iroot, pair_values, powers
+from .intmath import _ragged, iroot, pair_values, powers
 from .powersums import _check_exponent
 
 PAIR_INDEX_BUDGET = 2 * 10**8  # entries in a pair spectrum
-SINGLE_TARGET_BUDGET = 2 * 10**8  # practical memory ceiling for one target
+# a time budget: memory stays a few windows of g whatever n, and the int16
+# spectrum holds up to here (every count at most 12,222 at P3 = 2154, P6 = 46)
+SINGLE_TARGET_BUDGET = 10**10
 # a memory budget: scan(3e7) peaks near 2 GiB; the range product is formed in
 # pieces below X + 1, so no transform length limits X any more
 RANGE_BUDGET = 3 * 10**7
-GATHER_BLOCK = 2**15  # entries of g that one block of rep_count_single gathers
+GATHER_BLOCK = 2**15  # cells that one block of rep_count_single gathers
+# the least window of rep_count_single, in entries of g: 2 MiB of int16, one
+# core's L2; past n ~ 3e7 windows widen with sqrt(n) (see _window_length)
+WINDOW = 2**20
+ANNULUS_WIDTH = 128
 
 SPECTRUM_MAGIC = b"WSPC2"
 _HEADER = struct.Struct("<5sQQQ")
@@ -132,31 +142,51 @@ def _count_dtype(bound: int) -> type:
     return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
-def _cube_sixth_spectrum(P3: int, P6: int, limit: int) -> np.ndarray:
-    """g[m] = #{(x3,x4,x5,x6): x3^3+x4^3+x5^6+x6^6 = m} for m <= limit, of
-    length limit + 1, in the narrowest signed integer type that holds
-    sum(c6) * max(c3).  The entries are filled in one value window of about
-    equal length per worker, handed to `workers.blocks`."""
+def _pair_spectra(P3: int, P6: int, limit: int) -> tuple:
+    """(v3, c3, v6, c6): the distinct cube-pair and sixth-pair values <= limit
+    with their ordered-pair counts, the counts in the narrowest signed integer
+    type that holds sum(c6) * max(c3).  That bounds every entry of g, every
+    product c6 * c3 and every partial sum of the fill."""
     # the P3^2 * P6^2 quadruples bound every sum of entries; below 2^53 they
     # keep the float convolution of g exact
     if (P3 * P6) ** 2 >= FLOAT_EXACT_LIMIT:
         raise BudgetError(f"cube/sixth spectrum of {(P3 * P6) ** 2} tuples, not below 2^53")
     v3, c3 = pair_values(powers(3, P3), limit=limit)
     v6, c6 = pair_values(powers(6, P6), limit=limit)
-    # sum(c6) * max(c3) also bounds each product w * c3 and each partial sum
     dtype = _count_dtype(int(c6.sum()) * int(c3.max(initial=0)))
-    c3 = c3.astype(dtype)
-    g = np.zeros(limit + 1, dtype=dtype)
+    return v3, c3.astype(dtype), v6, c6.astype(dtype)
 
-    def fill(lo, hi):
-        # the cube-pair values v with lo <= s + v < hi, for each sixth-power
-        # value s; v3 is distinct, so no index repeats within one add
-        starts = np.searchsorted(v3, lo - v6).tolist()
-        ends = np.searchsorted(v3, hi - v6).tolist()
-        for s, w, a, b in zip(v6.tolist(), c6.tolist(), starts, ends):
-            g[s + v3[a:b]] += w * c3[a:b]
 
-    workers.blocks(fill, limit + 1, -(-(limit + 1) // workers.WORKERS))
+def _fill_spectrum(out: np.ndarray, lo: int, v3, c3, v6, c6) -> None:
+    """out[:] = g[lo : lo + len(out)], where g[m] = #{(x3,x4,x5,x6):
+    x3^3+x4^3+x5^6+x6^6 = m} and (v3, c3, v6, c6) are _pair_spectra's.  Each
+    sixth-pair value s adds c6[s] c3[v] at s + v for the cube-pair values v
+    with lo <= s + v < lo + len(out); the cells of runs of values s, about
+    PAIR_CHUNK at a time, are added in one np.add.at, so the temporaries stay
+    small whatever the window."""
+    out[:] = 0
+    starts = np.searchsorted(v3, lo - v6)
+    counts = np.searchsorted(v3, lo + len(out) - v6) - starts
+    ends = np.cumsum(counts)
+    cuts = (np.searchsorted(ends, np.arange(intmath.PAIR_CHUNK, ends[-1] if len(ends) else 0,
+                                            intmath.PAIR_CHUNK)) + 1).tolist()
+    for r0, r1 in zip([0, *cuts], [*cuts, len(counts)]):
+        if r0 >= r1:
+            continue
+        cells = _ragged(starts[r0:r1], counts[r0:r1])
+        at = v3[cells]
+        at += np.repeat(v6[r0:r1] - lo, counts[r0:r1])
+        np.add.at(out, at, np.repeat(c6[r0:r1], counts[r0:r1]) * c3[cells])
+
+
+def _cube_sixth_spectrum(P3: int, P6: int, limit: int) -> np.ndarray:
+    """g[m] for m <= limit, of length limit + 1, in _pair_spectra's type,
+    filled in one value window of about equal length per worker, handed to
+    `workers.blocks`."""
+    spectra = _pair_spectra(P3, P6, limit)
+    g = np.empty(limit + 1, dtype=spectra[1].dtype)
+    workers.blocks(lambda lo, hi: _fill_spectrum(g[lo:hi], lo, *spectra),
+                   limit + 1, -(-(limit + 1) // workers.WORKERS))
     return g
 
 
@@ -167,7 +197,7 @@ def check_single_target(n: int) -> None:
     if n > SINGLE_TARGET_BUDGET:
         raise BudgetError(
             f"single target n={n} beyond budget {SINGLE_TARGET_BUDGET} "
-            f"(needs a cube/sixth spectrum of {n - 1} entries)"
+            f"(a time budget: it sums {n - 1} cube/sixth counts, one window at a time)"
         )
 
 
@@ -179,48 +209,115 @@ def check_range(X: int) -> None:
         raise BudgetError(f"range bound X={X} beyond budget {RANGE_BUDGET}")
 
 
-def _gather_edges(n: int) -> list:
-    """Edges of the blocks of rows x = 1..iroot((n - 4) // 2, 2) that
-    rep_count_single gathers: each block takes as many rows as fit
-    GATHER_BLOCK entries of its first, widest row (one row at least), so the
-    blocks carry about equal work and depend on n alone."""
-    last = iroot((n - 4) // 2, 2)
-    edges = [1]
-    while edges[-1] <= last:
-        x = edges[-1]
-        width = iroot(n - 4 - x * x, 2) - x + 1
-        edges.append(min(last + 1, x + max(1, GATHER_BLOCK // width)))
-    return edges
+def _window_length(n: int) -> int:
+    """Entries of g per window of rep_count_single: WINDOW, or the least
+    power of two L at which each row at the diagonal, y ~ sqrt(n / 2), holds
+    L / (2 y) >= ANNULUS_WIDTH cells of the annulus.  There the rows' ranges
+    shift by a column a row, so a rectangle of rows wastes little (2^25
+    entries, 64 MiB of int16, at n = 1e10)."""
+    return max(WINDOW, 1 << (ANNULUS_WIDTH * math.isqrt(2 * n) - 1).bit_length())
+
+
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """floor(sqrt(v)) of an int64 array 0 <= v < 2^52, where the float root
+    is off by at most one."""
+    r = np.sqrt(v).astype(np.int64)
+    r -= r * r > v
+    r += (r + 1) * (r + 1) <= v
+    return r
+
+
+def _annulus_blocks(n: int, lo: int, hi: int):
+    """The rectangles (x0, x1, c0, c1), rows x0 <= x < x1 by columns
+    c0 <= y <= c1, that cover the square pairs x <= y with
+    lo <= n - x^2 - y^2 < hi.
+
+    Row x holds the cells y in [a(x), b(x)], from the integer roots of the
+    window's edges.  A block takes as many rows as fit GATHER_BLOCK cells (one
+    row at least), over the columns from a(x1 - 1) up to b(x0), the rectangle
+    widening as each row's range falls.  A block that reaches the diagonal,
+    a(x1 - 1) < x1, starts at column x0 instead, so its corner square
+    x0 <= y < x1 holds every cell it has with y < x."""
+    rows = math.isqrt((n - lo) // 2)
+    sq = powers(2, rows)
+    a = (_isqrt(np.maximum(n - hi - sq, 0)) + 1).tolist()
+    b = _isqrt(n - lo - sq).tolist()
+    x0 = 1
+    while x0 <= rows:
+        c1 = b[x0 - 1]
+        first = c1 - max(x0, a[x0 - 1]) + 1
+        if first <= 0:  # an empty row, in a window narrower than a row's step
+            x0 += 1
+            continue
+        fit, top = 1, min(rows - x0 + 1, max(1, GATHER_BLOCK // first))
+        while fit < top:
+            h = (fit + top + 1) // 2
+            c0 = a[x0 + h - 2]
+            if h * (c1 - (x0 if c0 < x0 + h else c0) + 1) <= GATHER_BLOCK:
+                fit = h
+            else:
+                top = h - 1
+        x1 = x0 + fit
+        c0 = a[x1 - 2]
+        yield x0, x1, x0 if c0 < x1 else c0, c1
+        x0 = x1
+
+
+def _annulus_sum(buf, lo: int, n: int, squares, cells, values) -> int:
+    """sum_{x<=y} (2 - [x == y]) g[n - x^2 - y^2] over the square pairs with
+    lo <= n - x^2 - y^2 < hi, where buf = [0, g[lo:hi], 0], in the blocks of
+    _annulus_blocks.  A block's indices are clipped into the zero pads of buf,
+    so its cells off their row's range add nothing.  A block that starts at
+    its first row, c0 = x0, takes twice its sum less its corner square: that
+    square is symmetric in x and y, so its sum is twice its strict lower part
+    (y < x) plus its diagonal.  `cells` and `values` are scratch for one
+    block; squares[y - 1] = y^2."""
+    base = (n - lo + 1) - squares  # the index in buf of n - x^2 - y^2 is base - y^2
+    total = 0
+    for x0, x1, c0, c1 in _annulus_blocks(n, lo, lo + len(buf) - 2):
+        shape = (x1 - x0, c1 - c0 + 1)
+        idx = cells[: shape[0] * shape[1]].reshape(shape)
+        np.subtract(base[x0 - 1 : x1 - 1, None], squares[c0 - 1 : c1], out=idx)
+        got = np.take(buf, idx, out=values[: idx.size].reshape(shape), mode="clip")
+        total += 2 * int(got.sum())
+        if c0 == x0:
+            total -= int(got[:, : x1 - x0].sum())
+    return total
 
 
 def rep_count_single(n: int) -> int:
     """Exact R(n): the cube/sixth spectrum g summed over the square pairs,
-    R(n) = sum_{x<=y} (2 - [x == y]) g[n - x^2 - y^2].
+    R(n) = sum_{x<=y} (2 - [x == y]) g[n - x^2 - y^2], one value window of g
+    at a time.
 
-    The rows x are cut into the blocks of _gather_edges, handed out by
-    `workers.blocks`; a block of rows x0 <= x < x1 gathers g once over the
-    columns x0 <= y <= e(x0), the last column of its first row, and takes
-    twice the sum less the corner square x0 <= y < x1: that square is
-    symmetric in x and y, so its sum is twice its strict lower part (y < x)
-    plus its diagonal.  Beyond a row's own last column the index falls below
-    4 and is clipped to 0, and g[0..3] = 0 since the least quadruple sum is 4."""
+    The windows [lo, hi) of _window_length(n) entries cover [0, n - 1), since
+    x^2 + y^2 >= 2; they are handed out by `workers.blocks`, and each run of
+    windows has one buffer, where _fill_spectrum writes g[lo:hi] between two
+    zero pads, and _annulus_sum gathers the square pairs with
+    n - hi < x^2 + y^2 <= n - lo."""
     check_single_target(n)
     if n < 6:
         return 0
-    g = _cube_sixth_spectrum(iroot(n - 4, 3), iroot(n - 4, 6), n - 2)
-    squares = powers(2, iroot(n - 4, 2))
-    edges = _gather_edges(n)
-    sums = [0] * (len(edges) - 1)
+    spectra = _pair_spectra(iroot(n - 4, 3), iroot(n - 4, 6), n - 2)
+    squares = powers(2, math.isqrt(n))
+    length = min(_window_length(n), n - 1)
+    sums = [0] * -(-(n - 1) // length)
+    # a block holds GATHER_BLOCK cells, or one row of at most isqrt(length) + 1
+    size = max(GATHER_BLOCK, math.isqrt(length) + 2)
 
-    def fill(lo, hi):
-        for j in range(lo, hi):
-            x0, x1 = edges[j], edges[j + 1]
-            rows = n - squares[x0 - 1 : x1 - 1]
-            idx = rows[:, None] - squares[x0 - 1 : iroot(n - 4 - x0 * x0, 2)]
-            block = g[np.maximum(idx, 0, out=idx)]
-            sums[j] = 2 * int(block.sum()) - int(block[:, : x1 - x0].sum())
+    def scratch():
+        dtype = spectra[1].dtype
+        return np.zeros(length + 2, dtype), np.empty(size, np.intp), np.empty(size, dtype)
 
-    workers.blocks(fill, len(sums), 1)
+    def window(w, _, scratch):
+        buf, cells, values = scratch
+        lo = w * length
+        buf = buf[: min(length, n - 1 - lo) + 2]
+        _fill_spectrum(buf[1:-1], lo, *spectra)
+        buf[-1] = 0
+        sums[w] = _annulus_sum(buf, lo, n, squares, cells, values)
+
+    workers.blocks(window, len(sums), 1, scratch)
     return sum(sums)
 
 

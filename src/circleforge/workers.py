@@ -15,9 +15,9 @@ depends on WORKERS.
 
 `blocks` cuts n rows of work into fixed blocks, laid out by the row count and
 block size alone, and each worker fills one contiguous run of them.  It serves
-the arc quadrature's dense kernels and the counts, whose value windows of the
-cube/sixth spectrum and of the lattices, and blocks of square-pair rows, it
-hands out.
+the arc quadrature's dense kernels and the counts: it hands out the value
+windows of the lattices and of the cube/sixth spectrum, those of a single
+target each filled and summed in its run's one scratch buffer.
 """
 
 import os

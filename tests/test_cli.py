@@ -278,9 +278,9 @@ def test_budgets_checked_before_work(capsys, monkeypatch):
          "range bound X=30000001 beyond budget 30000000"),
         (("predict", "--n", "100000000", "--trunc", "6000"),
          "truncation W=6000 beyond budget 5000"),
-        (("predict", "--n", "200000001", "--trunc", "6000"),
-         "single target n=200000001 beyond budget 200000000 "
-         "(needs a cube/sixth spectrum of 200000000 entries)"),
+        (("predict", "--n", "10000000001", "--trunc", "6000"),
+         "single target n=10000000001 beyond budget 10000000000 "
+         "(a time budget: it sums 10000000000 cube/sixth counts, one window at a time)"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == ""
@@ -335,6 +335,27 @@ def test_scan_under_an_address_space_limit_exits_3():
     assert proc.returncode == 3 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert json.loads(proc.stderr)["error"] == "budget"
+
+
+def test_predict_peak_memory_is_bounded():
+    # predict at 2e8 holds a few windows of g, where all of g, int16, would
+    # take 381 MiB alone; the CLI runs in a grandchild, so the peak read from
+    # RUSAGE_CHILDREN is its own and no other test's
+    script = """
+import resource, subprocess, sys
+proc = subprocess.run([sys.executable, "-m", "circleforge.cli", "predict",
+                       "--n", "200000000", "--trunc", "1"], capture_output=True, text=True)
+print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+print(proc.stdout, end="")
+"""
+    src = os.path.dirname(os.path.dirname(repcount.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=300, check=True).stdout.splitlines()
+    code, peak_kib = map(int, out[0].split())
+    assert code == 0 and json.loads(out[1])["R"] == 95327210
+    assert peak_kib <= 128 * 1024, peak_kib
 
 
 # every integer budget a handler reaches, each at the budget plus one, with the

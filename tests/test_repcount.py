@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circleforge import exactconv
+from circleforge import exactconv, repcount
 from circleforge.errors import BudgetError, PreconditionError
 from circleforge.exactconv import (
     FLOAT_EXACT_LIMIT,
@@ -18,9 +18,10 @@ from circleforge.intmath import iroot, pair_values, powers
 from circleforge.repcount import (
     GATHER_BLOCK,
     SINGLE_TARGET_BUDGET,
+    WINDOW,
+    _annulus_blocks,
     _count_dtype,
     _cube_sixth_spectrum,
-    _gather_edges,
     pair_spectrum,
     read_spectrum,
     rep_count_range,
@@ -532,16 +533,16 @@ def test_count_dtype_is_the_narrowest_that_holds_the_bound(bound, dtype):
 
 
 def test_single_target_budget_spectrum_is_int16():
-    # the largest single target: P3 = 584, P6 = 24, every count at most 3,294
+    # the largest single target: P3 = 2154, P6 = 46, every count at most 12,222
     n = SINGLE_TARGET_BUDGET
     P3, P6 = iroot(n - 4, 3), iroot(n - 4, 6)
     bound = _spectrum_bound(P3, P6, n - 2)
-    assert (P3, P6, bound) == (584, 24, 3294)
+    assert (P3, P6, bound) == (2154, 46, 12222)
     assert _count_dtype(bound) is np.int16
 
 
 def test_single_target_refusal_states_the_spectrum_size():
-    with pytest.raises(BudgetError, match=f"spectrum of {SINGLE_TARGET_BUDGET} entries"):
+    with pytest.raises(BudgetError, match=f"sums {SINGLE_TARGET_BUDGET} cube/sixth counts"):
         rep_count_single(SINGLE_TARGET_BUDGET + 1)
 
 
@@ -551,30 +552,98 @@ def test_cube_sixth_spectrum_conservation():
         assert int(g.sum()) == P3 * P3 * P6 * P6
 
 
-def test_gather_blocks_cover_the_rows_within_the_block_size():
-    for n in (6, 7, 100, 4500, 10**6, 9_412_345, SINGLE_TARGET_BUDGET):
-        edges = _gather_edges(n)
-        assert edges[0] == 1 and edges[-1] == iroot((n - 4) // 2, 2) + 1
-        for x0, x1 in zip(edges, edges[1:]):
-            width = iroot(n - 4 - x0 * x0, 2) - x0 + 1
-            # a block is never narrower than it is tall, since e(x0) >= x1 - 1
-            assert x0 < x1 <= x0 + width
-            assert (x1 - x0) * width <= GATHER_BLOCK or x1 == x0 + 1
+def _annulus_cells(n, lo, hi):
+    """The square pairs x <= y with lo <= n - x^2 - y^2 < hi, by enumeration."""
+    return {(x, y) for x in range(1, iroot(n, 2) + 1) for y in range(x, iroot(n, 2) + 1)
+            if lo <= n - x * x - y * y < hi}
 
 
-def test_single_target_memory_is_one_spectrum():
-    # one int16 cube/sixth spectrum of about n entries (its counts stay below
-    # 2^15 here); an int64 spectrum, or a second dense histogram of that
-    # length, would push the peak past 1.5 x 2n bytes
-    n = 10**6
-    rep_count_single(n)  # warm-up, so lazy imports do not count
-    tracemalloc.start()
-    try:
-        rep_count_single(n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * 2 * n
+def test_gather_blocks_cover_the_rows_within_the_block_size(monkeypatch):
+    # the rectangles of a window hold every cell of its annulus once, each
+    # within GATHER_BLOCK cells or one row, and a rectangle with a cell y < x
+    # starts at its first row, so its corner square holds all those cells;
+    # windows of one entry, of a prime length and of the default length, at
+    # the bottom, middle and top of g, and blocks of 50 cells as well
+    for block in (GATHER_BLOCK, 50):
+        monkeypatch.setattr(repcount, "GATHER_BLOCK", block)
+        for n in (6, 7, 100, 4500, 40_009):
+            for length in (1, 997, WINDOW):
+                for lo in sorted({0, (n - 1) // 2 // length * length,
+                                  (n - 2) // length * length}):
+                    hi = min(lo + length, n - 1)
+                    seen = []
+                    for x0, x1, c0, c1 in _annulus_blocks(n, lo, hi):
+                        assert 1 <= x0 < x1 and c0 <= c1
+                        assert (x1 - x0) * (c1 - c0 + 1) <= block or x1 == x0 + 1
+                        assert c0 == x0 or c0 >= x1
+                        seen += [(x, y) for x in range(x0, x1) for y in range(max(x, c0), c1 + 1)
+                                 if lo <= n - x * x - y * y < hi]
+                    assert len(seen) == len(set(seen))
+                    assert set(seen) == _annulus_cells(n, lo, hi), (n, length, lo)
+
+
+def test_annulus_blocks_within_the_block_size_at_the_budget():
+    # at the largest target, in the top, middle and bottom windows of g
+    n = SINGLE_TARGET_BUDGET
+    length = repcount._window_length(n)
+    for lo in (0, n // 2 // length * length, (n - 2) // length * length):
+        total = 0
+        for x0, x1, c0, c1 in _annulus_blocks(n, lo, lo + length):
+            assert (x1 - x0) * (c1 - c0 + 1) <= GATHER_BLOCK or x1 == x0 + 1
+            total += (x1 - x0) * (c1 - c0 + 1)
+        # the rectangles gather at most 2x the pi L / 8 cells of the annulus
+        assert total <= 2 * np.pi * length / 8, lo
+
+
+def _window_length(monkeypatch, length):
+    monkeypatch.setattr(repcount, "_window_length", lambda n: length)
+
+
+@pytest.mark.parametrize("length", [1, 7919, 2**16, None])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_single_target_independent_of_window_and_workers(monkeypatch, range_2e5, length, count):
+    # windows of one entry (at small n), of a prime length, of 2^16 entries
+    # and of the default length, on 1-3 workers: the same R(n)
+    if length is not None:
+        _window_length(monkeypatch, length)
+    targets = range(6, 301, 7) if length == 1 else [*range(6, 301, 7), 65_537, 131_071, 199_999]
+    with worker_count(count):
+        for n in targets:
+            assert rep_count_single(n) == int(range_2e5[n]), n
+
+
+def test_single_target_at_window_edges(monkeypatch):
+    # n - 1 just below, at and just above a multiple of the window length (a
+    # short last window, whole windows only, a last window of one entry):
+    # against the brute oracle with windows of 64 entries, and against the
+    # range count with the default windows
+    small = [n for k in (1, 2, 3, 4) for n in (64 * k, 64 * k + 1, 64 * k + 2)]
+    with monkeypatch.context() as patch:
+        _window_length(patch, 64)
+        for n in small:
+            assert rep_count_single(n) == rep_single_brute(n), n
+    assert repcount._window_length(2**21) == WINDOW
+    values = rep_count_range(2**21 + 2).values
+    for k in (1, 2):
+        for n in (k * WINDOW, k * WINDOW + 1, k * WINDOW + 2):
+            assert rep_count_single(n) == int(values[n]), n
+
+
+def test_single_target_memory_is_one_window_per_worker():
+    # each run of windows holds one int16 window of g (2 bytes an entry),
+    # with block and fill scratch of about the same size: 9,296,368 bytes at
+    # 2 workers, where a whole int16 spectrum would take 2n, 20 MB, alone
+    n = 9_989_837
+    for count in (1, 2):
+        with worker_count(count):
+            rep_count_single(n)  # warm-up, so lazy imports do not count
+            tracemalloc.start()
+            try:
+                rep_count_single(n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= count * 3 * 2 * WINDOW, (count, peak)
 
 
 def test_cube_sixth_spectrum_refuses_inexact_float_sums():

@@ -495,9 +495,10 @@ def test_call_on_a_busy_pool_runs_its_own_blocks():
 
 @pytest.mark.parametrize("count", [2, 3])
 def test_small_gather_blocks_against_range(monkeypatch, count):
-    # blocks of a few rows, and of one row wider than the block, on each
-    # side of every cut between workers
+    # blocks of a few rows, and of one row wider than the block, in windows
+    # of 997 entries, on each side of every cut between workers
     monkeypatch.setattr(repcount, "GATHER_BLOCK", 50)
+    monkeypatch.setattr(repcount, "_window_length", lambda n: 997)
     values = repcount.rep_count_range(4000).values
     with worker_count(count):
         for n in range(6, 4001, 37):
@@ -545,8 +546,8 @@ def test_series_restores_the_ufunc_buffer():
 
 
 def test_quad_fill_restores_the_ufunc_buffer(monkeypatch):
-    # each share of the quadruple key fill narrows numpy's ufunc buffer on
-    # its own thread and puts it back
+    # the quadruple key fill runs its value windows on the pool threads, and
+    # leaves no pool thread, nor the caller, with a changed ufunc buffer
     monkeypatch.setattr(intmath, "PAIR_CHUNK", 16)
     both = threading.Barrier(2)
 
