@@ -3,13 +3,15 @@ with positive integers x_i.
 
 Both paths read the exact integer cube/sixth spectrum g, filled by one
 primitive, _fill_spectrum, one value window at a time into a buffer it is
-given.  A full range fills all of g, one window per worker, and convolves it
-with the square-pair spectrum through the exact transform backend.  A single
-target never holds all of g: its windows, of a length fixed by n, are handed
-out by `workers.blocks`, and each is filled into its run's one buffer and
-summed over the square pairs of its annulus in 2-D blocks of rows x.  Tuples
-are ordered and every variable starts at 1, so the least representable value
-is 6.
+given, and within a window one sixth-pair value at a time: that value's
+cube-pair partners in the window are one slice of the sorted cube-pair
+values, added by one np.add.at.  A full range fills all of g in windows of
+WINDOW entries and convolves it with the square-pair spectrum through the
+exact transform backend.  A single target never holds all of g: its windows,
+of a length fixed by n, are handed out by `workers.blocks`, and each is
+filled into its run's one buffer and summed over the square pairs of its
+annulus in 2-D blocks of rows x.  Tuples are ordered and every variable
+starts at 1, so the least representable value is 6.
 """
 
 import hashlib
@@ -21,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import intmath, workers
+from . import workers
 from .errors import BudgetError, PreconditionError
 from .exactconv import FLOAT_EXACT_LIMIT, exact_convolve
-from .intmath import _ragged, iroot, pair_values, powers
+from .intmath import iroot, pair_values, powers
 from .powersums import _check_exponent
 
 PAIR_INDEX_BUDGET = 2 * 10**8  # entries in a pair spectrum
@@ -159,34 +161,30 @@ def _pair_spectra(P3: int, P6: int, limit: int) -> tuple:
 
 def _fill_spectrum(out: np.ndarray, lo: int, v3, c3, v6, c6) -> None:
     """out[:] = g[lo : lo + len(out)], where g[m] = #{(x3,x4,x5,x6):
-    x3^3+x4^3+x5^6+x6^6 = m} and (v3, c3, v6, c6) are _pair_spectra's.  Each
-    sixth-pair value s adds c6[s] c3[v] at s + v for the cube-pair values v
-    with lo <= s + v < lo + len(out); the cells of runs of values s, about
-    PAIR_CHUNK at a time, are added in one np.add.at, so the temporaries stay
-    small whatever the window."""
+    x3^3+x4^3+x5^6+x6^6 = m} and (v3, c3, v6, c6) are _pair_spectra's.  One
+    sixth-pair value s at a time: the cube-pair values v with
+    lo <= s + v < lo + len(out) are one slice v3[i:j], since v3 is sorted, and
+    np.add.at adds c6[s] c3[v] at s + v - lo over that slice's views, in the
+    counts' type.  A call scatters into the window alone and holds only its
+    slice's index and product."""
     out[:] = 0
-    starts = np.searchsorted(v3, lo - v6)
-    counts = np.searchsorted(v3, lo + len(out) - v6) - starts
-    ends = np.cumsum(counts)
-    cuts = (np.searchsorted(ends, np.arange(intmath.PAIR_CHUNK, ends[-1] if len(ends) else 0,
-                                            intmath.PAIR_CHUNK)) + 1).tolist()
-    for r0, r1 in zip([0, *cuts], [*cuts, len(counts)]):
-        if r0 >= r1:
-            continue
-        cells = _ragged(starts[r0:r1], counts[r0:r1])
-        at = v3[cells]
-        at += np.repeat(v6[r0:r1] - lo, counts[r0:r1])
-        np.add.at(out, at, np.repeat(c6[r0:r1], counts[r0:r1]) * c3[cells])
+    starts = np.searchsorted(v3, lo - v6).tolist()
+    ends = np.searchsorted(v3, lo + len(out) - v6).tolist()
+    for s, weight, i, j in zip(v6.tolist(), c6, starts, ends):
+        if i < j:
+            np.add.at(out, v3[i:j] + (s - lo), c3[i:j] * weight)
 
 
 def _cube_sixth_spectrum(P3: int, P6: int, limit: int) -> np.ndarray:
     """g[m] for m <= limit, of length limit + 1, in _pair_spectra's type,
-    filled in one value window of about equal length per worker, handed to
-    `workers.blocks`."""
+    filled by `workers.blocks` in value windows of WINDOW entries, one
+    contiguous run of them per worker, so each window's scatter stays within
+    one core's L2.  np.add.at holds the GIL, so windows cut shorter to give
+    every worker a run would gain nothing."""
     spectra = _pair_spectra(P3, P6, limit)
     g = np.empty(limit + 1, dtype=spectra[1].dtype)
     workers.blocks(lambda lo, hi: _fill_spectrum(g[lo:hi], lo, *spectra),
-                   limit + 1, -(-(limit + 1) // workers.WORKERS))
+                   limit + 1, WINDOW)
     return g
 
 

@@ -22,6 +22,8 @@ from circleforge.repcount import (
     _annulus_blocks,
     _count_dtype,
     _cube_sixth_spectrum,
+    _fill_spectrum,
+    _pair_spectra,
     pair_spectrum,
     read_spectrum,
     rep_count_range,
@@ -511,17 +513,58 @@ def _holds(dtype, bound):
     return np.issubdtype(dtype, np.signedinteger) and np.iinfo(dtype).max >= bound
 
 
-def test_cube_sixth_spectrum_matches_brute():
+def test_cube_sixth_spectrum_matches_brute(monkeypatch):
     for P3, P6 in ((1, 1), (5, 2), (9, 3)):
         top = 2 * P3**3 + 2 * P6**6
         for limit in (top // 3, top - 1, top, top + 7):
             expect = _cube_sixth_brute(P3, P6, limit)
-            # one value window per worker, down to windows of one entry
-            for count in (1, 2, 3, 7):
+            # windows of the default length, of 7 entries and of one entry,
+            # in runs on 1-3 workers
+            for count, window in ((1, WINDOW), (2, WINDOW), (2, 7), (3, 1)):
+                monkeypatch.setattr(repcount, "WINDOW", window)
                 with worker_count(count):
                     g = _cube_sixth_spectrum(P3, P6, limit)
                 assert _holds(g.dtype, _spectrum_bound(P3, P6, limit)) and len(g) == limit + 1
                 assert g.tolist() == expect
+
+
+def _fill_window(P3, P6, lo, length, dtype):
+    """_fill_spectrum over [lo, lo + length) with the counts copied into dtype,
+    against the brute spectrum (zero past its top); a fill between two pads
+    leaves them as they were.  Returns the slice bounds (i, j) of v3 for each
+    sixth-pair value and the values v6."""
+    top = 2 * P3**3 + 2 * P6**6
+    v3, c3, v6, c6 = _pair_spectra(P3, P6, top)
+    buf = np.full(length + 2, 7, dtype)
+    _fill_spectrum(buf[1:-1], lo, v3, c3.astype(dtype), v6, c6.astype(dtype))
+    brute = _cube_sixth_brute(P3, P6, top)
+    assert buf[1:-1].tolist() == [brute[m] if m <= top else 0 for m in range(lo, lo + length)]
+    assert buf[0] == buf[-1] == 7
+    return np.searchsorted(v3, lo - v6), np.searchsorted(v3, lo + length - v6), v6
+
+
+@st.composite
+def _fill_windows(draw):
+    P3, P6 = draw(st.integers(1, 16)), draw(st.integers(1, 3))
+    lo = draw(st.integers(0, 2 * P3**3 + 2 * P6**6 + 64))
+    return P3, P6, lo, draw(st.integers(1, 2**12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(window=_fill_windows(), dtype=st.sampled_from([np.int16, np.int32]))
+def test_fill_spectrum_matches_brute(window, dtype):
+    # any window [lo, lo + length), from the bottom of g to past its top
+    _fill_window(*window, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+def test_fill_spectrum_with_unpartnered_sixth_values(dtype):
+    # windows in which a sixth-pair value s below the window's top has no
+    # cube-pair value v with lo <= s + v < hi (an empty slice, i == j) while
+    # another s has some
+    for P3, P6, lo, length in ((5, 2, 26, 40), (5, 2, 77, 5), (5, 2, 81, 1), (9, 3, 89, 40)):
+        i, j, v6 = _fill_window(P3, P6, lo, length, dtype)
+        assert ((i == j) & (v6 < lo + length)).any() and (i < j).any()
 
 
 @pytest.mark.parametrize("bound, dtype", [
@@ -630,9 +673,10 @@ def test_single_target_at_window_edges(monkeypatch):
 
 
 def test_single_target_memory_is_one_window_per_worker():
-    # each run of windows holds one int16 window of g (2 bytes an entry),
-    # with block and fill scratch of about the same size: 9,296,368 bytes at
-    # 2 workers, where a whole int16 spectrum would take 2n, 20 MB, alone
+    # each run of windows holds one int16 window of g (2 bytes an entry) and
+    # block scratch of GATHER_BLOCK cells, and the fill holds one slice of
+    # cube-pair values at a time: 3,013,100 and 5,668,860 bytes at 1 and 2
+    # workers, where a whole int16 spectrum would take 2n, 20 MB, alone
     n = 9_989_837
     for count in (1, 2):
         with worker_count(count):
@@ -643,7 +687,7 @@ def test_single_target_memory_is_one_window_per_worker():
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peak <= count * 3 * 2 * WINDOW, (count, peak)
+        assert peak <= count * 2 * 2 * WINDOW, (count, peak)
 
 
 def test_cube_sixth_spectrum_refuses_inexact_float_sums():
