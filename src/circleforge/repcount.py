@@ -33,7 +33,7 @@ PAIR_INDEX_BUDGET = 2 * 10**8  # entries in a pair spectrum
 # a time budget: memory stays a few windows of g whatever n, and the int16
 # spectrum holds up to here (every count at most 12,222 at P3 = 2154, P6 = 46)
 SINGLE_TARGET_BUDGET = 10**10
-# a memory budget: scan(3e7) peaks near 2 GiB; the range product is formed in
+# a memory budget: scan(3e7) peaks near 1.8 GiB; the range product is formed in
 # pieces below X + 1, so no transform length limits X any more
 RANGE_BUDGET = 3 * 10**7
 GATHER_BLOCK = 2**15  # cells that one block of rep_count_single gathers
@@ -321,13 +321,18 @@ def rep_count_single(n: int) -> int:
 
 def rep_count_range(X: int, cache_dir: str | None = None) -> RangeCounts:
     """Exact R(n) for every n <= X via one exact convolution, of which only
-    the first X + 1 entries are formed."""
+    the first X + 1 entries are formed.  Both spectra enter it in their
+    narrowest integer types (int16 at every admitted X), which the engine
+    reads through views: the square-pair spectrum, a narrow copy of its
+    first X + 1 entries, holds 2 bytes an entry through the product, not 8."""
     check_range(X)
     P2, P3, P6 = iroot(X, 2), iroot(X, 3), iroot(X, 6)
-    # a copy, so the spectrum, twice as long, is freed before the transforms
-    sq_trunc = _cached_pair_spectrum(2, P2, cache_dir).counts[: X + 1].copy()
+    # a narrow copy, so the spectrum, twice as long and int64, is freed
+    # before the transforms
+    sq = _cached_pair_spectrum(2, P2, cache_dir).counts[: X + 1]
+    sq = sq.astype(_count_dtype(int(sq.max())))
     g = _cube_sixth_spectrum(P3, P6, X)
-    values = exact_convolve(g, sq_trunc, X + 1)
+    values = exact_convolve(g, sq, X + 1)
     if X >= 6 and values[:6].any():
         raise AssertionError("convolution produced counts below the minimum value 6")
     return RangeCounts(X=X, values=values)

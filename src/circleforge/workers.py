@@ -8,10 +8,12 @@ decides where a call runs: the calling thread runs the first call, then takes
 back and runs each call that no worker has started, and waits only on calls
 already running, so no caller, on the pool or off it, waits on queued work.
 With one CPU every call runs inline, in order, and no thread is ever
-started; so do they when the system refuses to start any pool thread.  The
-calls spend their time
-in numpy kernels (sorts, ufuncs, FFTs) that release the GIL, and no result
-depends on WORKERS.
+started; so do they when the system refuses to start any pool thread.  A
+call taken back or run holds no closure: one taken back may sit in the queue
+behind a busy pool thread, and would otherwise keep the arrays its closure
+names alive until that thread pops it.  The calls spend their time in numpy
+kernels (sorts, ufuncs, FFTs) that release the GIL, and no result depends on
+WORKERS.
 
 `blocks` cuts n rows of work into fixed blocks, laid out by the row count and
 block size alone, and each worker fills one contiguous run of them.  It serves
@@ -41,14 +43,18 @@ class _Call:
 
     def take_back(self) -> bool:
         """True if no pool thread has started the call, which is then the
-        caller's to run."""
+        caller's to run; the queued call lets go of its closure at once, not
+        when a busy pool thread pops it."""
         if self._claim.acquire(blocking=False):
+            self.fn = None
             self.done.set()
             return True
         return False
 
     def run(self) -> None:
-        """Run the call on a pool thread, unless it was taken back."""
+        """Run the call on a pool thread, unless it was taken back; the
+        closure is dropped before `done` is set, so a result that waits to
+        be read holds nothing else."""
         if not self._claim.acquire(blocking=False):
             return
         try:
@@ -56,6 +62,7 @@ class _Call:
         except BaseException as exc:
             self._error = exc
         finally:
+            self.fn = None
             self.done.set()
 
     def result(self, timeout=None):

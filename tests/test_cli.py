@@ -321,9 +321,9 @@ def test_out_of_memory_exits_3(capsys, monkeypatch):
 
 
 def test_scan_under_an_address_space_limit_exits_3():
-    # scan(10^7) needs about 740 MiB of memory; limited to 512 MiB of address
-    # space (in the child only), its first allocation that does not fit
-    # raises MemoryError, which the CLI reports as a budget refusal
+    # scan(10^7) needs about 620-650 MiB of memory; limited to 512 MiB of
+    # address space (in the child only), its first allocation that does not
+    # fit raises MemoryError, which the CLI reports as a budget refusal
     limit = 512 * 2**20
     src = os.path.dirname(os.path.dirname(repcount.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
