@@ -408,18 +408,24 @@ def major_arc_error_survey(k: int, X: int, q_max: int, W: int) -> ModelErrorSurv
     )
 
 
-def pruned_integral_diagnostic(
-    X: int, Q: int, sample: ExceptionalSample, grid: int = 10
-) -> PrunedDiagnostic:
-    """Numeric sizes of the three pruning integrands over the annulus at level
-    Q (level-Q arcs minus half-level arcs), tabulated against the bound shapes
-    they are compared with.  Purely diagnostic; no inequality is asserted."""
+def check_pruned(X: int, Q: int, grid: int) -> None:
+    """The refusals of pruned_integral_diagnostic, raised before any work (and
+    before the CLI draws its sample)."""
     if X < 16 or X > 10**4:
         raise BudgetError("pruned-diagnostic budget is 16 <= X <= 10**4")
     if Q < 1 or Q > math.isqrt(X):
         raise PreconditionError("need 1 <= Q <= sqrt(X)")
     if grid < 1:
         raise PreconditionError("need grid >= 1")
+
+
+def pruned_integral_diagnostic(
+    X: int, Q: int, sample: ExceptionalSample, grid: int = 10
+) -> PrunedDiagnostic:
+    """Numeric sizes of the three pruning integrands over the annulus at level
+    Q (level-Q arcs minus half-level arcs), tabulated against the bound shapes
+    they are compared with.  Purely diagnostic; no inequality is asserted."""
+    check_pruned(X, Q, grid)
     P2, P3, P6 = iroot(X, 2), iroot(X, 3), iroot(X, 6)
     # for Q <= sqrt(X) the annulus is never empty: it keeps (Q/2X, Q/X] of the
     # q = 1 arc, which a half-level arc covers only if X <= Q^2/2 + Q/2

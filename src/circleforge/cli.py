@@ -99,17 +99,23 @@ def _rational_alpha(args) -> Fraction:
     return Fraction(args.a, args.q) % 1
 
 
-def _sample_set(args, X: int) -> arcs.ExceptionalSample:
+def _check_sample(args, X: int) -> None:
+    """The refusals of --sample and --seed over (X/2, X].  A sampling command
+    raises these, then its own refusals, and only then draws its sample."""
     if args.sample < 0 or args.seed < 0:
         raise PreconditionError("--sample and --seed must be >= 0")
+    if args.sample and X >= 2**63:
+        raise PreconditionError("sampling needs --limit below 2^63")
+    if args.sample and args.sample > X - X // 2:
+        raise PreconditionError("sample larger than the admissible range (X/2, X]")
+
+
+def _sample_set(args, X: int) -> arcs.ExceptionalSample:
+    """The --sample members of (X/2, X] drawn from --seed (after _check_sample)."""
     if args.sample == 0:
         return arcs.ExceptionalSample(members=())
-    if X >= 2**63:
-        raise PreconditionError("sampling needs --limit below 2^63")
     rng = np.random.default_rng(args.seed)
     lo, hi = X // 2 + 1, X
-    if args.sample > hi - lo + 1:
-        raise PreconditionError("sample larger than the admissible range (X/2, X]")
     # the same draw as from np.arange(lo, hi + 1), without building that range
     members = lo + rng.choice(hi - lo + 1, size=args.sample, replace=False)
     return arcs.ExceptionalSample(members=tuple(int(v) for v in np.sort(members)))
@@ -219,8 +225,10 @@ def _singular_integral(args):
 
 
 def _pruned(args):
-    sample = _sample_set(args, args.limit)
-    result = arcints.pruned_integral_diagnostic(args.limit, args.Q, sample, grid=args.grid)
+    _check_sample(args, args.limit)
+    arcints.check_pruned(args.limit, args.Q, args.grid)
+    result = arcints.pruned_integral_diagnostic(args.limit, args.Q, _sample_set(args, args.limit),
+                                                grid=args.grid)
     return _arc_report(result, "square_majorant_rel_change", "cubic_approx_rel_change")
 
 
@@ -238,6 +246,12 @@ def _scan(args):
     return summary, header, record_columns(report), True  # records: see _emit
 
 
+def _shifted(args):
+    _check_sample(args, args.limit)
+    moments.check_shifted(args.P, args.sample)
+    return _counted(moments.shifted_cube_correlation(args.P, _sample_set(args, args.limit).members))
+
+
 # --moment name: (required flags, handler)
 MOMENTS = {
     "pair-collisions": (("P",), lambda args: _counted(
@@ -246,8 +260,7 @@ MOMENTS = {
         moments.count_cube_sixth_correlation(args.limit))),
     "eighth": (("P",), lambda args: _counted(moments.sixth_power_eighth_moment(args.P))),
     "multiplicity": (("P",), _multiplicity),
-    "shifted": (("P", "limit"), lambda args: _counted(
-        moments.shifted_cube_correlation(args.P, _sample_set(args, args.limit).members))),
+    "shifted": (("P", "limit"), _shifted),
 }
 
 # --op name: (required flags, handler)

@@ -92,32 +92,28 @@ def powers(k: int, P: int) -> np.ndarray:
     return np.arange(1, P + 1, dtype=np.int64) ** k
 
 
-def pair_reduce(fn, a: np.ndarray, sign: int = 1, weights=None, limit: int | None = None) -> list:
+def pair_reduce(fn, a: np.ndarray, sign: int = 1, limit: int | None = None) -> list:
     """[fn(runs) for each value window] over the pair lattice of a strictly
     increasing int64 a, the windows in increasing order of value, where runs
     yields (values, sums) as key_runs does: each distinct value of the window
-    once, in increasing order, with the sum of its weights.
+    once, in increasing order, with its number of ordered pairs.
 
-    sign=1 takes the triangle a[i] + a[j], i <= j, with weight w[i] w[j]
-    doubled off the diagonal, so the weights of a value sum to its number of
-    ordered pairs; sign=-1 takes the positive differences a[i] - a[j], i > j,
-    with weight w[i] w[j].  weights are positive (all 1 when None), and only
-    values <= limit are kept; the bound is applied in exact integers, so no
-    excluded pair can wrap into range.  Raises BudgetError if a key could
-    pass int64.
+    sign=1 takes the triangle a[i] + a[j], i <= j, each cell off the diagonal
+    standing for both of its ordered pairs; sign=-1 takes the positive
+    differences a[i] - a[j], i > j.  Only values <= limit are kept; the bound
+    is applied in exact integers, so no excluded pair can wrap into range.
+    Raises BudgetError if a key could pass int64.
 
     Each row holds cells of increasing value, as _windows needs: for sign=1
     row i holds the cells j > i and a second row the diagonal j = i; for
     sign=-1 row i holds the cells j < i from the largest j down, read from
-    the reversed source -a[::-1].  A key is (value << bits) | (weight - 1).
+    the reversed source -a[::-1].  A key is (value << bits) | (weight - 1),
+    the weight 2 off the diagonal and 1 on it for sign=1, bits = 0 for sign=-1.
     """
     n = len(a)
-    w = np.ones(n, dtype=np.int64) if weights is None else np.asarray(weights, dtype=np.int64)
     first, last = (int(a[0]), int(a[-1])) if n else (0, 0)
     low, high = (2 * first, 2 * last) if sign == 1 else (1, last - first)
     high = high if limit is None else min(high, limit)
-    double = 2 if sign == 1 else 1  # the triangle stands for both ordered pairs
-    w_top = double * int(w.max(initial=1)) ** 2
     # a row's cell of value <= bound is a source value <= bound - row value;
     # the bounds, those needles and -a are int64 unless a spans nearly all of
     # it, and then the values are held as Python ints
@@ -137,20 +133,17 @@ def pair_reduce(fn, a: np.ndarray, sign: int = 1, weights=None, limit: int | Non
         return np.clip(source_a.searchsorted(needles, "right"), row_lo, row_hi)
 
     top = edge([high])[0]
-    total = int((top - row_lo).sum())
-    bits = _key_bits("pair", low, high, w_top) if total else (w_top - 1).bit_length()
+    w_top = 2 if sign == 1 else 1
+    bits = _key_bits("pair", low, high, w_top) if int((top - row_lo).sum()) else w_top - 1
     # key = (a[i] << bits) +- (a[j] << bits) + weight - 1, the row term and
     # the source term each wrapping alike in int64, so every key that fits
-    # is exact; unit weights fold into the row term
+    # is exact; the weight code rides on the row term
     shifted = a << bits
     if sign == 1:
-        head = np.concatenate([shifted + (weights is None), shifted])
-        product = (np.concatenate([double * w, w]), w)
+        head, source = np.concatenate([shifted + 1, shifted]), shifted
     else:
-        head, product = shifted, (w, w[::-1])
-        shifted = np.negative(shifted[::-1])
-    return _windows(fn, bits, head, shifted, row_lo, top, edge,
-                    None if weights is None else product)
+        head, source = shifted, np.negative(shifted[::-1])
+    return _windows(fn, bits, head, source, row_lo, top, edge)
 
 
 def _key_bits(what: str, low: int, high: int, w_top: int) -> int:
@@ -171,10 +164,9 @@ def _ragged(lo: np.ndarray, counts: np.ndarray, step: int = 1) -> np.ndarray:
     return cells
 
 
-def _cells(keys, head, source, lo, hi, product=None) -> np.ndarray:
+def _cells(keys, head, source, lo, hi) -> np.ndarray:
     """keys[:size] := the keys head[r] + source[k], k in [lo[r], hi[r]), row
-    after row, plus scale[r] * factor[k] - 1 with product = (scale, factor).
-    They are written in runs of rows of about PAIR_CHUNK cells, so the index
+    after row, written in runs of rows of about PAIR_CHUNK cells, so the index
     temporaries stay small whatever the window's size."""
     counts = hi - lo
     ends = np.cumsum(counts)
@@ -187,9 +179,6 @@ def _cells(keys, head, source, lo, hi, product=None) -> np.ndarray:
         cells = _ragged(lo[r0:r1], counts[r0:r1])
         np.take(source, cells, out=out, mode="clip")
         out += np.repeat(head[r0:r1], counts[r0:r1])
-        if product is not None:
-            scale, factor = product
-            out += np.repeat(scale[r0:r1], counts[r0:r1]) * factor[cells] - 1
     return keys
 
 
@@ -204,13 +193,14 @@ def _sample_bounds(bits: int, head, source, row_lo, row_hi, parts: int) -> list:
     sample += np.repeat(head[rows], counts)
     sample >>= bits
     sample.sort()
-    return np.unique(sample[len(sample) * np.arange(1, parts) // parts]).tolist()
+    picks = sample[len(sample) * np.arange(1, parts) // parts]  # np.unique would load numpy.ma
+    return picks[np.r_[True, picks[1:] != picks[:-1]]].tolist()
 
 
-def _windows(fn, bits: int, head, source, row_lo, row_hi, edge, product=None) -> list:
+def _windows(fn, bits: int, head, source, row_lo, row_hi, edge) -> list:
     """[fn(key_runs(keys, bits)) for each value window] of a lattice whose row
-    r holds the keys head[r] + source[k], k in [row_lo[r], row_hi[r]) (with
-    product, as _cells adds it), in increasing order of value (key >> bits).
+    r holds the keys head[r] + source[k], k in [row_lo[r], row_hi[r]), in
+    increasing order of value (key >> bits).
 
     The windows are the value ranges (b[w], b[w + 1]]: one window below
     PAIR_CHUNK keys per worker, else the least multiple of WORKERS windows of
@@ -231,7 +221,7 @@ def _windows(fn, bits: int, head, source, row_lo, row_hi, edge, product=None) ->
     sizes = [int((hi - lo).sum()) for lo, hi in zip(edges, edges[1:])]
 
     def window(w, _, keys):
-        keys = _cells(keys, head, source, edges[w], edges[w + 1], product)
+        keys = _cells(keys, head, source, edges[w], edges[w + 1])
         keys.sort()
         results[w] = fn(key_runs(keys, bits))
 
@@ -327,7 +317,7 @@ def key_runs(keys: np.ndarray, bits: int):
     lattices), every key keeps its weight, the repeated keys alone are folded
     into the first key of their run, and the run starts are kept; otherwise
     (the square-pair sums) a run's weight is read off prefix sums of the
-    weights at the run starts."""
+    weights at the run starts, bits = 0 included."""
     mask = (1 << bits) - 1
     cuts = np.searchsorted(keys, keys[PAIR_CHUNK::PAIR_CHUNK] >> bits << bits)
     for chunk in np.split(keys, cuts):
@@ -340,14 +330,11 @@ def key_runs(keys: np.ndarray, bits: int):
         if repeats * 32 > len(chunk):
             starts = np.flatnonzero(first)
             runs = chunk[starts]
-            if bits:  # a run's weight is the difference of two prefix sums
-                prefix = np.zeros(len(chunk) + 1, dtype=np.int64)
-                weights = np.bitwise_and(chunk, mask, out=prefix[1:])
-                weights += 1
-                np.cumsum(weights, out=weights)
-                sums = np.diff(prefix[np.append(starts, len(chunk))])
-            else:
-                sums = np.diff(starts, append=len(chunk))
+            prefix = np.zeros(len(chunk) + 1, dtype=np.int64)
+            weights = np.bitwise_and(chunk, mask, out=prefix[1:])
+            weights += 1
+            np.cumsum(weights, out=weights)
+            sums = np.diff(prefix[np.append(starts, len(chunk))])
         else:
             runs = chunk[first] if repeats else chunk
             sums = runs & mask
@@ -363,9 +350,9 @@ def key_runs(keys: np.ndarray, bits: int):
         yield (runs >> bits if bits else runs.copy() if runs is chunk else runs), sums
 
 
-def pair_values(a: np.ndarray, sign: int = 1, weights=None, limit: int | None = None):
-    """Distinct values of the pair lattice of pair_reduce, with the sum of the
-    weights of each, as two int64 arrays (values increasing)."""
-    bands = pair_reduce(list, a, sign, weights, limit)
+def pair_values(a: np.ndarray, sign: int = 1, limit: int | None = None):
+    """Distinct values of the pair lattice of pair_reduce, with the number of
+    ordered pairs of each, as two int64 arrays (values increasing)."""
+    bands = pair_reduce(list, a, sign, limit)
     runs = [(np.empty(0, dtype=np.int64),) * 2, *(run for band in bands for run in band)]
     return tuple(map(np.concatenate, zip(*runs)))

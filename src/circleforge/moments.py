@@ -48,36 +48,45 @@ class MultiplicitySet:
 
 
 def _split_pair_sums(P6: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) = divmod(x^6 + y^6, 2^64) over [1, P6]^2, flattened with x
-    as the row; hi fits uint8 while 2 P6^6 < 2^72."""
+    """(hi, lo) = divmod(x^6 + y^6, 2^64) over the triangle 1 <= x <= y <= P6,
+    row x after row x, each row from its diagonal y = x; hi fits uint8 while
+    2 P6^6 < 2^72."""
     powers = [x**6 for x in range(1, P6 + 1)]
     lo = np.array([p & (2**64 - 1) for p in powers], dtype=np.uint64)
     hi = np.array([p >> 64 for p in powers], dtype=np.uint8)
-    lo_sum = lo[:, None] + lo[None, :]  # wraps mod 2^64; a wrap is a carry
-    hi_sum = hi[:, None] + hi[None, :] + (lo_sum < lo[:, None])
-    return hi_sum.ravel(), lo_sum.ravel()
+    x, y = np.triu_indices(P6)
+    lo_sum = lo[x] + lo[y]  # wraps mod 2^64; a wrap is a carry
+    hi_sum = hi[x] + hi[y] + (lo_sum < lo[y])
+    return hi_sum, lo_sum
 
 
 def count_sixth_pair_collisions(P6: int) -> MomentCount:
     """Solutions of y1^6 + y2^6 = y3^6 + y4^6 in [1, P6]^4 (ordered).
 
-    Pair sums pass 2^64 from P6 = 1449 on, so each is held exactly as split
-    keys (hi, lo).  Sorting by hi, then by lo within each hi, puts equal sums
-    in runs; the count is the sum of the squared run lengths.
+    Pair sums pass 2^64 from P6 = 1449 on, so each sum of the triangle x <= y
+    is held exactly as split keys (hi, lo).  Sorting by hi, then by lo within
+    each hi, puts equal sums in runs.  A value with c triangle pairs, d <= 1
+    of them on the diagonal (d = 1 just at 2 x^6), has 2c - d ordered pairs,
+    so the count is sum (2c - d)^2 = 4 sum c^2 - 4 sum_x c(2 x^6) + P6.
     """
     if P6 < 1:
         raise PreconditionError("bound P6 must be >= 1")
     if P6 > 3000:
         raise BudgetError("pair-collision count budget is P6 <= 3000")
     hi, lo = _split_pair_sums(P6)
+    rows = np.cumsum(np.r_[0, np.arange(P6, 1, -1)])  # the diagonal sums 2 x^6
+    twice_hi, twice_lo = hi[rows], lo[rows]
     order = np.argsort(hi, kind="stable")
-    total = 0
-    for group in np.split(lo[order], np.flatnonzero(np.diff(hi[order])) + 1):
+    hi = hi[order]
+    cuts = np.flatnonzero(np.diff(hi)) + 1
+    squares = diagonal = 0
+    for h, group in zip(hi[np.r_[0, cuts]].tolist(), np.split(lo[order], cuts)):
         group.sort()
-        total += sum(int(np.dot(c, c)) for _, c in key_runs(group, 0))
-    return MomentCount(
-        label="sixth_pair_collision", parameters={"P6": P6}, count=total
-    )
+        squares += sum(int(c @ c) for _, c in key_runs(group, 0))
+        twice = twice_lo[twice_hi == h]
+        diagonal += int((group.searchsorted(twice, "right") - group.searchsorted(twice)).sum())
+    count = 4 * squares - 4 * diagonal + P6
+    return MomentCount(label="sixth_pair_collision", parameters={"P6": P6}, count=count)
 
 
 def count_cube_sixth_correlation(X: int) -> MomentCount:
@@ -86,7 +95,9 @@ def count_cube_sixth_correlation(X: int) -> MomentCount:
 
     The count is reported with its structural split: the diagonal x1 = x2,
     values with a unique cube-difference representation, and values with
-    several.
+    several.  Each positive difference s - t of two distinct sixth-pair sums,
+    weighted r(s) r(t) by their ordered pairs, is looked up among the cube
+    differences.
     """
     if X < 1:
         raise PreconditionError("bound X must be >= 1")
@@ -95,21 +106,20 @@ def count_cube_sixth_correlation(X: int) -> MomentCount:
     P3, P6 = iroot(X, 3), iroot(X, 6)
     uvals, ucounts = pair_values(powers(6, P6))
     dvals, dcounts = pair_values(powers(3, P3), -1)
-    yvals, ycounts = pair_values(uvals, -1, weights=ucounts)
-    _, ix, iy = np.intersect1d(dvals, yvals, assume_unique=True, return_indices=True)
-    cx, cy = dcounts[ix], ycounts[iy]
-
-    # both sides are even in the value, so each positive bucket counts twice;
-    # cube-diff value 0 arises exactly from the P3 diagonal pairs, so the zero
-    # bucket is the full x1 = x2 contribution
-    diagonal = P3 * int(np.dot(ucounts, ucounts))
-    unique_rep = 2 * int(cy[cx == 1].sum())
-    multi_rep = 2 * int(np.dot(cx[cx > 1], cy[cx > 1]))
-    parts = {
-        "diagonal": diagonal,
-        "unique_representation": unique_rep,
-        "multiple_representation": multi_rep,
-    }
+    s, t = np.nonzero(uvals[:, None] > uvals)
+    diffs, weights = uvals[s] - uvals[t], ucounts[s] * ucounts[t]
+    order = diffs.argsort()  # sorted needles search faster
+    diffs, weights = diffs[order], weights[order]
+    # a difference past the last cube difference is clipped to it, and differs
+    # from it; dvals is empty only at P3 = 1, where P6 = 1 and diffs is empty
+    at = dvals.searchsorted(diffs)
+    cx = np.take(dcounts, at, mode="clip") * (np.take(dvals, at, mode="clip") == diffs)
+    # both sides are even in the value, so each positive difference counts
+    # twice; cube-diff value 0 arises exactly from the P3 diagonal pairs, so
+    # the zero difference is the full x1 = x2 contribution
+    parts = {"diagonal": P3 * int(np.dot(ucounts, ucounts)),
+             "unique_representation": 2 * int(weights[cx == 1].sum()),
+             "multiple_representation": 2 * int(np.dot(cx[cx > 1], weights[cx > 1]))}
     return MomentCount(
         label="cube_sixth_correlation",
         parameters={"X": X, "P3": P3, "P6": P6},
@@ -159,15 +169,23 @@ def cube_multiplicity(P3: int) -> MultiplicitySet:
     return MultiplicitySet(P3=P3, members=members, max_multiplicity=top)
 
 
-def shifted_cube_correlation(P3: int, shifts) -> MomentCount:
-    """Solutions of x1^3 + n1 = x2^3 + n2 with x in [1, P3] and n1, n2 drawn
-    from the shift set.  The diagonal n1 = n2 forces x1 = x2 and contributes
-    exactly P3 * |shifts|; the off-diagonal part is reported separately."""
+def check_shifted(P3: int, size: int) -> None:
+    """The refusals of shifted_cube_correlation on P3 and a shift set of size
+    entries, raised before any work (and before the CLI draws its sample)."""
     if P3 < 1:
         raise PreconditionError("bound P3 must be >= 1")
     if P3 > 10**4:
         raise BudgetError("correlation budget is P3 <= 10**4")
+    if size > 10**5:
+        raise BudgetError("shift set budget is 10**5 entries")
+
+
+def shifted_cube_correlation(P3: int, shifts) -> MomentCount:
+    """Solutions of x1^3 + n1 = x2^3 + n2 with x in [1, P3] and n1, n2 drawn
+    from the shift set.  The diagonal n1 = n2 forces x1 = x2 and contributes
+    exactly P3 * |shifts|; the off-diagonal part is reported separately."""
     values = list(shifts)
+    check_shifted(P3, len(values))
     if not all(isinstance(v, Integral) for v in values):  # int() would truncate a float
         raise PreconditionError("shift set entries must be integers")
     values = sorted(map(int, values))
@@ -176,8 +194,6 @@ def shifted_cube_correlation(P3: int, shifts) -> MomentCount:
     z = np.asarray(values, dtype=np.int64)
     if len(z) != len(set(values)):
         raise PreconditionError("shift set entries must be distinct")
-    if len(z) > 10**5:
-        raise BudgetError("shift set budget is 10**5 entries")
     diagonal = P3 * len(z)
     off = 0
     if len(z) > 1:

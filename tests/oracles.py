@@ -327,21 +327,17 @@ def eighth_moment_unique(P6):
     return int(counts @ counts)
 
 
-def pair_values_grid(a, sign=1, weights=None, limit=None):
+def pair_values_grid(a, sign=1, limit=None):
     """Distinct values of a[i] + a[j] over all ordered pairs (sign=1), or of
-    the positive a[i] - a[j] (sign=-1), at most limit, each with the sum of
-    w[i] w[j]: the full P^2 grid in plain int64, reduced by np.unique."""
+    the positive a[i] - a[j] (sign=-1), at most limit, each with its number
+    of ordered pairs: the full P^2 grid in plain int64, reduced by
+    np.unique."""
     a = np.asarray(a, dtype=np.int64)
-    w = np.ones(len(a), dtype=np.int64) if weights is None else np.asarray(weights, dtype=np.int64)
     values = (a[:, None] + sign * a[None, :]).ravel()
-    products = (w[:, None] * w[None, :]).ravel()
     keep = values > 0 if sign == -1 else np.ones(len(values), dtype=bool)
     if limit is not None:
         keep &= values <= limit
-    distinct, inverse = np.unique(values[keep], return_inverse=True)
-    mult = np.zeros(len(distinct), dtype=np.int64)
-    np.add.at(mult, inverse, products[keep])
-    return distinct, mult
+    return np.unique(values[keep], return_counts=True)
 
 
 def key_runs_unique(keys, bits):

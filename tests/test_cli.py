@@ -8,6 +8,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -108,6 +109,65 @@ def test_sample_from_a_huge_range(capsys):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "precondition"
+
+
+_SHIFTED = ("moments", "--moment", "shifted")
+_PRUNED = ("arcs", "--op", "pruned")
+_REFUSED_UNDRAWN = [
+    # --sample 5000000 took 6.8 s and 527 MiB to draw before the shift-set
+    # budget refused it, and --sample 2000000 1.7 s and 239 MiB before the
+    # pruned X budget did
+    ((*_SHIFTED, "--P", "10", "--limit", str(10**8), "--sample", str(5 * 10**6)),
+     "budget", "shift set budget is 10**5 entries"),
+    ((*_SHIFTED, "--P", "10001", "--limit", "100", "--sample", "5"),
+     "budget", "correlation budget is P3 <= 10**4"),
+    ((*_SHIFTED, "--P", "0", "--limit", "100", "--sample", "5"),
+     "precondition", "bound P3 must be >= 1"),
+    ((*_PRUNED, "--limit", str(10**12), "--Q", "5", "--sample", str(2 * 10**6)),
+     "budget", "pruned-diagnostic budget is 16 <= X <= 10**4"),
+    ((*_PRUNED, "--limit", "400", "--Q", "30", "--sample", "5"),
+     "precondition", "need 1 <= Q <= sqrt(X)"),
+    ((*_PRUNED, "--limit", "400", "--Q", "5", "--grid", "0", "--sample", "5"),
+     "precondition", "need grid >= 1"),
+]
+
+
+def _no_draw(monkeypatch):
+    """Make any draw of a sample raise AssertionError, which the CLI does not
+    catch."""
+    def draw(*_, **__):
+        raise AssertionError("a sample was drawn")
+    monkeypatch.setattr(np.random, "default_rng", draw)
+
+
+@pytest.mark.parametrize("argv, kind, message", _REFUSED_UNDRAWN,
+                         ids=[" ".join(argv) for argv, _, _ in _REFUSED_UNDRAWN])
+def test_refused_before_the_sample_is_drawn(capsys, monkeypatch, argv, kind, message):
+    _no_draw(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == {"budget": 3, "precondition": 2}[kind] and out == ""
+    assert err == json.dumps({"error": kind, "message": message}) + "\n"
+
+
+def test_sample_checks_come_before_the_budgets(capsys, monkeypatch):
+    # the sample's own preconditions keep their place ahead of the command's
+    # refusals, and a command that passes both draws its sample
+    _no_draw(monkeypatch)
+    for argv, message in (
+        ((*_SHIFTED, "--P", "10001", "--limit", "100", "--sample", "-1"),
+         "--sample and --seed must be >= 0"),
+        ((*_SHIFTED, "--P", "10001", "--limit", str(2**63), "--sample", "5"),
+         "sampling needs --limit below 2^63"),
+        ((*_PRUNED, "--limit", str(10**12 + 1), "--Q", "5", "--sample", str(10**12)),
+         "sample larger than the admissible range (X/2, X]"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", json.dumps({"error": "precondition",
+                                                       "message": message}) + "\n")
+    for argv in ((*_SHIFTED, "--P", "10", "--limit", "1000", "--sample", "7"),
+                 (*_PRUNED, "--limit", "400", "--Q", "5", "--sample", "8")):
+        with pytest.raises(AssertionError, match="a sample was drawn"):
+            main(list(argv))
 
 
 def test_budget_exit_code(capsys):

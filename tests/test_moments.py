@@ -46,13 +46,36 @@ def test_pair_collisions_split_keys():
     assert 1448**6 < 2**63 <= 1449**6
     for P6 in (1201, 1460):
         assert count_sixth_pair_collisions(P6).count == pair_collision_brute(P6)
-    # the keys are the exact sums, carries included
+    # the keys are the exact sums of the triangle x <= y, row x after row x,
+    # carries included
     P6 = 3000
     hi, lo = _split_pair_sums(P6)
+    assert len(hi) == len(lo) == P6 * (P6 + 1) // 2
     for x in (1, 1448, 1449, 2000, 3000):
-        for y in range(1, P6 + 1):
-            i = (x - 1) * P6 + y - 1
+        row = (x - 1) * P6 - (x - 1) * (x - 2) // 2  # the cell (x, x)
+        for y in range(x, P6 + 1):
+            i = row + y - x
             assert int(hi[i]) * 2**64 + int(lo[i]) == x**6 + y**6
+
+
+# counts and parts of the full-square collision keys and the weighted
+# difference lattice that these counts replaced, at the same sizes
+_PAIR_COLLISIONS = {1: 1, 2: 6, 3: 15, 4: 28, 5: 45, 6: 66, 7: 91, 8: 120, 9: 153, 10: 190,
+                    11: 231, 12: 276, 100: 19900, 1200: 2878800, 1201: 2883601,
+                    1448: 4191960, 1449: 4197753, 1460: 4261740, 3000: 17997000}
+_CORRELATIONS = {1: (1, 1, 0, 0), 7: (1, 1, 0, 0), 8: (2, 2, 0, 0), 63: (3, 3, 0, 0),
+                 64: (32, 24, 8, 0), 729: (183, 135, 48, 0), 10**4: (792, 588, 108, 96),
+                 10**6: (22894, 19000, 3174, 720), 10**8: (439580, 399504, 32888, 7188)}
+
+
+def test_moment_counts_pinned():
+    for P6, count in _PAIR_COLLISIONS.items():
+        assert count_sixth_pair_collisions(P6).count == count, P6
+    for X, (count, *parts) in _CORRELATIONS.items():
+        got = count_cube_sixth_correlation(X)
+        assert got.count == count and list(got.parts.values()) == parts, X
+        assert list(got.parts) == ["diagonal", "unique_representation",
+                                   "multiple_representation"]
 
 
 def test_pair_collisions_trend():
@@ -221,24 +244,23 @@ def test_shifted_correlation_int64_edges():
 @st.composite
 def _pair_lattices(draw):
     a = sorted(draw(st.sets(st.integers(-60, 200), max_size=25)))
-    weights = draw(st.none() | st.lists(st.integers(1, 9), min_size=len(a), max_size=len(a)))
     limit = draw(st.none() | st.integers(-150, 450))
-    return np.array(a, dtype=np.int64), weights, limit
+    return np.array(a, dtype=np.int64), limit
 
 
 @settings(max_examples=150, deadline=None)
 @given(_pair_lattices(), st.sampled_from([1, -1]), st.sampled_from([7, intmath.PAIR_CHUNK]))
 def test_pair_values_matches_grid(lattice, sign, chunk):
-    a, weights, limit = lattice
+    a, limit = lattice
     saved = intmath.PAIR_CHUNK
     intmath.PAIR_CHUNK = chunk
     try:
-        bands = pair_reduce(list, a, sign, weights, limit)
-        values = pair_values(a, sign, weights, limit)
+        bands = pair_reduce(list, a, sign, limit)
+        values = pair_values(a, sign, limit)
     finally:
         intmath.PAIR_CHUNK = saved
     runs = concat_runs(run for band in bands for run in band)
-    expect = pair_values_grid(a, sign, weights, limit)
+    expect = pair_values_grid(a, sign, limit)
     assert [r.tolist() for r in runs] == [v.tolist() for v in values] == [e.tolist() for e in expect]
 
 
@@ -320,17 +342,15 @@ def test_chunks_cut_at_run_starts(monkeypatch, chunk):
     cubes = cube_multiplicity(300)
     a = np.arange(-10, 31, dtype=np.int64)
     sums = np.sort((a[:, None] + a[None, :]).ravel())
-    weights = np.arange(1, len(a) + 1) % 5 + 1
     monkeypatch.setattr(intmath, "PAIR_CHUNK", chunk)
     values, counts = concat_runs(key_runs(sums, 0))
     expect_values, expect_counts = np.unique(sums, return_counts=True)
     assert counts.max() > chunk
     assert values.tolist() == expect_values.tolist() and counts.tolist() == expect_counts.tolist()
     for sign in (1, -1):
-        for w in (None, weights):
-            bands = pair_reduce(list, a, sign, w)
-            runs = concat_runs(run for band in bands for run in band)
-            assert [r.tolist() for r in runs] == [e.tolist() for e in pair_values_grid(a, sign, w)]
+        bands = pair_reduce(list, a, sign)
+        runs = concat_runs(run for band in bands for run in band)
+        assert [r.tolist() for r in runs] == [e.tolist() for e in pair_values_grid(a, sign)]
     assert [sixth_power_eighth_moment(P6).count for P6 in (6, 25)] == expect
     chunked = cube_multiplicity(300)
     assert chunked.members.tolist() == cubes.members.tolist()

@@ -197,3 +197,25 @@ print(report.E > 0, "numpy.ma" in sys.modules)
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "True False"
+
+
+def test_lattice_windows_leave_numpy_ma_unimported():
+    # a lattice of several value windows dedupes its sampled window bounds
+    # with a mask, since a plain np.unique imports numpy.ma (numpy 2.4): the
+    # eighth moment at 100 takes 5 windows, and at two workers the scan's
+    # square pairs take 2
+    script = """
+import sys
+from circleforge import workers
+workers.WORKERS = 2
+from circleforge.moments import sixth_power_eighth_moment
+from circleforge.scan import PsiSpec, scan
+sixth_power_eighth_moment(100)
+scan(10**6, PsiSpec.parse("log"), 1000)
+print("numpy.ma" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(circleforge.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "False"

@@ -47,18 +47,18 @@ def worker_count(count):
 
 def _lattices():
     cubes = powers(3, 1500)  # 1.1e6 differences, 3 bands of 2^18 keys at 3 workers
-    sixths, mult = pair_values(powers(6, 60))
+    sixths, _ = pair_values(powers(6, 60))
     rng = np.random.default_rng(5)
     mixed = np.unique(rng.integers(-2**40, 2**40, 1400))
     return [
-        (cubes, 1, None, None),
-        (cubes, -1, None, None),
-        (cubes, 1, None, 2 * 10**9),
-        (cubes, -1, None, 10**9),
-        (sixths, 1, mult, None),
-        (sixths, -1, mult, 10**12),
-        (mixed, 1, None, 2**39),
-        (mixed, -1, None, None),
+        (cubes, 1, None),
+        (cubes, -1, None),
+        (cubes, 1, 2 * 10**9),
+        (cubes, -1, 10**9),
+        (sixths, 1, None),
+        (sixths, -1, 10**12),
+        (mixed, 1, 2**39),
+        (mixed, -1, None),
     ]
 
 
@@ -89,9 +89,9 @@ def _window_sizes(monkeypatch):
     sizes = []
     cells = intmath._cells
 
-    def spy(keys, head, source, lo, hi, product=None):
+    def spy(keys, head, source, lo, hi):
         sizes.append(int((hi - lo).sum()))
-        return cells(keys, head, source, lo, hi, product)
+        return cells(keys, head, source, lo, hi)
 
     monkeypatch.setattr(intmath, "_cells", spy)
     return sizes
@@ -106,14 +106,14 @@ def test_pair_reduce_temporaries_are_bounded(monkeypatch, count):
     # arrays of PAIR_CHUNK entries, never the whole key array
     sizes = _window_sizes(monkeypatch)
     cubes = powers(3, 1500)
-    sixths, mult = pair_values(powers(6, 60))
+    sixths, _ = pair_values(powers(6, 60))
     chunk_bytes = 8 * 8 * intmath.PAIR_CHUNK
 
     def squares(runs):
         return sum(int(c @ c) for _, c in runs)
 
     with worker_count(count):
-        for case in ((cubes, 1), (cubes, -1), (sixths, 1, mult)):
+        for case in ((cubes, 1), (cubes, -1), (sixths, 1)):
             n = len(case[0])
             keys = n * (n + 1) // 2 if case[1] == 1 else n * (n - 1) // 2
             expect = pair_reduce(squares, *case)
@@ -137,11 +137,10 @@ def test_small_bands_against_grid(monkeypatch, count):
     with worker_count(count):
         for _ in range(40):
             a = np.unique(rng.integers(-60, 200, rng.integers(1, 40)))
-            weights = rng.integers(1, 9, len(a)) if rng.random() < 0.5 else None
             limit = int(rng.integers(-150, 450)) if rng.random() < 0.5 else None
             for sign in (1, -1):
-                runs, _, values = _runs_and_values((a, sign, weights, limit))
-                expect = pair_values_grid(a, sign, weights, limit)
+                runs, _, values = _runs_and_values((a, sign, limit))
+                expect = pair_values_grid(a, sign, limit)
                 assert runs == values == [e.tolist() for e in expect]
 
 
@@ -223,8 +222,8 @@ def test_benchmark_moments_peak_at_their_windows(monkeypatch, count):
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_results_independent_of_window_budget(monkeypatch, budget, count):
     # 16-key chunks put lattices of a few dozen values into windows, down to
-    # about one distinct value each at a one-key budget, with limits,
-    # weights and negative values on both sides of every window edge; every
+    # about one distinct value each at a one-key budget, with limits and
+    # negative values on both sides of every window edge; every
     # count matches its oracle, so all budgets and worker counts agree
     monkeypatch.setattr(intmath, "PAIR_CHUNK", 16)
     monkeypatch.setattr(intmath, "WINDOW_KEYS", budget)
@@ -234,12 +233,10 @@ def test_results_independent_of_window_budget(monkeypatch, budget, count):
     with worker_count(count):
         for _ in range(8):
             a = np.unique(rng.integers(-60, 200, rng.integers(1, 40)))
-            weights = rng.integers(1, 9, len(a)) if rng.random() < 0.5 else None
             limit = int(rng.integers(-150, 450)) if rng.random() < 0.5 else None
             for sign in (1, -1):
-                runs, _, values = _runs_and_values((a, sign, weights, limit))
-                assert runs == values == [e.tolist() for e in
-                                          pair_values_grid(a, sign, weights, limit)]
+                runs, _, values = _runs_and_values((a, sign, limit))
+                assert runs == values == [e.tolist() for e in pair_values_grid(a, sign, limit)]
         sizes.clear()
         multiplicity = moments.cube_multiplicity(60)
         assert len(sizes) >= (200 if budget < 10 else count)
