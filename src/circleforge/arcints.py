@@ -26,7 +26,7 @@ from .arcs import (
 )
 from .errors import BudgetError, PreconditionError
 from .intmath import iroot
-from .powersums import gauss_sum, leading_constant
+from .powersums import SUPPORTED_EXPONENTS, form_product, gauss_sum, leading_constant
 
 # quadrature nodes at one grid density, in each of the three integrals and the
 # survey (29,064 in its annulus at X = 10**4, Q = 100).  On the two cores of a
@@ -51,7 +51,7 @@ class MajorArcIntegral:
     n: int
     X: int
     W: int
-    value: complex            # integral of f2^2 f3^2 f6^2 e(-n a)
+    value: complex            # integral of form_product(f) e(-n a)
     approx: complex           # same with every f_k replaced by its arc model
     difference: float
     value_rel_change: float   # grid-halving stability of `value`
@@ -77,7 +77,7 @@ class PrunedDiagnostic:
     X: int
     Q: int
     sample_size: int
-    raw: float                # |f2^2 f3^2 f6^2 K|
+    raw: float                # |form_product(f) K|
     square_majorant: float    # square factor replaced by its arc majorant
     cubic_approx: float       # additionally f3 replaced by its arc model
     raw_rel_change: float
@@ -227,7 +227,7 @@ def _gauss_value(k: int, q: int, a: int) -> complex:
 
 
 def _arc_models(pairs, arc_idx, alphas, P_by_k):
-    """q^{-1} S_k(q,a) v_k(alpha - a/q) per node, for k = 2, 3, 6."""
+    """q^{-1} S_k(q,a) v_k(alpha - a/q) per node, for each k in P_by_k."""
     centers = np.array([a / q for q, a in pairs])
     betas = alphas - centers[arc_idx]
     models = {}
@@ -263,16 +263,15 @@ def major_arc_integral(n: int, X: int, W: int, grid: int = 10) -> MajorArcIntegr
         raise PreconditionError("need grid >= 1")
     if W > 200:
         raise BudgetError("peak level budget is W <= 200")
-    P_by_k = {2: iroot(X, 2), 3: iroot(X, 3), 6: iroot(X, 6)}
+    P_by_k = {k: iroot(X, k) for k in SUPPORTED_EXPONENTS}
     pairs = _farey_pairs(W)
     segments = _dissect(pairs, lambda q: W / X)
 
     def integrands(alphas, arc_idx):
         phase = np.exp(-2j * np.pi * n * alphas)
         f = {k: weyl_sum_grid(k, P, alphas) for k, P in P_by_k.items()}
-        direct = f[2] ** 2 * f[3] ** 2 * f[6] ** 2 * phase
         models = _arc_models(pairs, arc_idx, alphas, P_by_k)
-        return direct, models[2] ** 2 * models[3] ** 2 * models[6] ** 2 * phase
+        return form_product(f) * phase, form_product(models) * phase
 
     (value, approx), changes, (alphas, weights, arc_idx), (direct, _) = _two_density(
         lambda factor: _quad_nodes(segments, factor * X), integrands, grid
@@ -292,7 +291,7 @@ def major_arc_integral(n: int, X: int, W: int, grid: int = 10) -> MajorArcIntegr
 
 
 def singular_integral(n: int, X: int, W: int) -> SingularIntegral:
-    """int over |beta| <= W/X of v2^2 v3^2 v6^2 e(-beta n) d beta, compared to
+    """int over |beta| <= W/X of prod_{k in FORM} v_k e(-beta n) d beta, compared to
     the closed-form leading constant times n.
 
     The archimedean factors integrate to the real-valued limits X^(1/k): with
@@ -304,7 +303,7 @@ def singular_integral(n: int, X: int, W: int) -> SingularIntegral:
         raise BudgetError("singular-integral budget is 16 <= X <= 10**6")
     if n < 1 or W < 1:
         raise PreconditionError("need n >= 1 and W >= 1")
-    P_by_k = {k: X ** (1.0 / k) for k in (2, 3, 6)}
+    P_by_k = {k: X ** (1.0 / k) for k in SUPPORTED_EXPONENTS}
     width = W / X
     panels = max(64, -(-8 * W * max(n, X) // X))  # ceil(8 W max(1, n / X)), exactly
     panels += panels % 2  # symmetric node layout keeps the result real
@@ -312,9 +311,7 @@ def singular_integral(n: int, X: int, W: int) -> SingularIntegral:
         raise BudgetError(f"quadrature budget is {QUAD_NODE_BUDGET} nodes, here {8 * panels}")
 
     def integrands(betas):
-        prod = np.ones(len(betas), dtype=complex)
-        for k, P in P_by_k.items():
-            prod = prod * weyl_integral_batch(k, P, betas) ** 2
+        prod = form_product({k: weyl_integral_batch(k, P, betas) for k, P in P_by_k.items()})
         prod *= np.exp(-2j * np.pi * betas * n)
         return (prod,)
 
@@ -426,22 +423,18 @@ def pruned_integral_diagnostic(
     Q (level-Q arcs minus half-level arcs), tabulated against the bound shapes
     they are compared with.  Purely diagnostic; no inequality is asserted."""
     check_pruned(X, Q, grid)
-    P2, P3, P6 = iroot(X, 2), iroot(X, 3), iroot(X, 6)
+    P_by_k = {k: iroot(X, k) for k in SUPPORTED_EXPONENTS}
     # for Q <= sqrt(X) the annulus is never empty: it keeps (Q/2X, Q/X] of the
     # q = 1 arc, which a half-level arc covers only if X <= Q^2/2 + Q/2
     pairs, segments = _annulus(Q, X)
 
     def integrands(alphas, arc_idx):
         absk = np.abs(exceptional_sum_grid(sample, alphas))
-        f2 = np.abs(weyl_sum_grid(2, P2, alphas))
-        f3 = np.abs(weyl_sum_grid(3, P3, alphas))
-        f6 = np.abs(weyl_sum_grid(6, P6, alphas))
+        f = {k: np.abs(weyl_sum_grid(k, P, alphas)) for k, P in P_by_k.items()}
         q_at, a_at = np.array(pairs, dtype=np.float64)[arc_idx].T
-        majorant2 = peak_majorant(alphas, q_at, a_at, P2)
-        f3_model = np.abs(_arc_models(pairs, arc_idx, alphas, {3: P3})[3])
-        raw = f2**2 * f3**2 * f6**2 * absk
-        square = majorant2**2 * f3**2 * f6**2 * absk
-        return raw, square, majorant2**2 * f3_model**2 * f6**2 * absk
+        square = {**f, 2: peak_majorant(alphas, q_at, a_at, P_by_k[2])}
+        cubic = {**square, 3: np.abs(_arc_models(pairs, arc_idx, alphas, {3: P_by_k[3]})[3])}
+        return tuple(form_product(v) * absk for v in (f, square, cubic))
 
     values, changes, (alphas, weights, arc_idx), (raw, _, _) = _two_density(
         lambda factor: _quad_nodes(segments, factor * X), integrands, grid

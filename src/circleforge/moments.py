@@ -50,13 +50,20 @@ class MultiplicitySet:
 def _split_pair_sums(P6: int) -> tuple[np.ndarray, np.ndarray]:
     """(hi, lo) = divmod(x^6 + y^6, 2^64) over the triangle 1 <= x <= y <= P6,
     row x after row x, each row from its diagonal y = x; hi fits uint8 while
-    2 P6^6 < 2^72."""
+    2 P6^6 < 2^72.  The rows are written into the two outputs one at a time,
+    so no index array or full-size temporary is held beside them."""
     powers = [x**6 for x in range(1, P6 + 1)]
     lo = np.array([p & (2**64 - 1) for p in powers], dtype=np.uint64)
     hi = np.array([p >> 64 for p in powers], dtype=np.uint8)
-    x, y = np.triu_indices(P6)
-    lo_sum = lo[x] + lo[y]  # wraps mod 2^64; a wrap is a carry
-    hi_sum = hi[x] + hi[y] + (lo_sum < lo[y])
+    lo_sum = np.empty(P6 * (P6 + 1) // 2, dtype=np.uint64)
+    hi_sum = np.empty(len(lo_sum), dtype=np.uint8)
+    start = 0
+    for x in range(P6):
+        row = slice(start, start + P6 - x)
+        np.add(lo[x:], lo[x], out=lo_sum[row])  # wraps mod 2^64; a wrap is a carry
+        np.add(hi[x:], hi[x], out=hi_sum[row])
+        hi_sum[row] += lo_sum[row] < lo[x:]
+        start = row.stop
     return hi_sum, lo_sum
 
 

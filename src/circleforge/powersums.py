@@ -1,21 +1,25 @@
 """Complete exponential sums over power residues, their multiplicative majorant,
 and the closed-form leading constant of the main term.
 
-The central object is S_k(q, a) = sum_{r=1}^{q} e(a r^k / q) for k in {2, 3, 6}.
+The form x1^2 + x2^2 + x3^3 + x4^3 + x5^6 + x6^6 is written once, as its exponent
+multiset FORM, and ``form_product`` takes each product over it.  The central
+object is S_k(q, a) = sum_{r=1}^{q} e(a r^k / q) for k in FORM.
 Phases are reduced in exact integer arithmetic (a * r^k mod q) before touching
 the unit circle, so rounding error is independent of r.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import imul
 
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
 from .intmath import factorize
 
-SUPPORTED_EXPONENTS = (2, 3, 6)
+FORM = (2, 2, 3, 3, 6, 6)
+SUPPORTED_EXPONENTS = tuple(sorted(set(FORM)))
 
 # exact phase reduction in int64 needs q**2 < 2**63; all contracts stop at 1e6
 MODULUS_BUDGET = 10**7
@@ -41,7 +45,7 @@ class LeadingConstant:
     """Both closed forms of the main-term constant; they agree to 1e-12."""
 
     value: float               # (27/32) * 2**(1/3) * Gamma(4/3)**6
-    gamma_product_form: float  # Gamma(3/2)^2 Gamma(4/3)^2 Gamma(7/6)^2 / Gamma(2)
+    gamma_product_form: float  # prod_{k in FORM} Gamma(1 + 1/k) / Gamma(sum_{k in FORM} 1/k)
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,13 @@ class MajorantRatioSurvey:
     ratio: float
     q: int
     a: int
+
+
+def form_product(values):
+    """The product over FORM of values[k] (exponent -> number or array), folded in
+    place into the first power, running product on the left, as numpy evaluates the
+    literal v2**2 * v3**2 * v6**2; numpy's complex product is not bitwise commutative."""
+    return reduce(imul, (values[k] ** FORM.count(k) for k in SUPPORTED_EXPONENTS))
 
 
 def _check_exponent(k: int) -> None:
@@ -88,13 +99,13 @@ def residue_histogram(k: int, q: int) -> np.ndarray:
 
 
 def residue_histograms(q: int) -> np.ndarray:
-    """(3, q) array whose rows are ``residue_histogram(k, q)`` for k = 2, 3, 6,
-    from one chain of modular products and one bincount."""
+    """Array whose rows are ``residue_histogram(k, q)`` for k in
+    SUPPORTED_EXPONENTS, from one chain of modular products and one bincount."""
     r = np.arange(q, dtype=np.int64)
     r2 = r * r % q
     r3 = r2 * r % q
     offsets = np.stack([r2, r3 + q, r3 * r3 % q + 2 * q])
-    return np.bincount(offsets.ravel(), minlength=3 * q).reshape(3, q)
+    return np.bincount(offsets.ravel(), minlength=offsets.size).reshape(-1, q)
 
 
 @lru_cache(maxsize=16)
@@ -176,6 +187,7 @@ def majorant_ratio_survey(k: int, q_max: int) -> MajorantRatioSurvey:
 def leading_constant() -> LeadingConstant:
     """Main-term constant in both closed forms, each accurate to ~1e-15."""
     g = math.gamma
-    product = g(1.5) ** 2 * g(4.0 / 3.0) ** 2 * g(7.0 / 6.0) ** 2 / g(2.0)
+    volume = form_product({k: g((k + 1) / k) for k in SUPPORTED_EXPONENTS})
+    product = volume / g(math.fsum(1 / k for k in FORM))  # rounded once: 2.0 exactly
     compact = (27.0 / 32.0) * 2.0 ** (1.0 / 3.0) * g(4.0 / 3.0) ** 6
     return LeadingConstant(value=compact, gamma_product_form=product)

@@ -144,8 +144,9 @@ def percentiles(a: np.ndarray, q) -> np.ndarray:
     percentiles q, by numpy's default (linear) method, bit for bit, from one
     np.partition: at numpy's indices, floor((n - 1) q / 100) and the next,
     with numpy's interpolation lo + (hi - lo) g, or hi - (hi - lo)(1 - g)
-    where g >= 0.5.  np.percentile itself imports numpy.ma on first use,
-    5-6 ms."""
+    where g >= 0.5.  np.percentile itself imports numpy.ma on first use: that
+    first call took 9 ms (median of five fresh processes, 9-14 ms, on a 2-core
+    Xeon VM with numpy 2.4.6)."""
     n = len(a)
     virtual = (n - 1) * (np.asarray(q, dtype=np.float64) / 100)
     lo = np.floor(virtual).astype(np.intp)

@@ -1,16 +1,16 @@
 """Singular-series machinery for the sum of two squares, two cubes and two
 sixth powers.
 
-The q-th term is
+The q-th term, for the exponent multiset ``powersums.FORM`` and s = len(FORM), is
 
-    A(q; n) = sum_{a=1..q, gcd(a,q)=1} q^{-6} S_2(q,a)^2 S_3(q,a)^2 S_6(q,a)^2 e(-n a / q)
+    A(q; n) = sum_{a=1..q, gcd(a,q)=1} q^{-s} prod_{k in FORM} S_k(q,a) e(-n a / q)
 
 and the truncation sums A(q; n) over q <= W.  A is multiplicative in q, so one
 cached set of tables built from prime powers, ``_live_tables``, serves both a
 target and a range.  Exact congruence counts M_n(q), by cyclic convolution of
 residue histograms in exact integers, are an oracle via the divisor-sum identity
 
-    sum_{d | q} A(d; n) = q^{-5} M_n(q).
+    sum_{d | q} A(d; n) = q^{1-s} M_n(q).
 """
 
 import threading
@@ -23,7 +23,7 @@ from . import workers
 from .errors import BudgetError, PreconditionError
 from .exactconv import cyclic_histogram_convolution
 from .intmath import ADD_BUFSIZE, factorize
-from .powersums import residue_histograms
+from .powersums import FORM, SUPPORTED_EXPONENTS, form_product, residue_histograms
 
 # cost bounds: exact congruence spectra and per-q term tables are O(q log q)
 # to O(q^1.6); these stops keep single calls interactive
@@ -70,10 +70,11 @@ def _histograms(q: int) -> np.ndarray:
 def _term_table_complex(q: int) -> np.ndarray:
     """A(q; n mod q) for all residues n, before discarding the imaginary part.
 
-    The Gauss sums S_k(q, .) = conj(DFT of the histogram of r^k mod q) of
-    k = 2, 3, 6 come from one transform call over the three stacked rows."""
-    s2, s3, s6 = np.conj(np.fft.fft(_histograms(q), axis=1))
-    weights = s2**2 * s3**2 * s6**2 / float(q) ** 6
+    The Gauss sums S_k(q, .) = conj(DFT of the histogram of r^k mod q) come from
+    one transform over the stacked rows; ``form_product`` multiplies them in place,
+    in the literal product's operand order, which keeps the literal's bits."""
+    sums = dict(zip(SUPPORTED_EXPONENTS, np.conj(np.fft.fft(_histograms(q), axis=1))))
+    weights = form_product(sums) / float(q) ** len(FORM)
     weights[np.gcd(np.arange(q), q) != 1] = 0.0
     return np.fft.fft(weights)
 
@@ -97,14 +98,13 @@ def series_term(q: int, n: int) -> SeriesTerm:
 @lru_cache(maxsize=512)
 def _congruence_spectrum(q: int) -> tuple:
     """M_n(q) for every residue n, as exact integers."""
-    h2, h3, h6 = residue_histograms(q)
-    return tuple(cyclic_histogram_convolution([h2, h2, h3, h3, h6, h6], q))
+    rows = dict(zip(SUPPORTED_EXPONENTS, residue_histograms(q)))
+    return tuple(cyclic_histogram_convolution([rows[k] for k in FORM], q))
 
 
 def congruence_count(q: int, n: int) -> CongruenceCount:
-    """Exact number of solutions of
-    x1^2+x2^2+x3^3+x4^3+x5^6+x6^6 = n (mod q), each x_i over a complete
-    residue system."""
+    """Exact number of solutions of sum_i x_i^(FORM[i]) = n (mod q), each x_i
+    over a complete residue system."""
     if q < 1:
         raise PreconditionError("modulus q must be a positive integer")
     if q > CONGRUENCE_BUDGET:
@@ -113,14 +113,14 @@ def congruence_count(q: int, n: int) -> CongruenceCount:
 
 
 def local_density(p: int, n: int, h: int) -> float:
-    """p^{-5h} * M_n(p^h); stabilises in h once lifting obstructions clear."""
+    """p^{(1-s)h} M_n(p^h), s = len(FORM); stabilises in h once lifting obstructions clear."""
     if p < 2 or h < 1:
         raise PreconditionError(f"need a prime p and h >= 1, got p={p}, h={h}")
     if p > CONGRUENCE_BUDGET or h >= CONGRUENCE_BUDGET.bit_length() or p**h > CONGRUENCE_BUDGET:
         raise BudgetError(f"p**h = {p}**{h} beyond budget {CONGRUENCE_BUDGET}")
     if factorize(p) != [(p, 1)]:
         raise PreconditionError(f"p={p} is not prime")
-    return float(congruence_count(p**h, n).count) / float(p) ** (5 * h)
+    return float(congruence_count(p**h, n).count) / float(p) ** ((len(FORM) - 1) * h)
 
 
 def _vanishes(q: int, p: int) -> bool:
@@ -132,7 +132,7 @@ def _vanishes(q: int, p: int) -> bool:
     degree is below q, so it is zero exactly when Phi_q(x) = sum_j x^(j q / p)
     divides it, that is when the histogram has period q / p.
     """
-    rows = _histograms(q).reshape(3, p, q // p)
+    rows = _histograms(q).reshape(-1, p, q // p)
     return bool((rows == rows[:, :1]).all(axis=(1, 2)).any())
 
 

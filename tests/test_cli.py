@@ -149,6 +149,36 @@ def test_refused_before_the_sample_is_drawn(capsys, monkeypatch, argv, kind, mes
     assert err == json.dumps({"error": kind, "message": message}) + "\n"
 
 
+_CLASSIFY = ("arcs", "--op", "classify", "--q", "3", "--a", "1")
+# out-of-range inputs of the handlers, each refused with its one stderr line
+_REFUSED = [
+    (("scan", "--limit", "7"), "precondition", "scan range must reach at least 8"),
+    (("count", "--limit", "0"), "precondition", "range bound X must be >= 1"),
+    (("moments", "--moment", "pair-collisions", "--P", "0"), "precondition",
+     "bound P6 must be >= 1"),
+    (("moments", "--moment", "eighth", "--P", "0"), "precondition", "bound P6 must be >= 1"),
+    (("moments", "--moment", "multiplicity", "--P", "0"), "precondition",
+     "bound P3 must be >= 1"),
+    (("moments", "--moment", "cube-sixth", "--limit", "0"), "precondition",
+     "bound X must be >= 1"),
+    ((*_CLASSIFY, "--Q", "2", "--limit", "0"), "precondition", "need X >= 1 and Q >= 1"),
+    ((*_CLASSIFY, "--Q", "50", "--limit", "100"), "precondition",
+     "level Q must satisfy Q <= 2 sqrt(X)"),
+    (("arcs", "--op", "major-integral", "--n", "0", "--limit", "100", "--trunc", "2"),
+     "precondition", "need n >= 1 and W >= 1"),
+    (("arcs", "--op", "singular-integral", "--n", "0", "--limit", "100", "--trunc", "2"),
+     "precondition", "need n >= 1 and W >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, kind, message", _REFUSED,
+                         ids=[" ".join(argv) for argv, _, _ in _REFUSED])
+def test_refused_with_one_line(capsys, argv, kind, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == {"budget": 3, "precondition": 2}[kind] and out == ""
+    assert err == json.dumps({"error": kind, "message": message}) + "\n"
+
+
 def test_sample_checks_come_before_the_budgets(capsys, monkeypatch):
     # the sample's own preconditions keep their place ahead of the command's
     # refusals, and a command that passes both draws its sample

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import factorial, prod
@@ -56,6 +57,21 @@ def test_pair_collisions_split_keys():
         for y in range(x, P6 + 1):
             i = row + y - x
             assert int(hi[i]) * 2**64 + int(lo[i]) == x**6 + y**6
+
+
+def test_split_pair_sums_hold_little_beside_their_output():
+    # the rows are written into the outputs in place: two int64 triangle index
+    # arrays and the full-size sums took the peak to 3.8 times the 40.5 MB
+    # output at P6 = 3000 (153,216,576 bytes), against 40,685,090 row by row
+    P6 = 1000
+    tracemalloc.start()
+    try:
+        hi, lo = _split_pair_sums(P6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hi.nbytes + lo.nbytes == 9 * P6 * (P6 + 1) // 2
+    assert peak < 1.1 * (hi.nbytes + lo.nbytes), peak
 
 
 # counts and parts of the full-square collision keys and the weighted

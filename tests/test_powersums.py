@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from circleforge.errors import BudgetError, PreconditionError
-from circleforge.intmath import TRIAL_DIVISION_BOUND, factorize
+from circleforge.intmath import TRIAL_DIVISION_BOUND, factorize, iroot
 from circleforge.powersums import (
+    FORM,
+    SUPPORTED_EXPONENTS,
+    form_product,
     gauss_sum,
     gauss_sum_majorant,
     gauss_sum_table,
@@ -131,6 +135,15 @@ def test_factorize_is_exact_or_refused():
         gauss_sum_majorant(2, 1000003**2)
 
 
+def test_integer_helpers_refuse_bad_input():
+    for n, k, message in ((-1, 2, "n >= 0"), (8, 0, "k >= 1"), (8, -3, "k >= 1")):
+        with pytest.raises(ValueError, match=message):
+            iroot(n, k)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="n >= 1"):
+            factorize(n)
+
+
 def test_majorant_multiplicativity():
     rng = np.random.default_rng(1)
     done = 0
@@ -163,6 +176,27 @@ def test_leading_constant_identity():
     # frozen from an independent 50-digit evaluation of the compact form
     assert lc.value == pytest.approx(0.5390214962996830, abs=5e-4)
     assert abs(lc.value - 0.53902149629968298879) < 1e-14
+
+
+def test_form_fixes_the_main_term():
+    # scan's main term C S(n) n is n^(sum_{k in FORM} 1/k - 1), so the sum is 2
+    assert sum(Fraction(1, k) for k in FORM) == 2
+    assert SUPPORTED_EXPONENTS == tuple(sorted(set(FORM)))
+    g = math.gamma
+    literal = g(3 / 2) ** 2 * g(4 / 3) ** 2 * g(7 / 6) ** 2 / g(2)
+    assert abs(leading_constant().gamma_product_form - literal) <= 1e-15
+
+
+def test_form_product_is_the_literal_product():
+    # the bits of v2**2 * v3**2 * v6**2, below and above numpy's 256 KiB
+    # threshold for computing into a temporary, and the inputs are left alone
+    rng = np.random.default_rng(41)
+    for size in (1000, 50000):
+        v = {k: rng.normal(size=size) + 1j * rng.normal(size=size) for k in SUPPORTED_EXPONENTS}
+        kept = {k: x.copy() for k, x in v.items()}
+        assert np.array_equal(form_product(v), v[2] ** 2 * v[3] ** 2 * v[6] ** 2)
+        assert all(np.array_equal(v[k], kept[k]) for k in v)
+    assert form_product({2: 2, 3: 3, 6: 5}) == 900
 
 
 def test_gamma_backend_reference_points():

@@ -111,15 +111,27 @@ def _force_pieces(monkeypatch, k, whole=False):
 def test_exact_convolve_pieces_in_narrow_types(monkeypatch):
     # rows cut into several pieces, with b whole (overlap-add, the chooser's
     # pick for this shape) and with b cut too, read in their own integer types
-    # (the int16 spectrum g is never copied to int64), give np.convolve's result
+    # (the int16 spectrum g is never copied to int64), give np.convolve's result.
+    # One draw serves every dtype, with one reference per distinct int64 value
+    # set: b2 cast to uint8 wraps, so it has its own
     rng = np.random.default_rng(81)
     width = 50000
     L, h, whole = exactconv._plan(width, 3000, width + 2999, 2)
     assert whole and h < width and L >= h + 3000 - 1
+    a0 = rng.integers(0, 100, (2, width))
+    b1, b2 = rng.integers(0, 1000, 3000), rng.integers(0, 1000, 30000)
+    references = {}
+
+    def reference(b):
+        key = b.astype(np.int64).tobytes()
+        if key not in references:
+            references[key] = [np.convolve(row, b.astype(np.int64)) for row in a0]
+        return references[key]
+
     for dtype in (np.uint8, np.int16, np.int32, np.uint32, np.int64):
-        a = rng.integers(0, 100, (2, width)).astype(dtype)
-        for b in (rng.integers(0, 1000, 3000), rng.integers(0, 1000, 30000).astype(dtype)):
-            expect = [np.convolve(row.astype(np.int64), b.astype(np.int64)) for row in a]
+        a = a0.astype(dtype)
+        for b in (b1, b2.astype(dtype)):
+            expect = reference(b)
             for k in (None, 3):
                 with monkeypatch.context() as patch:
                     if k:
@@ -128,6 +140,7 @@ def test_exact_convolve_pieces_in_narrow_types(monkeypatch):
                 assert out.dtype == np.int64
                 for got, want in zip(out, expect):
                     assert np.array_equal(got, want), (dtype, len(b), k)
+    assert len(references) == 3
 
 
 def test_exact_convolve_small_shapes_match_numpy():
@@ -440,6 +453,19 @@ def test_convolutions_refuse_non_integer_input():
     assert cyclic_histogram_convolution([g, np.array([1, 1, 0], dtype=np.int32)], 3) == [4, 3, 5]
 
 
+def test_convolutions_refuse_bad_shapes_and_sizes():
+    with pytest.raises(ValueError, match="a 1-D or 2-D and b 1-D"):
+        exact_convolve(np.ones((2, 2, 3), dtype=np.int64), [1, 1])
+    with pytest.raises(ValueError, match="length must be nonnegative"):
+        exact_convolve([1, 2], [1, 1], length=-1)
+    for hists, q, message in (([[1]], 0, "modulus must be positive"),
+                              ([], 3, "need at least one histogram"),
+                              ([[1, 1, 1], [1, 1]], 3, "histogram length must equal the modulus"),
+                              ([[1, 1, 1], [1, -1, 2]], 3, "histograms must be nonnegative")):
+        with pytest.raises(ValueError, match=message):
+            cyclic_histogram_convolution(hists, q)
+
+
 def test_rep_count_single_examples():
     assert rep_count_single(5) == 0
     assert rep_count_single(6) == 1
@@ -735,6 +761,16 @@ def test_spectrum_cache_roundtrip(tmp_path):
         path.write_bytes(good[:size])
         with pytest.raises(ValueError):
             read_spectrum(str(path))
+
+
+def test_spectrum_cache_refuses_counts_past_32_bits(tmp_path):
+    path = tmp_path / "spec.bin"
+    write_spectrum(repcount.PairSpectrum(k=2, P=1, counts=np.array([0, 0, 2**32 - 1])), str(path))
+    assert read_spectrum(str(path)).counts.tolist() == [0, 0, 2**32 - 1]
+    path.unlink()
+    with pytest.raises(ValueError, match="overflow the 32-bit cache format"):
+        write_spectrum(repcount.PairSpectrum(k=2, P=1, counts=np.array([0, 0, 2**32])), str(path))
+    assert not path.exists()
 
 
 def test_range_uses_cache(tmp_path):

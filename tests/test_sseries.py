@@ -18,6 +18,7 @@ from circleforge.sseries import (
     congruence_count,
     local_density,
     series_batch,
+    series_blocks,
     series_term,
     truncated_singular_series,
 )
@@ -279,6 +280,13 @@ def test_vanishing_rule_matches_congruence_counts():
             for n in range(q)
         )
         assert _vanishes(q, p) == flat, q
+
+
+def test_series_blocks_refuse_before_any_work():
+    with pytest.raises(PreconditionError, match="range bound X must be >= 0"):
+        series_blocks(-1, 10)
+    with pytest.raises(BudgetError, match="beyond budget"):
+        series_blocks(10, sseries.TRUNCATION_BUDGET + 1)
 
 
 def test_batch_matches_scalar():
