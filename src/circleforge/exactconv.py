@@ -213,16 +213,16 @@ def _block_norms(a_parts: list[np.ndarray], b_parts: list[np.ndarray], blocks: i
     return _block_sums(norms_a, norms_b[0], blocks)
 
 
-def _int64(x, message: str, narrow: bool = False) -> np.ndarray:
-    """x as a contiguous int64 array (with `narrow`, an integer type narrower
-    than 64 bits is kept, uncopied), or ValueError(message) for a nonempty x
-    of a non-integer dtype: a cast would truncate floats, and numpy holds a
-    Python int outside int64 as an object.  uint64 values past int64 wrap to
-    negatives, which every caller refuses next."""
+def _integer_array(x, message: str) -> np.ndarray:
+    """x as a contiguous integer array, an integer type narrower than 64 bits
+    kept and uncopied and any other cast to int64, or ValueError(message) for
+    a nonempty x of a non-integer dtype: a cast would truncate floats, and
+    numpy holds a Python int outside int64 as an object.  uint64 values past
+    int64 wrap to negatives, which every caller refuses next."""
     x = np.asarray(x)
     if x.size and not np.issubdtype(x.dtype, np.integer):
         raise ValueError(message)
-    keep = narrow and x.dtype.kind in "iu" and x.dtype.itemsize < 8
+    keep = x.dtype.kind in "iu" and x.dtype.itemsize < 8
     return np.ascontiguousarray(x, dtype=x.dtype if keep else np.int64)
 
 
@@ -261,7 +261,7 @@ def exact_convolve(a: np.ndarray, b: np.ndarray, length: int | None = None) -> n
     message = "exact_convolve expects nonnegative integer inputs, a 1-D or 2-D and b 1-D"
     # the pieces are read through views in the inputs' own integer types (the
     # int16 spectrum g among them); each transform casts its piece on the way in
-    a, b = _int64(a, message, narrow=True), _int64(b, message, narrow=True)
+    a, b = _integer_array(a, message), _integer_array(b, message)
     if a.ndim not in (1, 2) or b.ndim != 1 or a.min(initial=0) < 0 or b.min(initial=0) < 0:
         raise ValueError(message)
     rows, lead = np.atleast_2d(a), a.shape[:-1]
@@ -377,7 +377,7 @@ def cyclic_histogram_convolution(histograms, q: int) -> list[int]:
     """
     if q < 1:
         raise ValueError("modulus must be positive")
-    hists = [_int64(h, "histograms must be nonnegative integers") for h in histograms]
+    hists = [_integer_array(h, "histograms must be nonnegative integers") for h in histograms]
     if not hists:
         raise ValueError("need at least one histogram")
     if any(len(h) != q for h in hists):

@@ -5,9 +5,11 @@ WINDOW_KEYS packed int64 keys, with every window's bounds and every row's
 cells per window found in one pass in exact integers; each worker writes,
 sorts and reduces one window at a time with `key_runs` to runs of equal
 value, in chunks that end at run starts, so no call holds a whole lattice.
-`key_runs` finds run starts in one comparison per chunk and, where few keys
-repeat a value, folds only the repeated keys.  The key format stays in this
-module: callers see only (values, sums) runs."""
+`key_runs` finds run starts in one comparison per chunk and folds only the
+repeated keys, one fold for sparse and dense chunks alike.  The dense
+pair-sum spectra are not reduced here: `repcount._fill_spectrum` fills them
+as it fills g.  The key format stays in this module: callers see only
+(values, sums) runs."""
 
 import math
 from numbers import Integral
@@ -313,11 +315,11 @@ def key_runs(keys: np.ndarray, bits: int):
     after the keys are written over.
 
     A key starts a run when it passes its predecessor with every weight bit
-    set.  In a chunk where at most one key in 32 repeats a value (the moment
-    lattices), every key keeps its weight, the repeated keys alone are folded
-    into the first key of their run, and the run starts are kept; otherwise
-    (the square-pair sums) a run's weight is read off prefix sums of the
-    weights at the run starts, bits = 0 included."""
+    set.  The run starts keep their weights, and the repeated keys alone are
+    folded into the first key of their run by one reduceat: one fold for the
+    sparse chunks of the moment lattices, where few keys repeat a value, and
+    for dense ones alike (the dense pair-sum spectra are filled in
+    `repcount`, not reduced here)."""
     mask = (1 << bits) - 1
     cuts = np.searchsorted(keys, keys[PAIR_CHUNK::PAIR_CHUNK] >> bits << bits)
     for chunk in np.split(keys, cuts):
@@ -327,26 +329,17 @@ def key_runs(keys: np.ndarray, bits: int):
         first[0] = True
         np.greater(chunk[1:], chunk[:-1] | mask if bits else chunk[:-1], out=first[1:])
         repeats = len(chunk) - np.count_nonzero(first)
-        if repeats * 32 > len(chunk):
-            starts = np.flatnonzero(first)
-            runs = chunk[starts]
-            prefix = np.zeros(len(chunk) + 1, dtype=np.int64)
-            weights = np.bitwise_and(chunk, mask, out=prefix[1:])
-            weights += 1
-            np.cumsum(weights, out=weights)
-            sums = np.diff(prefix[np.append(starts, len(chunk))])
-        else:
-            runs = chunk[first] if repeats else chunk
-            sums = runs & mask
-            sums += 1
-            if repeats:
-                # the repeated keys of one run are consecutive, and those of
-                # two runs are parted by a run start; once the repeats are
-                # dropped, a run's start sits one place before its first
-                # repeat, less the number of repeats before that
-                rep = np.flatnonzero(~first)
-                lead = np.flatnonzero(np.diff(rep, prepend=-2) != 1)
-                sums[rep[lead] - 1 - lead] += np.add.reduceat((chunk[rep] & mask) + 1, lead)
+        runs = chunk[first] if repeats else chunk
+        sums = runs & mask
+        sums += 1
+        if repeats:
+            # the repeated keys of one run are consecutive, and those of two
+            # runs are parted by a run start; once the repeats are dropped, a
+            # run's start sits one place before its first repeat, less the
+            # number of repeats before that
+            rep = np.flatnonzero(~first)
+            lead = np.flatnonzero(np.diff(rep, prepend=-2) != 1)
+            sums[rep[lead] - 1 - lead] += np.add.reduceat((chunk[rep] & mask) + 1, lead)
         yield (runs >> bits if bits else runs.copy() if runs is chunk else runs), sums
 
 

@@ -5,12 +5,13 @@ Both paths read the exact integer cube/sixth spectrum g, filled by one
 primitive, _fill_spectrum, one value window at a time into a buffer it is
 given, and within a window one sixth-pair value at a time: that value's
 cube-pair partners in the window are one slice of the sorted cube-pair
-values, added by one np.add.at.  A full range fills all of g in windows of
-WINDOW entries and convolves it with the square-pair spectrum through the
-exact transform backend.  A single target never holds all of g: its windows,
-of a length fixed by n, are handed out by `workers.blocks`, and each is
-filled into its run's one buffer and summed over the square pairs of its
-annulus in 2-D blocks of rows x.  Tuples are ordered and every variable
+values, added by one np.add.at.  The square-pair spectrum comes from the
+same filler, over the squares twice.  A full range fills all of g in
+windows of WINDOW entries and convolves it with the square-pair spectrum
+through the exact transform backend.  A single target never holds all of
+g: its windows, of a length fixed by n, are handed out by `workers.blocks`,
+and each is filled into its run's one buffer and summed over the square
+pairs of its annulus in 2-D blocks of rows x.  Tuples are ordered and every variable
 starts at 1, so the least representable value is 6.
 """
 
@@ -63,7 +64,8 @@ class RangeCounts:
 
 
 def pair_spectrum(k: int, P: int) -> PairSpectrum:
-    """Exact pair-sum spectrum: the ordered-pair counts of pair_values, by value."""
+    """Exact pair-sum spectrum, filled as g is: _fill_spectrum of powers(k, P)
+    with itself, every count 1."""
     _check_exponent(k)
     if P < 1:
         raise PreconditionError("bound P must be >= 1")
@@ -73,9 +75,10 @@ def pair_spectrum(k: int, P: int) -> PairSpectrum:
             f"pair spectrum needs {length} entries "
             f"({length * 8 / 2**30:.1f} GiB), budget is {PAIR_INDEX_BUDGET}"
         )
-    values, mult = pair_values(powers(k, P))
-    counts = np.zeros(length, dtype=np.int64)
-    counts[values] = mult
+    v = powers(k, P)
+    ones = np.ones(P, dtype=np.int64)
+    counts = np.empty(length, dtype=np.int64)
+    _fill_spectrum(counts, 0, v, ones, v, ones)
     return PairSpectrum(k=k, P=P, counts=counts)
 
 
@@ -159,20 +162,21 @@ def _pair_spectra(P3: int, P6: int, limit: int) -> tuple:
     return v3, c3.astype(dtype), v6, c6.astype(dtype)
 
 
-def _fill_spectrum(out: np.ndarray, lo: int, v3, c3, v6, c6) -> None:
-    """out[:] = g[lo : lo + len(out)], where g[m] = #{(x3,x4,x5,x6):
-    x3^3+x4^3+x5^6+x6^6 = m} and (v3, c3, v6, c6) are _pair_spectra's.  One
-    sixth-pair value s at a time: the cube-pair values v with
-    lo <= s + v < lo + len(out) are one slice v3[i:j], since v3 is sorted, and
-    np.add.at adds c6[s] c3[v] at s + v - lo over that slice's views, in the
-    counts' type.  A call scatters into the window alone and holds only its
-    slice's index and product."""
+def _fill_spectrum(out: np.ndarray, lo: int, u, cu, v, cv) -> None:
+    """out[:] = h[lo : lo + len(out)], where h[m] is the sum of cu[i] cv[j]
+    over u[i] + v[j] = m, for sorted values u and v with counts cu and cv:
+    g from _pair_spectra's cube-pair (u, cu) and sixth-pair (v, cv) values,
+    and a pair spectrum from powers(k, P) twice, every count 1.  One value s
+    of v at a time: the values t of u with lo <= s + t < lo + len(out) are
+    one slice u[i:j], since u is sorted, and np.add.at adds cv[s] cu[t] at
+    s + t - lo over that slice's views, in the counts' type.  A call scatters
+    into the window alone and holds only its slice's index and product."""
     out[:] = 0
-    starts = np.searchsorted(v3, lo - v6).tolist()
-    ends = np.searchsorted(v3, lo + len(out) - v6).tolist()
-    for s, weight, i, j in zip(v6.tolist(), c6, starts, ends):
+    starts = np.searchsorted(u, lo - v).tolist()
+    ends = np.searchsorted(u, lo + len(out) - v).tolist()
+    for s, weight, i, j in zip(v.tolist(), cv, starts, ends):
         if i < j:
-            np.add.at(out, v3[i:j] + (s - lo), c3[i:j] * weight)
+            np.add.at(out, u[i:j] + (s - lo), cu[i:j] * weight)
 
 
 def _cube_sixth_spectrum(P3: int, P6: int, limit: int) -> np.ndarray:

@@ -328,10 +328,10 @@ def _packed_keys(rng, bits):
 @pytest.mark.parametrize("chunk", [1, 7, 16, 256])
 @pytest.mark.parametrize("bits", [0, 5])
 def test_key_runs_against_unique(monkeypatch, bits, chunk):
-    # every chunk against np.unique; a chunk where at most one key in 32
-    # repeats a value folds its repeats into their run's first key, and any
-    # other reads each run's weight off prefix sums: both are taken, and at
-    # 256-key chunks the fold meets repeats
+    # every chunk against np.unique; one fold adds each chunk's repeated keys
+    # into their run's first key, and it meets both sparse chunks (at most
+    # one key in 32 repeats a value) and dense ones; the sparse chunks meet
+    # repeats only at 256 keys a chunk
     monkeypatch.setattr(intmath, "PAIR_CHUNK", chunk)
     rng = np.random.default_rng([bits, chunk])
     taken = set()
@@ -344,9 +344,9 @@ def test_key_runs_against_unique(monkeypatch, bits, chunk):
         for chunk_values, _ in chunks:
             length = sum(counts[v] for v in chunk_values.tolist())
             repeats = length - len(chunk_values)
-            taken.add(("fold" if repeats * 32 <= length else "prefix", repeats > 0))
-    assert taken >= {("prefix", True), ("fold", False)}
-    assert (("fold", True) in taken) == (chunk == 256)
+            taken.add(("sparse" if repeats * 32 <= length else "dense", repeats > 0))
+    assert taken >= {("dense", True), ("sparse", False)}
+    assert (("sparse", True) in taken) == (chunk == 256)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 7])

@@ -62,6 +62,37 @@ def test_pair_spectrum_invariants():
                 assert c % 2 == 0  # ordered pairs off the diagonal pair up
 
 
+@pytest.mark.parametrize("k, P", [(k, P) for k in (2, 3, 6) for P in (1, 2, 7, 40)] + [(2, 300)])
+def test_pair_spectrum_against_the_lattice(k, P):
+    # the fill against the lattice of pair_values scattered by value, and
+    # against np.bincount of the full outer sum; (6, 40), 2 * 40^6 + 1
+    # entries, is past the index budget and refused before any work
+    if 2 * P**k + 1 > repcount.PAIR_INDEX_BUDGET:
+        with pytest.raises(BudgetError, match="entries"):
+            pair_spectrum(k, P)
+        return
+    counts = pair_spectrum(k, P).counts
+    v = powers(k, P)
+    values, mult = pair_values(v)
+    scatter = np.zeros(2 * P**k + 1, dtype=np.int64)
+    scatter[values] = mult
+    outer = np.bincount((v[:, None] + v[None, :]).ravel(), minlength=len(counts))
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, scatter) and np.array_equal(counts, outer)
+
+
+def test_pair_spectrum_peak_memory_is_its_output():
+    # the fill holds one slice of at most P values besides its 16 MB output
+    pair_spectrum(2, 1000)  # warm-up, so lazy imports do not count
+    tracemalloc.start()
+    try:
+        counts = pair_spectrum(2, 1000).counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * counts.nbytes, peak
+
+
 def test_pair_spectrum_budget_guard():
     with pytest.raises(BudgetError) as err:
         pair_spectrum(2, 10**6)

@@ -175,6 +175,23 @@ def test_cyclic_convolution_constant_histogram(q, count, constant, where, bits, 
     assert out == cyclic_convolution_kronecker(hists, q)
 
 
+def test_cyclic_convolution_keeps_narrow_histograms():
+    # the histograms are read in their own integer types: the same values in
+    # uint8, int16, uint32 and int64 give the same list, through the engine
+    # and through the constant shortcut (q = 1, and the last case)
+    rng = np.random.default_rng(42)
+    cases = [[rng.integers(0, 256, q) for _ in range(count)]
+             for q, count in ((1, 2), (7, 3), (101, 2), (1009, 3))]
+    cases.append([rng.integers(0, 256, 31), np.full(31, 255)])
+    for hists in cases:
+        q = len(hists[0])
+        expect = cyclic_convolution_kronecker([h.tolist() for h in hists], q)
+        for dtype in (np.uint8, np.int16, np.uint32, np.int64):
+            out = cyclic_histogram_convolution([h.astype(dtype) for h in hists], q)
+            assert all(type(v) is int for v in out)
+            assert out == expect, (q, dtype)
+
+
 def test_divisor_sum_identity_sample():
     rng = np.random.default_rng(9)
     for q in (2, 3, 4, 8, 9, 16, 25, 27, 49, 121, 243, 625):
