@@ -9,7 +9,7 @@ Two tools live here:
   least; output block m is one inverse transform of the sum over i + j = m of
   the piece spectra, and only the blocks that start below the length are
   formed.  It runs only when per-row a-priori bounds keep every value below
-  2^53 and every block's rounding error below 1/2, and returns only when a
+  2^53 and the rounding error below 1/2, and returns only when a
   random-point certificate modulo a prime holds for every block of every row.
   Otherwise the call is refused.
 * ``cyclic_histogram_convolution`` — cyclic convolution of several residue
@@ -65,7 +65,8 @@ _CERT_PRIME = 2**31 - 1
 _CERT_POINTS = 2
 # cyclic_histogram_convolution: for residue histograms of r^2, r^3 and r^6
 # mod q, q <= 10^4, limbs of this width keep the a-priori rounding bound of
-# exact_convolve at most 0.014 (q = 9576), far below its 1/2 limit
+# exact_convolve at most 0.0079 (q = 9576; 0.0037 on the prime powers), far
+# below its 1/2 limit
 _LIMB_BITS = 20
 
 
@@ -140,77 +141,60 @@ def _pairs(ka: int, kb: int, m: int) -> int:
                ((m, 1), (m - ka, -1), (m - kb, -1), (m - ka - kb, 1)) if t > 0)
 
 
-def _counts(width: int, nb: int, length: int, h: int, whole: bool) -> tuple[int, int, int]:
-    """(ka, kb, blocks): the pieces of a row of `width` columns and of b's nb
-    entries (one when `whole`, else pieces of h), and the output blocks at
-    offsets m h below `length`.  For inputs no longer than the length no piece
-    is idle: ka, kb <= blocks."""
-    ka, kb = -(-width // h), 1 if whole else -(-nb // h)
+def _counts(width: int, nb: int, length: int, h: int, hb: int) -> tuple[int, int, int]:
+    """(ka, kb, blocks): the pieces of h columns of a row of `width` columns
+    and of hb entries of b's nb, and the output blocks at offsets m h below
+    `length`.  For inputs no longer than the length no piece is idle: ka, kb
+    <= blocks."""
+    ka, kb = -(-width // h), -(-nb // hb)
     return ka, kb, min(ka + kb - 1, -(-length // h))
 
 
-def _plan(width: int, nb: int, length: int, rows: int) -> tuple[int, int, bool]:
-    """(L, h, whole) for `rows` rows of `width` columns and a b of nb entries,
+def _plan(width: int, nb: int, length: int, rows: int) -> tuple[int, int, int]:
+    """(L, h, hb) for `rows` rows of `width` columns and a b of nb entries,
     the first `length` entries of their products: the rows are cut into
-    pieces of h columns, b stays whole (`whole`, and h + nb - 1 <= L) or is
-    cut into pieces of h too (2 h - 1 <= L), and every piece is transformed
-    at the power of two L, at most `top`, the least that holds the whole
-    product (or MAX_TRANSFORM_LENGTH).  The candidates are b whole at every
-    L >= nb, with h = L - nb + 1, and both cut at every L < 2 nb down to
-    top / 64, with h = L / 2.  The one whose transforms (each piece forward,
-    each block back, L log2(L) a row, more past the cache, and _CALL_COST a
-    piece or block), spectral products (_PRODUCT_COST an entry) and
-    certificate (_CERT_COST a coefficient of a piece or block) cost least is
-    taken: it depends on the sizes alone."""
-    def cost(L, h, whole):
-        ka, kb, m = _counts(width, nb, length, h, whole)
-        log, span = L.bit_length() - 1, h + (nb if whole else h) - 1
+    pieces of h columns and b into pieces of hb, either b in one piece (hb =
+    nb, overlap-add, h + nb - 1 <= L) or both cut alike (hb = h, 2 h - 1 <=
+    L), and every piece is transformed at the power of two L, at most `top`,
+    the least that holds the whole product (or MAX_TRANSFORM_LENGTH).  The
+    candidates are b in one piece at every L >= nb, with h = L - nb + 1, and
+    both cut at every L < 2 nb down to top / 64, with h = L / 2.  The one
+    whose transforms (each piece forward, each block back, L log2(L) a row,
+    more past the cache, and _CALL_COST a piece or block), spectral products
+    (_PRODUCT_COST an entry) and certificate (_CERT_COST a coefficient of a
+    piece or block) cost least is taken: it depends on the sizes alone."""
+    def cost(L, h, hb):
+        ka, kb, m = _counts(width, nb, length, h, hb)
+        log = L.bit_length() - 1
         row = L * (log + _SPILL_COST * max(0, log - _CACHE_LOG))
-        pairs = m if whole else _pairs(ka, kb, m)
         return ((rows * (ka + m) + kb) * row + (ka + kb + m) * _CALL_COST
-                + rows * pairs * (L // 2 + 1) * _PRODUCT_COST
-                + (rows * (width + m * span) + nb) * _CERT_COST), (L, h, whole)
+                + rows * _pairs(ka, kb, m) * (L // 2 + 1) * _PRODUCT_COST
+                + (rows * (width + m * (h + hb - 1)) + nb) * _CERT_COST), (L, h, hb)
 
     top = min(1 << (width + nb - 2).bit_length(), MAX_TRANSFORM_LENGTH)
-    plans = [cost(1 << e, min(width, (1 << e) - nb + 1), True)
+    plans = [cost(1 << e, min(width, (1 << e) - nb + 1), nb)
              for e in range((nb - 1).bit_length(), top.bit_length())]
-    plans += [cost(1 << e, 1 << (e - 1), False)
+    plans += [cost(1 << e, 1 << (e - 1), 1 << (e - 1))
               for e in range(max(1, top.bit_length() - 7), min(top, 2 * nb - 1).bit_length())]
     return min(plans)[1]
 
 
 def _pieces(x: np.ndarray, h: int) -> list[np.ndarray]:
-    """The rows of a 2-D x cut into pieces of h columns, as views: the whole
-    pieces as one (rows, k, h) array and a last, shorter piece as (rows, 1, w)."""
-    k = x.shape[1] // h
-    views = [x[:, : k * h].reshape(len(x), k, h)] if k else []
-    return views + ([x[:, k * h :][:, None]] if x.shape[1] > k * h else [])
+    """The rows of a 2-D x cut into pieces of h columns, the last maybe
+    shorter: one (rows, w) view a piece."""
+    return [x[:, i : i + h] for i in range(0, x.shape[1], h)]
 
 
-def _block_sums(x: np.ndarray, y: np.ndarray, blocks: int, p: int = 0) -> np.ndarray:
-    """The sums over i + j = m of x[:, i] * y[j], for every block m < blocks,
-    of x of shape (rows, ka, ...) and y of (kb, ...); mod p when p is given,
-    reduced after each product (below 2^62 for entries below p < 2^31)."""
+def _block_sums(x: np.ndarray, y: np.ndarray, blocks: int, p: int) -> np.ndarray:
+    """The sums mod p over i + j = m of x[:, i] * y[j], for every block m <
+    blocks, of x of shape (rows, ka, ...) and y of (kb, ...), reduced after
+    each product (below 2^62 for entries below p < 2^31)."""
     sums = np.zeros((len(x), blocks) + x.shape[2:], dtype=x.dtype)
     for i in range(x.shape[1]):
         j = min(len(y), blocks - i)
         sums[:, i : i + j] += x[:, i, None] * y[:j]
-        if p:
-            sums[:, i : i + j] %= p
+        sums[:, i : i + j] %= p
     return sums
-
-
-def _join(parts: list[np.ndarray]) -> np.ndarray:
-    """Per-piece values of the views of _pieces, joined along the piece axis."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-
-
-def _block_norms(a_parts: list[np.ndarray], b_parts: list[np.ndarray], blocks: int) -> np.ndarray:
-    """sum_{i+j=m} |a_i|_2 |b_j|_2 for every row and every block m < blocks,
-    of the pieces a_i of the rows and b_j of b, as _pieces cuts them."""
-    norms_a, norms_b = (_join([np.linalg.norm(v, axis=-1) for v in parts])
-                        for parts in (a_parts, b_parts))
-    return _block_sums(norms_a, norms_b[0], blocks)
 
 
 def _integer_array(x, message: str) -> np.ndarray:
@@ -233,19 +217,20 @@ def exact_convolve(a: np.ndarray, b: np.ndarray, length: int | None = None) -> n
     with `length`, only the first `length` entries of each product are formed
     and returned (all of them when it is longer).  Raises BudgetError, rather
     than return a possibly wrong result, when the value bound of any row
-    reaches 2^53, when the a-priori rounding bound of any output block
-    reaches 1/2 (both before any transform), or when any block of any row
-    fails its certificate.
+    reaches 2^53, when the a-priori rounding bound of any row at the piece
+    transform length, 32 log2(L) 2^-53 |a_row|_2 |b|_2, reaches 1/2 (both
+    before any transform), or when any block of any row fails its
+    certificate.
 
-    The rows, and b unless it is short enough to stay whole, are cut into
-    pieces a_i and b_j of h columns, read in their own integer types and
-    transformed at one power of two L (_plan); output block m, the product
+    The rows are cut into pieces a_i of h columns and b into pieces b_j of
+    hb entries, read in their own integer types and transformed at one
+    power of two L (_plan); output block m, the product
     Q_m = sum_{i+j=m} a_i * b_j, is the inverse transform of the sum of the
     spectral products, rounded, and added into the output at offset m h.
     Columns of a or b at or past `length` add nothing below it, so they are
     never read, and only the blocks with m h < length are formed.  One piece
-    on each side is a single transform of a row and one of b; b whole is
-    overlap-add.
+    on each side is a single transform of a row and one of b; b in one
+    piece (hb = nb) is overlap-add.
 
     The certificate evaluates every piece a_i, b_j and every block Q_m at
     _CERT_POINTS points r drawn uniformly from [1, p) with p = 2^31 - 1 and
@@ -279,19 +264,20 @@ def exact_convolve(a: np.ndarray, b: np.ndarray, length: int | None = None) -> n
     if bound >= FLOAT_EXACT_LIMIT:
         raise BudgetError(f"convolution values may reach {bound}, not below 2^53")
 
-    L, h, whole = _plan(width, nb, n_out, count)
-    a_parts, b_parts = _pieces(rows, h), _pieces(b[None, :], nb if whole else h)
-    ka, kb, blocks = _counts(width, nb, n_out, h, whole)
-    span = h + (nb if whole else h) - 1  # a block's length, at most L
+    L, h, hb = _plan(width, nb, n_out, count)
+    a_parts, b_parts = _pieces(rows, h), _pieces(b[None, :], hb)
+    ka, kb, blocks = _counts(width, nb, n_out, h, hb)
+    span = h + hb - 1  # a block's length, at most L
     # The transform of block m sums the spectral products of its pairs, so by
     # the bound above, applied pair by pair, it errs by at most the constant
     # times eps log2(L) sum_{i+j=m} |a_i|_2 |b_j|_2.  By Cauchy-Schwarz that
     # sum is at most (sum_i |a_i|^2)^(1/2) (sum_j |b_j|^2)^(1/2) = |a|_2 |b|_2,
-    # and L is at most the one-piece length, so no block's bound exceeds the
-    # bound of the row in one piece.  At L = 1, a 1 x 1 product, it is 0: one
-    # float multiply, exact below 2^53.
-    norms = _block_norms(a_parts, b_parts, blocks)
-    rounding = float(norms.max()) * 2.0**-53 * _ROUNDING_CONSTANT * math.log2(L)
+    # so the bound of each row at the piece length L holds for all its
+    # blocks.  The norms are numpy reductions along the rows (that of a 1-D b
+    # would be a BLAS dot).  At L = 1, a 1 x 1 product, it is 0: one float
+    # multiply, exact below 2^53.
+    norm = np.linalg.norm(rows, axis=1).max() * np.linalg.norm(b[None, :], axis=1)[0]
+    rounding = float(norm) * 2.0**-53 * _ROUNDING_CONSTANT * math.log2(L)
     if rounding >= 0.5:
         raise BudgetError(f"FFT rounding error may reach {rounding:.3g}, not below 1/2")
 
@@ -300,10 +286,8 @@ def exact_convolve(a: np.ndarray, b: np.ndarray, length: int | None = None) -> n
     run = workers.run if L >= _POOL_LENGTH and blocks > 1 else lambda calls: [c() for c in calls]
     A = np.empty((count, blocks, L // 2 + 1), dtype=complex)
     fb = np.empty((max(kb, count * blocks), L // 2 + 1), dtype=complex)
-    run([partial(np.fft.rfft, x, L, out=A[:, i])
-         for i, x in enumerate(v[:, j] for v in a_parts for j in range(v.shape[1]))]
-        + [partial(np.fft.rfft, x, L, out=fb[j])
-           for j, x in enumerate(v[0, j] for v in b_parts for j in range(v.shape[1]))])
+    run([partial(np.fft.rfft, x, L, out=A[:, i]) for i, x in enumerate(a_parts)]
+        + [partial(np.fft.rfft, x[0], L, out=fb[j]) for j, x in enumerate(b_parts)])
 
     if kb == 1:
         A *= fb[0]
@@ -350,7 +334,7 @@ def exact_convolve(a: np.ndarray, b: np.ndarray, length: int | None = None) -> n
     p = _CERT_PRIME
     r = np.random.default_rng().integers(1, p, _CERT_POINTS)
     *values, vq = _eval_mod([*a_parts, *b_parts, q], r, p, _block_size(span))
-    va, vb = _join(values[: len(a_parts)]), _join(values[len(a_parts) :])
+    va, vb = np.stack(values[:ka], axis=1), np.stack(values[ka:], axis=1)
     for j, m, k in np.argwhere(_block_sums(va, vb[0], blocks, p) != vq)[:1]:
         raise BudgetError(f"float transform result failed its certificate mod {p} "
                           f"in row {j}, block {m}, at r={r[k]}")
@@ -380,7 +364,7 @@ def cyclic_histogram_convolution(histograms, q: int) -> list[int]:
     hists = [_integer_array(h, "histograms must be nonnegative integers") for h in histograms]
     if not hists:
         raise ValueError("need at least one histogram")
-    if any(len(h) != q for h in hists):
+    if any(h.shape != (q,) for h in hists):  # len() of a 2-D one counts its rows
         raise ValueError("histogram length must equal the modulus")
     if any(h.min() < 0 for h in hists):
         raise ValueError("histograms must be nonnegative integers")

@@ -48,6 +48,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
     Raises BudgetError above TRIAL_DIVISION_BOUND**2, where a cofactor left
     after trial division up to the bound need not be prime.
     """
+    if not isinstance(n, Integral):  # 2.5 would come back as its own prime
+        raise PreconditionError(f"factorize requires an integer n, got {n!r}")
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     if n > TRIAL_DIVISION_BOUND**2:

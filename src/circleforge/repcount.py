@@ -152,8 +152,8 @@ def _pair_spectra(P3: int, P6: int, limit: int) -> tuple:
     with their ordered-pair counts, the counts in the narrowest signed integer
     type that holds sum(c6) * max(c3).  That bounds every entry of g, every
     product c6 * c3 and every partial sum of the fill."""
-    # the P3^2 * P6^2 quadruples bound every sum of entries; below 2^53 they
-    # keep the float convolution of g exact
+    # the P3^2 * P6^2 quadruples bound the total of g, and so every entry and
+    # partial sum: below 2^53 _count_dtype always finds a type that holds them
     if (P3 * P6) ** 2 >= FLOAT_EXACT_LIMIT:
         raise BudgetError(f"cube/sixth spectrum of {(P3 * P6) ** 2} tuples, not below 2^53")
     v3, c3 = pair_values(powers(3, P3), limit=limit)

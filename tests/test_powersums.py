@@ -142,6 +142,13 @@ def test_integer_helpers_refuse_bad_input():
     for n in (0, -5):
         with pytest.raises(ValueError, match="n >= 1"):
             factorize(n)
+    # a non-integer came back as its own prime, [(2.5, 1)], and the majorant
+    # of a modulus 2.5 read 1.2649
+    for n in (2.5, 5.0):
+        with pytest.raises(PreconditionError, match="integer"):
+            factorize(n)
+    with pytest.raises(PreconditionError, match="integer"):
+        gauss_sum_majorant(2, 2.5)
 
 
 def test_majorant_multiplicativity():

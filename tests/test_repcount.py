@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 from collections import Counter
@@ -134,8 +135,8 @@ def _force_pieces(monkeypatch, k, whole=False):
     a block."""
     def plan(width, nb, length, rows):
         h = -(-width // k)
-        b_whole = whole or nb <= h  # a b no longer than a piece stays whole
-        return (1 << (h + (nb if b_whole else h) - 2).bit_length(), h, b_whole)
+        hb = nb if whole or nb <= h else h  # a b no longer than a piece is one piece
+        return (1 << (h + hb - 2).bit_length(), h, hb)
     monkeypatch.setattr(exactconv, "_plan", plan)
 
 
@@ -147,8 +148,8 @@ def test_exact_convolve_pieces_in_narrow_types(monkeypatch):
     # set: b2 cast to uint8 wraps, so it has its own
     rng = np.random.default_rng(81)
     width = 50000
-    L, h, whole = exactconv._plan(width, 3000, width + 2999, 2)
-    assert whole and h < width and L >= h + 3000 - 1
+    L, h, hb = exactconv._plan(width, 3000, width + 2999, 2)
+    assert hb == 3000 and h < width and L >= h + hb - 1
     a0 = rng.integers(0, 100, (2, width))
     b1, b2 = rng.integers(0, 1000, 3000), rng.integers(0, 1000, 30000)
     references = {}
@@ -339,7 +340,7 @@ def test_single_piece_matches_several_pieces(monkeypatch):
     rng = np.random.default_rng(84)
     a = rng.integers(0, 2**14, (3, 3000))
     b = rng.integers(0, 2**14, 3000)
-    assert exactconv._plan(3000, 3000, 5999, 3) == (8192, 3000, True)
+    assert exactconv._plan(3000, 3000, 5999, 3) == (8192, 3000, 3000)
     whole = exact_convolve(a, b)
     for k, b_whole in ((2, True), (3, True), (2, False), (3, False), (8, False)):
         with monkeypatch.context() as patch:
@@ -413,20 +414,50 @@ def test_certificate_checks_every_block(monkeypatch, block):
     assert len(calls) == 5
 
 
-def test_block_rounding_bound_within_one_piece_bound():
-    # by Cauchy-Schwarz, sum_{i+j=m} |a_i| |b_j| <= |a| |b| for every block
-    rng = np.random.default_rng(86)
-    for _ in range(200):
-        rows, width, nb = (int(v) for v in rng.integers(1, [4, 400, 400]))
-        a = rng.integers(0, 2**20, (rows, width)) * (rng.random((rows, width)) < 0.3)
-        b = rng.integers(0, 2**20, nb)
-        h = int(rng.integers(1, width + 1))
-        whole = nb <= h or bool(rng.integers(2))
-        parts = exactconv._pieces(a, h), exactconv._pieces(b[None, :], nb if whole else h)
-        blocks = exactconv._counts(width, nb, width + nb - 1, h, whole)[2]
-        bound = exactconv._block_norms(*parts, blocks).max(axis=1)
-        one_piece = np.linalg.norm(a, axis=1) * np.linalg.norm(b)
-        assert (bound <= one_piece * (1 + 1e-12)).all()
+# _plan's layout, (L, h, hb), on the shapes of the engine's traffic: range
+# products (width = nb = length = X + 1, one row) and the stacks of
+# congruence spectra (q, q, 2q - 1, rows) for rows 1..5; hb = nb is b in
+# one piece, overlap-add
+_RANGE_PLANS = {
+    10: (32, 11, 11), 10**3: (2048, 1001, 1001), 10**4: (16384, 6384, 10001),
+    6 * 10**4: (131072, 60001, 60001), 10**5: (32768, 16384, 16384),
+    10**6: (262144, 131072, 131072), 10**7: (2097152, 1048576, 1048576),
+    3 * 10**7: (4194304, 2097152, 2097152),
+}
+_STACK_PLANS = {
+    1009: [(2048, 1009, 1009)] * 5, 4177: [(16384, 4177, 4177)] * 5,
+    5011: [(16384, 5011, 5011)] * 5, 8192: [(16384, 8192, 8192)] * 5,
+    8193: [(16384, 8192, 8193)] * 4 + [(32768, 8193, 8193)],
+    9973: [(16384, 6412, 9973)] * 5,
+}
+
+
+def test_plan_table():
+    for X, plan in _RANGE_PLANS.items():
+        assert exactconv._plan(X + 1, X + 1, X + 1, 1) == plan, X
+    for q, plans in _STACK_PLANS.items():
+        assert [exactconv._plan(q, q, 2 * q - 1, rows) for rows in range(1, 6)] == plans, q
+
+
+def test_rounding_bound_is_taken_per_row(monkeypatch):
+    # the bound is 32 log2(L) 2^-53 |a_row|_2 |b|_2 at the piece length L, the
+    # row's whole norm even when it is cut: four equal pieces of a row of 2^17
+    # with a b of 2^16 in one piece, at L = 2048, put 0.6875 on the row and
+    # 0.34 on each block, and the row is refused; a row of 2^15 (0.17) is not
+    h, nb = 1024, 1024
+    b = np.full(nb, 2**16)
+    _force_pieces(monkeypatch, 4, whole=True)
+    for top, bound in ((2**17, 0.6875), (2**15, 0.171875)):
+        a = np.stack([np.ones(4 * h, dtype=np.int64), np.full(4 * h, top)])
+        assert exactconv._plan(4 * h, nb, 4 * h + nb - 1, 2) == (2048, h, nb)
+        norm = float(np.linalg.norm(a[1]) * np.linalg.norm(b))
+        assert 32 * math.log2(2048) * 2.0**-53 * norm == bound
+        if bound >= 0.5:
+            with pytest.raises(BudgetError, match="rounding error may reach 0.688"):
+                exact_convolve(a, b)
+        else:
+            out = exact_convolve(a, b)
+            assert all(np.array_equal(got, np.convolve(row, b)) for row, got in zip(a, out))
 
 
 def test_range_count_memory_below_the_whole_product():
@@ -492,6 +523,12 @@ def test_convolutions_refuse_bad_shapes_and_sizes():
     for hists, q, message in (([[1]], 0, "modulus must be positive"),
                               ([], 3, "need at least one histogram"),
                               ([[1, 1, 1], [1, 1]], 3, "histogram length must equal the modulus"),
+                              # 2-D histograms of 3 rows: len() saw the modulus, and
+                              # they came back as [0, 0, 0] and [6, 6, 6]
+                              ([np.ones((3, 2), dtype=np.int64)], 3,
+                               "histogram length must equal the modulus"),
+                              ([np.array([1, 2, 3]), np.ones((3, 3), dtype=np.int64)], 3,
+                               "histogram length must equal the modulus"),
                               ([[1, 1, 1], [1, -1, 2]], 3, "histograms must be nonnegative")):
         with pytest.raises(ValueError, match=message):
             cyclic_histogram_convolution(hists, q)
@@ -753,7 +790,8 @@ def test_single_target_memory_is_one_window_per_worker():
 
 
 def test_cube_sixth_spectrum_refuses_inexact_float_sums():
-    # 2^54 quadruples: float64 bincount sums would no longer be exact
+    # 2^54 quadruples: their total bounds every entry of g, and below 2^53 it
+    # leaves _count_dtype a type (int64 at most) that holds them all
     with pytest.raises(BudgetError, match="2\\^53"):
         _cube_sixth_spectrum(2**20, 2**7, 2 * 2**60 + 2 * 2**42)
 

@@ -227,6 +227,8 @@ def test_local_density_refuses_before_any_primality_work():
             local_density(p, 1, 1)
     with pytest.raises(PreconditionError):
         local_density(3, 1, 0)
+    with pytest.raises(PreconditionError, match="integer"):
+        local_density(5.0, 3, 1)  # ended in numpy's TypeError
 
 
 def test_local_density_stabilisation():
