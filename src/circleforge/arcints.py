@@ -226,16 +226,11 @@ def _gauss_value(k: int, q: int, a: int) -> complex:
     return gauss_sum(k, q, a if a else q).value
 
 
-def _arc_models(pairs, arc_idx, alphas, P_by_k):
-    """q^{-1} S_k(q,a) v_k(alpha - a/q) per node, for each k in P_by_k."""
-    centers = np.array([a / q for q, a in pairs])
-    betas = alphas - centers[arc_idx]
-    models = {}
-    for k, P in P_by_k.items():
-        v = weyl_integral_batch(k, P, betas)
-        s = np.array([_gauss_value(k, q, a) / q for q, a in pairs])
-        models[k] = s[arc_idx] * v
-    return models
+def _arc_model(k: int, P, pairs, arc_idx, betas) -> np.ndarray:
+    """q^{-1} S_k(q, a) v_k(beta) per node, (q, a) = pairs[arc_idx[i]] and
+    beta = betas[i] the node's offset from a/q."""
+    s = np.array([_gauss_value(k, q, a) / q for q, a in pairs])
+    return s[arc_idx] * weyl_integral_batch(k, P, betas)
 
 
 def _arc_columns(Q, pairs, arc_idx, weights, integrand) -> dict:
@@ -265,12 +260,14 @@ def major_arc_integral(n: int, X: int, W: int, grid: int = 10) -> MajorArcIntegr
         raise BudgetError("peak level budget is W <= 200")
     P_by_k = {k: iroot(X, k) for k in SUPPORTED_EXPONENTS}
     pairs = _farey_pairs(W)
+    centers = np.array([a / q for q, a in pairs])
     segments = _dissect(pairs, lambda q: W / X)
 
     def integrands(alphas, arc_idx):
         phase = np.exp(-2j * np.pi * n * alphas)
         f = {k: weyl_sum_grid(k, P, alphas) for k, P in P_by_k.items()}
-        models = _arc_models(pairs, arc_idx, alphas, P_by_k)
+        betas = alphas - centers[arc_idx]
+        models = {k: _arc_model(k, P, pairs, arc_idx, betas) for k, P in P_by_k.items()}
         return form_product(f) * phase, form_product(models) * phase
 
     (value, approx), changes, (alphas, weights, arc_idx), (direct, _) = _two_density(
@@ -386,20 +383,18 @@ def major_arc_error_survey(k: int, X: int, q_max: int, W: int) -> ModelErrorSurv
     if q_max > 50:
         raise BudgetError("survey budget is q_max <= 50")
     P = iroot(X, k)
-    width = W / X
+    pairs = _farey_pairs(q_max)
+    arc_idx = np.repeat(np.arange(len(pairs)), 5)
+    betas = np.tile(np.linspace(-W / X, W / X, 5), len(pairs))
+    alphas = np.array([a / q for q, a in pairs])[arc_idx] + betas
+    keep = (alphas >= 0.0) & (alphas < 1.0)
+    models = _arc_model(k, P, pairs, arc_idx[keep], betas[keep])
     worst = (0.0, 1, 0)
-    for q, a in _farey_pairs(q_max):
-        betas = np.linspace(-width, width, 5)
-        centred = a / q + betas
-        keep = (centred >= 0.0) & (centred < 1.0)
-        if not keep.any():
-            continue
-        models = _gauss_value(k, q, a) / q * weyl_integral_batch(k, P, betas[keep])
-        for alpha, model in zip(centred[keep], models):
-            direct = weyl_sum(k, P, float(alpha))
-            scaled = abs(direct - model) / math.sqrt(q)
-            if scaled > worst[0]:
-                worst = (scaled, q, a)
+    for alpha, model, i in zip(alphas[keep], models, arc_idx[keep]):
+        q, a = pairs[i]
+        scaled = abs(weyl_sum(k, P, float(alpha)) - model) / math.sqrt(q)
+        if scaled > worst[0]:
+            worst = (scaled, q, a)
     return ModelErrorSurvey(
         k=k, X=X, q_max=q_max, W=W, sup_scaled_error=worst[0], q=worst[1], a=worst[2]
     )
@@ -433,7 +428,8 @@ def pruned_integral_diagnostic(
         f = {k: np.abs(weyl_sum_grid(k, P, alphas)) for k, P in P_by_k.items()}
         q_at, a_at = np.array(pairs, dtype=np.float64)[arc_idx].T
         square = {**f, 2: peak_majorant(alphas, q_at, a_at, P_by_k[2])}
-        cubic = {**square, 3: np.abs(_arc_models(pairs, arc_idx, alphas, {3: P_by_k[3]})[3])}
+        model = _arc_model(3, P_by_k[3], pairs, arc_idx, alphas - a_at / q_at)
+        cubic = {**square, 3: np.abs(model)}
         return tuple(form_product(v) * absk for v in (f, square, cubic))
 
     values, changes, (alphas, weights, arc_idx), (raw, _, _) = _two_density(

@@ -80,7 +80,7 @@ class ExceptionalSample:
             if len(self.eta) != len(self.members):
                 raise PreconditionError("one coefficient per member required")
             for c in self.eta:
-                if abs(abs(complex(c)) - 1.0) > 1e-12:
+                if not abs(abs(complex(c)) - 1.0) <= 1e-12:  # NaN compares False
                     raise PreconditionError("coefficients must be unimodular")
 
     @property
@@ -132,10 +132,8 @@ def weyl_sum(k: int, P: int, alpha) -> complex:
         pw = np.uint64(p)
         for lo in range(1, P + 1, chunk):
             x = np.arange(lo, min(P, lo + chunk - 1) + 1, dtype=np.uint64)
-            x2 = x * x
-            xk = x2 if k == 2 else x2 * x if k == 3 else (x2 * x) ** 2
-            m = (pw * xk) << shift >> shift
-            total += complex(np.exp(2j * np.pi * (m.astype(np.float64) / q)).sum())
+            m = (pw * x**k) << shift >> shift
+            total += _phase_sum(m.astype(np.float64), q)  # q may be 2^64, past uint64
         return total
     if P > 2 * 10**5:
         raise BudgetError("huge denominators are limited to P <= 2*10**5")

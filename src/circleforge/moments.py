@@ -106,6 +106,8 @@ def count_cube_sixth_correlation(X: int) -> MomentCount:
     weighted r(s) r(t) by their ordered pairs, is looked up among the cube
     differences.
     """
+    if not isinstance(X, Integral):  # iroot would count up to floor(X)
+        raise PreconditionError(f"bound X={X!r} must be an integer")
     if X < 1:
         raise PreconditionError("bound X must be >= 1")
     if X > 10**8:

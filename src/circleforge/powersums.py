@@ -88,24 +88,18 @@ def powers_mod(x: np.ndarray, k: int, q: int) -> np.ndarray:
     return x3 * x3 % q
 
 
-def power_residues(k: int, q: int) -> np.ndarray:
-    """(r**k mod q) for r = 0..q-1."""
-    return powers_mod(np.arange(q, dtype=np.int64), k, q)
-
-
-def residue_histogram(k: int, q: int) -> np.ndarray:
-    """Counts of each value of r**k mod q over a complete residue system."""
-    return np.bincount(power_residues(k, q), minlength=q)
-
-
+@lru_cache(maxsize=1)  # a prime power's vanishing test, then its term table
 def residue_histograms(q: int) -> np.ndarray:
-    """Array whose rows are ``residue_histogram(k, q)`` for k in
-    SUPPORTED_EXPONENTS, from one chain of modular products and one bincount."""
+    """Read-only array whose row for the i-th k in SUPPORTED_EXPONENTS counts
+    each value of r**k mod q over a complete residue system, from one chain of
+    modular products and one bincount."""
     r = np.arange(q, dtype=np.int64)
     r2 = r * r % q
     r3 = r2 * r % q
     offsets = np.stack([r2, r3 + q, r3 * r3 % q + 2 * q])
-    return np.bincount(offsets.ravel(), minlength=offsets.size).reshape(-1, q)
+    hists = np.bincount(offsets.ravel(), minlength=offsets.size).reshape(-1, q)
+    hists.setflags(write=False)
+    return hists
 
 
 @lru_cache(maxsize=16)
@@ -116,7 +110,8 @@ def _unity_roots(q: int) -> np.ndarray:
 
 
 def _phase_sum(numerators: np.ndarray, q: int) -> complex:
-    """sum of e(m / q) over an int array of numerators in [0, q)."""
+    """sum of e(m / q) over an array of numerators m in [0, q): integers, or
+    for q > 2^20 their float64 values."""
     if q <= 2**20:
         counts = np.bincount(numerators.astype(np.int64), minlength=q)
         return complex((counts * _unity_roots(q)).sum())
@@ -131,7 +126,7 @@ def gauss_sum(k: int, q: int, a: int) -> GaussSumValue:
         raise PreconditionError(f"residue a={a} outside 1..q")
     if math.gcd(a, q) != 1:
         raise PreconditionError(f"gcd(a, q) must be 1, got gcd({a}, {q})")
-    value = _phase_sum((a % q) * power_residues(k, q) % q, q)
+    value = _phase_sum((a % q) * powers_mod(np.arange(q, dtype=np.int64), k, q) % q, q)
     return GaussSumValue(k=k, q=q, a=a, value=value)
 
 
@@ -139,7 +134,7 @@ def gauss_sum_table(k: int, q: int) -> np.ndarray:
     """S_k(q, a) for every a = 0..q-1 at once (DFT of the residue histogram)."""
     _check_exponent(k)
     _check_modulus(q)
-    return np.conj(np.fft.fft(residue_histogram(k, q)))
+    return np.conj(np.fft.fft(residue_histograms(q)[SUPPORTED_EXPONENTS.index(k)]))
 
 
 def gauss_sum_majorant(k: int, q: int) -> MajorantValue:

@@ -60,20 +60,13 @@ class CongruenceCount:
     count: int
 
 
-@lru_cache(maxsize=1)  # _live_tables tests a prime power, then builds its table
-def _histograms(q: int) -> np.ndarray:
-    hists = residue_histograms(q)
-    hists.setflags(write=False)
-    return hists
-
-
 def _term_table_complex(q: int) -> np.ndarray:
     """A(q; n mod q) for all residues n, before discarding the imaginary part.
 
     The Gauss sums S_k(q, .) = conj(DFT of the histogram of r^k mod q) come from
     one transform over the stacked rows; ``form_product`` multiplies them in place,
     in the literal product's operand order, which keeps the literal's bits."""
-    sums = dict(zip(SUPPORTED_EXPONENTS, np.conj(np.fft.fft(_histograms(q), axis=1))))
+    sums = dict(zip(SUPPORTED_EXPONENTS, np.conj(np.fft.fft(residue_histograms(q), axis=1))))
     weights = form_product(sums) / float(q) ** len(FORM)
     weights[np.gcd(np.arange(q), q) != 1] = 0.0
     return np.fft.fft(weights)
@@ -132,7 +125,7 @@ def _vanishes(q: int, p: int) -> bool:
     degree is below q, so it is zero exactly when Phi_q(x) = sum_j x^(j q / p)
     divides it, that is when the histogram has period q / p.
     """
-    rows = _histograms(q).reshape(-1, p, q // p)
+    rows = residue_histograms(q).reshape(-1, p, q // p)
     return bool((rows == rows[:, :1]).all(axis=(1, 2)).any())
 
 

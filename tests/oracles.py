@@ -16,7 +16,7 @@ import numpy as np
 
 from circleforge.errors import BudgetError, PreconditionError
 from circleforge.intmath import factorize
-from circleforge.powersums import gauss_sum_table, leading_constant, residue_histogram
+from circleforge.powersums import gauss_sum_table, leading_constant
 from circleforge.scan import PRE_ASYMPTOTIC_CUTOFF
 from circleforge.sseries import _live_tables, series_term
 
@@ -78,6 +78,11 @@ def series_term_direct(q, n):
     return total.real
 
 
+def residue_histogram_direct(k, q):
+    """Counts of each value of r**k mod q over r = 0..q-1, one pow at a time."""
+    return np.bincount([pow(r, k, q) for r in range(q)], minlength=q)
+
+
 def term_table_per_row(q):
     """A(q; n mod q) for all residues n, complex, from one transform call per
     Gauss-sum row: the float operations of the stacked transform it checks."""
@@ -96,7 +101,7 @@ def live_tables_per_row(top):
         p, h = factorize(q)[0]
         ppow, rest = p**h, q // p**h
         if ppow == q:
-            rows = (residue_histogram(k, q).reshape(p, q // p) for k in (2, 3, 6))
+            rows = (residue_histogram_direct(k, q).reshape(p, q // p) for k in (2, 3, 6))
             if not any((r == r[0]).all() for r in rows):
                 tables[q] = term_table_per_row(q).real
         elif ppow in tables and rest in tables:

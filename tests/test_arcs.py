@@ -396,6 +396,21 @@ def test_major_arc_approx():
         major_arc_approx(2, 4, 2, 0.0, 50)
 
 
+def test_major_arc_approx_matches_the_grid_arc_model():
+    # the scalar model takes the last product in Python's complex arithmetic,
+    # the grid model in numpy's: their last bits differ at 2,528 of these
+    # 9,288 points, by at most 2.2e-16 relative
+    pairs = [(q, a) for q in range(1, 51) for a in range(1, q + 1) if math.gcd(a, q) == 1]
+    betas = (0.0, 4e-5, -4e-5, 1.3e-7)
+    arc_idx = np.repeat(np.arange(len(pairs)), len(betas))
+    for k in (2, 3, 6):
+        models = arcints._arc_model(k, 1000, pairs, arc_idx, np.tile(betas, len(pairs)))
+        for i, model in enumerate(models):
+            (q, a), beta = pairs[arc_idx[i]], betas[i % len(betas)]
+            scalar = major_arc_approx(k, q, a, beta, 1000)
+            assert abs(scalar - model) <= 4.5e-16 * abs(model), (k, q, a, beta)
+
+
 def test_major_arc_error_survey():
     # |f_k - q^{-1} S_k v_k| <= 10 sqrt(q); observed suprema 0.80 / 5.01 / 2.17
     for k in (2, 3, 6):
@@ -700,6 +715,10 @@ def test_exceptional_sample_validation():
         ExceptionalSample(members=(1, 2), eta=(1.0,))
     with pytest.raises(PreconditionError):
         ExceptionalSample(members=(1,), eta=(0.5,))
+    # a NaN modulus fails every comparison; exceptional_sum would return nan+nanj
+    for bad in (complex("nan"), complex("nan+1j"), float("inf")):
+        with pytest.raises(PreconditionError):
+            ExceptionalSample(members=(1, 2), eta=(bad, 1.0))
     sample = ExceptionalSample(members=(3, 4), eta=(1j, -1.0))
     assert exceptional_sum(sample, 0.0) == pytest.approx(1j - 1.0)
 

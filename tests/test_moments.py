@@ -181,13 +181,15 @@ def test_shifted_correlation_refuses_non_integers():
 
 
 def test_moment_counts_refuse_non_integer_bounds():
-    # np.arange(1, P + 1) runs to ceil(P): P6 = 2.5 counted the P6 = 3 moment
-    for count in (sixth_power_eighth_moment, cube_multiplicity,
+    # np.arange(1, P + 1) runs to ceil(P): P6 = 2.5 counted the P6 = 3 moment;
+    # iroot floors the roots of a correlation bound: X = 20.5 counted X = 20
+    for count in (sixth_power_eighth_moment, cube_multiplicity, count_cube_sixth_correlation,
                   lambda P: shifted_cube_correlation(P, [1, 8, 20])):
-        for P in (2.5, 12.5, 3.0):
+        for P in (2.5, 12.5, 20.5, 3.0):
             with pytest.raises(PreconditionError):
                 count(P)
     assert sixth_power_eighth_moment(np.int64(3)).count == sixth_power_eighth_moment(3).count
+    assert count_cube_sixth_correlation(np.int64(64)).count == count_cube_sixth_correlation(64).count
     assert powers(3, np.int64(4)).tolist() == [1, 8, 27, 64]
 
 
