@@ -99,7 +99,8 @@ def _alpha_as_rational(alpha) -> tuple[int, int]:
     elif isinstance(alpha, (int, np.integer)):
         p, q = int(alpha), 1
     else:
-        p, q = float(alpha).as_integer_ratio()
+        x = float(alpha)  # nan and inf have no ratio: (1, 1) is refused below
+        p, q = x.as_integer_ratio() if math.isfinite(x) else (1, 1)
     if not (0 <= p < q or (p == 0 and q == 1)):
         raise PreconditionError(f"alpha={alpha} outside [0, 1)")
     return p, q
@@ -363,6 +364,8 @@ def exceptional_sum_grid(sample: ExceptionalSample, alphas: np.ndarray) -> np.nd
             f"a sample member of {top.bit_length()} bits exceeds 2^26 for a float phase grid"
         )
     alphas = np.asarray(alphas, dtype=np.float64)
+    if not np.isfinite(alphas).all():
+        raise PreconditionError("alphas must be finite")
     if not sample.size:
         return np.zeros(len(alphas), dtype=complex)
     members = np.array(sample.members, dtype=np.int64)

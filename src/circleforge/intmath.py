@@ -17,7 +17,7 @@ from numbers import Integral
 import numpy as np
 
 from . import workers
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, PreconditionError, check_count
 
 # Trial division is used for every factorisation, so a modulus is factorised
 # only up to the square of this bound.
@@ -91,8 +91,7 @@ _SAMPLE_PER_WINDOW = 1 << 11
 
 def powers(k: int, P: int) -> np.ndarray:
     """x**k for x = 1..P as int64."""
-    if not isinstance(P, Integral):  # np.arange would run to ceil(P)
-        raise PreconditionError(f"bound P={P!r} must be an integer")
+    check_count(P, "bound P", least=0)  # np.arange would run to ceil(P)
     return np.arange(1, P + 1, dtype=np.int64) ** k
 
 

@@ -24,7 +24,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, PreconditionError, check_count
 from .intmath import iroot, key_runs, pair_reduce, pair_values, powers, quad_reduce
 
 @dataclass(frozen=True)
@@ -76,8 +76,7 @@ def count_sixth_pair_collisions(P6: int) -> MomentCount:
     of them on the diagonal (d = 1 just at 2 x^6), has 2c - d ordered pairs,
     so the count is sum (2c - d)^2 = 4 sum c^2 - 4 sum_x c(2 x^6) + P6.
     """
-    if P6 < 1:
-        raise PreconditionError("bound P6 must be >= 1")
+    check_count(P6, "bound P6")
     if P6 > 3000:
         raise BudgetError("pair-collision count budget is P6 <= 3000")
     hi, lo = _split_pair_sums(P6)
@@ -106,10 +105,7 @@ def count_cube_sixth_correlation(X: int) -> MomentCount:
     weighted r(s) r(t) by their ordered pairs, is looked up among the cube
     differences.
     """
-    if not isinstance(X, Integral):  # iroot would count up to floor(X)
-        raise PreconditionError(f"bound X={X!r} must be an integer")
-    if X < 1:
-        raise PreconditionError("bound X must be >= 1")
+    check_count(X, "bound X")  # iroot would count up to floor(X)
     if X > 10**8:
         raise BudgetError("correlation count budget is X <= 10**8")
     P3, P6 = iroot(X, 3), iroot(X, 6)
@@ -143,8 +139,7 @@ def sixth_power_eighth_moment(P6: int) -> MomentCount:
     Counted as the sum of squared quadruple-spectrum multiplicities, each
     quadruple sum taken once per sorted quadruple with its number of orderings.
     """
-    if P6 < 1:
-        raise PreconditionError("bound P6 must be >= 1")
+    check_count(P6, "bound P6")
     if P6 > 300:
         raise BudgetError("eighth-moment budget is P6 <= 300")
     # the keys go through value windows, and the lattice holds 2 C(P6 + 2, 3)
@@ -159,8 +154,7 @@ def sixth_power_eighth_moment(P6: int) -> MomentCount:
 def cube_multiplicity(P3: int) -> MultiplicitySet:
     """All integers with two or more representations as a difference of cubes
     from [1, P3], found by sorting the positive differences and scanning runs."""
-    if P3 < 1:
-        raise PreconditionError("bound P3 must be >= 1")
+    check_count(P3, "bound P3")
     if P3 > 10**4:
         raise BudgetError("cube-multiplicity budget is P3 <= 10**4")
 
@@ -181,8 +175,7 @@ def cube_multiplicity(P3: int) -> MultiplicitySet:
 def check_shifted(P3: int, size: int) -> None:
     """The refusals of shifted_cube_correlation on P3 and a shift set of size
     entries, raised before any work (and before the CLI draws its sample)."""
-    if P3 < 1:
-        raise PreconditionError("bound P3 must be >= 1")
+    check_count(P3, "bound P3")
     if P3 > 10**4:
         raise BudgetError("correlation budget is P3 <= 10**4")
     if size > 10**5:

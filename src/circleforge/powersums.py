@@ -15,7 +15,7 @@ from operator import imul
 
 import numpy as np
 
-from .errors import BudgetError, PreconditionError
+from .errors import PreconditionError, check_count
 from .intmath import factorize
 
 FORM = (2, 2, 3, 3, 6, 6)
@@ -69,13 +69,6 @@ def _check_exponent(k: int) -> None:
         raise PreconditionError(f"exponent k={k} not in {SUPPORTED_EXPONENTS}")
 
 
-def _check_modulus(q: int) -> None:
-    if q < 1:
-        raise PreconditionError("modulus q must be a positive integer")
-    if q > MODULUS_BUDGET:
-        raise BudgetError(f"modulus q={q} beyond budget {MODULUS_BUDGET}")
-
-
 def powers_mod(x: np.ndarray, k: int, q: int) -> np.ndarray:
     """x**k mod q for an int64 array x of residues mod q < 2^31, by chained
     modular products: x^2, then x^3 = x^2 x, then x^6 = x^3 x^3."""
@@ -121,7 +114,7 @@ def _phase_sum(numerators: np.ndarray, q: int) -> complex:
 def gauss_sum(k: int, q: int, a: int) -> GaussSumValue:
     """S_k(q, a) = sum_{r=1}^{q} e(a r^k / q) for gcd(a, q) = 1."""
     _check_exponent(k)
-    _check_modulus(q)
+    check_count(q, "modulus q", budget=MODULUS_BUDGET)
     if not 1 <= a <= q:
         raise PreconditionError(f"residue a={a} outside 1..q")
     if math.gcd(a, q) != 1:
@@ -131,10 +124,13 @@ def gauss_sum(k: int, q: int, a: int) -> GaussSumValue:
 
 
 def gauss_sum_table(k: int, q: int) -> np.ndarray:
-    """S_k(q, a) for every a = 0..q-1 at once (DFT of the residue histogram)."""
+    """S_k(q, a) for every a = 0..q-1 at once (DFT of the residue histogram).
+    It counts its one row itself: the cached stack of `residue_histograms`
+    would hold three rows past the call."""
     _check_exponent(k)
-    _check_modulus(q)
-    return np.conj(np.fft.fft(residue_histograms(q)[SUPPORTED_EXPONENTS.index(k)]))
+    check_count(q, "modulus q", budget=MODULUS_BUDGET)
+    counts = np.bincount(powers_mod(np.arange(q, dtype=np.int64), k, q), minlength=q)
+    return np.conj(np.fft.fft(counts))
 
 
 def gauss_sum_majorant(k: int, q: int) -> MajorantValue:
@@ -144,8 +140,7 @@ def gauss_sum_majorant(k: int, q: int) -> MajorantValue:
     k * p**(-u - 1/2) when v = 1 and p**(-u - 1) when 2 <= v <= k.
     """
     _check_exponent(k)
-    if q < 1:
-        raise PreconditionError("modulus q must be a positive integer")
+    check_count(q, "modulus q")
     value = 1.0
     for p, h in factorize(q):
         u, v = divmod(h - 1, k)

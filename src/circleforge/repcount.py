@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import workers
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, check_count
 from .exactconv import FLOAT_EXACT_LIMIT, exact_convolve
 from .intmath import iroot, pair_values, powers
 from .powersums import _check_exponent
@@ -67,8 +67,7 @@ def pair_spectrum(k: int, P: int) -> PairSpectrum:
     """Exact pair-sum spectrum, filled as g is: _fill_spectrum of powers(k, P)
     with itself, every count 1."""
     _check_exponent(k)
-    if P < 1:
-        raise PreconditionError("bound P must be >= 1")
+    check_count(P, "bound P")
     length = 2 * P**k + 1
     if length > PAIR_INDEX_BUDGET:
         raise BudgetError(
@@ -194,8 +193,7 @@ def _cube_sixth_spectrum(P3: int, P6: int, limit: int) -> np.ndarray:
 
 def check_single_target(n: int) -> None:
     """The refusals of rep_count_single, raised before any work."""
-    if n < 1:
-        raise PreconditionError("target n must be >= 1")
+    check_count(n, "target n")
     if n > SINGLE_TARGET_BUDGET:
         raise BudgetError(
             f"single target n={n} beyond budget {SINGLE_TARGET_BUDGET} "
@@ -205,10 +203,7 @@ def check_single_target(n: int) -> None:
 
 def check_range(X: int) -> None:
     """The refusals of rep_count_range, raised before any work."""
-    if X < 1:
-        raise PreconditionError("range bound X must be >= 1")
-    if X > RANGE_BUDGET:
-        raise BudgetError(f"range bound X={X} beyond budget {RANGE_BUDGET}")
+    check_count(X, "range bound X", budget=RANGE_BUDGET)
 
 
 def _window_length(n: int) -> int:

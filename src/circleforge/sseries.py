@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import workers
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, PreconditionError, check_count
 from .exactconv import cyclic_histogram_convolution
 from .intmath import ADD_BUFSIZE, factorize
 from .powersums import FORM, SUPPORTED_EXPONENTS, form_product, residue_histograms
@@ -81,8 +81,7 @@ def _term_table(q: int) -> np.ndarray:
 
 def series_term(q: int, n: int) -> SeriesTerm:
     """A(q; n); the target n is reduced mod q internally."""
-    if q < 1:
-        raise PreconditionError("modulus q must be a positive integer")
+    check_count(q, "modulus q")
     if q > TERM_BUDGET:
         raise BudgetError(f"series term modulus {q} beyond budget {TERM_BUDGET}")
     return SeriesTerm(q=q, n=n, value=float(_term_table(q)[n % q]))
@@ -98,8 +97,7 @@ def _congruence_spectrum(q: int) -> tuple:
 def congruence_count(q: int, n: int) -> CongruenceCount:
     """Exact number of solutions of sum_i x_i^(FORM[i]) = n (mod q), each x_i
     over a complete residue system."""
-    if q < 1:
-        raise PreconditionError("modulus q must be a positive integer")
+    check_count(q, "modulus q")
     if q > CONGRUENCE_BUDGET:
         raise BudgetError(f"congruence count modulus {q} beyond {CONGRUENCE_BUDGET}")
     return CongruenceCount(q=q, n=n, count=_congruence_spectrum(q)[n % q])
@@ -153,18 +151,14 @@ def _live_tables(top: int) -> tuple[np.ndarray, ...]:
 
 def check_truncation(W: int) -> None:
     """The refusals of a truncation level W, raised before any work."""
-    if W < 1:
-        raise PreconditionError("truncation W must be >= 1")
-    if W > TRUNCATION_BUDGET:
-        raise BudgetError(f"truncation W={W} beyond budget {TRUNCATION_BUDGET}")
+    check_count(W, "truncation W", budget=TRUNCATION_BUDGET)
 
 
 def truncated_singular_series(n: int, W: int) -> SingularSeriesValue:
     """sum_{q<=W} A(q; n), read off ``_live_tables``; the tail estimate is the
     change when the truncation is doubled.  The terms are added in ascending
     q, as ``series_blocks`` adds them, so the bits equal ``series_batch``'s."""
-    if n < 1:
-        raise PreconditionError("target n must be >= 1")
+    check_count(n, "target n")
     check_truncation(W)
     value = value2 = 0.0
     for table in _live_tables(2 * W):
@@ -208,8 +202,7 @@ def series_blocks(X: int, W: int) -> list:
     the same float additions in the same order whatever the block size and
     whichever thread runs the block.
     """
-    if X < 0:
-        raise PreconditionError("range bound X must be >= 0")
+    check_count(X, "range bound X", least=0)
     check_truncation(W)
     lock = threading.Lock()
     state = []

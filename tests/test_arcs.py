@@ -731,6 +731,21 @@ def test_exceptional_sample_refuses_non_integers():
     assert ExceptionalSample(members=tuple(np.array([1, 3]))).size == 2
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_non_finite_alpha_is_refused(alpha):
+    # K returned nan+nanj with RuntimeWarnings; float.as_integer_ratio raised
+    # ValueError or OverflowError inside weyl_sum and classify_arc
+    sample = ExceptionalSample(members=(1, 2, 3))
+    for call in (lambda: exceptional_sum(sample, alpha),
+                 lambda: exceptional_sum_grid(sample, np.array([0.25, alpha])),
+                 lambda: exceptional_sum_grid(ExceptionalSample(members=()), [alpha])):
+        with pytest.raises(PreconditionError, match="alphas must be finite"):
+            call()
+    for call in (lambda: weyl_sum(2, 10, alpha), lambda: classify_arc(alpha, 10, 100, 10)):
+        with pytest.raises(PreconditionError, match=r"outside \[0, 1\)"):
+            call()
+
+
 def test_singular_integral_contracts():
     si = singular_integral(10**4, 10**4, 50)
     # frozen: quadrature within 10% of the closed form (observed 0.99996)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +91,23 @@ def test_table_matches_pointwise():
         for a in range(1, q + 1):
             if math.gcd(a, q) == 1:
                 assert abs(table[a % q] - gauss_sum(6, q, a).value) < 1e-9
+
+
+def test_table_counts_its_own_row():
+    # one row of 8q bytes, not the cached three-row stack, which took the peak
+    # to 4.5 times the 16q-byte table and stayed held, 24q bytes, after the call
+    q = 2 * 10**6
+    residue_histograms(7)
+    before = residue_histograms.cache_info()
+    tracemalloc.start()
+    try:
+        table = gauss_sum_table(6, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residue_histograms.cache_info() == before
+    assert peak < 3 * 16 * q
+    assert table[0] == q and table[1] == pytest.approx(gauss_sum(6, q, 1).value, abs=1e-6)
 
 
 def test_stacked_histograms_match_one_per_exponent():
