@@ -24,9 +24,10 @@ from .arcs import (
     weyl_integral_batch,
     weyl_sum,
 )
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, PreconditionError, check_count
 from .intmath import iroot
-from .powersums import SUPPORTED_EXPONENTS, form_product, gauss_sum, leading_constant
+from .powersums import (SUPPORTED_EXPONENTS, _check_exponent, form_product, gauss_sum,
+                        leading_constant)
 
 # quadrature nodes at one grid density, in each of the three integrals and the
 # survey (29,064 in its annulus at X = 10**4, Q = 100).  On the two cores of a
@@ -197,7 +198,7 @@ def weyl_sum_grid(k: int, P: int, alphas: np.ndarray) -> np.ndarray:
     convexity, sum x^k <= P (P^k + 1) / 2, f_k is within
     (pi + 3) (P^k + 1) 2^-53 * P; refused with BudgetError unless P^k <= 2^26,
     a relative error below 5e-8."""
-    if int(P) ** k > PHASE_INTEGER_LIMIT:
+    if P**k > PHASE_INTEGER_LIMIT:
         raise BudgetError(f"P^k = {P}^{k} exceeds 2^26 for a float Weyl-sum grid")
     alphas = np.asarray(alphas, dtype=np.float64)
     out = np.zeros(len(alphas), dtype=complex)
@@ -250,14 +251,12 @@ def _arc_columns(Q, pairs, arc_idx, weights, integrand) -> dict:
 def major_arc_integral(n: int, X: int, W: int, grid: int = 10) -> MajorArcIntegral:
     """Integral of f2^2 f3^2 f6^2 e(-n alpha) over the peak arcs, against its
     fully modelled counterpart, with a grid-halving stability report."""
+    X = check_count(X, "bound X", least=None)
     if X < 16 or X > 10**5:
         raise BudgetError("major-arc quadrature budget is 16 <= X <= 10**5")
-    if n < 1 or W < 1:
-        raise PreconditionError("need n >= 1 and W >= 1")
-    if grid < 1:
-        raise PreconditionError("need grid >= 1")
-    if W > 200:
-        raise BudgetError("peak level budget is W <= 200")
+    n = check_count(n, "target n")
+    W = check_count(W, "peak level W", budget=200)
+    grid = check_count(grid, "grid")
     P_by_k = {k: iroot(X, k) for k in SUPPORTED_EXPONENTS}
     pairs = _farey_pairs(W)
     centers = np.array([a / q for q, a in pairs])
@@ -296,10 +295,11 @@ def singular_integral(n: int, X: int, W: int) -> SingularIntegral:
     rounding deficit of up to ~13% at desk scale, which would swamp the
     truncation behaviour this diagnostic is meant to expose.
     """
+    X = check_count(X, "bound X", least=None)
     if X < 16 or X > 10**6:
         raise BudgetError("singular-integral budget is 16 <= X <= 10**6")
-    if n < 1 or W < 1:
-        raise PreconditionError("need n >= 1 and W >= 1")
+    n = check_count(n, "target n")
+    W = check_count(W, "level W")
     P_by_k = {k: X ** (1.0 / k) for k in SUPPORTED_EXPONENTS}
     width = W / X
     panels = max(64, -(-8 * W * max(n, X) // X))  # ceil(8 W max(1, n / X)), exactly
@@ -341,8 +341,10 @@ class MajorantSurvey:
 
 def peak_majorant_survey(X: int, Q: int) -> MajorantSurvey:
     """sup of |f_2(alpha)| over its arc majorant on an annulus grid at level Q."""
+    X = check_count(X, "bound X", least=None)
     if X < 16 or X > 10**5:
         raise BudgetError("majorant survey budget is 16 <= X <= 10**5")
+    Q = check_count(Q, "level Q", least=None)
     if Q < 2 or Q > 2 * math.isqrt(X):
         raise PreconditionError("need 2 <= Q <= 2 sqrt(X)")
     P2 = iroot(X, 2)
@@ -378,10 +380,10 @@ class ModelErrorSurvey:
 def major_arc_error_survey(k: int, X: int, q_max: int, W: int) -> ModelErrorSurvey:
     """Exhaustive sampled comparison of f_k against q^{-1} S_k v_k near every
     rational with denominator up to q_max, at five offsets within W/X."""
-    if X > 10**6:
-        raise BudgetError("survey budget is X <= 10**6")
-    if q_max > 50:
-        raise BudgetError("survey budget is q_max <= 50")
+    k = _check_exponent(k)
+    X = check_count(X, "bound X", budget=10**6)
+    q_max = check_count(q_max, "denominator bound q_max", budget=50)
+    W = check_count(W, "level W", least=None)
     P = iroot(X, k)
     pairs = _farey_pairs(q_max)
     arc_idx = np.repeat(np.arange(len(pairs)), 5)
@@ -400,15 +402,16 @@ def major_arc_error_survey(k: int, X: int, q_max: int, W: int) -> ModelErrorSurv
     )
 
 
-def check_pruned(X: int, Q: int, grid: int) -> None:
+def check_pruned(X: int, Q: int, grid: int) -> tuple[int, int, int]:
     """The refusals of pruned_integral_diagnostic, raised before any work (and
     before the CLI draws its sample)."""
+    X = check_count(X, "bound X", least=None)
     if X < 16 or X > 10**4:
         raise BudgetError("pruned-diagnostic budget is 16 <= X <= 10**4")
+    Q = check_count(Q, "level Q", least=None)
     if Q < 1 or Q > math.isqrt(X):
         raise PreconditionError("need 1 <= Q <= sqrt(X)")
-    if grid < 1:
-        raise PreconditionError("need grid >= 1")
+    return X, Q, check_count(grid, "grid")
 
 
 def pruned_integral_diagnostic(
@@ -417,7 +420,7 @@ def pruned_integral_diagnostic(
     """Numeric sizes of the three pruning integrands over the annulus at level
     Q (level-Q arcs minus half-level arcs), tabulated against the bound shapes
     they are compared with.  Purely diagnostic; no inequality is asserted."""
-    check_pruned(X, Q, grid)
+    X, Q, grid = check_pruned(X, Q, grid)
     P_by_k = {k: iroot(X, k) for k in SUPPORTED_EXPONENTS}
     # for Q <= sqrt(X) the annulus is never empty: it keeps (Q/2X, Q/X] of the
     # q = 1 arc, which a half-level arc covers only if X <= Q^2/2 + Q/2

@@ -17,7 +17,7 @@ from numbers import Integral
 import numpy as np
 
 from . import workers
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, PreconditionError, check_count
 from .intmath import ADD_BUFSIZE
 from .powersums import _check_exponent, _phase_sum, gauss_sum, powers_mod
 
@@ -72,8 +72,8 @@ class ExceptionalSample:
     eta: tuple | None = None
 
     def __post_init__(self):
-        if not all(isinstance(m, Integral) for m in self.members):
-            raise PreconditionError("sample members must be integers")
+        members = tuple(check_count(m, "sample member", least=None) for m in self.members)
+        object.__setattr__(self, "members", members)  # frozen: Python ints in place
         if len(set(self.members)) != len(self.members):
             raise PreconditionError("sample members must be distinct")
         if self.eta is not None:
@@ -113,9 +113,8 @@ def weyl_sum(k: int, P: int, alpha) -> complex:
     rational it represents, and every phase a x^k is reduced mod the
     denominator in exact integer arithmetic before evaluation.
     """
-    _check_exponent(k)
-    if not 1 <= P <= WEYL_POINT_BUDGET:
-        raise PreconditionError(f"requires 1 <= P <= {WEYL_POINT_BUDGET}")
+    k = _check_exponent(k)
+    P = check_count(P, "bound P", budget=WEYL_POINT_BUDGET)
     p, q = _alpha_as_rational(alpha)
     if p == 0:
         return complex(P)
@@ -197,7 +196,7 @@ def weyl_integral_batch(k: int, P, betas: np.ndarray) -> np.ndarray:
     4u |z V'(z)| = 4u |e^(i z) - V| / k <= 8u / k at any z; with the product
     by P, each value stays within 4e-13 P.  A z that overflows is refused.
     """
-    _check_exponent(k)
+    k = _check_exponent(k)
     if not P >= 1:
         raise PreconditionError("bound P must be >= 1")
     if isinstance(P, Integral) and int(P) ** k >= 2**1024:  # exact: P may have no float
@@ -222,6 +221,9 @@ def weyl_integral_batch(k: int, P, betas: np.ndarray) -> np.ndarray:
 
 def major_arc_approx(k: int, q: int, a: int, beta: float, P: int) -> complex:
     """q^{-1} S_k(q, a) v_k(beta): the structured approximation to f_k near a/q."""
+    q = check_count(q, "modulus q")
+    a = check_count(a, "residue a", least=None)
+    P = check_count(P, "bound P")
     if math.gcd(a if a else q, q) != 1:
         raise PreconditionError("requires gcd(a, q) = 1")
     s = gauss_sum(k, q, a if a else q).value
@@ -270,12 +272,11 @@ def _least_peak_arc(alpha: Fraction, W: int, X: int) -> tuple[int, int] | None:
 
 def classify_arc(alpha, Q: int, X: int, W: int) -> ArcLabel:
     """Assign alpha to its unique arc at level Q, with peak membership at W."""
-    if X < 1 or Q < 1:
-        raise PreconditionError("need X >= 1 and Q >= 1")
+    X = check_count(X, "bound X")
+    Q = check_count(Q, "level Q")
     if Q > 2 * math.isqrt(X):
         raise PreconditionError("level Q must satisfy Q <= 2 sqrt(X)")
-    if W < 1 or W > 1000:
-        raise PreconditionError("peak level W must be in 1..1000")
+    W = check_count(W, "peak level W", budget=1000)
     p, qd = _alpha_as_rational(alpha)
     frac = Fraction(p, qd)
     level = _least_arc(frac, Q, Fraction(Q, X))
@@ -300,6 +301,7 @@ def classify_arc(alpha, Q: int, X: int, W: int) -> ArcLabel:
 def peak_majorant(alpha, q, a, P2: int):
     """P2 * (q + P2^2 |q alpha - a|)^(-1/2), the square-sum arc majorant, at
     one point or elementwise over arrays of points and arcs."""
+    P2 = check_count(P2, "bound P2", least=0)
     q = np.asarray(q, dtype=np.float64)
     if (q < 1).any():
         raise PreconditionError("arc denominator must be positive")
@@ -358,7 +360,7 @@ def exceptional_sum_grid(sample: ExceptionalSample, alphas: np.ndarray) -> np.nd
     product alpha n per member erred by 5.0e-13, and 100 members just below
     2^26 by 1.6e-15 against 3.5e-9.  Refused with BudgetError unless
     max|n| <= 2^26, which keeps |o h| <= 2^52 and so exact."""
-    top = max((abs(int(m)) for m in sample.members), default=0)
+    top = max(map(abs, sample.members), default=0)
     if top > PHASE_INTEGER_LIMIT:
         raise BudgetError(
             f"a sample member of {top.bit_length()} bits exceeds 2^26 for a float phase grid"

@@ -12,12 +12,11 @@ as it fills g.  The key format stays in this module: callers see only
 (values, sums) runs."""
 
 import math
-from numbers import Integral
 
 import numpy as np
 
 from . import workers
-from .errors import BudgetError, PreconditionError, check_count
+from .errors import BudgetError, check_count
 
 # Trial division is used for every factorisation, so a modulus is factorised
 # only up to the square of this bound.
@@ -48,12 +47,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     Raises BudgetError above TRIAL_DIVISION_BOUND**2, where a cofactor left
     after trial division up to the bound need not be prime.
     """
-    if not isinstance(n, Integral):  # 2.5 would come back as its own prime
-        raise PreconditionError(f"factorize requires an integer n, got {n!r}")
-    if n < 1:
-        raise ValueError("factorize requires n >= 1")
-    if n > TRIAL_DIVISION_BOUND**2:
-        raise BudgetError(f"factorisation budget is n <= {TRIAL_DIVISION_BOUND}**2")
+    n = check_count(n, "factorize n", budget=TRIAL_DIVISION_BOUND**2)
     out = []
     f = 2
     while f * f <= n:

@@ -20,7 +20,6 @@ two-word (hi, lo) keys and reads their runs as plain sorted values.
 """
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -76,9 +75,7 @@ def count_sixth_pair_collisions(P6: int) -> MomentCount:
     of them on the diagonal (d = 1 just at 2 x^6), has 2c - d ordered pairs,
     so the count is sum (2c - d)^2 = 4 sum c^2 - 4 sum_x c(2 x^6) + P6.
     """
-    check_count(P6, "bound P6")
-    if P6 > 3000:
-        raise BudgetError("pair-collision count budget is P6 <= 3000")
+    P6 = check_count(P6, "bound P6", budget=3000)
     hi, lo = _split_pair_sums(P6)
     rows = np.cumsum(np.r_[0, np.arange(P6, 1, -1)])  # the diagonal sums 2 x^6
     twice_hi, twice_lo = hi[rows], lo[rows]
@@ -105,9 +102,7 @@ def count_cube_sixth_correlation(X: int) -> MomentCount:
     weighted r(s) r(t) by their ordered pairs, is looked up among the cube
     differences.
     """
-    check_count(X, "bound X")  # iroot would count up to floor(X)
-    if X > 10**8:
-        raise BudgetError("correlation count budget is X <= 10**8")
+    X = check_count(X, "bound X", budget=10**8)  # iroot would count up to floor(X)
     P3, P6 = iroot(X, 3), iroot(X, 6)
     uvals, ucounts = pair_values(powers(6, P6))
     dvals, dcounts = pair_values(powers(3, P3), -1)
@@ -139,9 +134,7 @@ def sixth_power_eighth_moment(P6: int) -> MomentCount:
     Counted as the sum of squared quadruple-spectrum multiplicities, each
     quadruple sum taken once per sorted quadruple with its number of orderings.
     """
-    check_count(P6, "bound P6")
-    if P6 > 300:
-        raise BudgetError("eighth-moment budget is P6 <= 300")
+    P6 = check_count(P6, "bound P6", budget=300)
     # the keys go through value windows, and the lattice holds 2 C(P6 + 2, 3)
     # source keys (72 MB at 300): at P6 = 300, C(303, 4) = 349,707,150 keys
     # in 334 windows, the CLI took 4.6-5.1 s and 254 MiB on a 2-core VM
@@ -154,9 +147,7 @@ def sixth_power_eighth_moment(P6: int) -> MomentCount:
 def cube_multiplicity(P3: int) -> MultiplicitySet:
     """All integers with two or more representations as a difference of cubes
     from [1, P3], found by sorting the positive differences and scanning runs."""
-    check_count(P3, "bound P3")
-    if P3 > 10**4:
-        raise BudgetError("cube-multiplicity budget is P3 <= 10**4")
+    P3 = check_count(P3, "bound P3", budget=10**4)
 
     def repeats(runs):
         found, top = [np.empty(0, dtype=np.int64)], 0
@@ -172,14 +163,15 @@ def cube_multiplicity(P3: int) -> MultiplicitySet:
     return MultiplicitySet(P3=P3, members=members, max_multiplicity=top)
 
 
-def check_shifted(P3: int, size: int) -> None:
+def check_shifted(P3: int, size: int) -> int:
     """The refusals of shifted_cube_correlation on P3 and a shift set of size
     entries, raised before any work (and before the CLI draws its sample)."""
-    check_count(P3, "bound P3")
+    P3 = check_count(P3, "bound P3")
     if P3 > 10**4:
         raise BudgetError("correlation budget is P3 <= 10**4")
     if size > 10**5:
         raise BudgetError("shift set budget is 10**5 entries")
+    return P3
 
 
 def shifted_cube_correlation(P3: int, shifts) -> MomentCount:
@@ -187,10 +179,8 @@ def shifted_cube_correlation(P3: int, shifts) -> MomentCount:
     from the shift set.  The diagonal n1 = n2 forces x1 = x2 and contributes
     exactly P3 * |shifts|; the off-diagonal part is reported separately."""
     values = list(shifts)
-    check_shifted(P3, len(values))
-    if not all(isinstance(v, Integral) for v in values):  # int() would truncate a float
-        raise PreconditionError("shift set entries must be integers")
-    values = sorted(map(int, values))
+    P3 = check_shifted(P3, len(values))
+    values = sorted(check_count(v, "shift set entry", least=None) for v in values)
     if values and not -(2**63) <= values[0] <= values[-1] < 2**63:
         raise PreconditionError("shift set entries must lie in the int64 range")
     z = np.asarray(values, dtype=np.int64)

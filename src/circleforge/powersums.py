@@ -64,9 +64,10 @@ def form_product(values):
     return reduce(imul, (values[k] ** FORM.count(k) for k in SUPPORTED_EXPONENTS))
 
 
-def _check_exponent(k: int) -> None:
+def _check_exponent(k: int) -> int:
     if k not in SUPPORTED_EXPONENTS:
         raise PreconditionError(f"exponent k={k} not in {SUPPORTED_EXPONENTS}")
+    return check_count(k, "exponent k")
 
 
 def powers_mod(x: np.ndarray, k: int, q: int) -> np.ndarray:
@@ -113,8 +114,9 @@ def _phase_sum(numerators: np.ndarray, q: int) -> complex:
 
 def gauss_sum(k: int, q: int, a: int) -> GaussSumValue:
     """S_k(q, a) = sum_{r=1}^{q} e(a r^k / q) for gcd(a, q) = 1."""
-    _check_exponent(k)
-    check_count(q, "modulus q", budget=MODULUS_BUDGET)
+    k = _check_exponent(k)
+    q = check_count(q, "modulus q", budget=MODULUS_BUDGET)
+    a = check_count(a, "residue a", least=None)
     if not 1 <= a <= q:
         raise PreconditionError(f"residue a={a} outside 1..q")
     if math.gcd(a, q) != 1:
@@ -127,8 +129,8 @@ def gauss_sum_table(k: int, q: int) -> np.ndarray:
     """S_k(q, a) for every a = 0..q-1 at once (DFT of the residue histogram).
     It counts its one row itself: the cached stack of `residue_histograms`
     would hold three rows past the call."""
-    _check_exponent(k)
-    check_count(q, "modulus q", budget=MODULUS_BUDGET)
+    k = _check_exponent(k)
+    q = check_count(q, "modulus q", budget=MODULUS_BUDGET)
     counts = np.bincount(powers_mod(np.arange(q, dtype=np.int64), k, q), minlength=q)
     return np.conj(np.fft.fft(counts))
 
@@ -139,8 +141,8 @@ def gauss_sum_majorant(k: int, q: int) -> MajorantValue:
     On a prime power p**(u*k + v) with u >= 0 and 1 <= v <= k the factor is
     k * p**(-u - 1/2) when v = 1 and p**(-u - 1) when 2 <= v <= k.
     """
-    _check_exponent(k)
-    check_count(q, "modulus q")
+    k = _check_exponent(k)
+    q = check_count(q, "modulus q")
     value = 1.0
     for p, h in factorize(q):
         u, v = divmod(h - 1, k)
@@ -158,9 +160,8 @@ def majorant_ratio_survey(k: int, q_max: int) -> MajorantRatioSurvey:
     The constant hidden in the majorant inequality is never pinned down in
     closed form; this measures it exhaustively at small moduli.
     """
-    _check_exponent(k)
-    if not 1 <= q_max <= 10**4:
-        raise PreconditionError("survey requires 1 <= q_max <= 10**4")
+    k = _check_exponent(k)
+    q_max = check_count(q_max, "modulus bound q_max", budget=10**4)
     best = MajorantRatioSurvey(k=k, q_max=q_max, ratio=1.0, q=1, a=1)
     for q in range(1, q_max + 1):
         w = gauss_sum_majorant(k, q).value

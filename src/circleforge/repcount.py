@@ -66,8 +66,8 @@ class RangeCounts:
 def pair_spectrum(k: int, P: int) -> PairSpectrum:
     """Exact pair-sum spectrum, filled as g is: _fill_spectrum of powers(k, P)
     with itself, every count 1."""
-    _check_exponent(k)
-    check_count(P, "bound P")
+    k = _check_exponent(k)
+    P = check_count(P, "bound P")
     length = 2 * P**k + 1
     if length > PAIR_INDEX_BUDGET:
         raise BudgetError(
@@ -191,19 +191,20 @@ def _cube_sixth_spectrum(P3: int, P6: int, limit: int) -> np.ndarray:
     return g
 
 
-def check_single_target(n: int) -> None:
+def check_single_target(n: int) -> int:
     """The refusals of rep_count_single, raised before any work."""
-    check_count(n, "target n")
+    n = check_count(n, "target n")
     if n > SINGLE_TARGET_BUDGET:
         raise BudgetError(
             f"single target n={n} beyond budget {SINGLE_TARGET_BUDGET} "
             f"(a time budget: it sums {n - 1} cube/sixth counts, one window at a time)"
         )
+    return n
 
 
-def check_range(X: int) -> None:
+def check_range(X: int) -> int:
     """The refusals of rep_count_range, raised before any work."""
-    check_count(X, "range bound X", budget=RANGE_BUDGET)
+    return check_count(X, "range bound X", budget=RANGE_BUDGET)
 
 
 def _window_length(n: int) -> int:
@@ -292,7 +293,7 @@ def rep_count_single(n: int) -> int:
     windows has one buffer, where _fill_spectrum writes g[lo:hi] between two
     zero pads, and _annulus_sum gathers the square pairs with
     n - hi < x^2 + y^2 <= n - lo."""
-    check_single_target(n)
+    n = check_single_target(n)
     if n < 6:
         return 0
     spectra = _pair_spectra(iroot(n - 4, 3), iroot(n - 4, 6), n - 2)
@@ -324,7 +325,7 @@ def rep_count_range(X: int, cache_dir: str | None = None) -> RangeCounts:
     narrowest integer types (int16 at every admitted X), which the engine
     reads through views: the square-pair spectrum, a narrow copy of its
     first X + 1 entries, holds 2 bytes an entry through the product, not 8."""
-    check_range(X)
+    X = check_range(X)
     P2, P3, P6 = iroot(X, 2), iroot(X, 3), iroot(X, 6)
     # a narrow copy, so the spectrum, twice as long and int64, is freed
     # before the transforms

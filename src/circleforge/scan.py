@@ -10,12 +10,11 @@ reports but marked pre-asymptotic and excluded from trend statistics.
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from . import sseries, workers
-from .errors import PreconditionError
+from .errors import PreconditionError, check_count
 from .powersums import leading_constant
 from .repcount import check_range, check_single_target, rep_count_range, rep_count_single
 from .sseries import check_truncation, series_blocks, truncated_singular_series
@@ -101,8 +100,9 @@ class ScanReport:
     flags: np.ndarray
 
     def record(self, n: int) -> PredictionRecord:
-        if not isinstance(n, Integral) or not 1 <= n <= self.X:
-            raise PreconditionError(f"record n must be an integer in 1..{self.X}, got {n!r}")
+        n = check_count(n, "record n", least=None)
+        if not 1 <= n <= self.X:
+            raise PreconditionError(f"record n must be in 1..{self.X}, got {n}")
         errors = _errors(self.counts[n], self.series[n], n)
         return PredictionRecord(n, int(self.counts[n]), float(self.series[n]), float(self.tails[n]),
                                 *map(float, errors), exceptional=bool(self.flags[n]))
@@ -121,10 +121,11 @@ def _errors(counts, series, n):
 
 def predict(n: int, W: int = DEFAULT_TRUNCATION) -> PredictionRecord:
     """Exact count against main term for a single target (no flag attached)."""
+    n = check_count(n, "target n", least=None)
     if n < 6:
         raise PreconditionError("targets below 6 have no representations")
     check_single_target(n)
-    check_truncation(W)
+    W = check_truncation(W)
     count = rep_count_single(n)
     series = truncated_singular_series(n, W)
     return PredictionRecord(n, count, series.value, series.tail_estimate,
@@ -176,10 +177,11 @@ def median(a: np.ndarray) -> np.floating:
 
 def scan(X: int, psi: PsiSpec, W: int = DEFAULT_TRUNCATION, cache_dir=None) -> ScanReport:
     """Full exceptional-set scan over 1 <= n <= X."""
+    X = check_count(X, "range bound X", least=None)
     if X < 8:
         raise PreconditionError("scan range must reach at least 8")
     check_range(X)
-    check_truncation(W)
+    W = check_truncation(W)
     # neither uses the other; the count goes first, so it convolves on this
     # thread and the transform's temporaries stay in this thread's heap, while
     # the pool starts the series blocks; this thread takes back the rest

@@ -81,7 +81,8 @@ def _term_table(q: int) -> np.ndarray:
 
 def series_term(q: int, n: int) -> SeriesTerm:
     """A(q; n); the target n is reduced mod q internally."""
-    check_count(q, "modulus q")
+    q = check_count(q, "modulus q")
+    n = check_count(n, "target n", least=None)
     if q > TERM_BUDGET:
         raise BudgetError(f"series term modulus {q} beyond budget {TERM_BUDGET}")
     return SeriesTerm(q=q, n=n, value=float(_term_table(q)[n % q]))
@@ -97,16 +98,15 @@ def _congruence_spectrum(q: int) -> tuple:
 def congruence_count(q: int, n: int) -> CongruenceCount:
     """Exact number of solutions of sum_i x_i^(FORM[i]) = n (mod q), each x_i
     over a complete residue system."""
-    check_count(q, "modulus q")
-    if q > CONGRUENCE_BUDGET:
-        raise BudgetError(f"congruence count modulus {q} beyond {CONGRUENCE_BUDGET}")
+    q = check_count(q, "modulus q", budget=CONGRUENCE_BUDGET)
+    n = check_count(n, "target n", least=None)
     return CongruenceCount(q=q, n=n, count=_congruence_spectrum(q)[n % q])
 
 
 def local_density(p: int, n: int, h: int) -> float:
     """p^{(1-s)h} M_n(p^h), s = len(FORM); stabilises in h once lifting obstructions clear."""
-    if p < 2 or h < 1:
-        raise PreconditionError(f"need a prime p and h >= 1, got p={p}, h={h}")
+    p = check_count(p, "prime p", least=2)
+    h = check_count(h, "exponent h")
     if p > CONGRUENCE_BUDGET or h >= CONGRUENCE_BUDGET.bit_length() or p**h > CONGRUENCE_BUDGET:
         raise BudgetError(f"p**h = {p}**{h} beyond budget {CONGRUENCE_BUDGET}")
     if factorize(p) != [(p, 1)]:
@@ -149,17 +149,17 @@ def _live_tables(top: int) -> tuple[np.ndarray, ...]:
     return tuple(tables.values())
 
 
-def check_truncation(W: int) -> None:
+def check_truncation(W: int) -> int:
     """The refusals of a truncation level W, raised before any work."""
-    check_count(W, "truncation W", budget=TRUNCATION_BUDGET)
+    return check_count(W, "truncation W", budget=TRUNCATION_BUDGET)
 
 
 def truncated_singular_series(n: int, W: int) -> SingularSeriesValue:
     """sum_{q<=W} A(q; n), read off ``_live_tables``; the tail estimate is the
     change when the truncation is doubled.  The terms are added in ascending
     q, as ``series_blocks`` adds them, so the bits equal ``series_batch``'s."""
-    check_count(n, "target n")
-    check_truncation(W)
+    n = check_count(n, "target n")
+    W = check_truncation(W)
     value = value2 = 0.0
     for table in _live_tables(2 * W):
         value2 += float(table[n % len(table)])
@@ -202,8 +202,8 @@ def series_blocks(X: int, W: int) -> list:
     the same float additions in the same order whatever the block size and
     whichever thread runs the block.
     """
-    check_count(X, "range bound X", least=0)
-    check_truncation(W)
+    X = check_count(X, "range bound X", least=0)
+    W = check_truncation(W)
     lock = threading.Lock()
     state = []
 

@@ -128,7 +128,7 @@ _REFUSED_UNDRAWN = [
     ((*_PRUNED, "--limit", "400", "--Q", "30", "--sample", "5"),
      "precondition", "need 1 <= Q <= sqrt(X)"),
     ((*_PRUNED, "--limit", "400", "--Q", "5", "--grid", "0", "--sample", "5"),
-     "precondition", "need grid >= 1"),
+     "precondition", "grid must be >= 1"),
 ]
 
 
@@ -161,13 +161,20 @@ _REFUSED = [
      "bound P3 must be >= 1"),
     (("moments", "--moment", "cube-sixth", "--limit", "0"), "precondition",
      "bound X must be >= 1"),
-    ((*_CLASSIFY, "--Q", "2", "--limit", "0"), "precondition", "need X >= 1 and Q >= 1"),
+    ((*_CLASSIFY, "--Q", "2", "--limit", "0"), "precondition", "bound X must be >= 1"),
     ((*_CLASSIFY, "--Q", "50", "--limit", "100"), "precondition",
      "level Q must satisfy Q <= 2 sqrt(X)"),
     (("arcs", "--op", "major-integral", "--n", "0", "--limit", "100", "--trunc", "2"),
-     "precondition", "need n >= 1 and W >= 1"),
+     "precondition", "target n must be >= 1"),
     (("arcs", "--op", "singular-integral", "--n", "0", "--limit", "100", "--trunc", "2"),
-     "precondition", "need n >= 1 and W >= 1"),
+     "precondition", "target n must be >= 1"),
+    # cost ceilings refuse as budgets
+    (("arcs", "--op", "weyl", "--k", "2", "--P", "10000001", "--q", "3", "--a", "1"), "budget",
+     "bound P=10000001 beyond budget 10000000"),
+    ((*_CLASSIFY, "--Q", "2", "--limit", "100", "--trunc", "1001"), "budget",
+     "peak level W=1001 beyond budget 1000"),
+    (("arcs", "--op", "major-integral", "--n", "5", "--limit", "100", "--trunc", "201"), "budget",
+     "peak level W=201 beyond budget 200"),
 ]
 
 
@@ -461,12 +468,12 @@ _BUDGET_PLUS_ONE = [
     (("sseries", "--n", "10", "--q", str(TERM_BUDGET + 1)), "budget"),
     (("gauss", "--k", "2", "--q", str(MODULUS_BUDGET + 1), "--a", "1"), "budget"),
     (("arcs", "--op", "weyl", "--k", "2", "--P", str(WEYL_POINT_BUDGET + 1), "--q", "3",
-      "--a", "1"), "precondition"),
+      "--a", "1"), "budget"),
     # a denominator of 2^31 or more that is not a power of two
     (("arcs", "--op", "weyl", "--k", "2", "--P", "200001", "--q", str(2**31 + 1), "--a", "1"),
      "budget"),
     (("arcs", "--op", "classify", "--limit", "100", "--Q", "2", "--q", "3", "--a", "1",
-      "--trunc", "1001"), "precondition"),
+      "--trunc", "1001"), "budget"),
     (("moments", "--moment", "pair-collisions", "--P", "3001"), "budget"),
     (("moments", "--moment", "cube-sixth", "--limit", str(10**8 + 1)), "budget"),
     (("moments", "--moment", "eighth", "--P", "301"), "budget"),

@@ -158,7 +158,7 @@ def test_integer_helpers_refuse_bad_input():
         with pytest.raises(ValueError, match=message):
             iroot(n, k)
     for n in (0, -5):
-        with pytest.raises(ValueError, match="n >= 1"):
+        with pytest.raises(PreconditionError, match="factorize n must be >= 1"):
             factorize(n)
     # a non-integer came back as its own prime, [(2.5, 1)], and the majorant
     # of a modulus 2.5 read 1.2649
